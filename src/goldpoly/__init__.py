@@ -4,7 +4,7 @@ Library layout:
 
 - ``arith``: prime sieve, pair counts, multiplicative functions, constants
 - ``poly``: exact integer polynomials, cyclotomics, rational gcd
-- ``modp``: dense polynomial kernel over F_p (numpy-backed)
+- ``modp``: the exact integer convolution, and dense polynomials over F_p
 - ``goldbach``: the F_N family, coefficient formulas, theorem reports,
   summatory asymptotics
 - ``roots``: unit-circle split and Aberth-Ehrlich classification

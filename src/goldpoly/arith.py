@@ -1,22 +1,22 @@
 """Number-theoretic kernel: prime sieve, pair counts, multiplicative functions.
 
 Everything here is exact.  Bulk routines return numpy integer arrays; the
-scalar multiplicative functions work from trial-division factorizations
-against the sieve's primes.  Rational values (the singular-series factor and
-its divisor-weighted aggregate) are `fractions.Fraction`.
+scalar multiplicative functions work from trial-division factorizations,
+against the sieve's primes when a table is given and against 2 and the odd
+numbers otherwise.  ``is_prime`` is a deterministic Miller-Rabin test for
+single numbers beyond any table.  Rational values (the singular-series
+factor and its divisor-weighted aggregate) are `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-try:
-    import gmpy2
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    gmpy2 = None
+from . import modp
 
 # Hard ceiling on sieve size; beyond this the dense tables stop being
 # "desk scale" and a segmented sieve would be required.
@@ -128,24 +128,17 @@ def goldbach_count(N: int, table: PrimeTable) -> int:
 def goldbach_count_table(limit: int, table: PrimeTable) -> np.ndarray:
     """Exact array r with r[n] = ordered odd-prime pair count for all n <= limit.
 
-    Computed as the autocorrelation of the odd-prime indicator, done
-    exactly by packing the indicator into 32-bit limbs of one big integer
-    and squaring it.  Limbs never carry: each convolution entry is at most
-    pi(limit) < 2**32.
+    The autocorrelation of the odd-prime indicator, by ``modp.convolve``.
+    Odd primes sit at odd n only, so the indicator is taken over the odd
+    numbers (slot i is 2i + 1) and its square lands on n = 2i + 2j + 2.
     """
     if limit > table.limit:
         raise ValueError("pair-count limit beyond sieve limit")
-    ind = np.zeros(limit + 1, dtype=np.uint32)
-    opos = table.odd_primes_upto(limit)
-    ind[opos] = 1
-    packed = int.from_bytes(ind.astype("<u4").tobytes(), "little")
-    if gmpy2 is not None:
-        square = int(gmpy2.mpz(packed) ** 2)
-    else:  # pragma: no cover - slow fallback without gmpy2
-        square = packed * packed
-    raw = square.to_bytes(8 * (limit + 1), "little")
-    counts = np.frombuffer(raw, dtype="<u4")[: limit + 1]
-    return counts.astype(np.int64)
+    odd = np.zeros((limit + 1) // 2, dtype=np.uint8)
+    odd[table.odd_primes_upto(limit) // 2] = 1
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    counts[2::2] = modp.convolve(odd, odd)[: limit // 2]
+    return counts
 
 
 def prime_pair_count(x: float, table: PrimeTable, include_two: bool = True) -> int:
@@ -173,13 +166,23 @@ def prime_pair_count(x: float, table: PrimeTable, include_two: bool = True) -> i
 # Factorization and the classical multiplicative functions
 # ---------------------------------------------------------------------------
 
-def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:
-    """Prime factorization of n by trial division against sieve primes."""
-    if not 1 <= n <= table.limit:
+def factorize(n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
+    """Prime factorization of n by trial division.
+
+    Divides by the sieve's primes when a table is given, else by 2 and the
+    odd numbers (fine for the small n of cyclotomic indices and degrees).
+    """
+    if table is None:
+        if n < 1:
+            raise ValueError(f"n={n} must be positive")
+        trial = itertools.chain((2,), itertools.count(3, 2))
+    elif not 1 <= n <= table.limit:
         raise ValueError(f"n={n} outside sieve range")
+    else:
+        trial = map(int, table.primes)
     out = []
     rem = n
-    for p in map(int, table.primes):
+    for p in trial:
         if p * p > rem:
             break
         if rem % p == 0:
@@ -193,12 +196,37 @@ def factorize(n: int, table: PrimeTable) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int, table: PrimeTable) -> list[int]:
+def divisors(n: int, table: PrimeTable | None = None) -> list[int]:
     """All divisors of n, ascending."""
     divs = [1]
     for p, e in factorize(n, table):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < 3.3 * 10**24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def omega(n: int, table: PrimeTable) -> int:
@@ -214,7 +242,7 @@ def tau(n: int, table: PrimeTable) -> int:
     return t
 
 
-def euler_phi(n: int, table: PrimeTable) -> int:
+def euler_phi(n: int, table: PrimeTable | None = None) -> int:
     """Euler totient."""
     val = n
     for p, _ in factorize(n, table):

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import __version__, arith, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
 from .goldbach import IndicatorSet
-from .poly import IntPolynomial, from_text, to_text
+from .poly import to_text
 from .roots import SolverError
 
 EXIT_OK = 0
@@ -27,81 +25,22 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n_max: int | None = None
-    m_min: int | None = None
-    m_max: int | None = None
-    M: int | None = None
-    N: int | None = None
-    quotient: str | None = None
-    sieve_limit: int | None = None
-    jobs: int = 1
-    output_format: str | None = None
-    cache_dir: str | None = None
-    seed: int = 0
-    long_mode: bool = False
-    strict: bool = False
-    indicator: str = "odd_primes"
-    max_primes: int = 12
-
-
-class ResultCache:
-    """Plain-text object cache keyed by (kind, indicator, N, version)."""
-
-    def __init__(self, root: str):
-        self.base = os.path.join(root, f"v{__version__}")
-        os.makedirs(self.base, exist_ok=True)
-
-    def _path(self, kind: str, indicator: str, N: int) -> str:
-        return os.path.join(self.base, f"{kind}__{indicator}__{N}.txt")
-
-    def get(self, kind: str, indicator: str, N: int) -> str | None:
-        path = self._path(kind, indicator, N)
-        if os.path.exists(path):
-            with open(path, "r") as fh:
-                return fh.read()
-        return None
-
-    def put(self, kind: str, indicator: str, N: int, text: str) -> None:
-        with open(self._path(kind, indicator, N), "w") as fh:
-            fh.write(text)
-
-
-def _cache_from(cfg: RunConfig) -> ResultCache | None:
-    root = cfg.cache_dir or os.environ.get("GOLDPOLY_CACHE_DIR")
-    return ResultCache(root) if root else None
-
-
-def _indicator_source(cfg: RunConfig, table: PrimeTable):
-    if cfg.indicator == "odd_primes":
+def _indicator_source(args: argparse.Namespace, table: PrimeTable):
+    if args.indicator == "odd_primes":
         return table
-    if cfg.indicator == "liouville":
+    if args.indicator == "liouville":
         return IndicatorSet.liouville_negative(table.limit, table)
-    raise ValueError(f"unknown indicator {cfg.indicator!r}")
+    raise ValueError(f"unknown indicator {args.indicator!r}")
 
 
-def _build_polynomial(cfg: RunConfig, table: PrimeTable, N: int,
-                      cache: ResultCache | None) -> IntPolynomial:
-    if cache is not None:
-        text = cache.get("F", cfg.indicator, N)
-        if text is not None:
-            return from_text(text)
-    F = goldbach.goldbach_polynomial(N, _indicator_source(cfg, table))
-    if cache is not None:
-        cache.put("F", cfg.indicator, N, to_text(F))
-    return F
-
-
-def _resolve_sieve_limit(cfg: RunConfig, implied: int) -> int:
-    if cfg.sieve_limit is None:
+def _resolve_sieve_limit(args: argparse.Namespace, implied: int) -> int:
+    if args.sieve_limit is None:
         return implied
-    if cfg.sieve_limit < implied:
+    if args.sieve_limit < implied:
         raise UsageError(
-            f"--sieve-limit {cfg.sieve_limit} is below the bound {implied} "
+            f"--sieve-limit {args.sieve_limit} is below the bound {implied} "
             f"implied by the command")
-    return cfg.sieve_limit
+    return args.sieve_limit
 
 
 class UsageError(Exception):
@@ -116,26 +55,25 @@ def _per_n_seed(seed: int, N: int) -> int:
 # construct
 # ---------------------------------------------------------------------------
 
-def cmd_construct(cfg: RunConfig) -> int:
-    N = cfg.N
+def cmd_construct(args: argparse.Namespace) -> int:
+    N = args.N
     if N is None or N < 2:
         raise UsageError("construct requires N >= 2")
-    table = PrimeTable(_resolve_sieve_limit(cfg, max(16, N)))
-    cache = _cache_from(cfg)
-    F = _build_polynomial(cfg, table, N, cache)
+    table = PrimeTable(_resolve_sieve_limit(args, max(16, N)))
+    F = goldbach.goldbach_polynomial(N, _indicator_source(args, table))
     if F.is_zero:
         print(f"warning: F_{N} is the zero polynomial "
               f"(indicator support below {N} is empty)", file=sys.stderr)
     obj_name = f"F_{N}"
     out = F
-    if cfg.quotient:
-        if cfg.indicator != "odd_primes":
+    if args.quotient:
+        if args.indicator != "odd_primes":
             raise UsageError("--quotient applies to the odd-prime indicator only")
         from .poly import cyclotomic, divrem_exact, multiply
-        if cfg.quotient == "2N":
+        if args.quotient == "2N":
             divisor = cyclotomic(2 * N)
             obj_name = f"F_{N}/Phi_{2 * N}"
-        elif cfg.quotient == "N,2N":
+        elif args.quotient == "N,2N":
             divisor = multiply(cyclotomic(N), cyclotomic(2 * N))
             obj_name = f"F_{N}/(Phi_{N}*Phi_{2 * N})"
         else:
@@ -144,9 +82,9 @@ def cmd_construct(cfg: RunConfig) -> int:
         if not rem.is_zero:
             print(f"error: {obj_name} is not an exact quotient", file=sys.stderr)
             return EXIT_VIOLATION
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({"object": obj_name, "N": N,
-                          "indicator": cfg.indicator, "coefficients": to_text(out)}))
+                          "indicator": args.indicator, "coefficients": to_text(out)}))
     else:
         print(to_text(out))
     return EXIT_OK
@@ -188,24 +126,24 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    n_max = cfg.n_max if cfg.n_max is not None else (120 if cfg.long_mode else 50)
+def cmd_verify(args: argparse.Namespace) -> int:
+    n_max = args.n_max if args.n_max is not None else (120 if args.long_mode else 50)
     if n_max < 2:
         raise UsageError("--n-max must be >= 2")
-    limit = _resolve_sieve_limit(cfg, max(16, 2 * n_max))
-    items = [(N, limit, cfg.indicator) for N in range(2, n_max + 1)]
-    all_reports = _map_jobs(_verify_one, items, cfg.jobs)
+    limit = _resolve_sieve_limit(args, max(16, 2 * n_max))
+    items = [(N, limit, args.indicator) for N in range(2, n_max + 1)]
+    all_reports = _map_jobs(_verify_one, items, args.jobs)
     failures = 0
     lines = []
     for reports in all_reports:
         for rep in reports:
             if not rep["holds"]:
                 failures += 1
-            if cfg.output_format == "csv":
+            if args.output_format == "csv":
                 lines.append(f"{rep['N']},{rep['theorem_id']},{rep['holds']}")
             else:
                 lines.append(json.dumps(rep, default=str))
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         lines.insert(0, "N,theorem_id,holds")
     print("\n".join(lines))
     return EXIT_VIOLATION if failures else EXIT_OK
@@ -223,14 +161,14 @@ def _classify_one(args: tuple) -> tuple:
             rc.outside, rc.undetermined)
 
 
-def cmd_table1(cfg: RunConfig) -> int:
-    n_max = cfg.n_max if cfg.n_max is not None else (50 if cfg.long_mode else 20)
+def cmd_table1(args: argparse.Namespace) -> int:
+    n_max = args.n_max if args.n_max is not None else (50 if args.long_mode else 20)
     if n_max < 6:
         raise UsageError("--n-max must be >= 6 (classification needs N > 5)")
-    limit = _resolve_sieve_limit(cfg, max(16, n_max))
-    items = [(N, limit, cfg.seed) for N in range(6, n_max + 1)]
+    limit = _resolve_sieve_limit(args, max(16, n_max))
+    items = [(N, limit, args.seed) for N in range(6, n_max + 1)]
     try:
-        rows = _map_jobs(_classify_one, items, cfg.jobs)
+        rows = _map_jobs(_classify_one, items, args.jobs)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -240,7 +178,7 @@ def cmd_table1(cfg: RunConfig) -> int:
         undetermined += row[5]
         lines.append(",".join(str(v) for v in row))
     print("\n".join(lines))
-    if cfg.strict and undetermined:
+    if args.strict and undetermined:
         return EXIT_COMPUTE
     return EXIT_OK
 
@@ -249,14 +187,14 @@ def cmd_table1(cfg: RunConfig) -> int:
 # coeffs / summatory / hl
 # ---------------------------------------------------------------------------
 
-def cmd_coeffs(cfg: RunConfig) -> int:
-    m_max = cfg.m_max if cfg.m_max is not None else 10_000
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    m_max = args.m_max
     if m_max < 1:
         raise UsageError("--m-max must be >= 1")
-    limit = _resolve_sieve_limit(cfg, max(16, m_max))
+    limit = _resolve_sieve_limit(args, max(16, m_max))
     table = PrimeTable(limit)
     coeff = goldbach.stable_coefficient_table(m_max, table)
-    if cfg.output_format == "json":
+    if args.output_format == "json":
         print(json.dumps({"m_max": m_max, "a": coeff[1:].tolist()}))
     else:
         lines = ["m,a"]
@@ -265,23 +203,23 @@ def cmd_coeffs(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_summatory(cfg: RunConfig) -> int:
-    M = cfg.M if cfg.M is not None else 1000
+def cmd_summatory(args: argparse.Namespace) -> int:
+    M = args.M
     if M < 16:
         raise UsageError("--M must be >= 16")
-    limit = _resolve_sieve_limit(cfg, max(16, 2 * M))
+    limit = _resolve_sieve_limit(args, max(16, 2 * M))
     table = PrimeTable(limit)
     report = goldbach.summatory_report(M, table)
     print(json.dumps(report))
     return EXIT_OK if report["identity_ok"] else EXIT_VIOLATION
 
 
-def cmd_hl(cfg: RunConfig) -> int:
-    m_max = cfg.m_max if cfg.m_max is not None else 100_000
-    m_min = cfg.m_min if cfg.m_min is not None else max(3, m_max // 10)
+def cmd_hl(args: argparse.Namespace) -> int:
+    m_max = args.m_max
+    m_min = args.m_min if args.m_min is not None else max(3, m_max // 10)
     if not 3 <= m_min <= m_max:
         raise UsageError("need 3 <= m-min <= m-max")
-    limit = _resolve_sieve_limit(cfg, max(16, 2 * m_max))
+    limit = _resolve_sieve_limit(args, max(16, 2 * m_max))
     table = PrimeTable(limit)
     summary = goldbach.hl_summary(m_min, m_max, table)
     print(json.dumps(summary))
@@ -302,19 +240,19 @@ def _certify_one(args: tuple) -> dict:
     return out
 
 
-def cmd_irreducible(cfg: RunConfig) -> int:
-    n_max = cfg.n_max if cfg.n_max is not None else (50 if cfg.long_mode else 30)
+def cmd_irreducible(args: argparse.Namespace) -> int:
+    n_max = args.n_max if args.n_max is not None else (50 if args.long_mode else 30)
     if n_max < 6:
         raise UsageError("--n-max must be >= 6 (certification needs N > 5)")
-    limit = _resolve_sieve_limit(cfg, max(16, n_max))
-    items = [(N, limit, cfg.max_primes) for N in range(6, n_max + 1)]
-    certs = _map_jobs(_certify_one, items, cfg.jobs)
+    limit = _resolve_sieve_limit(args, max(16, n_max))
+    items = [(N, limit, args.max_primes) for N in range(6, n_max + 1)]
+    certs = _map_jobs(_certify_one, items, args.jobs)
     reducible = sum(1 for c in certs if c["verdict"] == "Reducible")
     unresolved = sum(1 for c in certs if c["verdict"] == "Unresolved")
     print("\n".join(json.dumps(c) for c in certs))
     if reducible:
         return EXIT_VIOLATION
-    if cfg.strict and unresolved:
+    if args.strict and unresolved:
         return EXIT_COMPUTE
     return EXIT_OK
 
@@ -335,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--format", dest="output_format",
                         choices=["json", "csv"], default=None)
-        sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--long", dest="long_mode", action="store_true")
         sp.add_argument("--strict", action="store_true")
@@ -346,73 +283,51 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("N", type=int)
     sp.add_argument("--quotient", choices=["2N", "N,2N"], default=None)
     common(sp)
+    sp.set_defaults(run=cmd_construct)
 
     sp = sub.add_parser("verify", help="divisibility/symmetry/bound theorems")
     sp.add_argument("--n-max", type=int, default=None)
     common(sp)
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("table1", help="root-location table as CSV")
     sp.add_argument("--n-max", type=int, default=None)
     common(sp)
+    sp.set_defaults(run=cmd_table1)
 
     sp = sub.add_parser("coeffs", help="stabilized coefficients a(m)")
-    sp.add_argument("--m-max", type=int, default=None)
+    sp.add_argument("--m-max", type=int, default=10_000)
     common(sp)
+    sp.set_defaults(run=cmd_coeffs)
 
     sp = sub.add_parser("summatory", help="A(M) identity and main-term ratio")
-    sp.add_argument("--M", type=int, default=None)
+    sp.add_argument("--M", type=int, default=1000)
     common(sp)
+    sp.set_defaults(run=cmd_summatory)
 
     sp = sub.add_parser("hl", help="Hardy-Littlewood ratio summary for a(2m)")
     sp.add_argument("--m-min", type=int, default=None)
-    sp.add_argument("--m-max", type=int, default=None)
+    sp.add_argument("--m-max", type=int, default=100_000)
     common(sp)
+    sp.set_defaults(run=cmd_hl)
 
     sp = sub.add_parser("irreducible", help="quotient irreducibility certificates")
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--max-primes", type=int, default=12)
     common(sp)
+    sp.set_defaults(run=cmd_irreducible)
 
     return parser
-
-
-_COMMANDS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "table1": cmd_table1,
-    "coeffs": cmd_coeffs,
-    "summatory": cmd_summatory,
-    "hl": cmd_hl,
-    "irreducible": cmd_irreducible,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = RunConfig(
-        command=ns.command,
-        n_max=getattr(ns, "n_max", None),
-        m_min=getattr(ns, "m_min", None),
-        m_max=getattr(ns, "m_max", None),
-        M=getattr(ns, "M", None),
-        N=getattr(ns, "N", None),
-        quotient=getattr(ns, "quotient", None),
-        sieve_limit=ns.sieve_limit,
-        jobs=ns.jobs,
-        output_format=ns.output_format,
-        cache_dir=ns.cache_dir,
-        seed=ns.seed,
-        long_mode=ns.long_mode,
-        strict=ns.strict,
-        indicator=ns.indicator,
-        max_primes=getattr(ns, "max_primes", 12),
-    )
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,12 +11,13 @@ no equal-degree splitting needed).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import modp
+from . import arith, modp
 from .arith import PrimeTable
 from .goldbach import goldbach_polynomial
 from .poly import (
@@ -177,20 +178,6 @@ def linear_root_screen(f: IntPolynomial) -> ScreenResult:
 # Certification
 # ---------------------------------------------------------------------------
 
-def _prime_schedule(start: int):
-    """Odd primes >= start, ascending, by trial division (deterministic)."""
-    n = start if start % 2 else start + 1
-    while True:
-        is_p = n > 1
-        for q in range(3, math.isqrt(n) + 1, 2):
-            if n % q == 0:
-                is_p = False
-                break
-        if is_p:
-            yield n
-        n += 2
-
-
 def _subset_sum_mask(pattern: list[int]) -> int:
     mask = 1
     for d in pattern:
@@ -226,7 +213,7 @@ def certify_irreducible(f: IntPolynomial, max_primes: int = 12,
     surviving = (1 << (n + 1)) - 1
     proper_mask = surviving & ~(1 | (1 << n))
     primes_used: list[int] = []
-    schedule = _prime_schedule(prime_start)
+    schedule = filter(arith.is_prime, itertools.count(prime_start | 1, 2))
     while len(primes_used) < max_primes:
         p = next(schedule)
         try:

@@ -144,18 +144,10 @@ def coefficient_by_formula(N: int, m: int, table: PrimeTable) -> int:
     if not 0 < m <= 2 * (N - 1) ** 2:
         raise ValueError(f"m={m} outside (0, 2(N-1)^2]")
     total = 0
-    for d in _divisor_iter(m):
+    for d in arith.divisors(m):
         if m // d < N:
             total += _window_pair_count(d, N, table)
     return total
-
-
-def _divisor_iter(m: int):
-    for dd in range(1, math.isqrt(m) + 1):
-        if m % dd == 0:
-            yield dd
-            if dd != m // dd:
-                yield m // dd
 
 
 def _window_pair_count(d: int, N: int, table: PrimeTable) -> int:
@@ -202,7 +194,7 @@ def stable_coefficient(m: int, table: PrimeTable) -> int:
     """Limit coefficient a(m) = sum of pair counts over divisors of m."""
     if m < 1:
         raise ValueError("m must be positive")
-    return sum(arith.goldbach_count(d, table) for d in _divisor_iter(m))
+    return sum(arith.goldbach_count(d, table) for d in arith.divisors(m))
 
 
 def stable_coefficient_table(limit: int, table: PrimeTable,

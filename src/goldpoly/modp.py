@@ -1,23 +1,95 @@
-"""Dense polynomial arithmetic over F_p on numpy int64 arrays.
+"""Exact integer convolution, and dense polynomial arithmetic over F_p.
 
-Coefficient arrays are little-endian (index = exponent), trimmed (empty
-array = zero polynomial), all entries in [0, p).  Multiplication goes
-through a real FFT whenever a rigorous rounding bound certifies exact
-recovery, otherwise through an exact Kronecker-packed big-integer product.
-The modulus contexts precompute a Newton inverse of the reversed modulus
-so that repeated reductions cost two multiplications.
+``convolve`` is the one place where goldpoly multiplies integer sequences
+exactly: the pair-count table (``arith``), ``IntPolynomial`` products
+(``poly``) and the F_p products below all go through it.  It takes a real
+FFT whenever a rounding bound computed from the operands' lengths and
+largest magnitudes certifies that rounding recovers every entry, and
+otherwise packs each operand into one Python int (signed Kronecker
+substitution) and multiplies exactly.
+
+F_p coefficient arrays are little-endian (index = exponent), trimmed (empty
+array = zero polynomial), all entries in [0, p).  The modulus contexts
+precompute a Newton inverse of the reversed modulus so that repeated
+reductions cost two multiplications.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-try:
-    import gmpy2
-except ImportError:  # pragma: no cover
-    gmpy2 = None
+_EPS = 2.0 ** -52  # twice the unit roundoff of float64
 
-_EPS = 2.0 ** -52
+
+def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> float:
+    """Bound on |computed - exact| for every entry of an rFFT convolution.
+
+    Percival's bound (Math. Comp. 72, 2003) for FFT products of length
+    2**k is ||a|| ||b|| ((1+u)^3k (1+u sqrt5)^(3k+1) (1+beta)^3k - 1),
+    with Euclidean norms, u the unit roundoff and beta <= u the twiddle
+    error.  This is its first-order term with u doubled for margin, and
+    ||a|| <= sqrt(la) amax.
+    """
+    k = math.log2(length)
+    terms = 6.0 * k + math.sqrt(5.0) * (3.0 * k + 1.0)
+    return _EPS * terms * math.sqrt(la * lb) * float(amax) * float(bmax)
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact linear convolution of two integer arrays.
+
+    Entries are machine integers, or Python ints of any size and sign in an
+    object array.  The rFFT result is used only when ``fft_error_bound`` is
+    below 1/4, so that rounding recovers every entry; it comes back as
+    int64.  Otherwise the exact packer runs and the result is an object
+    array of Python ints.  ``convolve(a, a)`` transforms ``a`` once.
+    """
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return np.zeros(0, dtype=np.int64)
+    n = la + lb - 1
+    amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
+    if amax == 0 or bmax == 0:
+        return np.zeros(n, dtype=np.int64)
+    length = 1 << (n - 1).bit_length()
+    # every entry is at most min(la, lb) * amax * bmax: below 2**53 the
+    # float64 copies and the rounded result are exact integers
+    if (min(la, lb) * amax * bmax >= 2 ** 53
+            or fft_error_bound(la, lb, amax, bmax, length) >= 0.25):
+        return np.array(_kronecker(a.tolist(), b.tolist()), dtype=object)
+    spec = np.fft.rfft(np.asarray(a, dtype=np.float64), length)
+    if b is a:
+        spec *= spec
+    else:
+        spec *= np.fft.rfft(np.asarray(b, dtype=np.float64), length)
+    return np.rint(np.fft.irfft(spec, length)[:n]).astype(np.int64)
+
+
+def _kronecker(a: list[int], b: list[int]) -> list[int]:
+    """Exact convolution of nonzero sequences by signed Kronecker substitution.
+
+    Each entry has |c| <= min(len) * max|a| * max|b| < 2**(bits - 1), with
+    bits the limb width, so adding 2**(bits - 1) to every limb of the
+    product makes all limbs nonnegative without carries between them.
+    """
+    need = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = need.bit_length() // 8 + 1
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    prod = _pack(a, width) * _pack(b, width)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = (prod + bias).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
+            for k in range(n)]
+
+
+def _pack(vals: list[int], width: int) -> int:
+    """sum(v * 256**(width * i)) for signed v with |v| < 256**width."""
+    pos = b"".join(max(v, 0).to_bytes(width, "little") for v in vals)
+    neg = b"".join(max(-v, 0).to_bytes(width, "little") for v in vals)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def trim(a: np.ndarray) -> np.ndarray:
@@ -59,54 +131,8 @@ def scale(a: np.ndarray, c: int, p: int) -> np.ndarray:
     return (a * c) % p
 
 
-def _mul_kronecker(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product via limb-packed big-integer multiplication (any p).
-
-    Limb width is sized so convolution entries cannot carry across limbs:
-    each entry is at most min(len) * (p-1)^2.
-    """
-    need = min(len(a), len(b)) * (p - 1) ** 2
-    width = max(8, (need.bit_length() + 7) // 8)
-    if width == 8:
-        ia = int.from_bytes(a.astype("<u8").tobytes(), "little")
-        ib = int.from_bytes(b.astype("<u8").tobytes(), "little")
-    else:
-        ia = int.from_bytes(
-            b"".join(int(x).to_bytes(width, "little") for x in a), "little")
-        ib = int.from_bytes(
-            b"".join(int(x).to_bytes(width, "little") for x in b), "little")
-    if gmpy2 is not None:
-        prod = int(gmpy2.mpz(ia) * gmpy2.mpz(ib))
-    else:  # pragma: no cover
-        prod = ia * ib
-    n = len(a) + len(b) - 1
-    raw = prod.to_bytes(width * (n + 1), "little")
-    if width == 8:
-        conv = np.frombuffer(raw, dtype="<u8")[:n] % np.uint64(p)
-        return trim(conv.astype(np.int64))
-    vals = [int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
-            for i in range(n)]
-    return trim(np.array(vals, dtype=np.int64))
-
-
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if len(a) == 0 or len(b) == 0:
-        return a[:0]
-    n = len(a) + len(b) - 1
-    if min(len(a), len(b)) < 32:
-        # products bounded by min_len * p^2: guard int64 overflow
-        if min(len(a), len(b)) * (p - 1) ** 2 < 2 ** 62:
-            return trim(np.convolve(a, b) % p)
-        return _mul_kronecker(a, b, p)
-    length = 1 << int(n - 1).bit_length()
-    # rigorous-by-margin FFT rounding bound; fall back to exact packing
-    bound = 8.0 * _EPS * length * (np.log2(length) + 4.0) * float(p - 1) ** 2
-    if bound >= 0.25:
-        return _mul_kronecker(a, b, p)
-    fa = np.fft.rfft(a.astype(np.float64), length)
-    fb = np.fft.rfft(b.astype(np.float64), length)
-    conv = np.fft.irfft(fa * fb, length)[:n]
-    return trim(np.rint(conv).astype(np.int64) % p)
+    return trim((convolve(a, b) % p).astype(np.int64, copy=False))
 
 
 def monic(a: np.ndarray, p: int) -> np.ndarray:

@@ -2,33 +2,23 @@
 
 IntPolynomial stores an immutable tuple of Python ints (index = exponent),
 canonical: empty tuple is the zero polynomial, otherwise the last entry is
-nonzero.  All ring operations are exact; multiplication switches from
-schoolbook to Karatsuba above a benchmarked cutoff.  Cyclotomic polynomials
-are built by exact division and memoized behind a lock.
+nonzero.  All ring operations are exact; products go through the shared
+integer convolution ``modp.convolve``.  Cyclotomic polynomials are built by
+exact division and memoized behind a lock.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
-the rationals.  Small inputs go through the subresultant remainder sequence;
-large ones through a modular gcd whose candidate is verified by exact trial
-division, so the result is certified either way.
+the rationals: a modular gcd over word primes whose candidate is verified
+by exact trial division, so the result is certified at every degree.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
 
 import numpy as np
 
-from . import modp
-
-# Schoolbook/Karatsuba crossover in coefficients; see scripts/bench_karatsuba.py
-KARATSUBA_CUTOFF = 32
-
-# Degree at which gcd_rational switches from the subresultant remainder
-# sequence to modular images (subresultant coefficient growth is quadratic
-# in the degree and becomes the bottleneck well before degree 100).
-_GCD_MODULAR_DEGREE = 48
+from . import arith, modp
 
 
 class NonMonicDivisorError(ValueError):
@@ -190,78 +180,12 @@ class IntPolynomial:
 # Multiplication
 # ---------------------------------------------------------------------------
 
-def _school_mul(a: tuple, b: tuple) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _tuple_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _kara_mul(a, b) -> list:
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-        return _school_mul(a, b)
-    h = max(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _kara_mul(a0, b0)
-    z2 = _kara_mul(a1, b1)
-    z1 = _kara_mul(tuple(_tuple_add(a0, a1)), tuple(_tuple_add(b0, b1)))
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] += c
-    for i, c in enumerate(z1):
-        out[i + h] += c
-    for i, c in enumerate(z0):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + h] -= c
-    for i, c in enumerate(z2):
-        out[i + 2 * h] += c
-    return out
-
-
 def multiply(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if a.is_zero or b.is_zero:
         return IntPolynomial.zero()
-    return IntPolynomial(_kara_mul(a.coeffs, b.coeffs))
-
-
-def add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a + b
-
-
-def subtract(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a - b
-
-
-def square(a: IntPolynomial) -> IntPolynomial:
-    """a*a, with a symmetric schoolbook fast path for short inputs."""
-    if a.is_zero:
-        return a
-    cs = a.coeffs
-    if len(cs) > KARATSUBA_CUTOFF:
-        return multiply(a, a)
-    out = [0] * (2 * len(cs) - 1)
-    for i, ci in enumerate(cs):
-        if ci:
-            out[2 * i] += ci * ci
-            for j in range(i + 1, len(cs)):
-                if cs[j]:
-                    out[i + j] += 2 * ci * cs[j]
-    return IntPolynomial(out)
+    ca = np.array(a.coeffs, dtype=object)
+    cb = ca if b is a else np.array(b.coeffs, dtype=object)
+    return IntPolynomial(modp.convolve(ca, cb).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +261,6 @@ _cyclo_memo: dict[int, IntPolynomial] = {}
 _cyclo_lock = threading.RLock()
 
 
-def _small_divisors(n: int) -> list[int]:
-    divs = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            divs.append(d)
-            if d != n // d:
-                divs.append(n // d)
-    return sorted(divs)
-
-
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by exact division of z**n - 1."""
     if n < 1:
@@ -356,7 +270,7 @@ def cyclotomic(n: int) -> IntPolynomial:
         if got is not None:
             return got
         num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-        for d in _small_divisors(n)[:-1]:
+        for d in arith.divisors(n)[:-1]:
             num, rem = divrem_exact(num, cyclotomic(d))
             if not rem.is_zero:
                 raise AssertionError(f"cyclotomic division left a remainder at n={n}")
@@ -446,99 +360,28 @@ def evaluate_real(a: IntPolynomial, x: float) -> float:
     return v + comp
 
 
-def evaluate_at_one(a: IntPolynomial) -> int:
-    return a.evaluate_at_one()
-
-
 # ---------------------------------------------------------------------------
 # GCD over the rationals (primitive integer generator)
 # ---------------------------------------------------------------------------
 
-def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """lc(b)**(deg a - deg b + 1) * a  reduced mod b (integer arithmetic)."""
-    db, lcb = b.degree, b.lead
-    r = a
-    k = a.degree - db + 1
-    while not r.is_zero and r.degree >= db:
-        shift = r.degree - db
-        lead = r.lead
-        r = r * lcb - multiply(IntPolynomial.monomial(shift, lead), b)
-        k -= 1
-    if k > 0:
-        r = r * (lcb ** k)
-    return r
-
-
-def _exact_poly_int_divide(a: IntPolynomial, c: int) -> IntPolynomial:
-    return IntPolynomial(tuple(x // c for x in a.coeffs))
-
-
-def _subresultant_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Last nonzero element of the subresultant remainder sequence."""
-    r0, r1 = a, b
-    g, h = 1, 1
-    while not r1.is_zero:
-        d = r0.degree - r1.degree
-        rem = _pseudo_remainder(r0, r1)
-        r0, r1 = r1, _exact_poly_int_divide(rem, g * h ** d)
-        g = r0.lead
-        if d >= 1:
-            h = g ** d // h ** (d - 1) if d > 1 else g
-        # d == 0 leaves h unchanged
-    return r0
-
-
-_MODGCD_PRIMES: list[int] = []
-
-
-def _is_prime_u64(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _word_primes():
-    """Deterministic descending primes just below 2**31 for modular images."""
-    if not _MODGCD_PRIMES:
-        n = 2 ** 31 - 1
-        while len(_MODGCD_PRIMES) < 64:
-            if _is_prime_u64(n):
-                _MODGCD_PRIMES.append(n)
-            n -= 2
-    return _MODGCD_PRIMES
-
-
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, m2 - 2, m2) if _is_prime_u64(m2) else pow(m1 % m2, -1, m2)
+    inv = pow(m1 % m2, -1, m2)
     t = ((r2 - r1) * inv) % m2
     return r1 + m1 * t, m1 * m2
 
 
 def _modular_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Brown-style modular gcd; candidate verified by exact trial division."""
+    """Brown-style modular gcd; candidate verified by exact trial division.
+
+    Images are taken modulo the primes below 2**31, descending, until the
+    lifted candidate repeats and divides both inputs; there is no cap on
+    their number, so gcds with coefficients of any size are reached.
+    """
     lead_gcd = math.gcd(a.lead, b.lead)
     best_deg = None
     images: list[tuple[int, np.ndarray]] = []
     prev_candidate = None
-    for p in _word_primes():
+    for p in filter(arith.is_prime, range(2 ** 31 - 1, 2, -2)):
         if a.lead % p == 0 or b.lead % p == 0:
             continue
         ga = modp.from_coeffs(a.coeffs, p)
@@ -595,8 +438,4 @@ def gcd_rational(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     pa, pb = a.primitive_part(), b.primitive_part()
     if pa.degree == 0 or pb.degree == 0:
         return IntPolynomial.one()
-    if pa.degree < pb.degree:
-        pa, pb = pb, pa
-    if pa.degree <= _GCD_MODULAR_DEGREE:
-        return _subresultant_gcd(pa, pb).primitive_part()
     return _modular_gcd(pa, pb)

@@ -34,16 +34,24 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 class SolverError(RuntimeError):
-    """Aberth iteration failed to converge; carries diagnostics."""
+    """Aberth iteration failed to converge; carries diagnostics.
 
-    def __init__(self, message: str, *, iterations: int, max_correction: float,
+    All four fields are positional ``args``, so the error pickles and
+    crosses a process pool intact.
+    """
+
+    def __init__(self, message: str, iterations: int, max_correction: float,
                  max_residual: float):
-        super().__init__(
-            f"{message} (iterations={iterations}, "
-            f"max_correction={max_correction:.3e}, max_residual={max_residual:.3e})")
+        super().__init__(message, iterations, max_correction, max_residual)
+        self.message = message
         self.iterations = iterations
         self.max_correction = max_correction
         self.max_residual = max_residual
+
+    def __str__(self) -> str:
+        return (f"{self.message} (iterations={self.iterations}, "
+                f"max_correction={self.max_correction:.3e}, "
+                f"max_residual={self.max_residual:.3e})")
 
 
 @dataclass
@@ -175,23 +183,10 @@ class StripResult:
     residual: IntPolynomial                      # non-cyclotomic part of the gcd
 
 
-def _phi_small(n: int) -> int:
-    val, rem, p = n, n, 2
-    while p * p <= rem:
-        if rem % p == 0:
-            val = val // p * (p - 1)
-            while rem % p == 0:
-                rem //= p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        val = val // rem * (rem - 1)
-    return val
-
-
 def _cyclotomic_candidates(max_deg: int) -> list[int]:
     """All d with phi(d) <= max_deg (phi(d) > sqrt(d) for d > 6)."""
     upper = max(6, max_deg * max_deg) + 1
-    return [d for d in range(1, upper) if _phi_small(d) <= max_deg]
+    return [d for d in range(1, upper) if arith.euler_phi(d) <= max_deg]
 
 
 def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
@@ -215,7 +210,7 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     residual = G
     if residual.degree > 0:
         for d in _cyclotomic_candidates(residual.degree):
-            phi_d = _phi_small(d)
+            phi_d = arith.euler_phi(d)
             if phi_d > residual.degree:
                 continue
             # numeric prefilter: exact division attempted only near zeros
@@ -372,7 +367,7 @@ def classify_roots(N: int, table: PrimeTable, *, epsilon: float = 1e-6,
         strip = strip_unit_circle_part(piece)
         for d, m in strip.cyclotomic_factors:
             cyclo[d] = cyclo.get(d, 0) + m
-            on_exact += _phi_small(d) * m
+            on_exact += arith.euler_phi(d) * m
         (h_in, h_on, h_out, h_un), r1, i1, roots1 = _solve_counts(
             strip.cofactor, epsilon=epsilon, tol=tol, max_iter=max_iter,
             seed=seed, allow_on=False)

@@ -1,0 +1,85 @@
+"""Slow, independent reference algorithms that the library is checked against.
+
+None of them goes through ``modp.convolve``: products are schoolbook loops
+and pair counts the square of one packed big number.
+"""
+
+import decimal
+
+import numpy as np
+
+from goldpoly.poly import IntPolynomial
+
+
+def school_mul(a, b) -> list:
+    """Schoolbook product of two nonempty coefficient sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
+def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """lc(b)**(deg a - deg b + 1) * a  reduced mod b (integer arithmetic)."""
+    db, lcb = b.degree, b.lead
+    r = a
+    k = a.degree - db + 1
+    while not r.is_zero and r.degree >= db:
+        shift = r.degree - db
+        lead = r.lead
+        r = r * lcb - IntPolynomial((0,) * shift + tuple(lead * c for c in b.coeffs))
+        k -= 1
+    if k > 0:
+        r = r * (lcb ** k)
+    return r
+
+
+def subresultant_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Last nonzero element of the subresultant remainder sequence."""
+    r0, r1 = a, b
+    g, h = 1, 1
+    while not r1.is_zero:
+        d = r0.degree - r1.degree
+        rem = _pseudo_remainder(r0, r1)
+        r0, r1 = r1, IntPolynomial(tuple(x // (g * h ** d) for x in rem.coeffs))
+        g = r0.lead
+        if d >= 1:
+            h = g ** d // h ** (d - 1) if d > 1 else g
+        # d == 0 leaves h unchanged
+    return r0
+
+
+def big_int_pair_counts(limit: int, table) -> np.ndarray:
+    """Ordered odd-prime pair counts r[n], n <= limit, by one big-int square.
+
+    The odd-prime indicator is packed into 32-bit limbs of one Python int
+    and squared; limbs never carry, since every count is below 2**32.
+    """
+    ind = np.zeros(limit + 1, dtype="<u4")
+    ind[table.odd_primes_upto(limit)] = 1
+    packed = int.from_bytes(ind.tobytes(), "little")
+    raw = (packed * packed).to_bytes(8 * (limit + 1), "little")
+    return np.frombuffer(raw, dtype="<u4")[: limit + 1].astype(np.int64)
+
+
+def decimal_pair_counts(limit: int, table) -> np.ndarray:
+    """The same square with base-10**7 limbs, in ``decimal``.
+
+    CPython squares a 64-Mbit int by Karatsuba in about a minute; libmpdec
+    multiplies numbers this long exactly by number-theoretic transforms in
+    about a second, so this oracle reaches limit 2e6.  Every count is at
+    most pi(limit) < 10**7 for limit <= 1e8, so limbs never carry.
+    """
+    width = 7
+    digits = np.full((limit + 1, width), ord("0"), dtype=np.uint8)
+    digits[table.odd_primes_upto(limit), -1] += 1
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          Emin=decimal.MIN_EMIN)
+    packed = ctx.create_decimal(digits[::-1].tobytes().decode())
+    n = 2 * limit + 1
+    text = format(ctx.multiply(packed, packed), "f").rjust(n * width, "0")
+    limbs = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n, width)[::-1]
+    place = 10 ** np.arange(width - 1, -1, -1)
+    return ((limbs[: limit + 1] - ord("0")).astype(np.int64) * place).sum(axis=1)

@@ -7,6 +7,8 @@ import pytest
 from goldpoly import arith
 from goldpoly.arith import PrimeTable, SieveRangeError
 
+from oracles import big_int_pair_counts, decimal_pair_counts
+
 
 def brute_is_prime(n):
     if n < 2:
@@ -92,6 +94,21 @@ class TestPairCounts:
     def test_every_even_in_range_has_a_pair(self, table, pair_counts):
         evens = np.arange(6, 200_001, 2)
         assert (pair_counts[evens] >= 1).all()
+
+
+class TestPairCountConvolution:
+    """goldbach_count_table (an rFFT autocorrelation) against exact squares."""
+
+    @pytest.mark.parametrize("limit", [1_000, 200_000])
+    def test_matches_big_int_square(self, table, limit):
+        assert np.array_equal(arith.goldbach_count_table(limit, table),
+                              big_int_pair_counts(limit, table))
+
+    @pytest.mark.parametrize("limit", [1_000, 2_000_000])
+    def test_matches_decimal_square(self, limit):
+        big = arith.sieve(limit)
+        assert np.array_equal(arith.goldbach_count_table(limit, big),
+                              decimal_pair_counts(limit, big))
 
 
 class TestPrimePairCount:

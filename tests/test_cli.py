@@ -1,9 +1,10 @@
 import json
+import multiprocessing
 
 import pytest
 
-from goldpoly import cli
-from goldpoly.poly import from_text, to_text
+from goldpoly import cli, roots
+from goldpoly.poly import from_text
 
 from reference_fixtures import quotient_polynomial
 
@@ -88,6 +89,23 @@ class TestTable1:
         code, _, _ = run(capsys, "table1", "--n-max", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_solver_failure_exits_3(self, capsys, monkeypatch, jobs):
+        # the patched solver reaches the pool workers only by fork; the
+        # error has to cross back to the parent intact
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers do not inherit the patched solver")
+
+        def fail(p, *args, **kwargs):
+            raise roots.SolverError("forced failure", iterations=1,
+                                    max_correction=1.0, max_residual=1.0)
+
+        monkeypatch.setattr(roots, "aberth_solve", fail)
+        code, _, err = run(capsys, "table1", "--n-max", "7", "--jobs", jobs)
+        assert code == 3
+        assert any(line.startswith("error: forced failure")
+                   for line in err.splitlines())
+
 
 class TestSummatory:
     def test_identity_and_fields(self, capsys):
@@ -145,29 +163,6 @@ class TestIrreducible:
             return rows
 
         assert strip_timing(out1) == strip_timing(out2)
-
-
-class TestCache:
-    def test_roundtrip_equals_fresh(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        code, fresh, _ = run(capsys, "construct", "9", "--cache-dir", cache_dir)
-        assert code == 0
-        code, cached, _ = run(capsys, "construct", "9", "--cache-dir", cache_dir)
-        assert code == 0
-        assert cached == fresh
-        # the cache file itself holds the canonical serialization
-        files = list((tmp_path / "cache").rglob("F__odd_primes__9.txt"))
-        assert len(files) == 1
-        from goldpoly import arith, goldbach
-        table = arith.sieve(16)
-        expected = goldbach.goldbach_polynomial(9, table)
-        assert from_text(files[0].read_text()) == expected
-
-    def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GOLDPOLY_CACHE_DIR", str(tmp_path / "envcache"))
-        code, _, _ = run(capsys, "construct", "6")
-        assert code == 0
-        assert any((tmp_path / "envcache").rglob("F__odd_primes__6.txt"))
 
 
 class TestIndicatorFlag:

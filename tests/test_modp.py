@@ -3,6 +3,8 @@ import pytest
 
 from goldpoly import modp
 
+from oracles import school_mul
+
 
 def rand_poly(rng, p, max_deg=40, monic=False):
     deg = int(rng.integers(0, max_deg + 1))
@@ -12,11 +14,12 @@ def rand_poly(rng, p, max_deg=40, monic=False):
     return modp.trim(a) if not monic else a
 
 
+def school_exact(a, b):
+    return school_mul([int(x) for x in a], [int(x) for x in b])
+
+
 def school(a, b, p):
-    out = np.zeros(len(a) + len(b) - 1, dtype=object)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += int(ai) * int(bj)
+    out = np.array(school_exact(a, b), dtype=object)
     return modp.trim((out % p).astype(np.int64))
 
 
@@ -46,7 +49,9 @@ class TestMul:
         a = rng.integers(0, p, 300).astype(np.int64)
         b = rng.integers(0, p, 280).astype(np.int64)
         a[-1] = b[-1] = 1
-        assert np.array_equal(modp._mul_kronecker(a, b, p), modp.mul(a, b, p))
+        assert modp.convolve(a, b).dtype == np.int64  # the FFT path
+        packed = np.array(modp._kronecker(a.tolist(), b.tolist())) % p
+        assert np.array_equal(packed, modp.mul(a, b, p))
 
     def test_large_prime_falls_back_to_exact_packing(self):
         # at p ~ 2^20 the FFT rounding bound fails, forcing the exact path
@@ -55,16 +60,48 @@ class TestMul:
         a = rng.integers(0, p, 64).astype(np.int64)
         b = rng.integers(0, p, 64).astype(np.int64)
         a[-1] = b[-1] = 1
+        assert modp.convolve(a, b).dtype == object
         assert np.array_equal(modp.mul(a, b, p), school(a, b, p))
 
     def test_wide_limb_packing(self):
-        # limb width above 8 bytes: large prime, enough terms to carry
+        # limb width above 8 bytes: word prime, (2**31 - 2)**2 per term, so
+        # the bound fails at every length and the packer runs
         rng = np.random.default_rng(4)
         p = 2_147_483_647
-        a = rng.integers(0, p, 40).astype(np.int64)
-        b = rng.integers(0, p, 40).astype(np.int64)
-        a[-1] = b[-1] = 1
-        assert np.array_equal(modp._mul_kronecker(a, b, p), school(a, b, p))
+        for la, lb in [(40, 40), (1, 1), (3, 200), (257, 256)]:
+            a = rng.integers(0, p, la).astype(np.int64)
+            b = rng.integers(0, p, lb).astype(np.int64)
+            a[-1] = b[-1] = p - 1
+            length = 1 << (la + lb - 2).bit_length()
+            assert modp.fft_error_bound(la, lb, p - 1, p - 1, length) >= 0.25
+            conv = modp.convolve(a, b)
+            assert conv.dtype == object
+            assert conv.tolist() == school_exact(a, b)
+            assert np.array_equal(modp.mul(a, b, p), school(a, b, p))
+
+
+class TestConvolve:
+    def test_largest_admitted_magnitudes_are_exact(self):
+        # signed operands at the largest magnitude the bound still admits,
+        # every entry near the extremes: the FFT result equals the packer's
+        rng = np.random.default_rng(7)
+        for la, lb in [(2000, 2000), (4000, 3), (64, 1000)]:
+            length = 1 << (la + lb - 2).bit_length()
+            m = 1
+            while modp.fft_error_bound(la, lb, 2 * m, 2 * m, length) < 0.25:
+                m *= 2
+            signs_a = rng.choice([-1, 1], la)
+            signs_b = rng.choice([-1, 1], lb)
+            a = (signs_a * (m - rng.integers(0, 4, la))).astype(np.int64)
+            b = (signs_b * (m - rng.integers(0, 4, lb))).astype(np.int64)
+            conv = modp.convolve(a, b)
+            assert conv.dtype == np.int64
+            assert conv.tolist() == modp._kronecker(a.tolist(), b.tolist())
+
+    def test_zero_and_empty_operands(self):
+        a = np.array([3, -1, 4], dtype=np.int64)
+        assert modp.convolve(a, np.zeros(2, dtype=np.int64)).tolist() == [0] * 4
+        assert len(modp.convolve(a, np.zeros(0, dtype=np.int64))) == 0
 
 
 class TestDivmod:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ class TestAberth:
             aberth_solve(IntPolynomial((-1, 0, 1)), tol=1e-30, max_iter=1)
         assert exc.value.iterations == 1
         assert exc.value.max_correction > 0
+
+    def test_solver_error_pickles(self):
+        err = SolverError("no convergence", iterations=7, max_correction=0.5,
+                          max_residual=1e-3)
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert "no convergence" in str(back)
+        assert (back.iterations, back.max_correction, back.max_residual) == (
+            7, 0.5, 1e-3)
 
     def test_deterministic_for_fixed_seed(self):
         p = IntPolynomial((3, -2, 0, 0, 7, 1))
