@@ -352,20 +352,8 @@ def weighted_divisor_sum(m: int, table: PrimeTable) -> Fraction:
     """
     total = Fraction(0)
     for d in divisors(m, table):
-        total += d * _cached_singular_factor(d, table)
+        total += d * singular_series_factor(d, table)
     return total
-
-
-_factor_cache: dict[int, Fraction] = {}
-
-
-def _cached_singular_factor(n: int, table: PrimeTable) -> Fraction:
-    val = _factor_cache.get(n)
-    if val is None:
-        val = singular_series_factor(n, table)
-        if len(_factor_cache) < (1 << 20):
-            _factor_cache[n] = val
-    return val
 
 
 # ---------------------------------------------------------------------------

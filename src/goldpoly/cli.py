@@ -102,7 +102,7 @@ def _verify_one(args: tuple) -> list[dict]:
     F = goldbach.goldbach_polynomial(N, source)
     reports = [
         goldbach.verify_divisibility(N, table, F=F),
-        goldbach.symmetry_report(N, source),
+        goldbach.symmetry_report(N, F),
         goldbach.root_bounds_report(N, table, F=F),
     ]
     return [r.to_json_dict() for r in reports]
@@ -268,36 +268,42 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    # each subcommand takes only the optional flags it reads
+    optional = {
+        "--format": dict(dest="output_format", choices=["json", "csv"],
+                         default=None),
+        "--long": dict(dest="long_mode", action="store_true"),
+        "--strict": dict(action="store_true"),
+        "--indicator": dict(choices=["odd_primes", "liouville"],
+                            default="odd_primes"),
+    }
+
+    def common(sp, *flags):
         sp.add_argument("--sieve-limit", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument("--format", dest="output_format",
-                        choices=["json", "csv"], default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--long", dest="long_mode", action="store_true")
-        sp.add_argument("--strict", action="store_true")
-        sp.add_argument("--indicator", choices=["odd_primes", "liouville"],
-                        default="odd_primes")
+        for flag in flags:
+            sp.add_argument(flag, **optional[flag])
 
     sp = sub.add_parser("construct", help="emit F_N (or a named quotient)")
     sp.add_argument("N", type=int)
     sp.add_argument("--quotient", choices=["2N", "N,2N"], default=None)
-    common(sp)
+    common(sp, "--indicator", "--format")
     sp.set_defaults(run=cmd_construct)
 
     sp = sub.add_parser("verify", help="divisibility/symmetry/bound theorems")
     sp.add_argument("--n-max", type=int, default=None)
-    common(sp)
+    common(sp, "--indicator", "--format", "--long")
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("table1", help="root-location table as CSV")
     sp.add_argument("--n-max", type=int, default=None)
-    common(sp)
+    common(sp, "--long", "--strict")
     sp.set_defaults(run=cmd_table1)
 
     sp = sub.add_parser("coeffs", help="stabilized coefficients a(m)")
     sp.add_argument("--m-max", type=int, default=10_000)
-    common(sp)
+    common(sp, "--format")
     sp.set_defaults(run=cmd_coeffs)
 
     sp = sub.add_parser("summatory", help="A(M) identity and main-term ratio")
@@ -314,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("irreducible", help="quotient irreducibility certificates")
     sp.add_argument("--n-max", type=int, default=None)
     sp.add_argument("--max-primes", type=int, default=12)
-    common(sp)
+    common(sp, "--long", "--strict")
     sp.set_defaults(run=cmd_irreducible)
 
     return parser

@@ -2,10 +2,12 @@
 
 The central object is the family F_N(z) = sum_k (sum_n chi(n) z^(k n))^2,
 where chi is the odd-prime indicator (pluggable: any 0/1 indicator works,
-the Liouville-negative set is built in).  This module builds F_N exactly,
-checks the cyclotomic divisibility statements and the root-of-unity lower
-bounds, evaluates the coefficient formulas and their stabilized limits, and
-computes the summatory quantities with their asymptotic comparisons.
+the Liouville-negative set is built in).  This module builds F_N exactly
+from the indicator's pair sums, one autocorrelation by ``modp.convolve``
+spread over the exponent steps k.  It checks the cyclotomic divisibility
+statements and the root-of-unity lower bounds, evaluates the coefficient
+formulas and their stabilized limits, and computes the summatory
+quantities with their asymptotic comparisons.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import arith
+from . import arith, modp
 from .arith import PrimeTable
 from .poly import (
     IntPolynomial,
@@ -110,25 +112,25 @@ def goldbach_polynomial(N: int, source) -> IntPolynomial:
     """F_N: sum over k < N of the squared indicator sum at exponent step k.
 
     The inner polynomial for shift k has support {k*n : n in S, n < N}; its
-    square contributes pair counts at exponents k*(n1+n2).  Degree is at
-    most 2*(N-1)^2, and exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty.
+    square contributes pair counts at exponents k*(n1+n2).  The pair counts
+    are the autocorrelation of the 0/1 indicator of S; shift 0 puts all
+    |S|**2 of them on the constant term.  Degree is at most 2*(N-1)^2, and
+    exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty.  Coefficients are at
+    most N*|S|**2, so int64 holds them.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    supp = [int(v) for v in _support(source, N)]
-    if not supp:
+    supp = _support(source, N)
+    if not len(supp):
         return IntPolynomial.zero()
-    pair_sums: dict[int, int] = {}
-    for p in supp:
-        for q in supp:
-            s = p + q
-            pair_sums[s] = pair_sums.get(s, 0) + 1
-    top = 2 * max(supp)
-    acc = [0] * ((N - 1) * top + 1)
-    for k in range(N):
-        for s, c in pair_sums.items():
-            acc[k * s] += c
-    return IntPolynomial(acc)
+    ind = np.zeros(int(supp[-1]) + 1, dtype=np.uint8)
+    ind[supp] = 1
+    pairs = modp.convolve(ind, ind)
+    acc = np.zeros((N - 1) * (len(pairs) - 1) + 1, dtype=np.int64)
+    acc[0] = len(supp) ** 2
+    for k in range(1, N):
+        acc[: k * len(pairs): k] += pairs
+    return IntPolynomial(acc.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +251,8 @@ def verify_divisibility(N: int, table: PrimeTable,
     return TheoremReport("divisibility", N, holds, witness=witness)
 
 
-def symmetry_report(N: int, source) -> TheoremReport:
+def symmetry_report(N: int, F: IntPolynomial) -> TheoremReport:
     """F_N(z) = F_N(-z); for the odd-prime indicator all exponents are even."""
-    F = goldbach_polynomial(N, source)
     even_sub = substitute_negate(F) == F
     even_support = F.is_even()
     return TheoremReport(

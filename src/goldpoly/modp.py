@@ -1,8 +1,9 @@
 """Exact integer convolution, and dense polynomial arithmetic over F_p.
 
 ``convolve`` is the one place where goldpoly multiplies integer sequences
-exactly: the pair-count table (``arith``), ``IntPolynomial`` products
-(``poly``) and the F_p products below all go through it.  It takes a real
+exactly: the pair-count table (``arith``), the pair sums of
+``goldbach.goldbach_polynomial``, ``IntPolynomial`` products (``poly``) and
+the F_p products below all go through it.  It takes a real
 FFT whenever a rounding bound computed from the operands' lengths and
 largest magnitudes certifies that rounding recovers every entry, and
 otherwise packs each operand into one Python int (signed Kronecker

@@ -4,7 +4,7 @@ IntPolynomial stores an immutable tuple of Python ints (index = exponent),
 canonical: empty tuple is the zero polynomial, otherwise the last entry is
 nonzero.  All ring operations are exact; products go through the shared
 integer convolution ``modp.convolve``.  Cyclotomic polynomials are built by
-exact division and memoized behind a lock.
+exact division and memoized.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -14,7 +14,6 @@ by exact trial division, so the result is certified at every degree.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -29,7 +28,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(int, coeffs))
         n = len(cs)
         while n and cs[n - 1] == 0:
             n -= 1
@@ -46,12 +45,6 @@ class IntPolynomial:
     @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "IntPolynomial":
-        if coeff == 0:
-            return cls(())
-        return cls((0,) * exponent + (coeff,))
 
     # -- basic queries -----------------------------------------------------
     @property
@@ -151,7 +144,7 @@ class IntPolynomial:
 
     def is_even(self) -> bool:
         """True when only even exponents carry nonzero coefficients."""
-        return all(c == 0 for c in self.coeffs[1::2])
+        return not any(self.coeffs[1::2])
 
     def even_part(self) -> "IntPolynomial":
         """g with g(z**2) == self; raises if an odd exponent is present."""
@@ -160,15 +153,6 @@ class IntPolynomial:
         return IntPolynomial(self.coeffs[0::2])
 
     # -- evaluation -----------------------------------------------------------
-    def evaluate_at_one(self) -> int:
-        return sum(self.coeffs)
-
-    def evaluate_int(self, x: int) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
-
     def evaluate_complex(self, z: complex) -> complex:
         v = 0j
         for c in reversed(self.coeffs):
@@ -258,24 +242,22 @@ def exact_quotient_or_none(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial 
 # ---------------------------------------------------------------------------
 
 _cyclo_memo: dict[int, IntPolynomial] = {}
-_cyclo_lock = threading.RLock()
 
 
 def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by exact division of z**n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    with _cyclo_lock:
-        got = _cyclo_memo.get(n)
-        if got is not None:
-            return got
-        num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-        for d in arith.divisors(n)[:-1]:
-            num, rem = divrem_exact(num, cyclotomic(d))
-            if not rem.is_zero:
-                raise AssertionError(f"cyclotomic division left a remainder at n={n}")
-        _cyclo_memo[n] = num
-        return num
+    got = _cyclo_memo.get(n)
+    if got is not None:
+        return got
+    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for d in arith.divisors(n)[:-1]:
+        num, rem = divrem_exact(num, cyclotomic(d))
+        if not rem.is_zero:
+            raise AssertionError(f"cyclotomic division left a remainder at n={n}")
+    _cyclo_memo[n] = num
+    return num
 
 
 def remainder_mod_cyclotomic(a: IntPolynomial, M: int) -> IntPolynomial:
@@ -286,10 +268,8 @@ def remainder_mod_cyclotomic(a: IntPolynomial, M: int) -> IntPolynomial:
     """
     if M < 1:
         raise ValueError("M must be positive")
-    folded = [0] * M
-    for e, c in enumerate(a.coeffs):
-        if c:
-            folded[e % M] += c
+    cs = a.coeffs
+    folded = [sum(cs[r::M]) for r in range(M)]
     return divrem_exact(IntPolynomial(folded), cyclotomic(M))[1]
 
 
@@ -306,7 +286,9 @@ def reciprocal(a: IntPolynomial) -> IntPolynomial:
 
 def substitute_negate(a: IntPolynomial) -> IntPolynomial:
     """a(-z), exact."""
-    return IntPolynomial(tuple(-c if (k & 1) else c for k, c in enumerate(a.coeffs)))
+    cs = list(a.coeffs)
+    cs[1::2] = [-c for c in cs[1::2]]
+    return IntPolynomial(cs)
 
 
 def to_text(a: IntPolynomial) -> str:
@@ -324,62 +306,22 @@ def from_text(s: str) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Compensated real evaluation
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(x: float, y: float) -> tuple[float, float]:
-    s = x + y
-    bv = s - x
-    return s, (x - (s - bv)) + (y - bv)
-
-
-def _two_prod(x: float, y: float) -> tuple[float, float]:
-    p = x * y
-    cx = _SPLITTER * x
-    xh = cx - (cx - x)
-    xl = x - xh
-    cy = _SPLITTER * y
-    yh = cy - (cy - y)
-    yl = y - yh
-    err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, err
-
-
-def evaluate_real(a: IntPolynomial, x: float) -> float:
-    """a(x) by compensated Horner summation (error ~ eps, not n*eps)."""
-    v = 0.0
-    comp = 0.0
-    for c in reversed(a.coeffs):
-        p, pe = _two_prod(v, x)
-        s, se = _two_sum(p, float(c))
-        v = s
-        comp = comp * x + (pe + se)
-    return v + comp
-
-
-# ---------------------------------------------------------------------------
 # GCD over the rationals (primitive integer generator)
 # ---------------------------------------------------------------------------
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    inv = pow(m1 % m2, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
-
 
 def _modular_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Brown-style modular gcd; candidate verified by exact trial division.
 
     Images are taken modulo the primes below 2**31, descending, until the
     lifted candidate repeats and divides both inputs; there is no cap on
-    their number, so gcds with coefficients of any size are reached.
+    their number, so gcds with coefficients of any size are reached.  The
+    images of the lowest degree seen so far, scaled to leading coefficient
+    gcd(lc a, lc b), are combined by CRT one prime at a time.
     """
     lead_gcd = math.gcd(a.lead, b.lead)
     best_deg = None
-    images: list[tuple[int, np.ndarray]] = []
+    residues: list[int] = []
+    modulus = 1
     prev_candidate = None
     for p in filter(arith.is_prime, range(2 ** 31 - 1, 2, -2)):
         if a.lead % p == 0 or b.lead % p == 0:
@@ -390,28 +332,19 @@ def _modular_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         dg = len(gp) - 1
         if dg == 0:
             return IntPolynomial.one()  # coprime over Q, proven by one prime
+        lead = lead_gcd % p
+        scaled = [int(c) * lead % p for c in gp]
         if best_deg is None or dg < best_deg:
             best_deg = dg
-            images = [(p, gp)]
+            residues, modulus = scaled, p
             prev_candidate = None
         elif dg == best_deg:
-            images.append((p, gp))
+            inv = pow(modulus, -1, p)
+            residues = [r + modulus * ((s - r % p) * inv % p)
+                        for r, s in zip(residues, scaled)]
+            modulus *= p
         else:
             continue  # unlucky prime, discard
-        # combine current images scaled to leading coefficient lead_gcd
-        residues = [0] * (best_deg + 1)
-        modulus = 1
-        for q, img in images:
-            scaled = (img.astype(object) * (lead_gcd % q)) % q
-            if modulus == 1:
-                residues = list(scaled)
-                modulus = q
-            else:
-                residues = [
-                    _crt_pair(int(r1), modulus, int(r2), q)[0]
-                    for r1, r2 in zip(residues, scaled)
-                ]
-                modulus *= q
         half = modulus // 2
         lifted = [r - modulus if r > half else r for r in residues]
         candidate = IntPolynomial(lifted).primitive_part()

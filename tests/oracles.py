@@ -1,13 +1,15 @@
 """Slow, independent reference algorithms that the library is checked against.
 
-None of them goes through ``modp.convolve``: products are schoolbook loops
-and pair counts the square of one packed big number.
+None of them goes through ``modp.convolve``: products are schoolbook loops,
+pair counts the square of one packed big number, and F_N a dict of pair
+sums spread over the exponent steps.
 """
 
 import decimal
 
 import numpy as np
 
+from goldpoly.goldbach import _support
 from goldpoly.poly import IntPolynomial
 
 
@@ -83,3 +85,20 @@ def decimal_pair_counts(limit: int, table) -> np.ndarray:
     limbs = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n, width)[::-1]
     place = 10 ** np.arange(width - 1, -1, -1)
     return ((limbs[: limit + 1] - ord("0")).astype(np.int64) * place).sum(axis=1)
+
+
+def goldbach_polynomial_by_pairs(N: int, source) -> IntPolynomial:
+    """F_N by counting the pair sums p + q of the indicator support in a
+    dict, then adding each count at every exponent k * (p + q), k < N."""
+    supp = [int(v) for v in _support(source, N)]
+    if not supp:
+        return IntPolynomial.zero()
+    pair_sums: dict[int, int] = {}
+    for p in supp:
+        for q in supp:
+            pair_sums[p + q] = pair_sums.get(p + q, 0) + 1
+    acc = [0] * ((N - 1) * 2 * max(supp) + 1)
+    for k in range(N):
+        for s, c in pair_sums.items():
+            acc[k * s] += c
+    return IntPolynomial(acc)

@@ -1,9 +1,10 @@
 import json
 import multiprocessing
+from collections import Counter
 
 import pytest
 
-from goldpoly import cli, roots
+from goldpoly import cli, goldbach, roots
 from goldpoly.poly import from_text
 
 from reference_fixtures import quotient_polynomial
@@ -62,6 +63,24 @@ class TestVerify:
     def test_malformed_flag_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--n-max", "notanumber")
         assert code == 2
+
+    def test_builds_each_polynomial_once(self, capsys, monkeypatch):
+        built = Counter()
+        construct = goldbach.goldbach_polynomial
+
+        def counted(N, source):
+            built[N] += 1
+            return construct(N, source)
+
+        monkeypatch.setattr(goldbach, "goldbach_polynomial", counted)
+        code, _, _ = run(capsys, "verify", "--n-max", "12")
+        assert code == 0
+        assert built == Counter(range(2, 13))
+
+    def test_jobs_equivalence(self, capsys):
+        _, out1, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "1")
+        _, out2, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "2")
+        assert out1 == out2
 
 
 class TestTable1:
@@ -187,6 +206,17 @@ class TestIndicatorFlag:
 class TestUsage:
     def test_unknown_command(self, capsys):
         assert cli.main(["definitely-not-a-command"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--indicator", "liouville"],
+        ["summatory", "--format", "json"],
+        ["coeffs", "--long"],
+        ["construct", "6", "--strict"],
+    ])
+    def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -15,6 +15,7 @@ from goldpoly.goldbach import (
 )
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
+from oracles import goldbach_polynomial_by_pairs
 from reference_fixtures import QUOTIENTS, quotient_polynomial
 
 
@@ -31,7 +32,7 @@ class TestConstruction:
         F6 = goldbach_polynomial(6, small_table)
         assert F6.degree == 50
         assert F6[0] == 4
-        assert F6.evaluate_at_one() == 24
+        assert sum(F6.coeffs) == 24
 
     def test_constant_term_is_squared_prime_count(self, small_table):
         F10 = goldbach_polynomial(10, small_table)
@@ -48,6 +49,14 @@ class TestConstruction:
         F4 = goldbach_polynomial(4, small_table)
         assert F4 == IntPolynomial((1,) + (0,) * 5 + (1,) + (0,) * 5 + (1,)
                                    + (0,) * 5 + (1,))
+
+    @pytest.mark.parametrize("indicator", ["odd_primes", "liouville"])
+    def test_matches_pair_sum_oracle(self, small_table, indicator):
+        source = small_table if indicator == "odd_primes" else \
+            IndicatorSet.liouville_negative(small_table.limit, small_table)
+        for N in range(2, 81):
+            assert goldbach_polynomial(N, source) == \
+                goldbach_polynomial_by_pairs(N, source)
 
     def test_even_exponents_only(self, small_table):
         for N in range(2, 51):
@@ -129,7 +138,7 @@ class TestDivisibility:
 
     def test_symmetry_reports(self, small_table):
         for N in (2, 6, 13, 30):
-            rep = goldbach.symmetry_report(N, small_table)
+            rep = goldbach.symmetry_report(N, goldbach_polynomial(N, small_table))
             assert rep.holds and rep.witness["support_even"]
 
 

@@ -11,7 +11,6 @@ from goldpoly.poly import (
     cyclotomic,
     divides,
     divrem_exact,
-    evaluate_real,
     exact_quotient_or_none,
     from_text,
     gcd_rational,
@@ -324,21 +323,8 @@ class TestGcd:
 
 
 class TestEvaluationAndSymmetry:
-    def test_evaluate_at_one(self):
-        assert IntPolynomial((1, 2, 3)).evaluate_at_one() == 6
-
     def test_substitute_negate(self):
         assert substitute_negate(IntPolynomial((0, 1, 1))) == IntPolynomial((0, -1, 1))
-
-    def test_compensated_matches_exact_rational(self):
-        rng = np.random.default_rng(10)
-        for _ in range(40):
-            a = random_poly(rng, max_deg=30, coeff_bound=10 ** 6)
-            x = float(rng.uniform(-1.5, 1.5))
-            exact = sum(Fraction(c) * Fraction(x) ** k
-                        for k, c in enumerate(a.coeffs))
-            got = evaluate_real(a, x)
-            assert abs(got - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
 
     def test_even_part(self):
         a = IntPolynomial((1, 0, -2, 0, 5))
