@@ -25,12 +25,12 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
 
-def _indicator_source(args: argparse.Namespace, table: PrimeTable):
-    if args.indicator == "odd_primes":
+def _indicator_source(indicator: str, table: PrimeTable):
+    if indicator == "odd_primes":
         return table
-    if args.indicator == "liouville":
+    if indicator == "liouville":
         return IndicatorSet.liouville_negative(table.limit, table)
-    raise ValueError(f"unknown indicator {args.indicator!r}")
+    raise ValueError(f"unknown indicator {indicator!r}")
 
 
 def _resolve_sieve_limit(args: argparse.Namespace, implied: int) -> int:
@@ -60,7 +60,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if N is None or N < 2:
         raise UsageError("construct requires N >= 2")
     table = PrimeTable(_resolve_sieve_limit(args, max(16, N)))
-    F = goldbach.goldbach_polynomial(N, _indicator_source(args, table))
+    F = goldbach.goldbach_polynomial(N, _indicator_source(args.indicator, table))
     if F.is_zero:
         print(f"warning: F_{N} is the zero polynomial "
               f"(indicator support below {N} is empty)", file=sys.stderr)
@@ -97,13 +97,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def _verify_one(args: tuple) -> list[dict]:
     N, limit, indicator = args
     table = _worker_table(limit)
-    source = table if indicator == "odd_primes" else \
-        IndicatorSet.liouville_negative(limit, table)
-    F = goldbach.goldbach_polynomial(N, source)
+    F = goldbach.goldbach_polynomial(N, _indicator_source(indicator, table))
+    remainders = goldbach.cyclotomic_remainders(N, F)
     reports = [
-        goldbach.verify_divisibility(N, table, F=F),
+        goldbach.verify_divisibility(N, table, remainders),
         goldbach.symmetry_report(N, F),
-        goldbach.root_bounds_report(N, table, F=F),
+        goldbach.root_bounds_report(N, table, remainders),
     ]
     return [r.to_json_dict() for r in reports]
 

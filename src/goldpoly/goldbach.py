@@ -5,9 +5,11 @@ where chi is the odd-prime indicator (pluggable: any 0/1 indicator works,
 the Liouville-negative set is built in).  This module builds F_N exactly
 from the indicator's pair sums, one autocorrelation by ``modp.convolve``
 spread over the exponent steps k.  It checks the cyclotomic divisibility
-statements and the root-of-unity lower bounds, evaluates the coefficient
-formulas and their stabilized limits, and computes the summatory
-quantities with their asymptotic comparisons.
+statements and the root-of-unity lower bounds from one set of remainders
+F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``) and one
+pair-count table per N.  It evaluates the coefficient formulas and their
+stabilized limits, and computes the summatory quantities with their
+asymptotic comparisons.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ import numpy as np
 
 from . import arith, modp
 from .arith import PrimeTable
-from .poly import (
-    IntPolynomial,
-    cyclotomic,
-    divrem_exact,
-    remainder_mod_cyclotomic,
-    substitute_negate,
-)
+from .poly import IntPolynomial, remainder_mod_cyclotomic, substitute_negate
 
 
 class NonConstantRemainderError(ArithmeticError):
@@ -216,23 +212,31 @@ def stable_coefficient_table(limit: int, table: PrimeTable,
 # Divisibility and symmetry theorems
 # ---------------------------------------------------------------------------
 
+def cyclotomic_remainders(N: int, F: IntPolynomial) -> dict[int, IntPolynomial]:
+    """F mod Phi_M for every M | N (ascending) and for M = 2N, computed once
+    for both the divisibility and the root-of-unity reports."""
+    rems = {M: remainder_mod_cyclotomic(F, M) for M in arith.divisors(N)}
+    rems[2 * N] = remainder_mod_cyclotomic(F, 2 * N)
+    return rems
+
+
 def verify_divisibility(N: int, table: PrimeTable,
-                        F: IntPolynomial | None = None) -> TheoremReport:
+                        remainders: dict[int, IntPolynomial] | None = None
+                        ) -> TheoremReport:
     """Check the cyclotomic divisibility facts for one N.
 
     (a) Phi_2N | F_N unconditionally; (b) Phi_N | F_N iff the pair count
     vanishes; (c) for N = 2M with M odd, Phi_M | F_N iff Phi_N | F_N;
     (d) any cyclotomic divisor Phi_M with M | N forces a vanishing pair
-    count (checked for N > 4).
+    count (checked for N > 4).  ``remainders`` are those of
+    ``cyclotomic_remainders``; without them F_N is built here.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if F is None:
-        F = goldbach_polynomial(N, table)
+    if remainders is None:
+        remainders = cyclotomic_remainders(N, goldbach_polynomial(N, table))
     pair_count = arith.goldbach_count(N, table)
-    rem_by_M = {M: remainder_mod_cyclotomic(F, M).is_zero
-                for M in arith.divisors(N, table)}
-    rem_by_M[2 * N] = remainder_mod_cyclotomic(F, 2 * N).is_zero
+    rem_by_M = {M: rem.is_zero for M, rem in remainders.items()}
 
     checks = {
         "phi_2N_divides": rem_by_M[2 * N],
@@ -265,43 +269,45 @@ def symmetry_report(N: int, F: IntPolynomial) -> TheoremReport:
 # Values at roots of unity
 # ---------------------------------------------------------------------------
 
-def eval_at_root_of_unity(F: IntPolynomial, M: int) -> int:
-    """The common integer value of F at every primitive M-th root of unity.
-
-    The remainder of F mod Phi_M must be a constant; a non-constant
-    remainder would falsify the evaluation argument and raises.
-    """
-    rem = remainder_mod_cyclotomic(F, M)
+def _constant_value(rem: IntPolynomial, M: int) -> int:
+    """The value of a constant remainder mod Phi_M; a non-constant one
+    would falsify the evaluation argument and raises."""
     if rem.degree > 0:
         raise NonConstantRemainderError(
             f"remainder mod Phi_{M} has degree {rem.degree}")
-    return rem[0] if not rem.is_zero else 0
+    return rem[0]
+
+
+def eval_at_root_of_unity(F: IntPolynomial, M: int) -> int:
+    """The common integer value of F at every primitive M-th root of unity."""
+    return _constant_value(remainder_mod_cyclotomic(F, M), M)
 
 
 def root_bounds_report(N: int, table: PrimeTable,
-                       F: IntPolynomial | None = None) -> TheoremReport:
+                       remainders: dict[int, IntPolynomial] | None = None
+                       ) -> TheoremReport:
     """Lower bounds for F_N at primitive M-th roots of unity, M | N.
 
     For N > 4: odd M gives F_N(zeta_M) >= N * sum of pair counts R(2nM)
     for n <= floor(N/2M); even M gives the analogous bound over R(nM),
     n <= N/M.  Both imply F_N(zeta_M) >= N*R(N), with equality at M = N
-    and (observed, flagged if violated) at odd M with N = 2M.
+    and (observed, flagged if violated) at odd M with N = 2M.  Every R
+    argument is at most N, so one pair-count table serves all M.
+    ``remainders`` are those of ``cyclotomic_remainders``; without them
+    F_N is built here.
     """
-    if F is None:
-        F = goldbach_polynomial(N, table)
-    pair_count = arith.goldbach_count(N, table)
+    if remainders is None:
+        remainders = cyclotomic_remainders(N, goldbach_polynomial(N, table))
+    counts = arith.goldbach_count_table(N, table)
+    pair_count = int(counts[N])
     per_divisor = {}
     holds = True
     for M in arith.divisors(N, table):
-        value = eval_at_root_of_unity(F, M)
+        value = _constant_value(remainders[M], M)
         entry = {"value": value}
         if N > 4:
-            if M % 2 == 1:
-                bound = N * sum(arith.goldbach_count(2 * n * M, table)
-                                for n in range(1, N // (2 * M) + 1))
-            else:
-                bound = N * sum(arith.goldbach_count(n * M, table)
-                                for n in range(1, N // M + 1))
+            # R vanishes at odd arguments, so for odd M this sums R(2nM)
+            bound = N * int(counts[M::M].sum())
             entry["bound"] = bound
             entry["bound_ok"] = value >= bound
             entry["simple_ok"] = value >= N * pair_count

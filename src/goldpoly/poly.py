@@ -3,8 +3,11 @@
 IntPolynomial stores an immutable tuple of Python ints (index = exponent),
 canonical: empty tuple is the zero polynomial, otherwise the last entry is
 nonzero.  All ring operations are exact; products go through the shared
-integer convolution ``modp.convolve``.  Cyclotomic polynomials are built by
-exact division and memoized.
+integer convolution ``modp.convolve``.  Division is one schoolbook
+long-division loop: ``divrem_exact`` (monic divisor) and
+``exact_quotient_or_none`` (any divisor, None unless exact) are checks
+around it.  Cyclotomic polynomials are built by exact division and
+memoized.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -173,32 +176,40 @@ def multiply(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Division by monic polynomials
+# Long division
 # ---------------------------------------------------------------------------
 
-def divrem_exact(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Exact (quotient, remainder) for monic b: a = q*b + r, deg r < deg b."""
+def _long_divide(a: IntPolynomial, b: IntPolynomial
+                 ) -> tuple[IntPolynomial, IntPolynomial] | None:
+    """(quotient, remainder) of a by b over the integers, deg r < deg b.
+
+    None as soon as a leading coefficient is not a multiple of lc(b); for
+    monic b that never happens.
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
-    if b.lead != 1:
-        raise NonMonicDivisorError("divisor must be monic")
-    db = b.degree
-    if db == 0:
-        return a, IntPolynomial.zero()
-    if a.degree < db:
-        return IntPolynomial.zero(), a
+    db, lead = b.degree, b.lead
+    terms = [(j, bj) for j, bj in enumerate(b.coeffs[:-1]) if bj]
     rem = list(a.coeffs)
-    bq = b.coeffs[:-1]
-    q = [0] * (len(rem) - db)
+    q = [0] * max(0, len(rem) - db)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + db]
         if c:
+            c, r = divmod(c, lead)
+            if r:
+                return None
             q[i] = c
-            for j, bj in enumerate(bq):
-                if bj:
-                    rem[i + j] -= c * bj
+            for j, bj in terms:
+                rem[i + j] -= c * bj
             rem[i + db] = 0
     return IntPolynomial(q), IntPolynomial(rem[:db])
+
+
+def divrem_exact(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """Exact (quotient, remainder) for monic b: a = q*b + r, deg r < deg b."""
+    if b and b.lead != 1:
+        raise NonMonicDivisorError("divisor must be monic")
+    return _long_divide(a, b)
 
 
 def divides(b: IntPolynomial, a: IntPolynomial) -> bool:
@@ -212,29 +223,10 @@ def exact_quotient_or_none(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial 
     b need not be monic; every elimination step checks integer
     divisibility of the leading coefficient.
     """
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return a
-    db, lead = b.degree, b.lead
-    if a.degree < db:
+    qr = _long_divide(a, b)
+    if qr is None or not qr[1].is_zero:
         return None
-    rem = list(a.coeffs)
-    q = [0] * (len(rem) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + db]
-        if c % lead:
-            return None
-        c //= lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b.coeffs[:-1]):
-                if bj:
-                    rem[i + j] -= c * bj
-        rem[i + db] = 0
-    if any(rem):
-        return None
-    return IntPolynomial(q)
+    return qr[0]
 
 
 # ---------------------------------------------------------------------------

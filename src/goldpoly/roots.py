@@ -183,12 +183,6 @@ class StripResult:
     residual: IntPolynomial                      # non-cyclotomic part of the gcd
 
 
-def _cyclotomic_candidates(max_deg: int) -> list[int]:
-    """All d with phi(d) <= max_deg (phi(d) > sqrt(d) for d > 6)."""
-    upper = max(6, max_deg * max_deg) + 1
-    return [d for d in range(1, upper) if arith.euler_phi(d) <= max_deg]
-
-
 def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     """Split off the factor of F carrying every root on the unit circle.
 
@@ -208,28 +202,29 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
         raise AssertionError("gcd does not divide exactly")
     factors: list[tuple[int, int]] = []
     residual = G
-    if residual.degree > 0:
-        for d in _cyclotomic_candidates(residual.degree):
-            phi_d = arith.euler_phi(d)
-            if phi_d > residual.degree:
-                continue
-            # numeric prefilter: exact division attempted only near zeros
-            zeta = complex(math.cos(2 * math.pi / max(d, 1)),
-                           math.sin(2 * math.pi / max(d, 1)))
-            val = residual.evaluate_complex(zeta)
-            scale = sum(abs(cf) for cf in residual.coeffs)
-            if abs(val) > 1e-6 * scale:
-                continue
-            phi_poly = cyclotomic(d)
-            mult = 0
-            while residual.degree >= phi_d:
-                q, r = divrem_exact(residual, phi_poly)
-                if not r.is_zero:
-                    break
-                residual = q
-                mult += 1
-            if mult:
-                factors.append((d, mult))
+    # candidates d have phi(d) <= deg(residual); phi(d) > sqrt(d) for d > 6
+    d = 0
+    while residual.degree > 0 and d < max(6, residual.degree ** 2):
+        d += 1
+        phi_d = arith.euler_phi(d)
+        if phi_d > residual.degree:
+            continue
+        # numeric prefilter: exact division attempted only near zeros
+        zeta = complex(math.cos(2 * math.pi / d), math.sin(2 * math.pi / d))
+        val = residual.evaluate_complex(zeta)
+        scale = sum(abs(cf) for cf in residual.coeffs)
+        if abs(val) > 1e-6 * scale:
+            continue
+        phi_poly = cyclotomic(d)
+        mult = 0
+        while residual.degree >= phi_d:
+            q, r = divrem_exact(residual, phi_poly)
+            if not r.is_zero:
+                break
+            residual = q
+            mult += 1
+        if mult:
+            factors.append((d, mult))
     return StripResult(G, H, factors, residual)
 
 
@@ -414,12 +409,3 @@ def unit_circle_count_report(N: int, table: PrimeTable,
             "undetermined": classification.undetermined,
         },
     )
-
-
-def classification_csv(rows: list[RootClassification], table: PrimeTable) -> str:
-    """Render classifications as CSV: N,two_phi_N,inside,on,outside,undetermined."""
-    lines = ["N,two_phi_N,inside,on,outside,undetermined"]
-    for rc in rows:
-        lines.append(f"{rc.N},{2 * arith.euler_phi(rc.N, table)},"
-                     f"{rc.inside},{rc.on_circle},{rc.outside},{rc.undetermined}")
-    return "\n".join(lines) + "\n"

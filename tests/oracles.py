@@ -1,14 +1,15 @@
 """Slow, independent reference algorithms that the library is checked against.
 
 None of them goes through ``modp.convolve``: products are schoolbook loops,
-pair counts the square of one packed big number, and F_N a dict of pair
-sums spread over the exponent steps.
+pair counts the square of one packed big number or scalar loops over
+primes, and F_N a dict of pair sums spread over the exponent steps.
 """
 
 import decimal
 
 import numpy as np
 
+from goldpoly import arith
 from goldpoly.goldbach import _support
 from goldpoly.poly import IntPolynomial
 
@@ -102,3 +103,14 @@ def goldbach_polynomial_by_pairs(N: int, source) -> IntPolynomial:
         for s, c in pair_sums.items():
             acc[k * s] += c
     return IntPolynomial(acc)
+
+
+def root_bound_by_scalar_counts(N: int, M: int, table) -> int:
+    """The lower bound for F_N at a primitive M-th root of unity, M | N, as a
+    sum of scalar pair counts: N * sum of R(2nM) over n <= N/2M for odd M,
+    N * sum of R(nM) over n <= N/M for even M."""
+    if M % 2:
+        return N * sum(arith.goldbach_count(2 * n * M, table)
+                       for n in range(1, N // (2 * M) + 1))
+    return N * sum(arith.goldbach_count(n * M, table)
+                   for n in range(1, N // M + 1))

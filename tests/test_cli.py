@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from goldpoly import cli, goldbach, roots
+from goldpoly import arith, cli, goldbach, roots
 from goldpoly.poly import from_text
 
 from reference_fixtures import quotient_polynomial
@@ -76,6 +76,27 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n-max", "12")
         assert code == 0
         assert built == Counter(range(2, 13))
+
+    def test_computes_each_remainder_and_pair_count_once(self, capsys,
+                                                         monkeypatch):
+        calls = Counter()
+        fold, count = goldbach.remainder_mod_cyclotomic, arith.goldbach_count
+
+        def counted_fold(a, M):
+            calls["fold"] += 1
+            return fold(a, M)
+
+        def counted_count(N, table):
+            calls["count"] += 1
+            return count(N, table)
+
+        monkeypatch.setattr(goldbach, "remainder_mod_cyclotomic", counted_fold)
+        monkeypatch.setattr(arith, "goldbach_count", counted_count)
+        code, _, _ = run(capsys, "verify", "--n-max", "12")
+        assert code == 0
+        # one fold per M | N and one for M = 2N, for N = 2..12
+        assert calls["fold"] == 45
+        assert calls["count"] <= 11
 
     def test_jobs_equivalence(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "1")

@@ -15,7 +15,7 @@ from goldpoly.goldbach import (
 )
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
-from oracles import goldbach_polynomial_by_pairs
+from oracles import goldbach_polynomial_by_pairs, root_bound_by_scalar_counts
 from reference_fixtures import QUOTIENTS, quotient_polynomial
 
 
@@ -157,6 +157,20 @@ class TestRootOfUnityValues:
     def test_bounds_hold_to_forty(self, small_table):
         for N in range(2, 41):
             assert goldbach.root_bounds_report(N, small_table).holds
+
+    def test_bounds_match_scalar_sums(self, small_table):
+        for N in range(2, 81):
+            remainders = goldbach.cyclotomic_remainders(
+                N, goldbach_polynomial(N, small_table))
+            rep = goldbach.root_bounds_report(N, small_table, remainders)
+            assert rep == goldbach.root_bounds_report(N, small_table)
+            assert rep.witness["pair_count"] == arith.goldbach_count(N, small_table)
+            for M, entry in rep.witness["per_divisor"].items():
+                if N > 4:
+                    assert entry["bound"] == root_bound_by_scalar_counts(
+                        N, M, small_table)
+                else:
+                    assert "bound" not in entry
 
 
 class TestLowerBounds:

@@ -3,7 +3,6 @@ import pickle
 import numpy as np
 import pytest
 
-from goldpoly import roots
 from goldpoly.goldbach import goldbach_polynomial
 from goldpoly.poly import IntPolynomial, cyclotomic, multiply, reciprocal, divides
 from goldpoly.roots import (
@@ -148,11 +147,3 @@ class TestClassification:
             else:
                 pieces.append(piece)
         assert sum(p.degree for p in pieces) == deg
-
-    def test_csv_shape(self, small_table):
-        rows = [classify_roots(N, small_table) for N in (6, 7)]
-        text = roots.classification_csv(rows, small_table)
-        lines = text.strip().splitlines()
-        assert lines[0] == "N,two_phi_N,inside,on,outside,undetermined"
-        assert lines[1] == "6,4,16,4,30,0"
-        assert lines[2] == "7,12,4,12,44,0"
