@@ -112,19 +112,6 @@ def odd_prime_indicator(n: int, table: PrimeTable) -> int:
 # Pair counts
 # ---------------------------------------------------------------------------
 
-def goldbach_count(N: int, table: PrimeTable) -> int:
-    """Number of ordered pairs (p, q) of odd primes with p + q = N."""
-    if not 1 <= N <= table.limit:
-        raise ValueError(f"N={N} outside sieve range")
-    if N < 6 or N & 1:
-        return 0
-    count = 0
-    for p in map(int, table.odd_primes_upto(N - 3)):
-        if table.is_odd_prime(N - p):
-            count += 1
-    return count
-
-
 def goldbach_count_table(limit: int, table: PrimeTable) -> np.ndarray:
     """Exact array r with r[n] = ordered odd-prime pair count for all n <= limit.
 

@@ -25,14 +25,6 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
 
-def _indicator_source(indicator: str, table: PrimeTable):
-    if indicator == "odd_primes":
-        return table
-    if indicator == "liouville":
-        return IndicatorSet.liouville_negative(table.limit, table)
-    raise ValueError(f"unknown indicator {indicator!r}")
-
-
 def _resolve_sieve_limit(args: argparse.Namespace, implied: int) -> int:
     if args.sieve_limit is None:
         return implied
@@ -60,7 +52,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if N is None or N < 2:
         raise UsageError("construct requires N >= 2")
     table = PrimeTable(_resolve_sieve_limit(args, max(16, N)))
-    F = goldbach.goldbach_polynomial(N, _indicator_source(args.indicator, table))
+    source = table
+    if args.indicator == "liouville":
+        source = IndicatorSet.liouville_negative(table.limit, table)
+    F = goldbach.goldbach_polynomial(N, source)
     if F.is_zero:
         print(f"warning: F_{N} is the zero polynomial "
               f"(indicator support below {N} is empty)", file=sys.stderr)
@@ -95,16 +90,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_one(args: tuple) -> list[dict]:
-    N, limit, indicator = args
-    table = _worker_table(limit)
-    F = goldbach.goldbach_polynomial(N, _indicator_source(indicator, table))
-    remainders = goldbach.cyclotomic_remainders(N, F)
-    reports = [
-        goldbach.verify_divisibility(N, table, remainders),
-        goldbach.symmetry_report(N, F),
-        goldbach.root_bounds_report(N, table, remainders),
-    ]
-    return [r.to_json_dict() for r in reports]
+    N, limit = args
+    return [r.to_json_dict()
+            for r in goldbach.theorem_reports(N, _worker_table(limit))]
 
 
 _WORKER_TABLES: dict[int, PrimeTable] = {}
@@ -130,7 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if n_max < 2:
         raise UsageError("--n-max must be >= 2")
     limit = _resolve_sieve_limit(args, max(16, 2 * n_max))
-    items = [(N, limit, args.indicator) for N in range(2, n_max + 1)]
+    items = [(N, limit) for N in range(2, n_max + 1)]
     all_reports = _map_jobs(_verify_one, items, args.jobs)
     failures = 0
     lines = []
@@ -166,11 +154,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be >= 6 (classification needs N > 5)")
     limit = _resolve_sieve_limit(args, max(16, n_max))
     items = [(N, limit, args.seed) for N in range(6, n_max + 1)]
-    try:
-        rows = _map_jobs(_classify_one, items, args.jobs)
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    rows = _map_jobs(_classify_one, items, args.jobs)
     lines = ["N,two_phi_N,inside,on,outside,undetermined"]
     undetermined = 0
     for row in rows:
@@ -292,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="divisibility/symmetry/bound theorems")
     sp.add_argument("--n-max", type=int, default=None)
-    common(sp, "--indicator", "--format", "--long")
+    common(sp, "--format", "--long")
     sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("table1", help="root-location table as CSV")
@@ -333,14 +317,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SieveRangeError as exc:
+    except (UsageError, SieveRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

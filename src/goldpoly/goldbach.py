@@ -4,12 +4,13 @@ The central object is the family F_N(z) = sum_k (sum_n chi(n) z^(k n))^2,
 where chi is the odd-prime indicator (pluggable: any 0/1 indicator works,
 the Liouville-negative set is built in).  This module builds F_N exactly
 from the indicator's pair sums, one autocorrelation by ``modp.convolve``
-spread over the exponent steps k.  It checks the cyclotomic divisibility
-statements and the root-of-unity lower bounds from one set of remainders
-F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``) and one
-pair-count table per N.  It evaluates the coefficient formulas and their
-stabilized limits, and computes the summatory quantities with their
-asymptotic comparisons.
+spread over the exponent steps k.  ``theorem_reports`` checks the
+cyclotomic divisibility statements, the even symmetry and the
+root-of-unity lower bounds for the odd-prime F_N from one set of
+remainders F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``)
+and one pair-count table per N.  It evaluates the coefficient formulas
+and their stabilized limits, and computes the summatory quantities with
+their asymptotic comparisons.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import arith, modp
 from .arith import PrimeTable
-from .poly import IntPolynomial, remainder_mod_cyclotomic, substitute_negate
+from .poly import IntPolynomial, remainder_mod_cyclotomic
 
 
 class NonConstantRemainderError(ArithmeticError):
@@ -192,7 +193,8 @@ def stable_coefficient(m: int, table: PrimeTable) -> int:
     """Limit coefficient a(m) = sum of pair counts over divisors of m."""
     if m < 1:
         raise ValueError("m must be positive")
-    return sum(arith.goldbach_count(d, table) for d in arith.divisors(m))
+    counts = arith.goldbach_count_table(m, table)
+    return sum(int(counts[d]) for d in arith.divisors(m))
 
 
 def stable_coefficient_table(limit: int, table: PrimeTable,
@@ -220,22 +222,19 @@ def cyclotomic_remainders(N: int, F: IntPolynomial) -> dict[int, IntPolynomial]:
     return rems
 
 
-def verify_divisibility(N: int, table: PrimeTable,
-                        remainders: dict[int, IntPolynomial] | None = None
-                        ) -> TheoremReport:
+def verify_divisibility(N: int, counts: np.ndarray,
+                        remainders: dict[int, IntPolynomial]) -> TheoremReport:
     """Check the cyclotomic divisibility facts for one N.
 
     (a) Phi_2N | F_N unconditionally; (b) Phi_N | F_N iff the pair count
     vanishes; (c) for N = 2M with M odd, Phi_M | F_N iff Phi_N | F_N;
     (d) any cyclotomic divisor Phi_M with M | N forces a vanishing pair
-    count (checked for N > 4).  ``remainders`` are those of
-    ``cyclotomic_remainders``; without them F_N is built here.
+    count (checked for N > 4).  ``counts`` is a pair-count table reaching
+    at least N, and ``remainders`` are those of ``cyclotomic_remainders``.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if remainders is None:
-        remainders = cyclotomic_remainders(N, goldbach_polynomial(N, table))
-    pair_count = arith.goldbach_count(N, table)
+    pair_count = int(counts[N])
     rem_by_M = {M: rem.is_zero for M, rem in remainders.items()}
 
     checks = {
@@ -257,11 +256,11 @@ def verify_divisibility(N: int, table: PrimeTable,
 
 def symmetry_report(N: int, F: IntPolynomial) -> TheoremReport:
     """F_N(z) = F_N(-z); for the odd-prime indicator all exponents are even."""
-    even_sub = substitute_negate(F) == F
-    even_support = F.is_even()
+    # F(-z) = F(z) exactly when every odd coefficient vanishes
+    even = F.is_even()
     return TheoremReport(
-        "even_symmetry", N, even_sub,
-        witness={"substitution_fixed": even_sub, "support_even": even_support},
+        "even_symmetry", N, even,
+        witness={"substitution_fixed": even, "support_even": even},
     )
 
 
@@ -283,26 +282,23 @@ def eval_at_root_of_unity(F: IntPolynomial, M: int) -> int:
     return _constant_value(remainder_mod_cyclotomic(F, M), M)
 
 
-def root_bounds_report(N: int, table: PrimeTable,
-                       remainders: dict[int, IntPolynomial] | None = None
-                       ) -> TheoremReport:
+def root_bounds_report(N: int, counts: np.ndarray,
+                       remainders: dict[int, IntPolynomial]) -> TheoremReport:
     """Lower bounds for F_N at primitive M-th roots of unity, M | N.
 
     For N > 4: odd M gives F_N(zeta_M) >= N * sum of pair counts R(2nM)
     for n <= floor(N/2M); even M gives the analogous bound over R(nM),
     n <= N/M.  Both imply F_N(zeta_M) >= N*R(N), with equality at M = N
     and (observed, flagged if violated) at odd M with N = 2M.  Every R
-    argument is at most N, so one pair-count table serves all M.
-    ``remainders`` are those of ``cyclotomic_remainders``; without them
-    F_N is built here.
+    argument is at most N, so only ``counts[: N + 1]`` is read, whatever
+    the table's length.  ``remainders`` are those of
+    ``cyclotomic_remainders``.
     """
-    if remainders is None:
-        remainders = cyclotomic_remainders(N, goldbach_polynomial(N, table))
-    counts = arith.goldbach_count_table(N, table)
+    counts = counts[: N + 1]
     pair_count = int(counts[N])
     per_divisor = {}
     holds = True
-    for M in arith.divisors(N, table):
+    for M in arith.divisors(N):
         value = _constant_value(remainders[M], M)
         entry = {"value": value}
         if N > 4:
@@ -325,6 +321,20 @@ def root_bounds_report(N: int, table: PrimeTable,
                                   "per_divisor": per_divisor})
 
 
+def theorem_reports(N: int, table: PrimeTable) -> list[TheoremReport]:
+    """The divisibility, symmetry and root-of-unity reports for the
+    odd-prime F_N, from one F_N, one set of cyclotomic remainders and one
+    pair-count table up to N."""
+    F = goldbach_polynomial(N, table)
+    remainders = cyclotomic_remainders(N, F)
+    counts = arith.goldbach_count_table(N, table)
+    return [
+        verify_divisibility(N, counts, remainders),
+        symmetry_report(N, F),
+        root_bounds_report(N, counts, remainders),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Coefficient lower bounds
 # ---------------------------------------------------------------------------
@@ -340,14 +350,15 @@ def lower_bound_report(m: int, table: PrimeTable) -> TheoremReport:
     """
     if m <= 1:
         raise ValueError("m must be > 1")
-    a2m = stable_coefficient(2 * m, table)
+    counts = arith.goldbach_count_table(2 * m, table)
+    a2m = sum(int(counts[d]) for d in arith.divisors(2 * m, table))
     om = arith.omega(m, table)
     unc_rhs = om - (1 if m % 4 == 2 else 0)
     unconditional_ok = a2m >= unc_rhs
 
     divs = arith.divisors(m, table)
     unverified = [d for d in divs if d not in (1, 2)
-                  and arith.goldbach_count(2 * d, table) == 0]
+                  and counts[2 * d] == 0]
     tau_m = len(divs)
     cond_rhs = tau_m - (2 if m % 2 == 0 else 1)
     conditional_ok = a2m >= cond_rhs if not unverified else None

@@ -105,10 +105,6 @@ def from_coeffs(coeffs, p: int) -> np.ndarray:
     return trim(np.array([c % p for c in coeffs], dtype=np.int64))
 
 
-def degree(a: np.ndarray) -> int:
-    return len(a) - 1
-
-
 def add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if len(a) < len(b):
         a, b = b, a

@@ -105,12 +105,31 @@ def goldbach_polynomial_by_pairs(N: int, source) -> IntPolynomial:
     return IntPolynomial(acc)
 
 
+def goldbach_count(N: int, table) -> int:
+    """Number of ordered pairs (p, q) of odd primes with p + q = N, by a
+    scalar loop over the odd primes below N."""
+    if not 1 <= N <= table.limit:
+        raise ValueError(f"N={N} outside sieve range")
+    if N < 6 or N & 1:
+        return 0
+    count = 0
+    for p in map(int, table.odd_primes_upto(N - 3)):
+        if table.is_odd_prime(N - p):
+            count += 1
+    return count
+
+
+def stable_coefficient_by_scalar_counts(m: int, table) -> int:
+    """a(m) as the sum of scalar pair counts over the divisors of m."""
+    return sum(goldbach_count(d, table) for d in arith.divisors(m))
+
+
 def root_bound_by_scalar_counts(N: int, M: int, table) -> int:
     """The lower bound for F_N at a primitive M-th root of unity, M | N, as a
     sum of scalar pair counts: N * sum of R(2nM) over n <= N/2M for odd M,
     N * sum of R(nM) over n <= N/M for even M."""
     if M % 2:
-        return N * sum(arith.goldbach_count(2 * n * M, table)
+        return N * sum(goldbach_count(2 * n * M, table)
                        for n in range(1, N // (2 * M) + 1))
-    return N * sum(arith.goldbach_count(n * M, table)
+    return N * sum(goldbach_count(n * M, table)
                    for n in range(1, N // M + 1))

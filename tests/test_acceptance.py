@@ -91,12 +91,13 @@ def test_c3_theorem_suite(table):
     for N in range(2, 121):
         F = goldbach_polynomial(N, table)
         remainders = goldbach.cyclotomic_remainders(N, F)
-        rep = goldbach.verify_divisibility(N, table, remainders)
+        counts = arith.goldbach_count_table(N, table)
+        rep = goldbach.verify_divisibility(N, counts, remainders)
         if not rep.holds:
             failures.append((N, "divisibility"))
         if substitute_negate(F) != F:
             failures.append((N, "symmetry"))
-        bounds = goldbach.root_bounds_report(N, table, remainders)
+        bounds = goldbach.root_bounds_report(N, counts, remainders)
         if not bounds.holds:
             failures.append((N, "bounds"))
     elapsed = time.perf_counter() - start

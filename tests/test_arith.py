@@ -7,7 +7,7 @@ import pytest
 from goldpoly import arith
 from goldpoly.arith import PrimeTable, SieveRangeError
 
-from oracles import big_int_pair_counts, decimal_pair_counts
+from oracles import big_int_pair_counts, decimal_pair_counts, goldbach_count
 
 
 def brute_is_prime(n):
@@ -76,20 +76,22 @@ class TestIndicator:
 
 class TestPairCounts:
     def test_odd_numbers_have_none(self, small_table):
-        assert arith.goldbach_count(7, small_table) == 0
+        counts = arith.goldbach_count_table(400, small_table)
+        assert counts[7] == goldbach_count(7, small_table) == 0
         for n in range(1, 400, 2):
-            assert arith.goldbach_count(n, small_table) == 0
+            assert counts[n] == goldbach_count(n, small_table) == 0
 
     def test_small_values_by_enumeration(self, small_table):
-        assert arith.goldbach_count(6, small_table) == brute_pair_count(6) == 1
-        assert arith.goldbach_count(10, small_table) == brute_pair_count(10) == 3
+        counts = arith.goldbach_count_table(120, small_table)
+        assert counts[6] == goldbach_count(6, small_table) == brute_pair_count(6) == 1
+        assert counts[10] == goldbach_count(10, small_table) == brute_pair_count(10) == 3
         for n in range(4, 120):
-            assert arith.goldbach_count(n, small_table) == brute_pair_count(n)
+            assert counts[n] == goldbach_count(n, small_table) == brute_pair_count(n)
 
     def test_bulk_table_matches_scalar(self, small_table):
         counts = arith.goldbach_count_table(500, small_table)
         for n in range(1, 501):
-            assert counts[n] == arith.goldbach_count(n, small_table)
+            assert counts[n] == goldbach_count(n, small_table)
 
     def test_every_even_in_range_has_a_pair(self, table, pair_counts):
         evens = np.arange(6, 200_001, 2)

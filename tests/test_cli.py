@@ -80,23 +80,24 @@ class TestVerify:
     def test_computes_each_remainder_and_pair_count_once(self, capsys,
                                                          monkeypatch):
         calls = Counter()
-        fold, count = goldbach.remainder_mod_cyclotomic, arith.goldbach_count
+        fold, count = goldbach.remainder_mod_cyclotomic, arith.goldbach_count_table
 
         def counted_fold(a, M):
             calls["fold"] += 1
             return fold(a, M)
 
-        def counted_count(N, table):
+        def counted_count(limit, table):
             calls["count"] += 1
-            return count(N, table)
+            return count(limit, table)
 
         monkeypatch.setattr(goldbach, "remainder_mod_cyclotomic", counted_fold)
-        monkeypatch.setattr(arith, "goldbach_count", counted_count)
+        monkeypatch.setattr(arith, "goldbach_count_table", counted_count)
         code, _, _ = run(capsys, "verify", "--n-max", "12")
         assert code == 0
-        # one fold per M | N and one for M = 2N, for N = 2..12
+        # one fold per M | N and one for M = 2N, one pair-count table per N,
+        # for N = 2..12
         assert calls["fold"] == 45
-        assert calls["count"] <= 11
+        assert calls["count"] == 11
 
     def test_jobs_equivalence(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "1")
@@ -233,6 +234,7 @@ class TestUsage:
         ["summatory", "--format", "json"],
         ["coeffs", "--long"],
         ["construct", "6", "--strict"],
+        ["verify", "--indicator", "liouville"],
     ])
     def test_flag_the_command_ignores_is_usage_error(self, capsys, argv):
         code, out, _ = run(capsys, *argv)

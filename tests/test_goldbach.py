@@ -12,10 +12,16 @@ from goldpoly.goldbach import (
     eval_at_root_of_unity,
     goldbach_polynomial,
     stable_coefficient,
+    theorem_reports,
 )
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
-from oracles import goldbach_polynomial_by_pairs, root_bound_by_scalar_counts
+from oracles import (
+    goldbach_count,
+    goldbach_polynomial_by_pairs,
+    root_bound_by_scalar_counts,
+    stable_coefficient_by_scalar_counts,
+)
 from reference_fixtures import QUOTIENTS, quotient_polynomial
 
 
@@ -112,12 +118,13 @@ class TestStableCoefficients:
     def test_table_matches_scalar(self, small_table):
         tab = goldbach.stable_coefficient_table(300, small_table)
         for m in range(1, 301):
-            assert tab[m] == stable_coefficient(m, small_table)
+            assert tab[m] == stable_coefficient(m, small_table) == \
+                stable_coefficient_by_scalar_counts(m, small_table)
 
 
 class TestDivisibility:
     def test_N6(self, small_table):
-        rep = goldbach.verify_divisibility(6, small_table)
+        rep = theorem_reports(6, small_table)[0]
         assert rep.holds
         assert rep.witness["divides"][12] is True
         assert rep.witness["divides"][6] is False
@@ -128,13 +135,13 @@ class TestDivisibility:
         assert divrem_exact(F7, cyclotomic(14))[1].is_zero
 
     def test_N4_edge(self, small_table):
-        rep = goldbach.verify_divisibility(4, small_table)
+        rep = theorem_reports(4, small_table)[0]
         assert rep.holds
         assert rep.witness["divides"][4] is True  # no pairs for 4
 
     def test_range_holds(self, small_table):
         for N in range(2, 41):
-            assert goldbach.verify_divisibility(N, small_table).holds
+            assert theorem_reports(N, small_table)[0].holds
 
     def test_symmetry_reports(self, small_table):
         for N in (2, 6, 13, 30):
@@ -156,21 +163,34 @@ class TestRootOfUnityValues:
 
     def test_bounds_hold_to_forty(self, small_table):
         for N in range(2, 41):
-            assert goldbach.root_bounds_report(N, small_table).holds
+            assert theorem_reports(N, small_table)[2].holds
 
     def test_bounds_match_scalar_sums(self, small_table):
         for N in range(2, 81):
             remainders = goldbach.cyclotomic_remainders(
                 N, goldbach_polynomial(N, small_table))
-            rep = goldbach.root_bounds_report(N, small_table, remainders)
-            assert rep == goldbach.root_bounds_report(N, small_table)
-            assert rep.witness["pair_count"] == arith.goldbach_count(N, small_table)
+            counts = arith.goldbach_count_table(N, small_table)
+            rep = goldbach.root_bounds_report(N, counts, remainders)
+            assert rep == theorem_reports(N, small_table)[2]
+            assert rep.witness["pair_count"] == goldbach_count(N, small_table)
             for M, entry in rep.witness["per_divisor"].items():
                 if N > 4:
                     assert entry["bound"] == root_bound_by_scalar_counts(
                         N, M, small_table)
                 else:
                     assert "bound" not in entry
+
+    def test_longer_table_gives_same_reports(self, small_table):
+        # R(n) for n > N must not reach any bound
+        for N in range(2, 61):
+            remainders = goldbach.cyclotomic_remainders(
+                N, goldbach_polynomial(N, small_table))
+            exact = arith.goldbach_count_table(N, small_table)
+            longer = arith.goldbach_count_table(2 * N, small_table)
+            for report in (goldbach.verify_divisibility,
+                           goldbach.root_bounds_report):
+                assert report(N, longer, remainders) == \
+                    report(N, exact, remainders)
 
 
 class TestLowerBounds:
@@ -191,6 +211,15 @@ class TestLowerBounds:
         for m in (3, 5, 11, 31):
             rep = goldbach.lower_bound_report(m, small_table)
             assert rep.witness["omega_bound"] == rep.witness["tau_bound"] == 1
+
+    def test_matches_scalar_counts(self, small_table):
+        for m in range(2, 301):
+            rep = goldbach.lower_bound_report(m, small_table)
+            assert rep.witness["a_2m"] == \
+                stable_coefficient_by_scalar_counts(2 * m, small_table)
+            assert rep.witness["unverified_divisors"] == [
+                d for d in arith.divisors(m) if d not in (1, 2)
+                and goldbach_count(2 * d, small_table) == 0]
 
     def test_rejects_m1(self, small_table):
         with pytest.raises(ValueError):
@@ -280,7 +309,7 @@ class TestIndicators:
 
 class TestReports:
     def test_json_shape(self, small_table):
-        rep = goldbach.verify_divisibility(6, small_table)
+        rep = theorem_reports(6, small_table)[0]
         d = rep.to_json_dict()
         assert d["theorem_id"] == "divisibility"
         assert d["N"] == 6 and d["holds"] is True
