@@ -117,7 +117,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else (120 if args.long_mode else 50)
     if n_max < 2:
         raise UsageError("--n-max must be >= 2")
-    limit = _resolve_sieve_limit(args, max(16, 2 * n_max))
+    limit = _resolve_sieve_limit(args, max(16, n_max))
     items = [(N, limit) for N in range(2, n_max + 1)]
     all_reports = _map_jobs(_verify_one, items, args.jobs)
     failures = 0

@@ -5,12 +5,36 @@ product of some sub-multiset of the mod-p irreducible factors, so its
 degree lies in the subset-sum closure of the mod-p degree pattern.
 Intersecting those closures across primes can empty the set of possible
 proper-factor degrees, certifying irreducibility; it can never falsely
-certify.  Patterns come from distinct-degree factorization (degrees only,
-no equal-degree splitting needed).
+certify.  Patterns come from distinct-degree factorization (DDF: degrees
+only, no equal-degree splitting needed), which also yields each
+component G_d, the product of the degree-d factors.
+
+Every Goldbach quotient q is even, q(z) = g(z^2), so ``certify_even``
+runs the intersection on g, at half the degree, and lifts the verdict to
+q without any DDF of q.  Let g be irreducible with root b.  By Capelli's
+lemma g(z^2) is irreducible unless b is a square in Q(b), which forces
+the norm of b, of square class (-1)^deg g * g(0) * lc(g), to be a
+rational square.
+
+- Even N: deg g is odd, g(0) > 0 and lc(g) = 1, so that class is
+  negative and q is irreducible.
+- Odd N: the norm is a square, and what is left to rule out is
+  q = +-h(z)h(-z).  Take a used prime p with p not dividing g(0), so
+  that q is squarefree mod p.  Suppose some component G_d of g mod p has
+  Legendre symbol ((-1)^deg G_d * G_d(0) | p) = -1.  That symbol is the
+  product over the factors u of G_d of ((-1)^d u(0) | p), the quadratic
+  character of the norm of a root c of u, and c is a square in F_{p^d}
+  iff its norm is a square in F_p.  So some u has a non-square root,
+  and u(z^2) is irreducible mod p.  Being even, u(z^2) would divide both
+  h(z) and h(-z) mod p, and q mod p would not be squarefree.
+
+When g is not certified, or no used prime passes that test, q itself goes
+through the intersection, so a verdict is never forced.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,10 +49,13 @@ from .poly import (
     cyclotomic,
     divrem_exact,
     exact_quotient_or_none,
+    gcd_rational,
     multiply,
 )
 
 _DDF_BLOCK = 8
+# first prime tried by the pattern intersection
+_PRIME_START = 101
 
 
 class BadPrimeError(RuntimeError):
@@ -65,6 +92,19 @@ class FactorCertificate:
         return out
 
 
+class DegreePattern(list):
+    """Sorted irreducible factor degrees of a squarefree polynomial over F_p.
+
+    ``components[d]`` is the monic product of its degree-d factors, so the
+    components multiply to the monic polynomial.
+    """
+
+    def __init__(self, components: dict[int, np.ndarray]):
+        super().__init__(sorted(d for d, gd in components.items()
+                                for _ in range((len(gd) - 1) // d)))
+        self.components = components
+
+
 # ---------------------------------------------------------------------------
 # Reduction and distinct-degree patterns
 # ---------------------------------------------------------------------------
@@ -78,13 +118,14 @@ def reduce_mod_p(f: IntPolynomial, p: int) -> np.ndarray:
     return modp.from_coeffs(f.coeffs, p)
 
 
-def distinct_degree_pattern(fp: np.ndarray, p: int) -> list[int]:
+def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
     """Multiset of irreducible factor degrees of squarefree fp over F_p.
 
     Iterates h -> h^p mod fp starting from h = z; the gcd of the
     remaining cofactor with h - z after d steps collects all factors of
-    degree d.  gcds are batched in blocks and unpacked only when a block
-    hits.  Raises BadPrimeError when fp is not squarefree.
+    degree d, kept as the component of degree d.  gcds are batched in
+    blocks and unpacked only when a block hits.  Raises BadPrimeError when
+    fp is not squarefree.
     """
     fp = modp.monic(modp.trim(fp), p)
     n = len(fp) - 1
@@ -94,14 +135,14 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> list[int]:
         raise BadPrimeError(f"not squarefree mod {p}")
     ctx = modp.ModulusContext(fp, p)
     z_poly = np.array([0, 1], dtype=np.int64)
-    degrees: list[int] = []
+    components: dict[int, np.ndarray] = {}
     rem = fp
     h = z_poly
     d = 0
     while len(rem) - 1 > 0:
         rdeg = len(rem) - 1
         if 2 * (d + 1) > rdeg:
-            degrees.append(rdeg)
+            components[rdeg] = rem
             rem = np.array([1], dtype=np.int64)
             break
         if rdeg >= 2 and 2 * rdeg < len(ctx.f) - 1:
@@ -125,14 +166,15 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> list[int]:
                 if deg_gd > 0:
                     if deg_gd % dd:
                         raise AssertionError("degree pattern inconsistency")
-                    degrees.extend([dd] * (deg_gd // dd))
+                    components[dd] = gd
                     g, g_rem = modp.divmod_poly(g, gd, p)
                     rem, r_rem = modp.divmod_poly(rem, gd, p)
                     if len(g_rem) or len(r_rem):
                         raise AssertionError("inexact split in pattern")
-    if sum(degrees) != n:
+    pattern = DegreePattern(components)
+    if sum(pattern) != n:
         raise AssertionError("pattern degrees do not sum to the degree")
-    return sorted(degrees)
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +227,44 @@ def _subset_sum_mask(pattern: list[int]) -> int:
     return mask
 
 
+def _intersect_patterns(f: IntPolynomial, max_primes: int, prime_start: int,
+                        accept=None) -> FactorCertificate:
+    """Pattern intersection for f over its first usable primes >= prime_start.
+
+    Bad primes are skipped and not counted.  Irreducible once no proper
+    factor degree survives and, when ``accept`` is given, accept(p, pattern)
+    has held at some used prime; Unresolved with the surviving degree set
+    when ``max_primes`` primes do not get there, or at once when f is not
+    squarefree, since then every prime is bad.
+    """
+    n = f.degree
+    surviving = (1 << (n + 1)) - 1
+    proper_mask = surviving & ~(1 | (1 << n))
+    accepted = accept is None
+    squarefree = None
+    primes_used: list[int] = []
+    schedule = filter(arith.is_prime, itertools.count(prime_start | 1, 2))
+    while len(primes_used) < max_primes:
+        p = next(schedule)
+        try:
+            pattern = distinct_degree_pattern(reduce_mod_p(f, p), p)
+        except BadPrimeError:
+            if squarefree is None:
+                squarefree = gcd_rational(f, f.derivative()).degree == 0
+            if not squarefree:
+                break
+            continue
+        primes_used.append(p)
+        surviving &= _subset_sum_mask(pattern)
+        accepted = accepted or accept(p, pattern)
+        if surviving & proper_mask == 0 and accepted:
+            return FactorCertificate("Irreducible", n, primes_used, ())
+    remaining = tuple(d for d in range(1, n) if surviving >> d & 1)
+    return FactorCertificate("Unresolved", n, primes_used, remaining)
+
+
 def certify_irreducible(f: IntPolynomial, max_primes: int = 12,
-                        prime_start: int = 101) -> FactorCertificate:
+                        prime_start: int = _PRIME_START) -> FactorCertificate:
     """Degree-pattern certificate for primitive f of degree >= 1.
 
     Uses the first ``max_primes`` usable primes >= ``prime_start`` (bad
@@ -209,24 +287,46 @@ def certify_irreducible(f: IntPolynomial, max_primes: int = 12,
             raise AssertionError("screen witness does not divide")
         return FactorCertificate("Reducible", n, [], tuple(range(1, n)),
                                  witness_factor=wit)
+    return _intersect_patterns(f, max_primes, prime_start)
 
-    surviving = (1 << (n + 1)) - 1
-    proper_mask = surviving & ~(1 | (1 << n))
-    primes_used: list[int] = []
-    schedule = filter(arith.is_prime, itertools.count(prime_start | 1, 2))
-    while len(primes_used) < max_primes:
-        p = next(schedule)
-        try:
-            fp = reduce_mod_p(f, p)
-            pattern = distinct_degree_pattern(fp, p)
-        except BadPrimeError:
-            continue
-        primes_used.append(p)
-        surviving &= _subset_sum_mask(pattern)
-        if surviving & proper_mask == 0:
-            return FactorCertificate("Irreducible", n, primes_used, ())
-    remaining = tuple(d for d in range(1, n) if surviving >> d & 1)
-    return FactorCertificate("Unresolved", n, primes_used, remaining)
+
+def excludes_mirror_split(g: IntPolynomial, p: int,
+                          pattern: DegreePattern) -> bool:
+    """True when the DDF of g mod p rules out g(z^2) = +-h(z)h(-z).
+
+    Needs p not dividing g(0), so that g(z^2) is squarefree mod p, and
+    some component G_d with ((-1)^deg G_d * G_d(0) | p) = -1; the module
+    docstring gives the proof.
+    """
+    if g[0] % p == 0:
+        return False
+    half = (p - 1) // 2
+    return any(pow((-1) ** (len(gd) - 1) * int(gd[0]), half, p) == p - 1
+               for gd in pattern.components.values())
+
+
+def certify_even(q: IntPolynomial, max_primes: int = 12) -> FactorCertificate:
+    """Certificate for a primitive even q(z) = g(z^2) from the DDF of g.
+
+    Certifies g by pattern intersection and lifts the verdict to q: at
+    once when the norm class (-1)^deg g * g(0) * lc(g) is not a square,
+    otherwise only after ``excludes_mirror_split`` held at a used prime.
+    If neither happens within ``max_primes`` primes, the certificate is
+    ``certify_irreducible(q)``.  Degree and verdict refer to q.
+    """
+    if q.degree < 2 or not q.is_even():
+        raise ValueError("certify_even expects an even polynomial of degree >= 2")
+    if abs(q.content()) != 1:
+        raise ValueError("certify_even expects a primitive polynomial")
+    g = q.even_part()
+    norm = (-1) ** g.degree * g[0] * g.lead
+    accept = None
+    if norm >= 0 and math.isqrt(norm) ** 2 == norm:
+        accept = functools.partial(excludes_mirror_split, g)
+    cert = _intersect_patterns(g, max_primes, _PRIME_START, accept)
+    if cert.verdict != "Irreducible":
+        return certify_irreducible(q, max_primes)
+    return FactorCertificate("Irreducible", q.degree, cert.primes_used, ())
 
 
 def certify_goldbach_quotient(N: int, table: PrimeTable,
@@ -236,7 +336,8 @@ def certify_goldbach_quotient(N: int, table: PrimeTable,
 
     Even N: F_N / Phi_2N.  Odd N: F_N / (Phi_N * Phi_2N).  The division
     must be exact; a nonzero remainder would falsify the divisibility
-    theorems and raises immediately.
+    theorems and raises immediately.  The quotient is even and goes
+    through ``certify_even``.
     """
     if N <= 5:
         raise ValueError("quotient certification is defined for N > 5")
@@ -248,6 +349,6 @@ def certify_goldbach_quotient(N: int, table: PrimeTable,
     quotient, rem = divrem_exact(F, divisor)
     if not rem.is_zero:
         raise ArithmeticError(f"cyclotomic quotient inexact at N={N}")
-    cert = certify_irreducible(quotient, max_primes=max_primes)
+    cert = certify_even(quotient, max_primes=max_primes)
     cert.N = N
     return cert

@@ -245,9 +245,35 @@ def test_c8_soundness_products(table):
         done += 1
         if factor.certify_irreducible(prod, max_primes=3).verdict == "Irreducible":
             falsely_certified += 1
+    # even polynomials q(z) = g(z^2) through the half-degree lift: mirror
+    # products h(z)h(-z), whose half g has a square norm and is usually
+    # irreducible, and g(z^2) with g a product
+    rng = np.random.default_rng(98)
+    even_done = 0
+    halves_irreducible = 0
+    while even_done < 200:
+        a = IntPolynomial(rng.integers(-9, 10, int(rng.integers(2, 8))).tolist())
+        if a.degree < 1 or a[0] == 0:
+            continue
+        if even_done % 2 == 0:
+            q = multiply(a, substitute_negate(a)).primitive_part()
+            if factor.certify_irreducible(
+                    q.even_part(), max_primes=3).verdict == "Irreducible":
+                halves_irreducible += 1
+        else:
+            b = IntPolynomial(rng.integers(-9, 10, int(rng.integers(2, 6))).tolist())
+            if b.degree < 1:
+                continue
+            g = multiply(a, b).primitive_part()
+            q = IntPolynomial(tuple(c for x in g.coeffs for c in (x, 0))[:-1])
+        even_done += 1
+        if factor.certify_even(q, max_primes=3).verdict == "Irreducible":
+            falsely_certified += 1
     elapsed = time.perf_counter() - start
-    _report("8b", "soundness on 200 products", falsely_certified == 0,
-            f"{elapsed:.1f}s; falsely_certified={falsely_certified}")
+    _report("8b", "soundness on 200 products and 200 even products",
+            falsely_certified == 0 and halves_irreducible >= 50,
+            f"{elapsed:.1f}s; falsely_certified={falsely_certified}, "
+            f"irreducible mirror halves={halves_irreducible}/100")
 
 
 @requires_long

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from goldpoly import arith, cli, goldbach, roots
+from goldpoly import arith, cli, factor, goldbach, roots
 from goldpoly.poly import from_text
 
 from reference_fixtures import quotient_polynomial
@@ -103,6 +103,20 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "1")
         _, out2, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "2")
         assert out1 == out2
+
+    def test_sieve_limit_needs_only_n_max(self, capsys):
+        # every report reads primes and pair counts up to N only
+        code, out, _ = run(capsys, "verify", "--n-max", "50")
+        assert code == 0
+        code, out_60, _ = run(capsys, "verify", "--n-max", "50",
+                              "--sieve-limit", "60")
+        assert code == 0
+        assert out_60 == out
+        code, out_40, err = run(capsys, "verify", "--n-max", "50",
+                                "--sieve-limit", "40")
+        assert code == 2
+        assert out_40 == ""
+        assert "sieve-limit" in err
 
 
 class TestTable1:
@@ -204,6 +218,21 @@ class TestIrreducible:
             return rows
 
         assert strip_timing(out1) == strip_timing(out2)
+
+    def test_factors_only_half_degree_polynomials(self, capsys, monkeypatch):
+        # each quotient q(z) = g(z^2) is certified from the DDF of g
+        seen = Counter()
+        ddf = factor.distinct_degree_pattern
+
+        def counted(fp, p):
+            seen[len(fp) - 1] += 1
+            return ddf(fp, p)
+
+        monkeypatch.setattr(factor, "distinct_degree_pattern", counted)
+        code, out, _ = run(capsys, "irreducible", "--n-max", "12")
+        assert code == 0
+        degrees = [json.loads(line)["degree"] for line in out.splitlines()]
+        assert set(seen) == {d // 2 for d in degrees}
 
 
 class TestIndicatorFlag:

@@ -4,13 +4,16 @@ import pytest
 from goldpoly import factor, modp
 from goldpoly.factor import (
     BadPrimeError,
+    certify_even,
     certify_goldbach_quotient,
     certify_irreducible,
     distinct_degree_pattern,
+    excludes_mirror_split,
     linear_root_screen,
     reduce_mod_p,
 )
-from goldpoly.poly import IntPolynomial, cyclotomic, multiply
+from goldpoly.goldbach import goldbach_polynomial
+from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
 from reference_fixtures import quotient_polynomial
 
@@ -115,6 +118,26 @@ class TestDistinctDegreePattern:
             checked += 1
             assert pattern == brute_pattern(fp)
 
+    @pytest.mark.parametrize("p", [101, 103])
+    def test_components_multiply_back(self, p):
+        rng = np.random.default_rng(p)
+        checked = 0
+        while checked < 30:
+            fp = rng.integers(0, p, int(rng.integers(2, 40))).astype(np.int64)
+            fp[-1] = 1
+            try:
+                pattern = distinct_degree_pattern(fp, p)
+            except BadPrimeError:
+                continue
+            checked += 1
+            prod = np.array([1], dtype=np.int64)
+            for d, gd in pattern.components.items():
+                assert gd[-1] == 1
+                assert len(gd) - 1 == d * pattern.count(d)
+                prod = modp.mul(prod, gd, p)
+            assert set(pattern.components) == set(pattern)
+            assert prod.tolist() == fp.tolist()
+
 
 class TestScreen:
     def test_finds_unit_root(self):
@@ -190,6 +213,14 @@ class TestCertify:
         assert c1.verdict == c2.verdict
         assert c1.surviving_degrees == c2.surviving_degrees
 
+    def test_not_squarefree_is_unresolved(self):
+        # every prime is bad for (z^2 + 1)^2; the search must stop
+        f = multiply(IntPolynomial((1, 0, 1)), IntPolynomial((1, 0, 1)))
+        cert = certify_irreducible(f)
+        assert cert.verdict == "Unresolved"
+        assert cert.primes_used == []
+        assert cert.surviving_degrees == (1, 2, 3)
+
     def test_unresolved_is_possible_and_honest(self):
         # z^4 + 1 factors mod every prime, so degree analysis alone can
         # never certify it; the verdict must be Unresolved, never wrong
@@ -221,3 +252,49 @@ class TestQuotientCertificates:
         assert d["N"] == 7
         assert isinstance(d["primes_used"], list)
         assert d["surviving_degree_set"] == []
+
+
+class TestEvenLift:
+    """q(z) = g(z^2) is certified from g; no split q may come out Irreducible."""
+
+    @pytest.mark.parametrize("g", [
+        IntPolynomial((-4, 1)),          # z^2 - 4 = (z - 2)(z + 2)
+        IntPolynomial((-1, 1, 2, 1)),    # g(z^2) = -(z^3 + z + 1)(-z^3 - z + 1)
+    ])
+    def test_square_norm_splits_never_certified(self, g):
+        assert certify_irreducible(g).verdict == "Irreducible"
+        norm = (-1) ** g.degree * g[0] * g.lead
+        assert norm in (1, 4)
+        q = IntPolynomial(tuple(c for a in g.coeffs for c in (a, 0))[:-1])
+        assert q.even_part() == g
+        cert = certify_even(q)
+        assert cert.verdict != "Irreducible"
+        assert cert.degree == q.degree
+
+    def test_nonsquare_norm_lifts_without_split_test(self):
+        # z^2 + 3: g = z + 3 has norm -3
+        cert = certify_even(IntPolynomial((3, 0, 1)))
+        assert cert.verdict == "Irreducible"
+        assert cert.degree == 2
+
+    def test_rejects_odd_or_imprimitive(self):
+        with pytest.raises(ValueError):
+            certify_even(IntPolynomial((1, 1, 1)))
+        with pytest.raises(ValueError):
+            certify_even(IntPolynomial((2, 0, 4)))
+
+    def test_split_test_fires_for_odd_quotients(self, small_table,
+                                                monkeypatch):
+        # no fallback to certify_irreducible(q): the lift alone must certify
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("fell back to the certificate of q")
+
+        monkeypatch.setattr(factor, "certify_irreducible", no_fallback)
+        for N in range(7, 22, 2):
+            cert = certify_goldbach_quotient(N, small_table)
+            assert cert.verdict == "Irreducible"
+            divisor = multiply(cyclotomic(N), cyclotomic(2 * N))
+            q, _ = divrem_exact(goldbach_polynomial(N, small_table), divisor)
+            g = q.even_part()
+            assert any(excludes_mirror_split(g, p, distinct_degree_pattern(
+                reduce_mod_p(g, p), p)) for p in cert.primes_used)
