@@ -13,7 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from . import __version__, arith, factor, goldbach, roots
+from . import __version__, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
 from .goldbach import IndicatorSet
 from .poly import to_text
@@ -140,12 +140,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # table1
 # ---------------------------------------------------------------------------
 
-def _classify_one(args: tuple) -> tuple:
+def _classify_one(args: tuple) -> tuple[tuple, bool]:
+    """The table1 row for N, and whether it contradicts the 2 phi(N) count.
+
+    An undetermined root leaves the count unproved, not contradicted;
+    --strict reports that case.
+    """
     N, limit, seed = args
     table = _worker_table(limit)
     rc = roots.classify_roots(N, table, seed=_per_n_seed(seed, N))
-    return (rc.N, 2 * arith.euler_phi(N, table), rc.inside, rc.on_circle,
-            rc.outside, rc.undetermined)
+    report = roots.unit_circle_count_report(N, table, classification=rc)
+    row = (rc.N, report.witness["expected_on_circle"], rc.inside,
+           rc.on_circle, rc.outside, rc.undetermined)
+    return row, not report.holds and rc.undetermined == 0
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -154,13 +161,17 @@ def cmd_table1(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be >= 6 (classification needs N > 5)")
     limit = _resolve_sieve_limit(args, max(16, n_max))
     items = [(N, limit, args.seed) for N in range(6, n_max + 1)]
-    rows = _map_jobs(_classify_one, items, args.jobs)
+    results = _map_jobs(_classify_one, items, args.jobs)
     lines = ["N,two_phi_N,inside,on,outside,undetermined"]
     undetermined = 0
-    for row in rows:
+    violations = 0
+    for row, violated in results:
         undetermined += row[5]
+        violations += violated
         lines.append(",".join(str(v) for v in row))
     print("\n".join(lines))
+    if violations:
+        return EXIT_VIOLATION
     if args.strict and undetermined:
         return EXIT_COMPUTE
     return EXIT_OK

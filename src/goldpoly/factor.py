@@ -9,6 +9,16 @@ certify.  Patterns come from distinct-degree factorization (DDF: degrees
 only, no equal-degree splitting needed), which also yields each
 component G_d, the product of the degree-d factors.
 
+DDF iterates the Frobenius map h -> h^p mod f.  Over F_p it is linear,
+(sum h_i z^i)^p = sum h_i z^(p i), so its matrix is Berlekamp's Q, with
+row i equal to z^(p i) mod f.  ``modp.FrobeniusMap`` builds Q once per
+prime (one ``powmod``, then log2(deg f) doublings by row-batched
+products), and each DDF step is then one int64 matrix-vector product
+instead of a ``powmod``.
+That product sums deg f terms below (p - 1)^2, so it is exact while
+deg f * (p - 1)^2 < 2**63; DDF raises ValueError beyond that.  The primes
+used here start at 101, where the bound allows degrees up to about 9e14.
+
 Every Goldbach quotient q is even, q(z) = g(z^2), so ``certify_even``
 runs the intersection on g, at half the degree, and lifts the verdict to
 q without any DDF of q.  Let g be irreducible with root b.  By Capelli's
@@ -123,9 +133,12 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
 
     Iterates h -> h^p mod fp starting from h = z; the gcd of the
     remaining cofactor with h - z after d steps collects all factors of
-    degree d, kept as the component of degree d.  gcds are batched in
-    blocks and unpacked only when a block hits.  Raises BadPrimeError when
-    fp is not squarefree.
+    degree d, kept as the component of degree d.  Each step is one
+    product with the Frobenius matrix of fp (``modp.FrobeniusMap``), built
+    once per call, and all steps run mod fp.  That product is exact in
+    int64 while deg fp * (p - 1)^2 < 2**63; beyond that this raises
+    ValueError.  gcds are batched in blocks and unpacked only when a block
+    hits.  Raises BadPrimeError when fp is not squarefree.
     """
     fp = modp.monic(modp.trim(fp), p)
     n = len(fp) - 1
@@ -134,6 +147,7 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
     if len(modp.gcd(fp, modp.derivative(fp, p), p)) != 1:
         raise BadPrimeError(f"not squarefree mod {p}")
     ctx = modp.ModulusContext(fp, p)
+    frobenius = modp.FrobeniusMap(ctx)
     z_poly = np.array([0, 1], dtype=np.int64)
     components: dict[int, np.ndarray] = {}
     rem = fp
@@ -145,15 +159,11 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
             components[rdeg] = rem
             rem = np.array([1], dtype=np.int64)
             break
-        if rdeg >= 2 and 2 * rdeg < len(ctx.f) - 1:
-            # rebase onto the (much smaller) remaining cofactor
-            ctx = modp.ModulusContext(rem, p)
-            h = modp.divmod_poly(h, rem, p)[1]
         steps = min(_DDF_BLOCK, rdeg // 2 - d)
         block: list[tuple[int, np.ndarray]] = []
         prod = np.array([1], dtype=np.int64)
         for _ in range(steps):
-            h = ctx.powmod(h, p)
+            h = frobenius(h)
             d += 1
             block.append((d, h))
             h_minus_z = modp.sub(h, z_poly, p)

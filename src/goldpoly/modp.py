@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 _EPS = 2.0 ** -52  # twice the unit roundoff of float64
+_BATCH_COEFFS = 2 ** 18  # operand size of one row-batched product
 
 
 def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> float:
@@ -39,43 +40,51 @@ def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> floa
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution of two integer arrays.
+    """Exact linear convolution of integer arrays: a 1-D or 2-D ``a`` with 1-D ``b``.
 
     Entries are machine integers, or Python ints of any size and sign in an
-    object array.  The rFFT result is used only when ``fft_error_bound`` is
-    below 1/4, so that rounding recovers every entry; it comes back as
-    int64.  Otherwise the exact packer runs and the result is an object
-    array of Python ints.  ``convolve(a, a)`` transforms ``a`` once.
+    object array.  A 2-D ``a`` is a batch of rows, each convolved with
+    ``b``; the bound below is taken over the whole batch.  The rFFT result
+    is used only when ``fft_error_bound`` is below 1/4, so that rounding
+    recovers every entry; it comes back as int64.  Otherwise the exact
+    packer runs, row by row, and the result is an object array of Python
+    ints.  ``convolve(a, a)`` transforms ``a`` once.
     """
-    la, lb = len(a), len(b)
+    la, lb = a.shape[-1], len(b)
+    batch = a.shape[:-1]
     if la == 0 or lb == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(batch + (0,), dtype=np.int64)
     n = la + lb - 1
     amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
     if amax == 0 or bmax == 0:
-        return np.zeros(n, dtype=np.int64)
+        return np.zeros(batch + (n,), dtype=np.int64)
     length = 1 << (n - 1).bit_length()
     # every entry is at most min(la, lb) * amax * bmax: below 2**53 the
     # float64 copies and the rounded result are exact integers
     if (min(la, lb) * amax * bmax >= 2 ** 53
             or fft_error_bound(la, lb, amax, bmax, length) >= 0.25):
-        return np.array(_kronecker(a.tolist(), b.tolist()), dtype=object)
+        bl = b.tolist()
+        rows = [_kronecker(row, bl) for row in a.reshape(-1, la).tolist()]
+        return np.array(rows, dtype=object).reshape(batch + (n,))
     spec = np.fft.rfft(np.asarray(a, dtype=np.float64), length)
     if b is a:
         spec *= spec
     else:
         spec *= np.fft.rfft(np.asarray(b, dtype=np.float64), length)
-    return np.rint(np.fft.irfft(spec, length)[:n]).astype(np.int64)
+    return np.rint(np.fft.irfft(spec, length)[..., :n]).astype(np.int64)
 
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:
-    """Exact convolution of nonzero sequences by signed Kronecker substitution.
+    """Exact convolution of nonempty sequences by signed Kronecker substitution.
 
     Each entry has |c| <= min(len) * max|a| * max|b| < 2**(bits - 1), with
     bits the limb width, so adding 2**(bits - 1) to every limb of the
-    product makes all limbs nonnegative without carries between them.
+    product makes all limbs nonnegative without carries between them.  The
+    maxima are taken as at least 1, so that the limbs of an all-zero
+    sequence are still wide enough to hold the other one.
     """
-    need = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    need = (min(len(a), len(b)) * max(1, max(map(abs, a)))
+            * max(1, max(map(abs, b))))
     width = need.bit_length() // 8 + 1
     n = len(a) + len(b) - 1
     half = 1 << (8 * width - 1)
@@ -129,7 +138,9 @@ def scale(a: np.ndarray, c: int, p: int) -> np.ndarray:
 
 
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return trim((convolve(a, b) % p).astype(np.int64, copy=False))
+    """a * b over F_p; a 2-D ``a`` gives one untrimmed product row per row."""
+    out = (convolve(a, b) % p).astype(np.int64, copy=False)
+    return trim(out) if out.ndim == 1 else out
 
 
 def monic(a: np.ndarray, p: int) -> np.ndarray:
@@ -218,27 +229,34 @@ class ModulusContext:
         return trim(inv[:m])
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        """a mod f for deg a <= 2 deg f - 2."""
-        a = trim(a)
-        if len(a) <= self.n:
-            return a
-        p = self.p
-        dq = len(a) - 1 - self.n
-        ra = a[::-1]
-        tmp = mul(ra[: dq + 1], self._inv[: dq + 1], p)
+        """a mod f for deg a <= 2 deg f - 2.
+
+        A 2-D ``a`` is a batch of rows, each reduced as a polynomial of
+        formal degree width - 1; the result has width exactly deg f.
+        """
+        batch = a.ndim == 2
+        if not batch:
+            a = trim(a)
+            if len(a) <= self.n:
+                return a
+        p, n = self.p, self.n
+        width = a.shape[-1]
+        out = np.zeros(a.shape[:-1] + (n,), dtype=np.int64)
+        out[..., : min(n, width)] = a[..., :n]
+        if width <= n:
+            return out
+        dq = width - 1 - n
+        tmp = mul(a[..., ::-1][..., : dq + 1], self._inv[: dq + 1], p)
         # pad to exactly dq+1 before reversing: low-order quotient
         # coefficients may be zero and must not be trimmed away
-        q_rev = np.zeros(dq + 1, dtype=np.int64)
-        take = min(len(tmp), dq + 1)
-        q_rev[:take] = tmp[:take]
-        q = trim(q_rev[::-1].copy())
-        low = mul(q, self.f, p)
-        out = np.zeros(self.n, dtype=np.int64)
-        out[: min(self.n, len(a))] = a[: self.n]
-        if len(low):
-            take = min(self.n, len(low))
-            out[:take] = (out[:take] - low[:take]) % p
-        return trim(out)
+        q_rev = np.zeros(a.shape[:-1] + (dq + 1,), dtype=np.int64)
+        take = min(tmp.shape[-1], dq + 1)
+        q_rev[..., :take] = tmp[..., :take]
+        q = q_rev[..., ::-1]
+        low = mul(q if batch else trim(q.copy()), self.f, p)
+        take = min(n, low.shape[-1])
+        out[..., :take] = (out[..., :take] - low[..., :take]) % p
+        return out if batch else trim(out)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.reduce(mul(a, b, self.p))
@@ -254,3 +272,50 @@ class ModulusContext:
             if e:
                 base = self.mulmod(base, base)
         return result
+
+
+class FrobeniusMap:
+    """h -> h^p mod f over F_p as one matrix-vector product.
+
+    Over F_p, (sum h_i z^i)^p = sum h_i z^(p i), so the map is linear and
+    its matrix is Berlekamp's Q, whose row i is z^(p i) mod f (von zur
+    Gathen & Shoup, Comput. Complexity 2, 1992).  The build takes one
+    ``powmod`` for x = z^p mod f and then doubles: rows [k, 2k) are rows
+    [0, k) times x^k mod f, by row-batched ``mul`` and ``reduce``.  Each
+    batch has at most 2**18 coefficients, so up to degree 724 a doubling
+    is one batch, and above it the build's memory stays near that of Q.  The
+    matrix is kept as ``qt`` = Q^T, C-contiguous int64.  A step is an
+    int64 einsum, which numpy runs without BLAS and so without threads;
+    it is exact while n (p - 1)^2 < 2**63, and a larger modulus is
+    rejected with ValueError.
+    """
+
+    def __init__(self, ctx: ModulusContext):
+        n, p = ctx.n, ctx.p
+        if n * (p - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"n (p-1)^2 >= 2^63 at n={n}, p={p}: "
+                             "the int64 Frobenius step would overflow")
+        q = np.zeros((n, n), dtype=np.int64)
+        q[0, 0] = 1
+        xk = ctx.powmod(np.array([0, 1], dtype=np.int64), p)
+        # rows per batched product: transform temporaries stay near
+        # _BATCH_COEFFS entries whatever the degree
+        rows = max(1, _BATCH_COEFFS // n)
+        k = 1
+        while k < n:
+            m = min(k, n - k)
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                q[k + lo:k + hi] = ctx.reduce(mul(q[lo:hi], xk, p))
+            k += m
+            if k < n:
+                xk = ctx.mulmod(xk, xk)
+        self.p = p
+        self.n = n
+        self.qt = np.ascontiguousarray(q.T)
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        """h^p mod f for h of degree < deg f."""
+        v = np.zeros(self.n, dtype=np.int64)
+        v[: len(h)] = h
+        return trim(np.einsum("ji,i->j", self.qt, v) % self.p)

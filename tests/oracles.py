@@ -1,15 +1,18 @@
 """Slow, independent reference algorithms that the library is checked against.
 
-None of them goes through ``modp.convolve``: products are schoolbook loops,
-pair counts the square of one packed big number or scalar loops over
-primes, and F_N a dict of pair sums spread over the exponent steps.
+Except ``ddf_by_powmod``, none of them goes through ``modp.convolve``:
+products are schoolbook loops, pair counts the square of one packed big
+number or scalar loops over primes, and F_N a dict of pair sums spread over
+the exponent steps.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
+``factor.distinct_degree_pattern`` against repeated ``powmod``.
 """
 
 import decimal
 
 import numpy as np
 
-from goldpoly import arith
+from goldpoly import arith, modp
+from goldpoly.factor import BadPrimeError, DegreePattern
 from goldpoly.goldbach import _support
 from goldpoly.poly import IntPolynomial
 
@@ -133,3 +136,46 @@ def root_bound_by_scalar_counts(N: int, M: int, table) -> int:
                        for n in range(1, N // (2 * M) + 1))
     return N * sum(goldbach_count(n * M, table)
                    for n in range(1, N // M + 1))
+
+
+def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
+    """Distinct-degree factorization of squarefree fp over F_p, each step
+    h -> h^p mod fp a ``powmod``, gcds in blocks of 8 steps, and the modulus
+    rebased onto the remaining cofactor once that has shrunk below half the
+    degree."""
+    fp = modp.monic(modp.trim(fp), p)
+    if len(fp) < 2:
+        raise ValueError("need degree >= 1")
+    if len(modp.gcd(fp, modp.derivative(fp, p), p)) != 1:
+        raise BadPrimeError(f"not squarefree mod {p}")
+    ctx = modp.ModulusContext(fp, p)
+    z_poly = np.array([0, 1], dtype=np.int64)
+    components = {}
+    rem = fp
+    h = z_poly
+    d = 0
+    while len(rem) - 1 > 0:
+        rdeg = len(rem) - 1
+        if 2 * (d + 1) > rdeg:
+            components[rdeg] = rem
+            break
+        if rdeg >= 2 and 2 * rdeg < len(ctx.f) - 1:
+            ctx = modp.ModulusContext(rem, p)
+            h = modp.divmod_poly(h, rem, p)[1]
+        hs = []
+        prod = np.array([1], dtype=np.int64)
+        for _ in range(min(8, rdeg // 2 - d)):
+            h = ctx.powmod(h, p)
+            d += 1
+            hs.append((d, h))
+            h_minus_z = modp.sub(h, z_poly, p)
+            prod = ctx.mulmod(prod, h_minus_z) if len(h_minus_z) else h_minus_z
+        g = modp.gcd(rem, prod, p)
+        if len(g) > 1:
+            for dd, hd in hs:
+                gd = modp.gcd(g, modp.sub(hd, z_poly, p), p)
+                if len(gd) > 1:
+                    components[dd] = gd
+                    g = modp.divmod_poly(g, gd, p)[0]
+                    rem = modp.divmod_poly(rem, gd, p)[0]
+    return DegreePattern(components)

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import multiprocessing
 from collections import Counter
 
 import pytest
 
-from goldpoly import arith, cli, factor, goldbach, roots
+from goldpoly import arith, cli, factor, goldbach, modp, roots
 from goldpoly.poly import from_text
 
 from reference_fixtures import quotient_polynomial
@@ -144,6 +145,23 @@ class TestTable1:
         code, _, _ = run(capsys, "table1", "--n-max", "5")
         assert code == 2
 
+    def test_count_mismatch_exits_1(self, capsys, monkeypatch):
+        # a classification with one root moved off the circle contradicts
+        # the 2 phi(N) count; stdout still prints the row as classified
+        classify = roots.classify_roots
+
+        def off_by_one(N, table, **kwargs):
+            rc = classify(N, table, **kwargs)
+            if N == 7:
+                rc = dataclasses.replace(rc, on_circle=rc.on_circle - 1,
+                                         outside=rc.outside + 1)
+            return rc
+
+        monkeypatch.setattr(roots, "classify_roots", off_by_one)
+        code, out, _ = run(capsys, "table1", "--n-max", "8")
+        assert code == 1
+        assert out.strip().splitlines()[2] == "7,12,4,11,45,0"
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_solver_failure_exits_3(self, capsys, monkeypatch, jobs):
         # the patched solver reaches the pool workers only by fork; the
@@ -233,6 +251,28 @@ class TestIrreducible:
         assert code == 0
         degrees = [json.loads(line)["degree"] for line in out.splitlines()]
         assert set(seen) == {d // 2 for d in degrees}
+
+    def test_one_powmod_per_ddf(self, capsys, monkeypatch):
+        # the Frobenius step is a matrix product: the only powmod of a DDF
+        # is the one that builds the matrix
+        calls = Counter()
+        ddf = factor.distinct_degree_pattern
+        powmod = modp.ModulusContext.powmod
+
+        def counted_ddf(fp, p):
+            calls["ddf"] += 1
+            return ddf(fp, p)
+
+        def counted_powmod(self, h, e):
+            calls["powmod"] += 1
+            return powmod(self, h, e)
+
+        monkeypatch.setattr(factor, "distinct_degree_pattern", counted_ddf)
+        monkeypatch.setattr(modp.ModulusContext, "powmod", counted_powmod)
+        code, _, _ = run(capsys, "irreducible", "--n-max", "12")
+        assert code == 0
+        assert calls["ddf"] > 0
+        assert calls["powmod"] == calls["ddf"]
 
 
 class TestIndicatorFlag:

@@ -15,7 +15,25 @@ from goldpoly.factor import (
 from goldpoly.goldbach import goldbach_polynomial
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
+from oracles import ddf_by_powmod
 from reference_fixtures import quotient_polynomial
+
+
+def half_degree_polynomial(N, table):
+    """g with g(z^2) = F_N / Phi_2N (even N) or F_N / (Phi_N Phi_2N) (odd N)."""
+    divisor = cyclotomic(2 * N)
+    if N % 2:
+        divisor = multiply(divisor, cyclotomic(N))
+    q, rem = divrem_exact(goldbach_polynomial(N, table), divisor)
+    assert rem.is_zero
+    return q.even_part()
+
+
+def assert_same_ddf(got, expected):
+    assert list(got) == list(expected)
+    assert sorted(got.components) == sorted(expected.components)
+    for d, gd in expected.components.items():
+        assert got.components[d].tolist() == gd.tolist()
 
 
 class TestReduction:
@@ -137,6 +155,40 @@ class TestDistinctDegreePattern:
                 prod = modp.mul(prod, gd, p)
             assert set(pattern.components) == set(pattern)
             assert prod.tolist() == fp.tolist()
+
+
+class TestFrobeniusMatrixDDF:
+    """The Frobenius-matrix DDF against the powmod loop it replaced."""
+
+    @pytest.mark.parametrize("p", [3, 5, 101, 103, 10007])
+    def test_random_squarefree_inputs(self, p):
+        rng = np.random.default_rng(p)
+        for deg in range(1, 61):
+            while True:
+                fp = rng.integers(0, p, deg + 1).astype(np.int64)
+                fp[-1] = 1
+                try:
+                    expected = ddf_by_powmod(fp, p)
+                except BadPrimeError:
+                    continue
+                break
+            assert_same_ddf(distinct_degree_pattern(fp, p), expected)
+
+    def test_goldbach_half_degree_polynomials(self, small_table):
+        checked = 0
+        for N in range(6, 17):
+            g = half_degree_polynomial(N, small_table)
+            for p in (101, 103, 107, 109, 113):
+                fp = reduce_mod_p(g, p)
+                try:
+                    expected = ddf_by_powmod(fp, p)
+                except BadPrimeError:
+                    with pytest.raises(BadPrimeError):
+                        distinct_degree_pattern(fp, p)
+                    continue
+                assert_same_ddf(distinct_degree_pattern(fp, p), expected)
+                checked += 1
+        assert checked >= 40
 
 
 class TestScreen:
@@ -293,8 +345,6 @@ class TestEvenLift:
         for N in range(7, 22, 2):
             cert = certify_goldbach_quotient(N, small_table)
             assert cert.verdict == "Irreducible"
-            divisor = multiply(cyclotomic(N), cyclotomic(2 * N))
-            q, _ = divrem_exact(goldbach_polynomial(N, small_table), divisor)
-            g = q.even_part()
+            g = half_degree_polynomial(N, small_table)
             assert any(excludes_mirror_split(g, p, distinct_degree_pattern(
                 reduce_mod_p(g, p), p)) for p in cert.primes_used)

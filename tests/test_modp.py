@@ -186,3 +186,88 @@ class TestModulusContext:
         a = np.array([1, 2, 3, 4], dtype=np.int64)
         assert np.array_equal(modp.derivative(a, p),
                               np.array([2, 6, 5], dtype=np.int64))
+
+
+class TestRowBatchedConvolve:
+    @pytest.mark.parametrize("p, fft", [(101, True), (2_147_483_647, False)])
+    def test_rows_match_one_dimensional(self, p, fft):
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, p, (7, 50)).astype(np.int64)
+        a[3] = 0  # a zero row among nonzero ones
+        b = rng.integers(0, p, 33).astype(np.int64)
+        got = modp.convolve(a, b)
+        assert got.shape == (7, 82)
+        assert got.dtype == (np.int64 if fft else object)
+        for row, out in zip(a, got):
+            assert out.tolist() == modp.convolve(row, b).tolist()
+        assert got[3].tolist() == [0] * 82
+
+    def test_batched_reduce_matches_rows(self):
+        rng = np.random.default_rng(9)
+        p = 103
+        n = 30
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        for width in (5, n, 2 * n - 1):
+            a = rng.integers(0, p, (6, width)).astype(np.int64)
+            a[2, width // 2:] = 0  # lower actual degree than the width
+            got = ctx.reduce(a)
+            assert got.shape == (6, n)
+            for row, out in zip(a, got):
+                expected = modp.divmod_poly(row, f, p)[1]
+                assert modp.trim(out).tolist() == expected.tolist()
+
+
+class TestFrobeniusMap:
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 17), (101, 64), (10007, 45)])
+    def test_rows_are_powers_of_z(self, p, n):
+        rng = np.random.default_rng(p + n)
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        frob = modp.FrobeniusMap(ctx)
+        assert frob.qt.shape == (n, n) and frob.qt.dtype == np.int64
+        assert frob.qt.flags.c_contiguous
+        for i in range(n):
+            zi = np.zeros(i + 1, dtype=np.int64)
+            zi[i] = 1
+            assert modp.trim(frob.qt[:, i]).tolist() == ctx.powmod(zi, p).tolist()
+
+    def test_split_batches_give_the_same_matrix(self, monkeypatch):
+        # above 2**18 coefficients a doubling is split into row batches;
+        # shrink the cap so that a small degree takes the same path
+        rng = np.random.default_rng(11)
+        p, n = 101, 50
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        whole = modp.FrobeniusMap(ctx).qt
+        monkeypatch.setattr(modp, "_BATCH_COEFFS", 3 * n)
+        assert np.array_equal(modp.FrobeniusMap(ctx).qt, whole)
+
+    @pytest.mark.parametrize("p", [5, 101, 65_521])
+    def test_step_is_powmod(self, p):
+        rng = np.random.default_rng(p)
+        for n in (2, 9, 40, 131):
+            f = rand_poly(rng, p, n, monic=True)
+            if len(f) < 2:
+                continue
+            ctx = modp.ModulusContext(f, p)
+            frob = modp.FrobeniusMap(ctx)
+            for _ in range(3):
+                h = modp.trim(rng.integers(0, p, len(f) - 1).astype(np.int64))
+                assert frob(h).tolist() == ctx.powmod(h, p).tolist()
+
+    def test_overflow_guard(self):
+        # a step sums n products below (p - 1)^2 in int64: at p = 2^31 - 1
+        # that is exact for n = 2 and rejected from n = 3 on
+        p = 2_147_483_647
+        assert 2 * (p - 1) ** 2 < 2 ** 63 <= 3 * (p - 1) ** 2
+        ctx = modp.ModulusContext(np.array([3, 5, 1], dtype=np.int64), p)
+        frob = modp.FrobeniusMap(ctx)
+        h = np.array([p - 1, p - 1], dtype=np.int64)
+        assert frob(h).tolist() == ctx.powmod(h, p).tolist()
+        with pytest.raises(ValueError):
+            modp.FrobeniusMap(modp.ModulusContext(
+                np.array([3, 5, 7, 1], dtype=np.int64), p))
