@@ -149,7 +149,7 @@ def monic(a: np.ndarray, p: int) -> np.ndarray:
     lead = int(a[-1])
     if lead == 1:
         return a
-    return scale(a, pow(lead, p - 2, p), p)
+    return scale(a, pow(lead, -1, p), p)
 
 
 def divmod_poly(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +161,7 @@ def divmod_poly(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
     db = len(b) - 1
     if len(a) - 1 < db:
         return a[:0], a
-    inv = pow(int(b[-1]), p - 2, p)
+    inv = pow(int(b[-1]), -1, p)
     q = np.zeros(len(a) - db, dtype=np.int64)
     while len(a) >= len(b):
         c = (int(a[-1]) * inv) % p
@@ -180,7 +180,7 @@ def gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     while len(b):
         if len(a) < len(b):
             a, b = b, a
-        inv = pow(int(b[-1]), p - 2, p)
+        inv = pow(int(b[-1]), -1, p)
         while len(a) >= len(b):
             c = (int(a[-1]) * inv) % p
             if c:

@@ -7,6 +7,13 @@ multiplicity) and a residual.  Everything else is classified numerically
 by an Aberth-Ehrlich solver with an escalation ladder for roots landing
 in the epsilon-band around the circle: extended-precision Newton
 refinement first, an honest "undetermined" verdict if that cannot decide.
+
+The solver freezes each approximation once its correction is below
+tolerance, so a sweep evaluates and moves only the points still active,
+while the frozen ones stay in every pairwise Aberth sum.  A sweep takes
+p/p' for all active points in one Horner pass over the coefficients,
+points outside the unit disk through the reversed polynomial at 1/z; the
+backward residual is evaluated once, after the last sweep.
 """
 
 from __future__ import annotations
@@ -62,45 +69,63 @@ class SolveResult:
     max_residual: float
 
 
-def _horner_triple(coeffs: np.ndarray, z: np.ndarray):
-    """Value, derivative value and absolute scale at all points."""
-    v = np.full(z.shape, coeffs[-1], dtype=np.complex128)
-    dv = np.zeros(z.shape, dtype=np.complex128)
-    s = np.full(z.shape, abs(coeffs[-1]), dtype=np.float64)
-    az = np.abs(z)
-    for c in coeffs[-2::-1]:
-        dv = dv * z + v
-        v = v * z + c
-        s = s * az + abs(c)
-    return v, dv, s
-
-
-def _newton_ratio_and_residual(coeffs: np.ndarray, z: np.ndarray):
-    """p(z)/p'(z) and the backward residual |p(z)| / sum |c_i| |z|^i.
+def _newton_ratio(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(z)/p'(z) at every point, value and derivative in one Horner pass.
 
     Points outside the unit disk are evaluated through the reversed
     polynomial at 1/z, which keeps |z|^degree out of the arithmetic and
     cannot overflow at high degree: with q = rev(p) and u = 1/z,
-    p/p' = z*q(u) / (d*q(u) - u*q'(u)) and the residual scales match.
+    p/p' = z*q(u) / (d*q(u) - u*q'(u)).  Both sets share one loop over the
+    coefficients: the inside points fill the front of the work arrays and
+    take c[d-k] at step k, the outside points the back and take c[k].
     """
     d = len(coeffs) - 1
+    outside = np.abs(z) > 1.0
+    i_in = np.flatnonzero(~outside)
+    i_out = np.flatnonzero(outside)
+    n = len(i_in)
     w = np.empty(z.shape, dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.concatenate([z[i_in], 1.0 / z[i_out]])
+        v = np.empty(x.shape, dtype=np.complex128)
+        v[:n] = coeffs[-1]
+        v[n:] = coeffs[0]
+        dv = np.zeros(x.shape, dtype=np.complex128)
+        head, tail = v[:n], v[n:]
+        for c_in, c_out in zip(coeffs[-2::-1].tolist(), coeffs[1:].tolist()):
+            dv *= x
+            dv += v
+            v *= x
+            head += c_in
+            tail += c_out
+        w[i_in] = head / dv[:n]
+        u = x[n:]
+        w[i_out] = z[i_out] * tail / (d * tail - u * dv[n:])
+    return w
+
+
+def _backward_residual(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The backward residual |p(z)| / sum |c_i| |z|^i at every point.
+
+    Points outside the unit disk use the reversed coefficients at 1/z;
+    numerator and denominator both scale by |z|^degree, so the ratio is
+    unchanged and nothing overflows.
+    """
     be = np.empty(z.shape, dtype=np.float64)
     outside = np.abs(z) > 1.0
-    inside = ~outside
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if inside.any():
-            zi = z[inside]
-            v, dv, s = _horner_triple(coeffs, zi)
-            w[inside] = v / dv
-            be[inside] = np.abs(v) / np.maximum(s, 1e-300)
-        if outside.any():
-            zo = z[outside]
-            u = 1.0 / zo
-            qv, dqv, s = _horner_triple(coeffs[::-1], u)
-            w[outside] = zo * qv / (d * qv - u * dqv)
-            be[outside] = np.abs(qv) / np.maximum(s, 1e-300)
-    return w, be
+        for sel, cs, x in ((~outside, coeffs, z[~outside]),
+                           (outside, coeffs[::-1], 1.0 / z[outside])):
+            if not x.size:
+                continue
+            v = np.full(x.shape, cs[-1], dtype=np.complex128)
+            s = np.full(x.shape, abs(cs[-1]), dtype=np.float64)
+            ax = np.abs(x)
+            for cf in cs[-2::-1]:
+                v = v * x + cf
+                s = s * ax + abs(cf)
+            be[sel] = np.abs(v) / np.maximum(s, 1e-300)
+    return be
 
 
 def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
@@ -109,10 +134,17 @@ def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
 
     Start points sit on the circle of radius (|a_0|/|a_d|)^(1/d) with
     golden-angle spacing and seeded 1e-3 radial jitter, so runs are
-    reproducible.  Convergence means every correction fell below tol
-    (relative to 1 + |z|); if the correction test stalls at the rounding
-    floor, a final backward-residual check below 1e-11 still accepts.
-    Roots at the origin are split off exactly first.
+    reproducible.  Each sweep moves only the active points: a point is
+    frozen once its correction falls below tol (relative to 1 + |z|), and
+    the loop ends when none is left.  Frozen points still enter the
+    pairwise Aberth sum of the active ones, so they keep repelling them.
+    A point whose correction is not finite (coincident approximations, a
+    vanishing derivative) is jittered and stays active.  p/p' is taken in
+    one Horner pass over the coefficients (``_newton_ratio``); the
+    backward residual only once, after the loop.  Convergence means every
+    correction fell below tol; if the correction test stalls at the
+    rounding floor, a final backward-residual check below 1e-11 still
+    accepts.  Roots at the origin are split off exactly first.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -134,33 +166,34 @@ def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     angles = _GOLDEN_ANGLE * np.arange(d)
     z = radii * np.exp(1j * angles)
 
-    chunk = max(1, (1 << 22) // max(d, 1))
+    # rows of the pairwise sum per block: at most 2**18 entries, 4 MB
+    chunk = max(1, (1 << 18) // d)
+    active = np.arange(d)
     iterations = 0
     max_corr = math.inf
     for iterations in range(1, max_iter + 1):
-        w, _ = _newton_ratio_and_residual(c, z)
+        za = z[active]
+        w = _newton_ratio(c, za)
+        s = np.empty(len(active), dtype=np.complex128)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.zeros(d, dtype=np.complex128)
-            for i0 in range(0, d, chunk):
-                i1 = min(i0 + chunk, d)
-                diff = z[i0:i1, None] - z[None, :]
-                idx = np.arange(i0, i1)
-                diff[idx - i0, idx] = np.inf
-                s[i0:i1] = (1.0 / diff).sum(axis=1)
+            for i0 in range(0, len(active), chunk):
+                rows = active[i0:i0 + chunk]
+                diff = z[rows, None] - z[None, :]
+                diff[np.arange(len(rows)), rows] = np.inf
+                s[i0:i0 + len(rows)] = np.divide(1.0, diff, out=diff).sum(axis=1)
             corr = w / (1.0 - w * s)
         bad = ~np.isfinite(corr)
         if bad.any():
-            # broken points (coincident approximations, vanishing
-            # derivative) are jittered and keep the sweep unconverged
             corr[bad] = 0.0
-            z[bad] *= 1.0 + 1e-9 * (1.0 + rng.random(int(bad.sum())))
-        z = z - corr
-        max_corr = float((np.abs(corr) / (1.0 + np.abs(z))).max())
-        if bad.any():
-            max_corr = math.inf
-        if max_corr < tol:
+            za[bad] *= 1.0 + 1e-9 * (1.0 + rng.random(int(bad.sum())))
+        za -= corr
+        z[active] = za
+        rel = np.abs(corr) / (1.0 + np.abs(za))
+        max_corr = math.inf if bad.any() else float(rel.max())
+        active = active[bad | (rel >= tol)]
+        if not active.size:
             break
-    resid = _newton_ratio_and_residual(c, z)[1]
+    resid = _backward_residual(c, z)
     max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
     if max_corr >= tol and max_resid > 1e-11:
         raise SolverError("Aberth iteration did not converge",

@@ -5,9 +5,12 @@ products are schoolbook loops, pair counts the square of one packed big
 number or scalar loops over primes, and F_N a dict of pair sums spread over
 the exponent steps.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
 ``factor.distinct_degree_pattern`` against repeated ``powmod``.
+``aberth_all_points`` is the Aberth loop that moves every point on every
+sweep, the reference for the solver that freezes converged points.
 """
 
 import decimal
+import math
 
 import numpy as np
 
@@ -15,6 +18,7 @@ from goldpoly import arith, modp
 from goldpoly.factor import BadPrimeError, DegreePattern
 from goldpoly.goldbach import _support
 from goldpoly.poly import IntPolynomial
+from goldpoly.roots import _GOLDEN_ANGLE, SolveResult, SolverError
 
 
 def school_mul(a, b) -> list:
@@ -179,3 +183,114 @@ def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
                     g = modp.divmod_poly(g, gd, p)[0]
                     rem = modp.divmod_poly(rem, gd, p)[0]
     return DegreePattern(components)
+
+
+def _horner_triple(coeffs: np.ndarray, z: np.ndarray):
+    """Value, derivative value and absolute scale at all points."""
+    v = np.full(z.shape, coeffs[-1], dtype=np.complex128)
+    dv = np.zeros(z.shape, dtype=np.complex128)
+    s = np.full(z.shape, abs(coeffs[-1]), dtype=np.float64)
+    az = np.abs(z)
+    for c in coeffs[-2::-1]:
+        dv = dv * z + v
+        v = v * z + c
+        s = s * az + abs(c)
+    return v, dv, s
+
+
+def _newton_ratio_and_residual(coeffs: np.ndarray, z: np.ndarray):
+    """p(z)/p'(z) and the backward residual |p(z)| / sum |c_i| |z|^i.
+
+    Points outside the unit disk are evaluated through the reversed
+    polynomial at 1/z, which keeps |z|^degree out of the arithmetic and
+    cannot overflow at high degree: with q = rev(p) and u = 1/z,
+    p/p' = z*q(u) / (d*q(u) - u*q'(u)) and the residual scales match.
+    """
+    d = len(coeffs) - 1
+    w = np.empty(z.shape, dtype=np.complex128)
+    be = np.empty(z.shape, dtype=np.float64)
+    outside = np.abs(z) > 1.0
+    inside = ~outside
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if inside.any():
+            zi = z[inside]
+            v, dv, s = _horner_triple(coeffs, zi)
+            w[inside] = v / dv
+            be[inside] = np.abs(v) / np.maximum(s, 1e-300)
+        if outside.any():
+            zo = z[outside]
+            u = 1.0 / zo
+            qv, dqv, s = _horner_triple(coeffs[::-1], u)
+            w[outside] = zo * qv / (d * qv - u * dqv)
+            be[outside] = np.abs(qv) / np.maximum(s, 1e-300)
+    return w, be
+
+
+def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
+                      seed: int = 0) -> SolveResult:
+    """All roots of p by the Aberth-Ehrlich loop that moves every point on
+    every sweep and evaluates value, derivative and residual scale together;
+    the reference for ``roots.aberth_solve``, which freezes converged points.
+
+    Start points sit on the circle of radius (|a_0|/|a_d|)^(1/d) with
+    golden-angle spacing and seeded 1e-3 radial jitter, so runs are
+    reproducible.  Convergence means every correction fell below tol
+    (relative to 1 + |z|); if the correction test stalls at the rounding
+    floor, a final backward-residual check below 1e-11 still accepts.
+    Roots at the origin are split off exactly first.
+    """
+    if p.degree < 1:
+        raise ValueError("need degree >= 1")
+    coeffs = list(p.coeffs)
+    n_zero = 0
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+        n_zero += 1
+    scale = max(abs(c) for c in coeffs)
+    c = np.array([float(x) / scale for x in coeffs], dtype=np.float64)
+    d = len(c) - 1
+    if d == 0:
+        roots = np.zeros(n_zero, dtype=np.complex128)
+        return SolveResult(roots, 0, 0.0, 0.0)
+
+    rng = np.random.default_rng(seed)
+    radius = (abs(c[0]) / abs(c[-1])) ** (1.0 / d)
+    radii = radius * (1.0 + 1e-3 * (2.0 * rng.random(d) - 1.0))
+    angles = _GOLDEN_ANGLE * np.arange(d)
+    z = radii * np.exp(1j * angles)
+
+    chunk = max(1, (1 << 22) // max(d, 1))
+    iterations = 0
+    max_corr = math.inf
+    for iterations in range(1, max_iter + 1):
+        w, _ = _newton_ratio_and_residual(c, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.zeros(d, dtype=np.complex128)
+            for i0 in range(0, d, chunk):
+                i1 = min(i0 + chunk, d)
+                diff = z[i0:i1, None] - z[None, :]
+                idx = np.arange(i0, i1)
+                diff[idx - i0, idx] = np.inf
+                s[i0:i1] = (1.0 / diff).sum(axis=1)
+            corr = w / (1.0 - w * s)
+        bad = ~np.isfinite(corr)
+        if bad.any():
+            # broken points (coincident approximations, vanishing
+            # derivative) are jittered and keep the sweep unconverged
+            corr[bad] = 0.0
+            z[bad] *= 1.0 + 1e-9 * (1.0 + rng.random(int(bad.sum())))
+        z = z - corr
+        max_corr = float((np.abs(corr) / (1.0 + np.abs(z))).max())
+        if bad.any():
+            max_corr = math.inf
+        if max_corr < tol:
+            break
+    resid = _newton_ratio_and_residual(c, z)[1]
+    max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
+    if max_corr >= tol and max_resid > 1e-11:
+        raise SolverError("Aberth iteration did not converge",
+                          iterations=iterations, max_correction=max_corr,
+                          max_residual=max_resid)
+    if n_zero:
+        z = np.concatenate([z, np.zeros(n_zero, dtype=np.complex128)])
+    return SolveResult(z, iterations, max_corr, max_resid)

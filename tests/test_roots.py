@@ -3,6 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
+from goldpoly import roots
 from goldpoly.goldbach import goldbach_polynomial
 from goldpoly.poly import IntPolynomial, cyclotomic, multiply, reciprocal, divides
 from goldpoly.roots import (
@@ -14,7 +15,40 @@ from goldpoly.roots import (
 )
 
 from conftest import multiset_distance
+from oracles import aberth_all_points
 from reference_fixtures import ROOT_TABLE
+
+
+def _cofactor_even_part(N, table):
+    """The polynomial classify_roots hands to the solver for F_N's cofactor."""
+    F = goldbach_polynomial(N, table)
+    return strip_unit_circle_part(F).cofactor.even_part()
+
+
+def _random_polynomials():
+    rng = np.random.default_rng(20)
+    for degree in (20, 45, 80, 130, 200):
+        coeffs = rng.integers(-1000, 1001, degree + 1).tolist()
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or 1
+        yield IntPolynomial(coeffs)
+
+
+def _record_evaluator(monkeypatch, poison_first=False):
+    """Record how many points each sweep hands to the p/p' evaluator; with
+    ``poison_first``, the first point's ratio on the first sweep is NaN."""
+    counts = []
+    evaluate = roots._newton_ratio
+
+    def recording(coeffs, z):
+        w = evaluate(coeffs, z)
+        if poison_first and not counts:
+            w[0] = complex("nan")
+        counts.append(len(z))
+        return w
+
+    monkeypatch.setattr(roots, "_newton_ratio", recording)
+    return counts
 
 
 class TestAberth:
@@ -65,6 +99,37 @@ class TestAberth:
         b = aberth_solve(p, seed=42).roots
         assert np.array_equal(a, b)
 
+    def test_frozen_points_match_oracle(self, small_table):
+        polys = list(_random_polynomials())
+        polys += [_cofactor_even_part(N, small_table) for N in range(6, 17)]
+        for p in polys:
+            for seed in range(3):
+                got = aberth_solve(p, seed=seed)
+                want = aberth_all_points(p, seed=seed)
+                assert multiset_distance(got.roots, want.roots) < 1e-9, (
+                    p.degree, seed)
+                assert got.max_correction < 1e-12
+
+    def test_converged_points_are_not_re_evaluated(self, small_table,
+                                                   monkeypatch):
+        g = _cofactor_even_part(20, small_table)
+        counts = _record_evaluator(monkeypatch)
+        res = aberth_solve(g)
+        assert len(counts) == res.iterations
+        assert counts[0] == g.degree
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
+        assert sum(counts) < 0.6 * g.degree * res.iterations
+
+    def test_non_finite_correction_keeps_point_active(self, small_table,
+                                                      monkeypatch):
+        # a NaN ratio gives the point a non-finite correction: it must be
+        # jittered and solved, never frozen where it stands
+        g = _cofactor_even_part(12, small_table)
+        _record_evaluator(monkeypatch, poison_first=True)
+        res = aberth_solve(g)
+        assert multiset_distance(res.roots, aberth_all_points(g).roots) < 1e-9
+        assert res.max_residual < 1e-11
+
 
 class TestStrip:
     def test_goldbach_six(self, small_table):
@@ -101,9 +166,14 @@ class TestStrip:
 
 
 class TestClassification:
-    @pytest.mark.parametrize("N", [6, 11, 20])
-    def test_matches_root_table(self, small_table, N):
-        rc = classify_roots(N, small_table)
+    @pytest.mark.parametrize("N, seed", [
+        pytest.param(6, 0, id="6"),
+        pytest.param(11, 0, id="11"),
+        pytest.param(20, 0, id="20"),
+    ] + [pytest.param(N, seed, id=f"{N}-seed{seed}")
+         for N in range(21, 25) for seed in range(4)])
+    def test_matches_root_table(self, small_table, N, seed):
+        rc = classify_roots(N, small_table, seed=seed)
         two_phi, inside, on, outside = ROOT_TABLE[N]
         assert (rc.inside, rc.on_circle, rc.outside) == (inside, on, outside)
         assert rc.undetermined == 0
