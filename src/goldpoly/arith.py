@@ -279,10 +279,13 @@ def spf_sieve(limit: int) -> np.ndarray:
     """Smallest prime factor for all n <= limit (0 for n < 2)."""
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[2::2] = 2
-    for p in range(3, limit + 1, 2):
+    # an odd composite n has spf(n) <= isqrt(n); any odd p still unset
+    # when the loop reaches it is prime
+    for p in range(3, math.isqrt(limit) + 1, 2):
         if spf[p] == 0:
-            spf[p::2 * p] = np.where(spf[p::2 * p] == 0, p, spf[p::2 * p])
-    # odd entries > sqrt(limit) still unset are prime
+            spf[p * p::2 * p] = np.where(spf[p * p::2 * p] == 0, p,
+                                         spf[p * p::2 * p])
+    # odd entries still unset are prime
     rest = np.arange(limit + 1)
     spf = np.where((spf == 0) & (rest >= 2), rest, spf)
     return spf

@@ -24,6 +24,9 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
+# rows per write of the ``coeffs`` CSV
+CSV_BLOCK_ROWS = 2 ** 14
+
 
 def _resolve_sieve_limit(args: argparse.Namespace, implied: int) -> int:
     if args.sieve_limit is None:
@@ -191,9 +194,13 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if args.output_format == "json":
         print(json.dumps({"m_max": m_max, "a": coeff[1:].tolist()}))
     else:
-        lines = ["m,a"]
-        lines.extend(f"{m},{coeff[m]}" for m in range(1, m_max + 1))
-        print("\n".join(lines))
+        # rows in fixed blocks: a whole-table tolist() would raise peak memory
+        out = sys.stdout
+        out.write("m,a\n")
+        for lo in range(1, m_max + 1, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, m_max + 1)
+            out.write("".join(f"{m},{a}\n" for m, a in
+                              zip(range(lo, hi), coeff[lo:hi].tolist())))
     return EXIT_OK
 
 
@@ -211,8 +218,10 @@ def cmd_summatory(args: argparse.Namespace) -> int:
 def cmd_hl(args: argparse.Namespace) -> int:
     m_max = args.m_max
     m_min = args.m_min if args.m_min is not None else max(3, m_max // 10)
-    if not 3 <= m_min <= m_max:
-        raise UsageError("need 3 <= m-min <= m-max")
+    try:
+        goldbach.check_hl_range(m_min, m_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     limit = _resolve_sieve_limit(args, max(16, 2 * m_max))
     table = PrimeTable(limit)
     summary = goldbach.hl_summary(m_min, m_max, table)

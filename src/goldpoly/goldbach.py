@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -199,14 +198,28 @@ def stable_coefficient(m: int, table: PrimeTable) -> int:
 
 def stable_coefficient_table(limit: int, table: PrimeTable,
                              counts: np.ndarray | None = None) -> np.ndarray:
-    """a(m) for all m <= limit by a divisor-sum sieve over the pair counts."""
+    """a(m) for all m <= limit by a divisor-sum sieve over the pair counts.
+
+    The sieve is split at T = isqrt(limit).  A divisor d <= T adds R(d) to
+    its multiples with one slice-add.  A divisor d > T has cofactor
+    k = m/d <= limit // (T + 1), so for each such k one slice-add puts
+    R(d) on k*d for every even d in (T, limit // k]: the targets step by
+    2k and the sources by 2, and the targets are distinct.  That is about
+    2*sqrt(limit) numpy calls in place of limit/2, with the same int64
+    sums.  Only even d >= 6 carry pair counts.
+    """
     if counts is None:
         counts = arith.goldbach_count_table(limit, table)
     out = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(6, limit + 1, 2):
+    T = math.isqrt(limit)
+    for d in range(6, T + 1, 2):
         c = int(counts[d])
         if c:
             out[d::d] += c
+    d_lo = max(6, T + 1 + (T + 1) % 2)
+    for k in range(1, limit // d_lo + 1):
+        top = limit // k
+        out[k * d_lo: k * top + 1: 2 * k] += counts[d_lo: top + 1: 2]
     return out
 
 
@@ -466,6 +479,12 @@ def pair_count_trend(grid: list[int], table: PrimeTable,
 # Hardy-Littlewood comparison for a(2m)
 # ---------------------------------------------------------------------------
 
+# Largest m_hi for which 2*m_hi^2 <= 2^53: the weight integers of
+# ``series_weight_terms`` are then exact float64 values.
+HL_M_MAX = 2 ** 26
+HL_BLOCK = 2 ** 16
+
+
 def hl_ratio(m: int, table: PrimeTable,
              c2: float | None = None,
              coeff_table: np.ndarray | None = None) -> float:
@@ -486,18 +505,81 @@ def hl_ratio(m: int, table: PrimeTable,
     return a2m * math.log(m) ** 2 / (2 * c2 * weight * m)
 
 
+def check_hl_range(m_lo: int, m_hi: int) -> None:
+    """Raise ValueError unless 3 <= m_lo <= m_hi <= HL_M_MAX.
+
+    Above HL_M_MAX the float64 series weights of ``hl_summary`` are no
+    longer provably exact.
+    """
+    if not 3 <= m_lo <= m_hi:
+        raise ValueError("need 3 <= m-min <= m-max")
+    if m_hi > HL_M_MAX:
+        raise ValueError(
+            f"m-max {m_hi} exceeds {HL_M_MAX} = 2^26, beyond which the "
+            f"series weights are not exact in float64")
+
+
+def series_weight_terms(ms: np.ndarray, spf: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Integers (num, den) with num/den = arith.series_weight(m), per m in ms.
+
+    num = (2^(k+1) - 1) * prod (p^(e+1) - 2) and den = 2^k * prod p^e (p - 2)
+    over the prime powers 2^k, p^e of m, peeled from the smallest-prime-
+    factor table ``spf`` (reaching max(ms)) for all m together: one pass
+    per prime factor, one inner pass per extra power.  Both are below
+    2*m^2, so int64 holds them for m <= 2^31.
+    """
+    rem = np.array(ms, dtype=np.int64)
+    num = np.ones(len(rem), dtype=np.int64)
+    den = np.ones(len(rem), dtype=np.int64)
+    active = np.nonzero(rem > 1)[0]
+    while active.size:
+        r = rem[active]
+        p = spf[r]
+        r //= p
+        pe = p.copy()
+        more = np.nonzero(r % p == 0)[0]
+        while more.size:
+            r[more] //= p[more]
+            pe[more] *= p[more]
+            more = more[r[more] % p[more] == 0]
+        odd = p != 2
+        num[active] *= np.where(odd, pe * p - 2, 2 * pe - 1)
+        den[active] *= np.where(odd, pe * (p - 2), pe)
+        rem[active] = r
+        active = active[r > 1]
+    return num, den
+
+
 def hl_summary(m_lo: int, m_hi: int, table: PrimeTable,
                counts: np.ndarray | None = None) -> dict:
-    """Median Hardy-Littlewood ratio over [m_lo, m_hi] with C2 error bars."""
+    """Median Hardy-Littlewood ratio over [m_lo, m_hi] with C2 error bars.
+
+    The weights J(m) come from the exact integers of
+    ``series_weight_terms``.  Both are below 2*m^2 <= 2^53 for
+    m <= HL_M_MAX = 2^26, so they convert to float64 exactly and one IEEE
+    division rounds num/den correctly: the same float as
+    ``float(arith.series_weight(m))``.  The ratio keeps the scalar
+    formula's operation order and ``math.log(m) ** 2`` per m, so every
+    ratio is bit-identical to ``hl_ratio``'s arithmetic.
+    """
+    check_hl_range(m_lo, m_hi)
     if counts is None:
         counts = arith.goldbach_count_table(2 * m_hi, table)
     coeff = stable_coefficient_table(2 * m_hi, table, counts)
     c2, c2_err = arith.twin_prime_constant(min(table.limit, 10 ** 6), table)
     spf = arith.spf_sieve(m_hi)
     ratios = np.empty(m_hi - m_lo + 1, dtype=np.float64)
-    for i, m in enumerate(range(m_lo, m_hi + 1)):
-        weight = float(_series_weight_spf(m, spf))
-        ratios[i] = coeff[2 * m] * math.log(m) ** 2 / (2 * c2 * weight * m)
+    # blocks of m keep the temporaries to a few MB
+    for lo in range(m_lo, m_hi + 1, HL_BLOCK):
+        hi = min(lo + HL_BLOCK, m_hi + 1)
+        ms = np.arange(lo, hi, dtype=np.int64)
+        num, den = series_weight_terms(ms, spf)
+        weight = num.astype(np.float64) / den.astype(np.float64)
+        log_sq = np.fromiter((math.log(m) ** 2 for m in range(lo, hi)),
+                             dtype=np.float64, count=hi - lo)
+        ratios[lo - m_lo: hi - m_lo] = (coeff[2 * lo: 2 * hi: 2] * log_sq
+                                        / (2 * c2 * weight * ms))
     med = float(np.median(ratios))
     rel = c2_err / c2
     return {
@@ -511,20 +593,3 @@ def hl_summary(m_lo: int, m_hi: int, table: PrimeTable,
         "c2_tail_bound": c2_err,
         "mean_ratio": float(ratios.mean()),
     }
-
-
-def _series_weight_spf(m: int, spf: np.ndarray) -> Fraction:
-    val = Fraction(1)
-    k = 0
-    rem = m
-    while rem > 1:
-        p = int(spf[rem])
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        if p == 2:
-            k = e
-        else:
-            val *= Fraction(p ** (e + 1) - 2, p ** e * (p - 2))
-    return val * (2 - Fraction(1, 2 ** k))

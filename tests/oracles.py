@@ -7,10 +7,14 @@ the exponent steps.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
 ``factor.distinct_degree_pattern`` against repeated ``powmod``.
 ``aberth_all_points`` is the Aberth loop that moves every point on every
 sweep, the reference for the solver that freezes converged points.
+``stable_coefficient_table_by_divisor_sweep``, ``series_weight_by_spf``,
+``hl_summary_by_fractions`` and ``coefficient_csv_by_join`` are the
+one-step-per-index loops behind the whole-array coefficient sweeps.
 """
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,6 +133,73 @@ def goldbach_count(N: int, table) -> int:
 def stable_coefficient_by_scalar_counts(m: int, table) -> int:
     """a(m) as the sum of scalar pair counts over the divisors of m."""
     return sum(goldbach_count(d, table) for d in arith.divisors(m))
+
+
+def stable_coefficient_table_by_divisor_sweep(limit: int, table,
+                                              counts=None) -> np.ndarray:
+    """a(m) for all m <= limit, one slice-add per even divisor d <= limit."""
+    if counts is None:
+        counts = arith.goldbach_count_table(limit, table)
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(6, limit + 1, 2):
+        c = int(counts[d])
+        if c:
+            out[d::d] += c
+    return out
+
+
+def series_weight_by_spf(m: int, spf: np.ndarray) -> Fraction:
+    """arith.series_weight(m) as a Fraction product, factoring m by the
+    smallest-prime-factor table ``spf``."""
+    val = Fraction(1)
+    k = 0
+    rem = m
+    while rem > 1:
+        p = int(spf[rem])
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        if p == 2:
+            k = e
+        else:
+            val *= Fraction(p ** (e + 1) - 2, p ** e * (p - 2))
+    return val * (2 - Fraction(1, 2 ** k))
+
+
+def hl_summary_by_fractions(m_lo: int, m_hi: int, table, counts=None) -> dict:
+    """goldbach.hl_summary with one Fraction weight and one scalar ratio per m,
+    on the divisor-sweep coefficient table."""
+    if counts is None:
+        counts = arith.goldbach_count_table(2 * m_hi, table)
+    coeff = stable_coefficient_table_by_divisor_sweep(2 * m_hi, table, counts)
+    c2, c2_err = arith.twin_prime_constant(min(table.limit, 10 ** 6), table)
+    spf = arith.spf_sieve(m_hi)
+    ratios = np.empty(m_hi - m_lo + 1, dtype=np.float64)
+    for i, m in enumerate(range(m_lo, m_hi + 1)):
+        weight = float(series_weight_by_spf(m, spf))
+        ratios[i] = coeff[2 * m] * math.log(m) ** 2 / (2 * c2 * weight * m)
+    med = float(np.median(ratios))
+    rel = c2_err / c2
+    return {
+        "m_lo": m_lo,
+        "m_hi": m_hi,
+        "count": len(ratios),
+        "median_ratio": med,
+        "median_ratio_low": med / (1 + rel),
+        "median_ratio_high": med / (1 - rel),
+        "c2": c2,
+        "c2_tail_bound": c2_err,
+        "mean_ratio": float(ratios.mean()),
+    }
+
+
+def coefficient_csv_by_join(coeff: np.ndarray) -> str:
+    """The ``coeffs`` CSV for the table a(0..m_max) as one joined string,
+    printed line included."""
+    lines = ["m,a"]
+    lines.extend(f"{m},{coeff[m]}" for m in range(1, len(coeff)))
+    return "\n".join(lines) + "\n"
 
 
 def root_bound_by_scalar_counts(N: int, M: int, table) -> int:

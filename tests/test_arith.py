@@ -177,6 +177,22 @@ class TestMultiplicativeFunctions:
             assert n == 1 or n % spf[n] == 0 and brute_is_prime(int(spf[n]))
 
 
+@pytest.mark.parametrize("limit", list(range(26)) + [30_000, 10 ** 6])
+def test_spf_sieve_is_smallest_prime_factor(limit):
+    spf = arith.spf_sieve(limit)
+    assert len(spf) == limit + 1
+    assert not spf[:2].any()  # 0 for n < 2
+    n = np.arange(2, limit + 1)
+    assert (n % spf[2:] == 0).all()
+    primes = arith.sieve(max(limit, 3)).primes
+    is_prime = np.zeros(max(limit, 3) + 1, dtype=bool)
+    is_prime[primes] = True
+    assert is_prime[spf[2:]].all()
+    # no smaller prime divides n: every multiple of p has spf <= p
+    for p in map(int, primes[primes <= math.isqrt(limit)]):
+        assert (spf[p::p] <= p).all()
+
+
 class TestSingularSeries:
     def test_empty_products(self, small_table):
         assert arith.singular_series_factor(1, small_table) == 1

@@ -8,6 +8,10 @@ import pytest
 from goldpoly import arith, cli, factor, goldbach, modp, roots
 from goldpoly.poly import from_text
 
+from oracles import (
+    coefficient_csv_by_join,
+    stable_coefficient_table_by_divisor_sweep,
+)
 from reference_fixtures import quotient_polynomial
 
 
@@ -206,6 +210,22 @@ class TestCoeffs:
         assert all(values[m] == 0 for m in range(1, 61, 2))
         assert values[6] == 1 and values[30] == 10
 
+    @pytest.mark.parametrize("m_max", [1, 2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1,
+                                       3 * 2 ** 14 + 5])
+    def test_csv_blocks_match_joined_text(self, capsys, table, m_max):
+        code, out, _ = run(capsys, "coeffs", "--m-max", str(m_max))
+        assert code == 0
+        expected = stable_coefficient_table_by_divisor_sweep(m_max, table)
+        assert out == coefficient_csv_by_join(expected)
+
+    def test_json_format(self, capsys, table):
+        code, out, _ = run(capsys, "coeffs", "--m-max", "2000",
+                           "--format", "json")
+        assert code == 0
+        expected = stable_coefficient_table_by_divisor_sweep(2000, table)
+        assert out == json.dumps({"m_max": 2000,
+                                  "a": expected[1:].tolist()}) + "\n"
+
 
 class TestHl:
     def test_summary_shape(self, capsys):
@@ -214,6 +234,17 @@ class TestHl:
         payload = json.loads(out)
         assert payload["count"] == 151
         assert payload["median_ratio_low"] <= payload["median_ratio"]
+
+    def test_m_max_beyond_exact_weights_is_usage_error(self, capsys,
+                                                       monkeypatch):
+        def no_sieve(limit):
+            raise AssertionError(f"sieve of {limit} built before the guard")
+
+        monkeypatch.setattr(cli, "PrimeTable", no_sieve)
+        code, out, err = run(capsys, "hl", "--m-max", str(2 ** 26 + 1))
+        assert code == 2
+        assert out == ""
+        assert "2^26" in err
 
 
 class TestIrreducible:

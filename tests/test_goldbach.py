@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 from oracles import (
     goldbach_count,
     goldbach_polynomial_by_pairs,
+    hl_summary_by_fractions,
     root_bound_by_scalar_counts,
     stable_coefficient_by_scalar_counts,
+    stable_coefficient_table_by_divisor_sweep,
 )
 from reference_fixtures import QUOTIENTS, quotient_polynomial
 
@@ -120,6 +123,22 @@ class TestStableCoefficients:
         for m in range(1, 301):
             assert tab[m] == stable_coefficient(m, small_table) == \
                 stable_coefficient_by_scalar_counts(m, small_table)
+
+    def test_table_matches_divisor_sweep_every_small_limit(self, small_table):
+        counts = arith.goldbach_count_table(400, small_table)
+        for limit in range(401):
+            assert np.array_equal(
+                goldbach.stable_coefficient_table(limit, small_table, counts),
+                stable_coefficient_table_by_divisor_sweep(limit, small_table,
+                                                          counts)), limit
+
+    @pytest.mark.parametrize("limit", [35, 36, 37, 9999, 10 ** 4, 10 ** 4 + 1,
+                                       2 * 10 ** 5])
+    def test_table_matches_divisor_sweep_near_squares(self, table, limit):
+        # the sieve splits at isqrt(limit): squares and their neighbours
+        assert np.array_equal(
+            goldbach.stable_coefficient_table(limit, table),
+            stable_coefficient_table_by_divisor_sweep(limit, table))
 
 
 class TestDivisibility:
@@ -276,6 +295,31 @@ class TestHardyLittlewood:
         rep = goldbach.hl_summary(100, 400, small_table)
         assert rep["median_ratio_low"] <= rep["median_ratio"] <= rep["median_ratio_high"]
         assert rep["count"] == 301
+
+    def test_weight_terms_are_exact(self, table):
+        ms = np.arange(1, 2 * 10 ** 4 + 1)
+        num, den = goldbach.series_weight_terms(ms, arith.spf_sieve(len(ms)))
+        for m, a, b in zip(ms.tolist(), num.tolist(), den.tolist()):
+            assert Fraction(a, b) == arith.series_weight(m, table), m
+
+    @pytest.mark.parametrize("m_lo, m_hi", [(3, 500), (100, 400), (3000, 30000)])
+    def test_summary_matches_fraction_loop(self, table, m_lo, m_hi):
+        # equal floats, not approximately equal ones
+        assert goldbach.hl_summary(m_lo, m_hi, table) == \
+            hl_summary_by_fractions(m_lo, m_hi, table)
+
+    def test_summary_blocks_match_fraction_loop(self, table, monkeypatch):
+        # five blocks, the last one short
+        monkeypatch.setattr(goldbach, "HL_BLOCK", 1000)
+        assert goldbach.hl_summary(100, 4321, table) == \
+            hl_summary_by_fractions(100, 4321, table)
+
+    def test_range_guard(self):
+        # the guard alone: hl at m-max 2^26 would sieve to 2^27
+        goldbach.check_hl_range(3, 2 ** 26)
+        for m_lo, m_hi in [(2, 10), (11, 10), (3, 2 ** 26 + 1)]:
+            with pytest.raises(ValueError):
+                goldbach.check_hl_range(m_lo, m_hi)
 
 
 class TestIndicators:
