@@ -2,11 +2,12 @@
 
 Library layout:
 
-- ``arith``: prime sieve, pair counts, multiplicative functions, constants
+- ``arith``: prime sieve, pair counts, factorization, sieved tables, the
+  twin-prime constant
 - ``poly``: exact integer polynomials, cyclotomics, rational gcd
 - ``modp``: the exact integer convolution, and dense polynomials over F_p
-- ``goldbach``: the F_N family, coefficient formulas, theorem reports,
-  summatory asymptotics
+- ``goldbach``: the F_N family, theorem reports, stabilized coefficients,
+  summatory and Hardy-Littlewood sweeps
 - ``roots``: unit-circle split and Aberth-Ehrlich classification
 - ``factor``: degree-pattern irreducibility certificates
 - ``cli``: the ``goldpoly`` command
@@ -14,14 +15,13 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .arith import PrimeTable, sieve
+from .arith import PrimeTable
 from .goldbach import IndicatorSet, TheoremReport, goldbach_polynomial
 from .poly import IntPolynomial, cyclotomic
 
 __all__ = [
     "__version__",
     "PrimeTable",
-    "sieve",
     "IndicatorSet",
     "TheoremReport",
     "goldbach_polynomial",

@@ -1,18 +1,17 @@
-"""Number-theoretic kernel: prime sieve, pair counts, multiplicative functions.
+"""Number-theoretic kernel: prime sieve, pair counts, small factorizations.
 
-Everything here is exact.  Bulk routines return numpy integer arrays; the
-scalar multiplicative functions work from trial-division factorizations,
-against the sieve's primes when a table is given and against 2 and the odd
-numbers otherwise.  ``is_prime`` is a deterministic Miller-Rabin test for
-single numbers beyond any table.  Rational values (the singular-series
-factor and its divisor-weighted aggregate) are `fractions.Fraction`.
+Everything here is exact.  Bulk routines return numpy integer arrays and
+read the primes of a ``PrimeTable``, rejecting limits beyond it.
+``factorize``, ``divisors`` and ``euler_phi`` work by trial division by 2
+and the odd numbers, for the small n of cyclotomic indices and degrees.
+``is_prime`` is a deterministic Miller-Rabin test for single numbers
+beyond any table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,15 +27,14 @@ class SieveRangeError(ValueError):
 
 
 class PrimeTable:
-    """Immutable sieve of odd primes up to ``limit`` with prefix counts.
+    """Immutable sieve of the primes up to ``limit``.
 
-    ``is_odd_prime(n)`` is the indicator of the odd primes (2 excluded);
-    ``prime_count(x)`` is the usual pi(x) including 2.  Instances are
-    read-only after construction and safe to share between threads or
-    worker processes.
+    ``primes`` includes 2; ``odd_primes_upto(n)`` is the ascending odd
+    primes <= n.  Instances are read-only after construction and safe to
+    share between threads or worker processes.
     """
 
-    __slots__ = ("limit", "_odd_mask", "_odd_primes", "_all_primes")
+    __slots__ = ("limit", "_odd_primes", "_all_primes")
 
     def __init__(self, limit: int):
         if limit < 3:
@@ -52,38 +50,10 @@ class PrimeTable:
         for p in range(3, math.isqrt(limit) + 1, 2):
             if odd[p // 2]:
                 odd[p * p // 2:: p] = False
-        self._odd_mask = odd
-        self._odd_mask.setflags(write=False)
         self._odd_primes = (2 * np.nonzero(odd)[0] + 1).astype(np.int64)
         self._odd_primes.setflags(write=False)
         self._all_primes = np.concatenate(([np.int64(2)], self._odd_primes))
         self._all_primes.setflags(write=False)
-
-    def is_odd_prime(self, n: int) -> bool:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-        return bool(n & 1) and bool(self._odd_mask[n // 2])
-
-    def is_prime(self, n: int) -> bool:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range [1, {self.limit}]")
-        if n == 2:
-            return True
-        return bool(n & 1) and bool(self._odd_mask[n // 2])
-
-    def prime_count(self, x) -> int | np.ndarray:
-        """pi(x): number of primes <= x (2 included).  Accepts arrays."""
-        scalar = np.isscalar(x)
-        xa = np.atleast_1d(np.asarray(x, dtype=np.int64))
-        if xa.size and int(xa.max()) > self.limit:
-            raise ValueError("prime_count query beyond sieve limit")
-        counts = np.searchsorted(self._all_primes, xa, side="right")
-        return int(counts[0]) if scalar else counts
-
-    @property
-    def odd_primes(self) -> np.ndarray:
-        """All odd primes <= limit, ascending (read-only int64 array)."""
-        return self._odd_primes
 
     @property
     def primes(self) -> np.ndarray:
@@ -96,16 +66,6 @@ class PrimeTable:
 
     def __repr__(self):
         return f"PrimeTable(limit={self.limit})"
-
-
-def sieve(limit: int) -> PrimeTable:
-    """Build a PrimeTable covering [1, limit]."""
-    return PrimeTable(limit)
-
-
-def odd_prime_indicator(n: int, table: PrimeTable) -> int:
-    """1 if n is an odd prime, 0 otherwise (2 is excluded)."""
-    return 1 if table.is_odd_prime(n) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,48 +88,18 @@ def goldbach_count_table(limit: int, table: PrimeTable) -> np.ndarray:
     return counts
 
 
-def prime_pair_count(x: float, table: PrimeTable, include_two: bool = True) -> int:
-    """Ordered pairs of primes (p, q) with p + q <= x.
-
-    ``include_two`` controls whether p=2 or q=2 is allowed; both
-    conventions appear in summatory identities, so neither is guessed.
-    """
-    xf = math.floor(x)
-    if xf < 4:
-        return 0
-    if xf > table.limit:
-        raise ValueError("pair-count query beyond sieve limit")
-    primes = table.primes if include_two else table.odd_primes
-    lo = 2 if include_two else 3
-    ps = primes[: np.searchsorted(primes, xf - lo, side="right")]
-    if ps.size == 0:
-        return 0
-    # For each p count the allowed q <= xf - p.
-    counts = np.searchsorted(primes, xf - ps, side="right")
-    return int(counts.sum())
-
-
 # ---------------------------------------------------------------------------
-# Factorization and the classical multiplicative functions
+# Factorization
 # ---------------------------------------------------------------------------
 
-def factorize(n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
-    """Prime factorization of n by trial division.
-
-    Divides by the sieve's primes when a table is given, else by 2 and the
-    odd numbers (fine for the small n of cyclotomic indices and degrees).
-    """
-    if table is None:
-        if n < 1:
-            raise ValueError(f"n={n} must be positive")
-        trial = itertools.chain((2,), itertools.count(3, 2))
-    elif not 1 <= n <= table.limit:
-        raise ValueError(f"n={n} outside sieve range")
-    else:
-        trial = map(int, table.primes)
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n by trial division by 2 and the odd numbers
+    (fine for the small n of cyclotomic indices and degrees)."""
+    if n < 1:
+        raise ValueError(f"n={n} must be positive")
     out = []
     rem = n
-    for p in trial:
+    for p in itertools.chain((2,), itertools.count(3, 2)):
         if p * p > rem:
             break
         if rem % p == 0:
@@ -183,10 +113,10 @@ def factorize(n: int, table: PrimeTable | None = None) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int, table: PrimeTable | None = None) -> list[int]:
+def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
     divs = [1]
-    for p, e in factorize(n, table):
+    for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
@@ -216,64 +146,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def omega(n: int, table: PrimeTable) -> int:
-    """Number of distinct prime factors."""
-    return len(factorize(n, table))
-
-
-def tau(n: int, table: PrimeTable) -> int:
-    """Number of divisors."""
-    t = 1
-    for _, e in factorize(n, table):
-        t *= e + 1
-    return t
-
-
-def euler_phi(n: int, table: PrimeTable | None = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler totient."""
     val = n
-    for p, _ in factorize(n, table):
+    for p, _ in factorize(n):
         val = val // p * (p - 1)
     return val
 
 
-def mobius(n: int, table: PrimeTable) -> int:
-    """Moebius function."""
-    mu = 1
-    for _, e in factorize(n, table):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def liouville(n: int, table: PrimeTable) -> int:
-    """Liouville lambda: (-1)**Omega(n), completely multiplicative."""
-    big_omega = sum(e for _, e in factorize(n, table))
-    return -1 if big_omega & 1 else 1
-
-
 # ---------------------------------------------------------------------------
-# Bulk sieved tables used by the range verifiers
+# Bulk sieved tables
 # ---------------------------------------------------------------------------
-
-def omega_sieve(limit: int, table: PrimeTable) -> np.ndarray:
-    """omega(n) for all n <= limit."""
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for p in map(int, table.primes):
-        if p > limit:
-            break
-        out[p::p] += 1
-    return out
-
-
-def tau_sieve(limit: int) -> np.ndarray:
-    """Divisor counts tau(n) for all n <= limit."""
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        out[d::d] += 1
-    return out
-
 
 def spf_sieve(limit: int) -> np.ndarray:
     """Smallest prime factor for all n <= limit (0 for n < 2)."""
@@ -292,7 +175,13 @@ def spf_sieve(limit: int) -> np.ndarray:
 
 
 def liouville_sieve(limit: int, table: PrimeTable) -> np.ndarray:
-    """Liouville lambda(n) for all n <= limit (lambda(0) set to 0)."""
+    """Liouville lambda(n) for all n <= limit (lambda(0) set to 0).
+
+    Every prime up to ``limit`` flips the sign of its multiples, so the
+    table has to reach ``limit``.
+    """
+    if limit > table.limit:
+        raise ValueError("Liouville sieve limit beyond sieve limit")
     lam = np.ones(limit + 1, dtype=np.int8)
     lam[0] = 0
     for p in map(int, table.primes):
@@ -306,63 +195,23 @@ def liouville_sieve(limit: int, table: PrimeTable) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Singular-series rationals
-# ---------------------------------------------------------------------------
-
-def singular_series_factor(n: int, table: PrimeTable) -> Fraction:
-    """Product of (p-1)/(p-2) over odd primes p dividing n, exactly."""
-    val = Fraction(1)
-    for p, _ in factorize(n, table):
-        if p > 2:
-            val *= Fraction(p - 1, p - 2)
-    return val
-
-
-def series_weight(m: int, table: PrimeTable) -> Fraction:
-    """Multiplicative weight (2 - 1/2**k) * prod (1 - 2/p**(l+1)) / (1 - 2/p).
-
-    Here 2**k and p**l are the exact prime-power parts of m.  Always >= 1;
-    equals (1/m) * sum_{d|m} d * singular_series_factor(d).
-    """
-    val = Fraction(1)
-    k = 0
-    for p, e in factorize(m, table):
-        if p == 2:
-            k = e
-        else:
-            val *= Fraction(p ** (e + 1) - 2, p ** e * (p - 2))
-    return val * (2 - Fraction(1, 2 ** k))
-
-
-def weighted_divisor_sum(m: int, table: PrimeTable) -> Fraction:
-    """sum_{d|m} d * singular_series_factor(d), as an exact rational.
-
-    Not integral in general (m=5 gives 23/3); it always equals
-    m * series_weight(m).
-    """
-    total = Fraction(0)
-    for d in divisors(m, table):
-        total += d * singular_series_factor(d, table)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # Twin prime constant
 # ---------------------------------------------------------------------------
 
-def twin_prime_constant(prime_limit: int, table: PrimeTable | None = None) -> tuple[float, float]:
+def twin_prime_constant(prime_limit: int, table: PrimeTable) -> tuple[float, float]:
     """Truncated product of (1 - 1/(p-1)**2) over odd primes p <= prime_limit.
 
     Returns (approximation, tail_bound).  The omitted factors lie in
     (1 - S, 1) with S = sum_{p > limit} 1/(p-1)**2 <= 1/(prime_limit - 1)
     by integral comparison, so the limit value differs from the truncation
     by at most roughly approximation * S; tail_bound also absorbs the
-    floating-point rounding of the finite product.
+    floating-point rounding of the finite product.  The table has to
+    reach ``prime_limit``.
     """
     if prime_limit < 3:
         raise ValueError("prime_limit must be >= 3")
-    if table is None or table.limit < prime_limit:
-        table = PrimeTable(prime_limit)
+    if prime_limit > table.limit:
+        raise ValueError("twin prime product limit beyond sieve limit")
     ps = table.odd_primes_upto(prime_limit).astype(np.float64)
     factors = 1.0 - 1.0 / (ps - 1.0) ** 2
     approx = float(np.prod(factors))

@@ -152,7 +152,7 @@ def _classify_one(args: tuple) -> tuple[tuple, bool]:
     N, limit, seed = args
     table = _worker_table(limit)
     rc = roots.classify_roots(N, table, seed=_per_n_seed(seed, N))
-    report = roots.unit_circle_count_report(N, table, classification=rc)
+    report = roots.unit_circle_count_report(rc)
     row = (rc.N, report.witness["expected_on_circle"], rc.inside,
            rc.on_circle, rc.outside, rc.undetermined)
     return row, not report.holds and rc.undetermined == 0
@@ -247,6 +247,8 @@ def cmd_irreducible(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else (50 if args.long_mode else 30)
     if n_max < 6:
         raise UsageError("--n-max must be >= 6 (certification needs N > 5)")
+    if args.max_primes < 1:
+        raise UsageError("--max-primes must be >= 1")
     limit = _resolve_sieve_limit(args, max(16, n_max))
     items = [(N, limit, args.max_primes) for N in range(6, n_max + 1)]
     certs = _map_jobs(_certify_one, items, args.jobs)

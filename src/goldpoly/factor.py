@@ -66,6 +66,8 @@ from .poly import (
 _DDF_BLOCK = 8
 # first prime tried by the pattern intersection
 _PRIME_START = 101
+# surviving degrees listed in a certificate's JSON
+_JSON_DEGREES = 64
 
 
 class BadPrimeError(RuntimeError):
@@ -88,12 +90,12 @@ class FactorCertificate:
     witness_factor: IntPolynomial | None = None
     N: int | None = None
 
-    def to_json_dict(self, truncate: int = 64) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "verdict": self.verdict,
             "degree": self.degree,
             "primes_used": self.primes_used,
-            "surviving_degree_set": list(self.surviving_degrees[:truncate]),
+            "surviving_degree_set": list(self.surviving_degrees[:_JSON_DEGREES]),
         }
         if self.N is not None:
             out["N"] = self.N
@@ -237,9 +239,9 @@ def _subset_sum_mask(pattern: list[int]) -> int:
     return mask
 
 
-def _intersect_patterns(f: IntPolynomial, max_primes: int, prime_start: int,
+def _intersect_patterns(f: IntPolynomial, max_primes: int,
                         accept=None) -> FactorCertificate:
-    """Pattern intersection for f over its first usable primes >= prime_start.
+    """Pattern intersection for f over its first usable primes >= 101.
 
     Bad primes are skipped and not counted.  Irreducible once no proper
     factor degree survives and, when ``accept`` is given, accept(p, pattern)
@@ -253,7 +255,7 @@ def _intersect_patterns(f: IntPolynomial, max_primes: int, prime_start: int,
     accepted = accept is None
     squarefree = None
     primes_used: list[int] = []
-    schedule = filter(arith.is_prime, itertools.count(prime_start | 1, 2))
+    schedule = filter(arith.is_prime, itertools.count(_PRIME_START, 2))
     while len(primes_used) < max_primes:
         p = next(schedule)
         try:
@@ -273,12 +275,12 @@ def _intersect_patterns(f: IntPolynomial, max_primes: int, prime_start: int,
     return FactorCertificate("Unresolved", n, primes_used, remaining)
 
 
-def certify_irreducible(f: IntPolynomial, max_primes: int = 12,
-                        prime_start: int = _PRIME_START) -> FactorCertificate:
+def certify_irreducible(f: IntPolynomial,
+                        max_primes: int = 12) -> FactorCertificate:
     """Degree-pattern certificate for primitive f of degree >= 1.
 
-    Uses the first ``max_primes`` usable primes >= ``prime_start`` (bad
-    primes are skipped and not counted).  Outcomes: Irreducible when no
+    Uses the first ``max_primes`` usable primes >= 101 (bad primes are
+    skipped and not counted).  Outcomes: Irreducible when no
     proper factor degree survives the intersection; Reducible with an
     exact witness from the rational-root screen; otherwise Unresolved
     with the surviving degree set (an honest outcome, never forced).
@@ -297,7 +299,7 @@ def certify_irreducible(f: IntPolynomial, max_primes: int = 12,
             raise AssertionError("screen witness does not divide")
         return FactorCertificate("Reducible", n, [], tuple(range(1, n)),
                                  witness_factor=wit)
-    return _intersect_patterns(f, max_primes, prime_start)
+    return _intersect_patterns(f, max_primes)
 
 
 def excludes_mirror_split(g: IntPolynomial, p: int,
@@ -333,14 +335,13 @@ def certify_even(q: IntPolynomial, max_primes: int = 12) -> FactorCertificate:
     accept = None
     if norm >= 0 and math.isqrt(norm) ** 2 == norm:
         accept = functools.partial(excludes_mirror_split, g)
-    cert = _intersect_patterns(g, max_primes, _PRIME_START, accept)
+    cert = _intersect_patterns(g, max_primes, accept)
     if cert.verdict != "Irreducible":
         return certify_irreducible(q, max_primes)
     return FactorCertificate("Irreducible", q.degree, cert.primes_used, ())
 
 
 def certify_goldbach_quotient(N: int, table: PrimeTable,
-                              F: IntPolynomial | None = None,
                               max_primes: int = 12) -> FactorCertificate:
     """Certificate for F_N with its forced cyclotomic factors divided out.
 
@@ -351,8 +352,7 @@ def certify_goldbach_quotient(N: int, table: PrimeTable,
     """
     if N <= 5:
         raise ValueError("quotient certification is defined for N > 5")
-    if F is None:
-        F = goldbach_polynomial(N, table)
+    F = goldbach_polynomial(N, table)
     divisor = cyclotomic(2 * N)
     if N % 2 == 1:
         divisor = multiply(divisor, cyclotomic(N))

@@ -8,9 +8,10 @@ spread over the exponent steps k.  ``theorem_reports`` checks the
 cyclotomic divisibility statements, the even symmetry and the
 root-of-unity lower bounds for the odd-prime F_N from one set of
 remainders F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``)
-and one pair-count table per N.  It evaluates the coefficient formulas
-and their stabilized limits, and computes the summatory quantities with
-their asymptotic comparisons.
+and one pair-count table per N.  The stabilized coefficients a(m), the
+summatory function A(M) with its asymptotic ratio and the
+Hardy-Littlewood summary of a(2m) are whole-array sweeps over one
+pair-count table.
 """
 
 from __future__ import annotations
@@ -44,21 +45,10 @@ class IndicatorSet:
     def limit(self) -> int:
         return len(self.bits) - 1
 
-    def contains(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"n={n} outside indicator range")
-        return bool(self.bits[n])
-
     def support_upto(self, n_max: int) -> np.ndarray:
         if n_max > self.limit:
             raise ValueError("indicator support query beyond its range")
         return np.nonzero(self.bits[: n_max + 1])[0].astype(np.int64)
-
-    @classmethod
-    def odd_primes(cls, table: PrimeTable) -> "IndicatorSet":
-        bits = np.zeros(table.limit + 1, dtype=bool)
-        bits[table.odd_primes] = True
-        return cls("odd_primes", bits)
 
     @classmethod
     def liouville_negative(cls, limit: int, table: PrimeTable) -> "IndicatorSet":
@@ -130,71 +120,8 @@ def goldbach_polynomial(N: int, source) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Coefficients: explicit formula and stabilized values
+# Stabilized coefficients
 # ---------------------------------------------------------------------------
-
-def coefficient_by_formula(N: int, m: int, table: PrimeTable) -> int:
-    """a_{N,m} for 0 < m <= 2(N-1)^2, without constructing the polynomial.
-
-    Sums, over divisors d of m with m/d < N, the count of ways to write d
-    as an ordered sum of two indicator elements below N.
-    """
-    if not 0 < m <= 2 * (N - 1) ** 2:
-        raise ValueError(f"m={m} outside (0, 2(N-1)^2]")
-    total = 0
-    for d in arith.divisors(m):
-        if m // d < N:
-            total += _window_pair_count(d, N, table)
-    return total
-
-
-def _window_pair_count(d: int, N: int, table: PrimeTable) -> int:
-    """Ordered pairs of odd primes (n, d-n) with max(0,d-N) < n < min(N,d)."""
-    lo = max(0, d - N) + 1
-    hi = min(N, d) - 1
-    if hi < lo:
-        return 0
-    primes = table.odd_primes
-    i0 = np.searchsorted(primes, lo, side="left")
-    i1 = np.searchsorted(primes, hi, side="right")
-    count = 0
-    for p in map(int, primes[i0:i1]):
-        if d - p >= 3 and table.is_odd_prime(d - p):
-            count += 1
-    return count
-
-
-def coefficient_table_by_formula(N: int, table: PrimeTable) -> list[int]:
-    """All coefficients of F_N via the explicit formula (plus the constant).
-
-    Independent of the polynomial construction: window pair counts per
-    divisor value, swept over multiples.  The constant term is the squared
-    count of indicator elements below N.
-    """
-    pmax = int(table.odd_primes_upto(N - 1)[-1]) if len(table.odd_primes_upto(N - 1)) else 0
-    if pmax == 0:
-        return [0]
-    deg = 2 * (N - 1) * pmax
-    window = [0] * (2 * N - 1)
-    for d in range(1, 2 * N - 2 + 1):
-        window[d] = _window_pair_count(d, N, table)
-    out = [0] * (deg + 1)
-    for d in range(1, 2 * N - 1):
-        w = window[d]
-        if w:
-            for k in range(1, N):
-                out[k * d] += w
-    out[0] = (int(table.prime_count(N - 1)) - 1) ** 2
-    return out
-
-
-def stable_coefficient(m: int, table: PrimeTable) -> int:
-    """Limit coefficient a(m) = sum of pair counts over divisors of m."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    counts = arith.goldbach_count_table(m, table)
-    return sum(int(counts[d]) for d in arith.divisors(m))
-
 
 def stable_coefficient_table(limit: int, table: PrimeTable,
                              counts: np.ndarray | None = None) -> np.ndarray:
@@ -290,11 +217,6 @@ def _constant_value(rem: IntPolynomial, M: int) -> int:
     return rem[0]
 
 
-def eval_at_root_of_unity(F: IntPolynomial, M: int) -> int:
-    """The common integer value of F at every primitive M-th root of unity."""
-    return _constant_value(remainder_mod_cyclotomic(F, M), M)
-
-
 def root_bounds_report(N: int, counts: np.ndarray,
                        remainders: dict[int, IntPolynomial]) -> TheoremReport:
     """Lower bounds for F_N at primitive M-th roots of unity, M | N.
@@ -349,79 +271,19 @@ def theorem_reports(N: int, table: PrimeTable) -> list[TheoremReport]:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient lower bounds
-# ---------------------------------------------------------------------------
-
-def lower_bound_report(m: int, table: PrimeTable) -> TheoremReport:
-    """Lower bounds for the stabilized coefficient a(2m), m > 1.
-
-    Unconditional: a(2m) >= omega(m) - [m = 2 mod 4].  The divisor-count
-    bound a(2m) >= tau(m) - (2 if m even else 1) is asserted only after
-    machine-verifying that every divisor d of m outside {1, 2} has a
-    representation 2d = p + q; if that verification fails the report says
-    so instead of assuming it.
-    """
-    if m <= 1:
-        raise ValueError("m must be > 1")
-    counts = arith.goldbach_count_table(2 * m, table)
-    a2m = sum(int(counts[d]) for d in arith.divisors(2 * m, table))
-    om = arith.omega(m, table)
-    unc_rhs = om - (1 if m % 4 == 2 else 0)
-    unconditional_ok = a2m >= unc_rhs
-
-    divs = arith.divisors(m, table)
-    unverified = [d for d in divs if d not in (1, 2)
-                  and counts[2 * d] == 0]
-    tau_m = len(divs)
-    cond_rhs = tau_m - (2 if m % 2 == 0 else 1)
-    conditional_ok = a2m >= cond_rhs if not unverified else None
-
-    holds = unconditional_ok and (conditional_ok is not False)
-    witness = {
-        "a_2m": a2m,
-        "omega_bound": unc_rhs,
-        "unconditional_ok": unconditional_ok,
-        "tau_bound": cond_rhs,
-        "conditional_ok": conditional_ok,
-        "unverified_divisors": unverified,
-    }
-    return TheoremReport("coefficient_lower_bounds", m, holds, witness=witness)
-
-
-def verify_goldbach_range(limit: int, table: PrimeTable,
-                          counts: np.ndarray | None = None) -> TheoremReport:
-    """Machine-check that every even n in [6, limit] has a pair p + q = n."""
-    if counts is None:
-        counts = arith.goldbach_count_table(limit, table)
-    evens = np.arange(6, limit + 1, 2)
-    failures = evens[counts[evens] == 0]
-    return TheoremReport(
-        "pair_existence_range", limit, failures.size == 0,
-        witness={"failures": failures.tolist()},
-    )
-
-
-# ---------------------------------------------------------------------------
 # Summatory function and asymptotics
 # ---------------------------------------------------------------------------
 
-def summatory(M: int, table: PrimeTable,
-              coeff_table: np.ndarray | None = None,
-              counts: np.ndarray | None = None) -> int:
-    """A(M): sum of stabilized coefficients a(m) for m <= 2M."""
-    if coeff_table is None:
-        coeff_table = stable_coefficient_table(2 * M, table, counts)
-    if len(coeff_table) < 2 * M + 1:
-        raise ValueError("coefficient table too short")
-    return int(coeff_table[: 2 * M + 1].sum())
+def summatory(M: int, table: PrimeTable, counts: np.ndarray) -> int:
+    """A(M): sum of stabilized coefficients a(m) for m <= 2M, from a
+    pair-count table reaching 2M."""
+    return int(stable_coefficient_table(2 * M, table, counts).sum())
 
 
-def summatory_via_pairs(M: int, table: PrimeTable,
-                        counts: np.ndarray | None = None) -> int:
+def summatory_via_pairs(M: int, counts: np.ndarray) -> int:
     """A(M) through the telescoped identity: sum over n <= M/2 of the
-    count of odd-prime pairs with p + q <= 2M/n."""
-    if counts is None:
-        counts = arith.goldbach_count_table(2 * M, table)
+    count of odd-prime pairs with p + q <= 2M/n, from a pair-count table
+    reaching 2M."""
     prefix = np.cumsum(counts[: 2 * M + 1], dtype=np.int64)
     ns = np.arange(1, M // 2 + 1, dtype=np.int64)
     if ns.size == 0:
@@ -429,15 +291,13 @@ def summatory_via_pairs(M: int, table: PrimeTable,
     return int(prefix[2 * M // ns].sum())
 
 
-def summatory_report(M: int, table: PrimeTable,
-                     counts: np.ndarray | None = None) -> dict:
+def summatory_report(M: int, table: PrimeTable) -> dict:
     """A(M), the pairs-route value, and the ratio to the main term."""
     if M < 16:
         raise ValueError("M must be >= 16 for the asymptotic report")
-    if counts is None:
-        counts = arith.goldbach_count_table(2 * M, table)
-    a_direct = summatory(M, table, counts=counts)
-    a_pairs = summatory_via_pairs(M, table, counts=counts)
+    counts = arith.goldbach_count_table(2 * M, table)
+    a_direct = summatory(M, table, counts)
+    a_pairs = summatory_via_pairs(M, counts)
     main = math.pi ** 2 * M ** 2 / (3 * math.log(M) ** 2)
     return {
         "M": M,
@@ -449,32 +309,6 @@ def summatory_report(M: int, table: PrimeTable,
     }
 
 
-def summatory_trend(grid: list[int], table: PrimeTable,
-                    counts: np.ndarray | None = None) -> list[dict]:
-    """Ratio A(M) / main term over a grid of M values (trend inspection)."""
-    if counts is None:
-        counts = arith.goldbach_count_table(2 * max(grid), table)
-    out = []
-    for M in grid:
-        # divisor-sum route collapsed: sum_d R(d) * floor(2M/d)
-        ds = np.arange(1, 2 * M + 1, dtype=np.int64)
-        a_val = int((counts[1: 2 * M + 1] * (2 * M // ds)).sum())
-        main = math.pi ** 2 * M ** 2 / (3 * math.log(M) ** 2)
-        out.append({"M": M, "A": a_val, "main_term": main, "ratio": a_val / main})
-    return out
-
-
-def pair_count_trend(grid: list[int], table: PrimeTable,
-                     include_two: bool = True) -> list[dict]:
-    """Ratio of the prime-pair counting function to x^2 / (2 log^2 x)."""
-    out = []
-    for x in grid:
-        q = arith.prime_pair_count(x, table, include_two=include_two)
-        main = x ** 2 / (2 * math.log(x) ** 2)
-        out.append({"x": x, "Q": q, "main_term": main, "ratio": q / main})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Hardy-Littlewood comparison for a(2m)
 # ---------------------------------------------------------------------------
@@ -483,26 +317,6 @@ def pair_count_trend(grid: list[int], table: PrimeTable,
 # ``series_weight_terms`` are then exact float64 values.
 HL_M_MAX = 2 ** 26
 HL_BLOCK = 2 ** 16
-
-
-def hl_ratio(m: int, table: PrimeTable,
-             c2: float | None = None,
-             coeff_table: np.ndarray | None = None) -> float:
-    """a(2m) * log^2 m / (2 * C2 * J(m) * m), reporting only.
-
-    J(m) is the exact rational series weight; C2 defaults to a truncated
-    twin-prime-constant product.
-    """
-    if m < 3:
-        raise ValueError("m must be >= 3")
-    if c2 is None:
-        c2 = arith.twin_prime_constant(min(table.limit, 10 ** 6), table)[0]
-    if coeff_table is not None:
-        a2m = int(coeff_table[2 * m])
-    else:
-        a2m = stable_coefficient(2 * m, table)
-    weight = float(arith.series_weight(m, table))
-    return a2m * math.log(m) ** 2 / (2 * c2 * weight * m)
 
 
 def check_hl_range(m_lo: int, m_hi: int) -> None:
@@ -521,8 +335,11 @@ def check_hl_range(m_lo: int, m_hi: int) -> None:
 
 def series_weight_terms(ms: np.ndarray, spf: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Integers (num, den) with num/den = arith.series_weight(m), per m in ms.
+    """Integers (num, den) with num/den = J(m), per m in ms.
 
+    J(m) = (2 - 1/2^k) * prod (1 - 2/p^(e+1)) / (1 - 2/p) is the
+    multiplicative series weight, equal to (1/m) times the sum over d | m
+    of d * prod_{odd p | d} (p-1)/(p-2).  Here
     num = (2^(k+1) - 1) * prod (p^(e+1) - 2) and den = 2^k * prod p^e (p - 2)
     over the prime powers 2^k, p^e of m, peeled from the smallest-prime-
     factor table ``spf`` (reaching max(ms)) for all m together: one pass
@@ -551,21 +368,20 @@ def series_weight_terms(ms: np.ndarray, spf: np.ndarray
     return num, den
 
 
-def hl_summary(m_lo: int, m_hi: int, table: PrimeTable,
-               counts: np.ndarray | None = None) -> dict:
+def hl_summary(m_lo: int, m_hi: int, table: PrimeTable) -> dict:
     """Median Hardy-Littlewood ratio over [m_lo, m_hi] with C2 error bars.
 
-    The weights J(m) come from the exact integers of
-    ``series_weight_terms``.  Both are below 2*m^2 <= 2^53 for
-    m <= HL_M_MAX = 2^26, so they convert to float64 exactly and one IEEE
-    division rounds num/den correctly: the same float as
-    ``float(arith.series_weight(m))``.  The ratio keeps the scalar
+    The ratio at m is a(2m) * log^2 m / (2 * C2 * J(m) * m), with C2 a
+    truncated twin-prime-constant product.  The weights J(m) come from the
+    exact integers of ``series_weight_terms``.  Both are below
+    2*m^2 <= 2^53 for m <= HL_M_MAX = 2^26, so they convert to float64
+    exactly and one IEEE division rounds num/den correctly: the same float
+    as the exact rational J(m) converted.  The ratio keeps that scalar
     formula's operation order and ``math.log(m) ** 2`` per m, so every
-    ratio is bit-identical to ``hl_ratio``'s arithmetic.
+    ratio is bit-identical to evaluating it one m at a time.
     """
     check_hl_range(m_lo, m_hi)
-    if counts is None:
-        counts = arith.goldbach_count_table(2 * m_hi, table)
+    counts = arith.goldbach_count_table(2 * m_hi, table)
     coeff = stable_coefficient_table(2 * m_hi, table, counts)
     c2, c2_err = arith.twin_prime_constant(min(table.limit, 10 ** 6), table)
     spf = arith.spf_sieve(m_hi)

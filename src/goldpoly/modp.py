@@ -114,14 +114,6 @@ def from_coeffs(coeffs, p: int) -> np.ndarray:
     return trim(np.array([c % p for c in coeffs], dtype=np.int64))
 
 
-def add(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] = (out[: len(b)] + b) % p
-    return trim(out)
-
-
 def sub(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     n = max(len(a), len(b))
     out = np.zeros(n, dtype=np.int64)

@@ -212,11 +212,6 @@ def divrem_exact(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, Int
     return _long_divide(a, b)
 
 
-def divides(b: IntPolynomial, a: IntPolynomial) -> bool:
-    """True iff monic b divides a exactly."""
-    return divrem_exact(a, b)[1].is_zero
-
-
 def exact_quotient_or_none(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial | None:
     """Quotient when b divides a exactly over the integers, else None.
 
@@ -288,13 +283,6 @@ def to_text(a: IntPolynomial) -> str:
     if a.is_zero:
         return "0"
     return " ".join(str(c) for c in a.coeffs)
-
-
-def from_text(s: str) -> IntPolynomial:
-    parts = s.split()
-    if not parts:
-        raise ValueError("empty polynomial text")
-    return IntPolynomial(int(x) for x in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from .poly import (
 
 # Golden angle in radians; irrational rotation spreads the start points.
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# Half-width of the band around |z| = 1 whose solved points are escalated
+# to extended-precision Newton refinement.
+_EPSILON = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -279,10 +282,6 @@ class RootClassification:
     iterations: int
     numeric_roots: np.ndarray = field(repr=False, default=None)
 
-    def counts_consistent(self) -> bool:
-        return (self.inside + self.on_circle + self.outside
-                + self.undetermined == self.degree)
-
 
 def _refine_abs_delta(coeffs: tuple[int, ...], z0: complex) -> float:
     """|z| - 1 for the nearby true root, at doubled working precision."""
@@ -304,7 +303,7 @@ def _refine_abs_delta(coeffs: tuple[int, ...], z0: complex) -> float:
 
 
 def _classify_points(points: np.ndarray, src: IntPolynomial, *, squared: bool,
-                     epsilon: float, allow_on: bool) -> tuple[int, int, int, int]:
+                     allow_on: bool) -> tuple[int, int, int, int]:
     """Count (inside, on, outside, undetermined) for solved points.
 
     ``squared=True`` means each point is w = z**2 for a pair of roots
@@ -314,8 +313,8 @@ def _classify_points(points: np.ndarray, src: IntPolynomial, *, squared: bool,
     (``allow_on``).
     """
     mult = 2 if squared else 1
-    lo = (1.0 - epsilon) ** mult
-    hi = (1.0 + epsilon) ** mult
+    lo = (1.0 - _EPSILON) ** mult
+    hi = (1.0 + _EPSILON) ** mult
     inside = on = outside = undet = 0
     mags = np.abs(points)
     for mag, pt in zip(mags, points):
@@ -337,29 +336,27 @@ def _classify_points(points: np.ndarray, src: IntPolynomial, *, squared: bool,
     return inside, on, outside, undet
 
 
-def _solve_counts(P: IntPolynomial, *, epsilon: float, tol: float,
-                  max_iter: int, seed: int, allow_on: bool):
+def _solve_counts(P: IntPolynomial, *, seed: int, allow_on: bool):
     """Solve P numerically and classify its roots against the unit circle."""
     if P.degree < 1:
         return (0, 0, 0, 0), 0.0, 0, np.empty(0, dtype=np.complex128)
     if P.is_even() and P.degree >= 2:
         g = P.even_part()
-        result = aberth_solve(g, tol=tol, max_iter=max_iter, seed=seed)
+        result = aberth_solve(g, seed=seed)
         counts = _classify_points(result.roots, g, squared=True,
-                                  epsilon=epsilon, allow_on=allow_on)
+                                  allow_on=allow_on)
         sq = np.sqrt(result.roots.astype(np.complex128))
         roots = np.concatenate([sq, -sq])
     else:
-        result = aberth_solve(P, tol=tol, max_iter=max_iter, seed=seed)
+        result = aberth_solve(P, seed=seed)
         counts = _classify_points(result.roots, P, squared=False,
-                                  epsilon=epsilon, allow_on=allow_on)
+                                  allow_on=allow_on)
         roots = result.roots
     return counts, result.max_residual, result.iterations, roots
 
 
-def classify_roots(N: int, table: PrimeTable, *, epsilon: float = 1e-6,
-                   tol: float = 1e-12, max_iter: int = 600, seed: int = 0,
-                   F: IntPolynomial | None = None) -> RootClassification:
+def classify_roots(N: int, table: PrimeTable, *,
+                   seed: int = 0) -> RootClassification:
     """Locate all roots of F_N relative to the unit circle.
 
     The on-circle count is exact for the cyclotomic part (sum of phi(d)
@@ -369,8 +366,7 @@ def classify_roots(N: int, table: PrimeTable, *, epsilon: float = 1e-6,
     """
     if N <= 5:
         raise ValueError("classification is defined for N > 5")
-    if F is None:
-        F = goldbach_polynomial(N, table)
+    F = goldbach_polynomial(N, table)
     degree = F.degree
 
     # decompose into squarefree pieces; a root of multiplicity m lands in
@@ -397,11 +393,9 @@ def classify_roots(N: int, table: PrimeTable, *, epsilon: float = 1e-6,
             cyclo[d] = cyclo.get(d, 0) + m
             on_exact += arith.euler_phi(d) * m
         (h_in, h_on, h_out, h_un), r1, i1, roots1 = _solve_counts(
-            strip.cofactor, epsilon=epsilon, tol=tol, max_iter=max_iter,
-            seed=seed, allow_on=False)
+            strip.cofactor, seed=seed, allow_on=False)
         (g_in, g_on, g_out, g_un), r2, i2, roots2 = _solve_counts(
-            strip.residual, epsilon=epsilon, tol=tol, max_iter=max_iter,
-            seed=seed + 1, allow_on=True)
+            strip.residual, seed=seed + 1, allow_on=True)
         inside += h_in + g_in
         outside += h_out + g_out
         undet += h_un + g_un
@@ -423,13 +417,10 @@ def classify_roots(N: int, table: PrimeTable, *, epsilon: float = 1e-6,
     )
 
 
-def unit_circle_count_report(N: int, table: PrimeTable,
-                             classification: RootClassification | None = None,
-                             **kwargs) -> TheoremReport:
+def unit_circle_count_report(classification: RootClassification) -> TheoremReport:
     """Check that F_N has exactly 2*phi(N) roots on the unit circle."""
-    if classification is None:
-        classification = classify_roots(N, table, **kwargs)
-    expected = 2 * arith.euler_phi(N, table)
+    N = classification.N
+    expected = 2 * arith.euler_phi(N)
     holds = (classification.on_circle == expected
              and classification.residual_on_circle == 0
              and classification.undetermined == 0)

@@ -24,7 +24,7 @@ def multiset_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
 @pytest.fixture(scope="session")
 def table():
     """Covers every default-suite bound: pair counts to 2e5, a(2m) to m=1e5."""
-    return arith.sieve(220_000)
+    return arith.PrimeTable(220_000)
 
 
 @pytest.fixture(scope="session")
@@ -34,4 +34,4 @@ def pair_counts(table):
 
 @pytest.fixture(scope="session")
 def small_table():
-    return arith.sieve(4_000)
+    return arith.PrimeTable(4_000)

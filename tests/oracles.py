@@ -7,9 +7,16 @@ the exponent steps.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
 ``factor.distinct_degree_pattern`` against repeated ``powmod``.
 ``aberth_all_points`` is the Aberth loop that moves every point on every
 sweep, the reference for the solver that freezes converged points.
-``stable_coefficient_table_by_divisor_sweep``, ``series_weight_by_spf``,
-``hl_summary_by_fractions`` and ``coefficient_csv_by_join`` are the
-one-step-per-index loops behind the whole-array coefficient sweeps.
+``stable_coefficient_table_by_divisor_sweep``, ``hl_summary_by_fractions``
+and ``coefficient_csv_by_join`` are the one-step-per-index loops behind the
+whole-array coefficient sweeps.
+
+The rest are the paper's quantities that no command prints: the explicit
+coefficient formula for a_{N,m} (``coefficient_by_formula``), the
+multiplicative functions omega, tau and Liouville's lambda with their
+sieved tables, the singular-series factor and the series weight J(m) as
+exact ``Fraction`` values, and the prime-pair counting function with its
+trend against x^2 / (2 log^2 x).  They factor by ``arith.factorize``.
 """
 
 import decimal
@@ -123,11 +130,9 @@ def goldbach_count(N: int, table) -> int:
         raise ValueError(f"N={N} outside sieve range")
     if N < 6 or N & 1:
         return 0
-    count = 0
-    for p in map(int, table.odd_primes_upto(N - 3)):
-        if table.is_odd_prime(N - p):
-            count += 1
-    return count
+    odd = table.odd_primes_upto(N - 3).tolist()
+    members = set(odd)
+    return sum(1 for p in odd if N - p in members)
 
 
 def stable_coefficient_by_scalar_counts(m: int, table) -> int:
@@ -148,36 +153,14 @@ def stable_coefficient_table_by_divisor_sweep(limit: int, table,
     return out
 
 
-def series_weight_by_spf(m: int, spf: np.ndarray) -> Fraction:
-    """arith.series_weight(m) as a Fraction product, factoring m by the
-    smallest-prime-factor table ``spf``."""
-    val = Fraction(1)
-    k = 0
-    rem = m
-    while rem > 1:
-        p = int(spf[rem])
-        e = 0
-        while rem % p == 0:
-            rem //= p
-            e += 1
-        if p == 2:
-            k = e
-        else:
-            val *= Fraction(p ** (e + 1) - 2, p ** e * (p - 2))
-    return val * (2 - Fraction(1, 2 ** k))
-
-
-def hl_summary_by_fractions(m_lo: int, m_hi: int, table, counts=None) -> dict:
+def hl_summary_by_fractions(m_lo: int, m_hi: int, table) -> dict:
     """goldbach.hl_summary with one Fraction weight and one scalar ratio per m,
     on the divisor-sweep coefficient table."""
-    if counts is None:
-        counts = arith.goldbach_count_table(2 * m_hi, table)
-    coeff = stable_coefficient_table_by_divisor_sweep(2 * m_hi, table, counts)
+    coeff = stable_coefficient_table_by_divisor_sweep(2 * m_hi, table)
     c2, c2_err = arith.twin_prime_constant(min(table.limit, 10 ** 6), table)
-    spf = arith.spf_sieve(m_hi)
     ratios = np.empty(m_hi - m_lo + 1, dtype=np.float64)
     for i, m in enumerate(range(m_lo, m_hi + 1)):
-        weight = float(series_weight_by_spf(m, spf))
+        weight = float(series_weight(m))
         ratios[i] = coeff[2 * m] * math.log(m) ** 2 / (2 * c2 * weight * m)
     med = float(np.median(ratios))
     rel = c2_err / c2
@@ -211,6 +194,171 @@ def root_bound_by_scalar_counts(N: int, M: int, table) -> int:
                        for n in range(1, N // (2 * M) + 1))
     return N * sum(goldbach_count(n * M, table)
                    for n in range(1, N // M + 1))
+
+
+# ---------------------------------------------------------------------------
+# The explicit coefficient formula
+# ---------------------------------------------------------------------------
+
+def _window_pair_count(d: int, N: int, table) -> int:
+    """Ordered pairs of odd primes (n, d-n) with max(0,d-N) < n < min(N,d)."""
+    lo = max(0, d - N) + 1
+    hi = min(N, d) - 1
+    if hi < lo:
+        return 0
+    members = set(table.odd_primes_upto(d).tolist())
+    return sum(1 for p in table.odd_primes_upto(hi).tolist()
+               if p >= lo and d - p in members)
+
+
+def coefficient_by_formula(N: int, m: int, table) -> int:
+    """a_{N,m} for 0 < m <= 2(N-1)^2, without constructing the polynomial.
+
+    Sums, over divisors d of m with m/d < N, the count of ways to write d
+    as an ordered sum of two indicator elements below N.
+    """
+    if not 0 < m <= 2 * (N - 1) ** 2:
+        raise ValueError(f"m={m} outside (0, 2(N-1)^2]")
+    return sum(_window_pair_count(d, N, table)
+               for d in arith.divisors(m) if m // d < N)
+
+
+def coefficient_table_by_formula(N: int, table) -> list[int]:
+    """All coefficients of F_N via the explicit formula (plus the constant).
+
+    Window pair counts per divisor value, swept over multiples.  The
+    constant term is the squared count of indicator elements below N.
+    """
+    below = len(table.odd_primes_upto(N - 1))
+    if below == 0:
+        return [0]
+    deg = 2 * (N - 1) * int(table.odd_primes_upto(N - 1)[-1])
+    out = [0] * (deg + 1)
+    for d in range(1, 2 * N - 1):
+        w = _window_pair_count(d, N, table)
+        if w:
+            for k in range(1, N):
+                out[k * d] += w
+    out[0] = below ** 2
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Multiplicative functions and their sieved tables
+# ---------------------------------------------------------------------------
+
+def omega(n: int) -> int:
+    """Number of distinct prime factors."""
+    return len(arith.factorize(n))
+
+
+def tau(n: int) -> int:
+    """Number of divisors."""
+    t = 1
+    for _, e in arith.factorize(n):
+        t *= e + 1
+    return t
+
+
+def liouville(n: int) -> int:
+    """Liouville lambda: (-1)**Omega(n), completely multiplicative."""
+    big_omega = sum(e for _, e in arith.factorize(n))
+    return -1 if big_omega & 1 else 1
+
+
+def omega_sieve(limit: int, table) -> np.ndarray:
+    """omega(n) for all n <= limit."""
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for p in map(int, table.primes):
+        if p > limit:
+            break
+        out[p::p] += 1
+    return out
+
+
+def tau_sieve(limit: int) -> np.ndarray:
+    """Divisor counts tau(n) for all n <= limit."""
+    out = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        out[d::d] += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Singular-series rationals
+# ---------------------------------------------------------------------------
+
+def singular_series_factor(n: int) -> Fraction:
+    """Product of (p-1)/(p-2) over odd primes p dividing n, exactly."""
+    val = Fraction(1)
+    for p, _ in arith.factorize(n):
+        if p > 2:
+            val *= Fraction(p - 1, p - 2)
+    return val
+
+
+def series_weight(m: int) -> Fraction:
+    """Multiplicative weight (2 - 1/2**k) * prod (1 - 2/p**(l+1)) / (1 - 2/p).
+
+    Here 2**k and p**l are the exact prime-power parts of m.  Always >= 1;
+    equals (1/m) * sum_{d|m} d * singular_series_factor(d).
+    """
+    val = Fraction(1)
+    k = 0
+    for p, e in arith.factorize(m):
+        if p == 2:
+            k = e
+        else:
+            val *= Fraction(p ** (e + 1) - 2, p ** e * (p - 2))
+    return val * (2 - Fraction(1, 2 ** k))
+
+
+def weighted_divisor_sum(m: int) -> Fraction:
+    """sum_{d|m} d * singular_series_factor(d), as an exact rational.
+
+    Not integral in general (m=5 gives 23/3); it always equals
+    m * series_weight(m).
+    """
+    total = Fraction(0)
+    for d in arith.divisors(m):
+        total += d * singular_series_factor(d)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Prime-pair counting function
+# ---------------------------------------------------------------------------
+
+def prime_pair_count(x: float, table, include_two: bool = True) -> int:
+    """Ordered pairs of primes (p, q) with p + q <= x.
+
+    ``include_two`` controls whether p=2 or q=2 is allowed; both
+    conventions appear in summatory identities, so neither is guessed.
+    """
+    xf = math.floor(x)
+    if xf < 4:
+        return 0
+    if xf > table.limit:
+        raise ValueError("pair-count query beyond sieve limit")
+    primes = table.primes if include_two else table.primes[1:]
+    lo = 2 if include_two else 3
+    ps = primes[: np.searchsorted(primes, xf - lo, side="right")]
+    if ps.size == 0:
+        return 0
+    # For each p count the allowed q <= xf - p.
+    counts = np.searchsorted(primes, xf - ps, side="right")
+    return int(counts.sum())
+
+
+def pair_count_trend(grid: list[int], table,
+                     include_two: bool = True) -> list[dict]:
+    """Ratio of the prime-pair counting function to x^2 / (2 log^2 x)."""
+    out = []
+    for x in grid:
+        q = prime_pair_count(x, table, include_two=include_two)
+        main = x ** 2 / (2 * math.log(x) ** 2)
+        out.append({"x": x, "Q": q, "main_term": main, "ratio": q / main})
+    return out
 
 
 def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:

@@ -1,7 +1,9 @@
 """Frozen reference values: the first few cyclotomic quotients of F_N
 (exponent -> coefficient maps; omitted exponents are zero) and the
 root-location counts for 6 <= N <= 50.  The construction and
-classification code must reproduce these exactly."""
+classification code must reproduce these exactly.  ``from_text`` reads the
+canonical text form that the fixture files and ``goldpoly construct``
+print."""
 
 QUOTIENTS = {
     # F_6 / Phi_12, degree 46
@@ -99,6 +101,16 @@ ROOT_TABLE = {
 }
 
 
+def from_text(s: str):
+    """Parse the canonical text form of ``poly.to_text``: space-separated
+    coefficients, ascending exponent."""
+    from goldpoly.poly import IntPolynomial
+    parts = s.split()
+    if not parts:
+        raise ValueError("empty polynomial text")
+    return IntPolynomial(int(x) for x in parts)
+
+
 FIXTURE_FILES = {
     (6, "2N"): "F6_div_Phi12.txt",
     (8, "2N"): "F8_div_Phi16.txt",
@@ -124,7 +136,6 @@ def quotient_polynomial(key):
     against the independent exponent-map transcription."""
     import pathlib
 
-    from goldpoly.poly import from_text
     path = pathlib.Path(__file__).parent / "fixtures" / FIXTURE_FILES[key]
     poly = from_text(path.read_text())
     assert poly == quotient_from_map(key), f"fixture file corrupt for {key}"

@@ -20,6 +20,16 @@ from goldpoly.poly import (
 )
 
 from conftest import multiset_distance, requires_long
+from oracles import (
+    coefficient_by_formula,
+    coefficient_table_by_formula,
+    omega_sieve,
+    pair_count_trend,
+    series_weight,
+    stable_coefficient_by_scalar_counts,
+    tau_sieve,
+    weighted_divisor_sum,
+)
 from reference_fixtures import ROOT_TABLE, quotient_polynomial
 
 _classified: dict[int, roots.RootClassification] = {}
@@ -61,7 +71,7 @@ def _check_rows(table, n_lo, n_hi):
         got = (rc.inside, rc.on_circle, rc.outside)
         if got != (inside, on, outside) or rc.undetermined:
             mismatches.append((N, got))
-        if rc.on_circle != 2 * arith.euler_phi(N, table):
+        if rc.on_circle != 2 * arith.euler_phi(N):
             mismatches.append((N, "on != 2*phi(N)"))
     return mismatches
 
@@ -112,15 +122,15 @@ def test_c4_coefficient_oracle(table):
     ok = True
     for N in range(2, 41):
         F = goldbach_polynomial(N, table)
-        via_formula = goldbach.coefficient_table_by_formula(N, table)
+        via_formula = coefficient_table_by_formula(N, table)
         built = list(F.coeffs) if not F.is_zero else [0]
         ok = ok and via_formula == built
     rng = np.random.default_rng(2024)
     for _ in range(1000):
         m = int(rng.integers(1, 200))
         N = int(rng.integers(max(m, 2), 240))
-        if goldbach.coefficient_by_formula(N, m, table) != \
-                goldbach.stable_coefficient(m, table):
+        if coefficient_by_formula(N, m, table) != \
+                stable_coefficient_by_scalar_counts(m, table):
             ok = False
             break
     elapsed = time.perf_counter() - start
@@ -136,12 +146,12 @@ def test_c5_lower_bounds(table, pair_counts):
     coeff = goldbach.stable_coefficient_table(2 * limit, table, pair_counts)
     ms = np.arange(2, limit + 1)
     a2m = coeff[2 * ms]
-    om = arith.omega_sieve(limit, table)[ms]
+    om = omega_sieve(limit, table)[ms]
     unconditional = bool((a2m >= om - (ms % 4 == 2)).all())
     # machine verification of pair existence for every needed 2d
     evens = np.arange(6, 2 * limit + 1, 2)
     verified = bool((pair_counts[evens] >= 1).all())
-    ta = arith.tau_sieve(limit)[ms]
+    ta = tau_sieve(limit)[ms]
     conditional = bool((a2m >= ta - np.where(ms % 2 == 0, 2, 1)).all())
     elapsed = time.perf_counter() - start
     ok = unconditional and verified and conditional and elapsed < 60.0
@@ -156,8 +166,8 @@ def test_c6_identity_suite(table, pair_counts):
     start = time.perf_counter()
     bad_weight = 0
     for m in range(1, 10 ** 5 + 1):
-        lhs = arith.weighted_divisor_sum(m, table)
-        if lhs != m * arith.series_weight(m, table) or lhs < m:
+        lhs = weighted_divisor_sum(m)
+        if lhs != m * series_weight(m) or lhs < m:
             bad_weight += 1
     coeff = goldbach.stable_coefficient_table(2 * 10 ** 4, table,
                                               pair_counts[: 2 * 10 ** 4 + 1])
@@ -189,20 +199,20 @@ def test_c6_identity_suite(table, pair_counts):
 
 @pytest.fixture(scope="module")
 def big_table():
-    return arith.sieve(2_200_000)
+    return arith.PrimeTable(2_200_000)
 
 
-def test_c7_trend_reports(big_table, table, pair_counts):
+def test_c7_trend_reports(big_table, table):
     start = time.perf_counter()
     grid = [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6]
-    big_counts = arith.goldbach_count_table(2 * 10 ** 6, big_table)
-    a_rows = goldbach.summatory_trend(grid, big_table, big_counts)
-    q_rows = goldbach.pair_count_trend(grid, big_table, include_two=True)
+    a_rows = [goldbach.summatory_report(M, big_table) for M in grid]
+    q_rows = pair_count_trend(grid, big_table, include_two=True)
+    identities = all(r["identity_ok"] for r in a_rows)
     a_gaps = [abs(r["ratio"] - 1) for r in a_rows]
     q_gaps = [abs(r["ratio"] - 1) for r in q_rows]
     a_monotone = all(x > y for x, y in zip(a_gaps, a_gaps[1:]))
     q_monotone = all(x > y for x, y in zip(q_gaps, q_gaps[1:]))
-    summary = goldbach.hl_summary(10 ** 4, 10 ** 5, table, pair_counts)
+    summary = goldbach.hl_summary(10 ** 4, 10 ** 5, table)
     elapsed = time.perf_counter() - start
     detail = (
         f"{elapsed:.1f}s; A-ratios "
@@ -211,7 +221,9 @@ def test_c7_trend_reports(big_table, table, pair_counts):
         + f"; hl median {summary['median_ratio']:.4f} "
         f"in [{summary['median_ratio_low']:.4f}, {summary['median_ratio_high']:.4f}]"
     )
-    _report("7", "asymptotic trend direction", a_monotone and q_monotone, detail)
+    _report("7", "asymptotic trend direction",
+            identities and a_monotone and q_monotone,
+            f"identity_ok={identities}; {detail}")
 
 
 # -- criterion 8: irreducibility evidence --------------------------------------

@@ -6,13 +6,11 @@ from collections import Counter
 import pytest
 
 from goldpoly import arith, cli, factor, goldbach, modp, roots
-from goldpoly.poly import from_text
-
 from oracles import (
     coefficient_csv_by_join,
     stable_coefficient_table_by_divisor_sweep,
 )
-from reference_fixtures import quotient_polynomial
+from reference_fixtures import from_text, quotient_polynomial
 
 
 def run(capsys, *argv):
@@ -256,6 +254,14 @@ class TestIrreducible:
         assert all(c["verdict"] == "Irreducible" for c in certs)
         assert all("elapsed_ms" in c for c in certs)
 
+    @pytest.mark.parametrize("max_primes", ["0", "-3"])
+    def test_max_primes_below_one_is_usage_error(self, capsys, max_primes):
+        code, out, err = run(capsys, "irreducible", "--n-max", "6",
+                             "--max-primes", max_primes)
+        assert code == 2
+        assert out == ""
+        assert "--max-primes" in err
+
     def test_deterministic_modulo_timing(self, capsys):
         _, out1, _ = run(capsys, "irreducible", "--n-max", "7")
         _, out2, _ = run(capsys, "irreducible", "--n-max", "7")
@@ -313,7 +319,7 @@ class TestIndicatorFlag:
         got = from_text(out.strip())
         from goldpoly import arith
         from goldpoly.goldbach import IndicatorSet, goldbach_polynomial
-        table = arith.sieve(16)
+        table = arith.PrimeTable(16)
         expected = goldbach_polynomial(
             8, IndicatorSet.liouville_negative(16, table))
         assert got == expected

@@ -8,22 +8,26 @@ from goldpoly import arith, goldbach
 from goldpoly.goldbach import (
     IndicatorSet,
     NonConstantRemainderError,
-    coefficient_by_formula,
-    coefficient_table_by_formula,
-    eval_at_root_of_unity,
     goldbach_polynomial,
-    stable_coefficient,
     theorem_reports,
 )
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
 from oracles import (
+    coefficient_by_formula,
+    coefficient_table_by_formula,
     goldbach_count,
     goldbach_polynomial_by_pairs,
     hl_summary_by_fractions,
+    liouville,
+    omega,
+    pair_count_trend,
+    prime_pair_count,
     root_bound_by_scalar_counts,
+    series_weight,
     stable_coefficient_by_scalar_counts,
     stable_coefficient_table_by_divisor_sweep,
+    tau,
 )
 from reference_fixtures import QUOTIENTS, quotient_polynomial
 
@@ -45,7 +49,7 @@ class TestConstruction:
 
     def test_constant_term_is_squared_prime_count(self, small_table):
         F10 = goldbach_polynomial(10, small_table)
-        assert F10[0] == (small_table.prime_count(9) - 1) ** 2 == 9
+        assert F10[0] == len(small_table.odd_primes_upto(9)) ** 2 == 9
 
     def test_quotient_matches_reference(self, small_table):
         F6 = goldbach_polynomial(6, small_table)
@@ -106,23 +110,27 @@ class TestCoefficientFormula:
             n1, n2 = int(rng.integers(lo, 60)), int(rng.integers(lo, 60))
             assert coefficient_by_formula(n1, m, small_table) == \
                 coefficient_by_formula(n2, m, small_table) == \
-                stable_coefficient(m, small_table)
+                stable_coefficient_by_scalar_counts(m, small_table)
 
 
 class TestStableCoefficients:
     def test_odd_values_vanish(self, small_table):
+        tab = goldbach.stable_coefficient_table(200, small_table)
         for m in range(1, 200, 2):
-            assert stable_coefficient(m, small_table) == 0
+            assert tab[m] == stable_coefficient_by_scalar_counts(
+                m, small_table) == 0
 
     def test_small_values(self, small_table):
-        assert stable_coefficient(6, small_table) == 1  # R(2)+R(6)
-        assert stable_coefficient(30, small_table) == 10  # 0+1+3+6
+        tab = goldbach.stable_coefficient_table(30, small_table)
+        assert tab[6] == stable_coefficient_by_scalar_counts(
+            6, small_table) == 1  # R(2)+R(6)
+        assert tab[30] == stable_coefficient_by_scalar_counts(
+            30, small_table) == 10  # 0+1+3+6
 
     def test_table_matches_scalar(self, small_table):
         tab = goldbach.stable_coefficient_table(300, small_table)
         for m in range(1, 301):
-            assert tab[m] == stable_coefficient(m, small_table) == \
-                stable_coefficient_by_scalar_counts(m, small_table)
+            assert tab[m] == stable_coefficient_by_scalar_counts(m, small_table)
 
     def test_table_matches_divisor_sweep_every_small_limit(self, small_table):
         counts = arith.goldbach_count_table(400, small_table)
@@ -170,15 +178,16 @@ class TestDivisibility:
 
 class TestRootOfUnityValues:
     def test_fixed_values_at_six(self, small_table):
-        F6 = goldbach_polynomial(6, small_table)
-        assert eval_at_root_of_unity(F6, 6) == 6
-        assert eval_at_root_of_unity(F6, 3) == 6
-        assert eval_at_root_of_unity(F6, 2) == 24
-        assert eval_at_root_of_unity(F6, 1) == 24
+        per_divisor = theorem_reports(6, small_table)[2].witness["per_divisor"]
+        assert {M: entry["value"] for M, entry in per_divisor.items()} == \
+            {1: 24, 2: 24, 3: 6, 6: 6}
 
-    def test_nonconstant_remainder_raises(self):
+    def test_nonconstant_remainder_raises(self, small_table):
+        # F mod Phi_3 = z is no constant value at the primitive cube roots
+        counts = arith.goldbach_count_table(3, small_table)
+        remainders = {1: IntPolynomial((5,)), 3: IntPolynomial((0, 1))}
         with pytest.raises(NonConstantRemainderError):
-            eval_at_root_of_unity(IntPolynomial((0, 1)), 3)
+            goldbach.root_bounds_report(3, counts, remainders)
 
     def test_bounds_hold_to_forty(self, small_table):
         for N in range(2, 41):
@@ -213,56 +222,56 @@ class TestRootOfUnityValues:
 
 
 class TestLowerBounds:
+    """a(2m) >= omega(m) - [m = 2 mod 4], and a(2m) >= tau(m) - (2 if m even
+    else 1) once every divisor d of m outside {1, 2} has R(2d) > 0."""
+
     def test_m15(self, small_table):
-        rep = goldbach.lower_bound_report(15, small_table)
-        assert rep.holds
-        assert rep.witness["a_2m"] == 10
-        assert rep.witness["omega_bound"] == 2
-        assert rep.witness["tau_bound"] == 3
+        tab = goldbach.stable_coefficient_table(30, small_table)
+        assert tab[30] == 10
+        assert omega(15) == 2
+        assert tau(15) - 1 == 3
 
     def test_m2_boundary(self, small_table):
-        rep = goldbach.lower_bound_report(2, small_table)
-        assert rep.holds
-        assert rep.witness["a_2m"] == 0
-        assert rep.witness["omega_bound"] == 0
+        tab = goldbach.stable_coefficient_table(4, small_table)
+        assert tab[4] == 0
+        assert omega(2) - 1 == 0
 
     def test_prime_m_bounds_coincide(self, small_table):
+        tab = goldbach.stable_coefficient_table(62, small_table)
         for m in (3, 5, 11, 31):
-            rep = goldbach.lower_bound_report(m, small_table)
-            assert rep.witness["omega_bound"] == rep.witness["tau_bound"] == 1
+            assert omega(m) == tau(m) - 1 == 1 <= tab[2 * m]
 
     def test_matches_scalar_counts(self, small_table):
+        tab = goldbach.stable_coefficient_table(600, small_table)
+        counts = arith.goldbach_count_table(600, small_table)
         for m in range(2, 301):
-            rep = goldbach.lower_bound_report(m, small_table)
-            assert rep.witness["a_2m"] == \
+            assert tab[2 * m] == \
                 stable_coefficient_by_scalar_counts(2 * m, small_table)
-            assert rep.witness["unverified_divisors"] == [
-                d for d in arith.divisors(m) if d not in (1, 2)
-                and goldbach_count(2 * d, small_table) == 0]
-
-    def test_rejects_m1(self, small_table):
-        with pytest.raises(ValueError):
-            goldbach.lower_bound_report(1, small_table)
+            assert tab[2 * m] >= omega(m) - (m % 4 == 2)
+            assert all(counts[2 * d] > 0
+                       for d in arith.divisors(m) if d not in (1, 2))
+            assert tab[2 * m] >= tau(m) - (2 if m % 2 == 0 else 1)
 
 
 class TestSummatory:
     def test_A3_by_hand(self, small_table):
         # a(2)=a(4)=0, a(6)=1
-        assert goldbach.summatory(3, small_table) == 1
-        assert goldbach.summatory_via_pairs(3, small_table) == 1
+        counts = arith.goldbach_count_table(6, small_table)
+        assert goldbach.summatory(3, small_table, counts) == 1
+        assert goldbach.summatory_via_pairs(3, counts) == 1
 
     def test_identity_small_range(self, small_table):
         counts = arith.goldbach_count_table(1200, small_table)
         coeff = goldbach.stable_coefficient_table(1200, small_table, counts)
         for M in range(1, 601):
             assert int(coeff[: 2 * M + 1].sum()) == \
-                goldbach.summatory_via_pairs(M, small_table, counts)
+                goldbach.summatory_via_pairs(M, counts)
 
     def test_pair_count_prefix_consistency(self, small_table):
         counts = arith.goldbach_count_table(800, small_table)
         prefix = np.cumsum(counts, dtype=np.int64)
         for x in (10, 100, 333, 800):
-            assert arith.prime_pair_count(x, small_table, include_two=False) == prefix[x]
+            assert prime_pair_count(x, small_table, include_two=False) == prefix[x]
 
     def test_report_fields(self, small_table):
         rep = goldbach.summatory_report(100, small_table)
@@ -271,36 +280,38 @@ class TestSummatory:
         assert rep["ratio"] > 0
 
     def test_trend_helpers(self, small_table):
-        rows = goldbach.summatory_trend([100, 1000], small_table)
+        rows = [goldbach.summatory_report(M, small_table) for M in (100, 1000)]
         assert [r["M"] for r in rows] == [100, 1000]
-        qrows = goldbach.pair_count_trend([100, 1000], small_table)
+        assert all(r["identity_ok"] and r["ratio"] > 0 for r in rows)
+        qrows = pair_count_trend([100, 1000], small_table)
         assert all(r["ratio"] > 0 for r in qrows)
 
 
 class TestHardyLittlewood:
     def test_ratio_positive_finite(self, small_table):
         for m in (3, 10, 100, 1024):
-            val = goldbach.hl_ratio(m, small_table)
+            val = goldbach.hl_summary(m, m, small_table)["median_ratio"]
             assert math.isfinite(val) and val > 0
 
     def test_power_of_two_uses_exact_weight(self, small_table):
         m = 2 ** 7
-        a2m = stable_coefficient(2 * m, small_table)
+        a2m = stable_coefficient_by_scalar_counts(2 * m, small_table)
         c2 = arith.twin_prime_constant(small_table.limit, small_table)[0]
         weight = 2 - 1 / 2 ** 7
         expected = a2m * math.log(m) ** 2 / (2 * c2 * weight * m)
-        assert goldbach.hl_ratio(m, small_table, c2=c2) == pytest.approx(expected, rel=1e-12)
+        assert goldbach.hl_summary(m, m, small_table)["median_ratio"] == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_summary_interval(self, small_table):
         rep = goldbach.hl_summary(100, 400, small_table)
         assert rep["median_ratio_low"] <= rep["median_ratio"] <= rep["median_ratio_high"]
         assert rep["count"] == 301
 
-    def test_weight_terms_are_exact(self, table):
+    def test_weight_terms_are_exact(self):
         ms = np.arange(1, 2 * 10 ** 4 + 1)
         num, den = goldbach.series_weight_terms(ms, arith.spf_sieve(len(ms)))
         for m, a, b in zip(ms.tolist(), num.tolist(), den.tolist()):
-            assert Fraction(a, b) == arith.series_weight(m, table), m
+            assert Fraction(a, b) == series_weight(m), m
 
     @pytest.mark.parametrize("m_lo, m_hi", [(3, 500), (100, 400), (3000, 30000)])
     def test_summary_matches_fraction_loop(self, table, m_lo, m_hi):
@@ -325,8 +336,8 @@ class TestHardyLittlewood:
 class TestIndicators:
     def test_liouville_membership(self, small_table):
         ind = IndicatorSet.liouville_negative(1000, small_table)
-        for n in range(1, 1001):
-            assert ind.contains(n) == (arith.liouville(n, small_table) == -1)
+        assert ind.support_upto(1000).tolist() == \
+            [n for n in range(1, 1001) if liouville(n) == -1]
 
     def test_liouville_polynomial_differs(self, small_table):
         # 2 is in the Liouville-negative set, so odd exponents appear
@@ -334,8 +345,8 @@ class TestIndicators:
         F = goldbach_polynomial(8, ind)
         assert not F.is_even()
 
-    def test_liouville_pair_existence(self, small_table):
-        lam = arith.liouville_sieve(10_000, small_table)
+    def test_liouville_pair_existence(self, table):
+        lam = arith.liouville_sieve(10_000, table)
         members = np.nonzero(lam == -1)[0]
         members = members[members >= 1]
         in_set = np.zeros(10_001, dtype=bool)
@@ -343,12 +354,6 @@ class TestIndicators:
         for N in range(4, 10_001, 2):
             assert any(in_set[a] and in_set[N - a]
                        for a in members[members < N]), f"no pair for {N}"
-
-    def test_odd_prime_indicator_matches_table(self, small_table):
-        ind = IndicatorSet.odd_primes(small_table)
-        F_a = goldbach_polynomial(12, ind)
-        F_b = goldbach_polynomial(12, small_table)
-        assert F_a == F_b
 
 
 class TestReports:
@@ -360,5 +365,6 @@ class TestReports:
         assert "witness" in d
 
     def test_goldbach_range_report(self, small_table):
-        rep = goldbach.verify_goldbach_range(2000, small_table)
-        assert rep.holds and rep.witness["failures"] == []
+        # every even n in [6, 2000] is a sum of two odd primes
+        counts = arith.goldbach_count_table(2000, small_table)
+        assert (counts[6::2] > 0).all()
