@@ -11,7 +11,8 @@ memoized.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
-by exact trial division, so the result is certified at every degree.
+by exact trial division after every image, so the result is certified
+at every degree.
 """
 
 from __future__ import annotations
@@ -155,6 +156,12 @@ class IntPolynomial:
             raise ValueError("polynomial has odd-exponent terms")
         return IntPolynomial(self.coeffs[0::2])
 
+    def compose_square(self) -> "IntPolynomial":
+        """self(z**2), the inverse of even_part."""
+        cs = [0] * (2 * len(self.coeffs))
+        cs[0::2] = self.coeffs
+        return IntPolynomial(cs)
+
     # -- evaluation -----------------------------------------------------------
     def evaluate_complex(self, z: complex) -> complex:
         v = 0j
@@ -290,19 +297,20 @@ def to_text(a: IntPolynomial) -> str:
 # ---------------------------------------------------------------------------
 
 def _modular_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Brown-style modular gcd; candidate verified by exact trial division.
+    """Brown's modular gcd; each candidate is checked by exact trial division.
 
     Images are taken modulo the primes below 2**31, descending, until the
-    lifted candidate repeats and divides both inputs; there is no cap on
-    their number, so gcds with coefficients of any size are reached.  The
-    images of the lowest degree seen so far, scaled to leading coefficient
-    gcd(lc a, lc b), are combined by CRT one prime at a time.
+    lifted candidate divides both inputs; there is no cap on their number,
+    so gcds with coefficients of any size are reached.  The images of the
+    lowest degree seen so far, scaled to leading coefficient
+    gcd(lc a, lc b), are combined by CRT one prime at a time.  A candidate
+    that divides both inputs is the gcd: it divides the true gcd, and its
+    degree, that of an image, is at least the true gcd's.
     """
     lead_gcd = math.gcd(a.lead, b.lead)
     best_deg = None
     residues: list[int] = []
     modulus = 1
-    prev_candidate = None
     for p in filter(arith.is_prime, range(2 ** 31 - 1, 2, -2)):
         if a.lead % p == 0 or b.lead % p == 0:
             continue
@@ -317,7 +325,6 @@ def _modular_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         if best_deg is None or dg < best_deg:
             best_deg = dg
             residues, modulus = scaled, p
-            prev_candidate = None
         elif dg == best_deg:
             inv = pow(modulus, -1, p)
             residues = [r + modulus * ((s - r % p) * inv % p)
@@ -328,12 +335,10 @@ def _modular_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         half = modulus // 2
         lifted = [r - modulus if r > half else r for r in residues]
         candidate = IntPolynomial(lifted).primitive_part()
-        if candidate == prev_candidate:
-            qa = exact_quotient_or_none(a, candidate)
-            if qa is not None and exact_quotient_or_none(b, candidate) is not None:
-                return candidate
-        prev_candidate = candidate
-    raise ArithmeticError("modular gcd failed to stabilize")  # pragma: no cover
+        if (exact_quotient_or_none(a, candidate) is not None
+                and exact_quotient_or_none(b, candidate) is not None):
+            return candidate
+    raise ArithmeticError("modular gcd ran out of primes")  # pragma: no cover
 
 
 def gcd_rational(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

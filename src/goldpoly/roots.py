@@ -11,9 +11,14 @@ refinement first, an honest "undetermined" verdict if that cannot decide.
 The solver freezes each approximation once its correction is below
 tolerance, so a sweep evaluates and moves only the points still active,
 while the frozen ones stay in every pairwise Aberth sum.  A sweep takes
-p/p' for all active points in one Horner pass over the coefficients,
-points outside the unit disk through the reversed polynomial at 1/z; the
-backward residual is evaluated once, after the last sweep.
+p/p' for all active points by baby-step giant-step evaluation (Paterson
+and Stockmeyer): blocks of sqrt(d) coefficients against a table of
+powers, O(sqrt(d)) numpy calls per sweep instead of a Horner loop of d
+steps, with a rounding bound of the same order as Horner's.  The products
+run in ``einsum``, not BLAS, whose threads would cost more CPU than they
+save.  Points outside the unit disk go through the reversed polynomial at
+1/z.  The backward residual, the acceptance gate, is a separate Horner
+pass, evaluated once after the last sweep.
 """
 
 from __future__ import annotations
@@ -41,6 +46,12 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Half-width of the band around |z| = 1 whose solved points are escalated
 # to extended-precision Newton refinement.
 _EPSILON = 1e-6
+# Aberth stopping rule: a point is frozen once its correction, relative to
+# 1 + |z|, is below _TOL; the solve fails after _MAX_ITER sweeps.
+_TOL = 1e-12
+_MAX_ITER = 600
+# Entries per block of the solver's work arrays: 2**18 complex, 4 MB.
+_BLOCK_ENTRIES = 1 << 18
 
 
 class SolverError(RuntimeError):
@@ -72,38 +83,78 @@ class SolveResult:
     max_residual: float
 
 
+def _bsgs_values(coeffs: np.ndarray, x: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """p(x) and p'(x) at every point by baby-step giant-step evaluation.
+
+    With L = isqrt(d) + 1 and nb = ceil((d + 1) / L), column b of the real
+    L x 2nb matrix C holds the block c[bL : bL + L] of p and column nb + b
+    the same block of p', so with the baby steps T = [x^0 .. x^(L-1)] and
+    the giant steps U = [y^0 .. y^(nb-1)], y = x^L,
+    p(x) = sum_b U_b (T C)_b and p'(x) = sum_b U_b (T C)_(nb+b)
+    (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  Both power tables
+    come from ``cumprod`` and T C from two real ``einsum`` products, for
+    T.real and T.imag, since C is real: a sweep costs O(sqrt(d)) numpy
+    calls and O(d) flops per point.  ``einsum`` runs in numpy's own loops;
+    BLAS (``@``) would start its thread pool and spend more CPU than it
+    saves wall time.  Row blocks of points keep T C within 2**18 entries.
+
+    Rounding: with S(x) = sum |c_k| |x|^k, the two sums add at most
+    3 (L + nb) u S(x) to the error of the power tables (u = 2**-53), and
+    the same for p' with the weights k c_k.  A power x^k = y^b x^j is a
+    chain of at most k + nb complex products, relative error about
+    sqrt(5) (k + nb) u, the order of Horner's own 2 d u bound; at points
+    whose powers are exact (x = 0, 1/2, (1 + i)/2, ...) only the sums err.
+    """
+    d = len(coeffs) - 1
+    L = math.isqrt(d) + 1
+    nb = -(-(d + 1) // L)
+    blocks = np.zeros((2 * nb, L), dtype=np.float64)
+    flat = blocks.reshape(2, nb * L)
+    flat[0, :d + 1] = coeffs
+    flat[1, :d] = coeffs[1:] * np.arange(1, d + 1)
+    C = np.ascontiguousarray(blocks.T)
+    p = np.empty(x.shape, dtype=np.complex128)
+    dp = np.empty(x.shape, dtype=np.complex128)
+    rows = max(1, _BLOCK_ENTRIES // (2 * nb))
+    for i0 in range(0, len(x), rows):
+        xb = x[i0:i0 + rows]
+        T = np.empty((len(xb), L), dtype=np.complex128)
+        T[:, 0] = 1.0
+        T[:, 1:] = xb[:, None]
+        np.cumprod(T, axis=1, out=T)
+        B = (np.einsum("ij,jk->ik", T.real, C)
+             + 1j * np.einsum("ij,jk->ik", T.imag, C))
+        U = np.empty((len(xb), nb), dtype=np.complex128)
+        U[:, 0] = 1.0
+        U[:, 1:] = (T[:, -1] * xb)[:, None]
+        np.cumprod(U, axis=1, out=U)
+        p[i0:i0 + rows] = np.einsum("ij,ij->i", U, B[:, :nb])
+        dp[i0:i0 + rows] = np.einsum("ij,ij->i", U, B[:, nb:])
+    return p, dp
+
+
 def _newton_ratio(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """p(z)/p'(z) at every point, value and derivative in one Horner pass.
+    """p(z)/p'(z) at every point, value and derivative by ``_bsgs_values``.
 
     Points outside the unit disk are evaluated through the reversed
     polynomial at 1/z, which keeps |z|^degree out of the arithmetic and
     cannot overflow at high degree: with q = rev(p) and u = 1/z,
-    p/p' = z*q(u) / (d*q(u) - u*q'(u)).  Both sets share one loop over the
-    coefficients: the inside points fill the front of the work arrays and
-    take c[d-k] at step k, the outside points the back and take c[k].
+    p/p' = z*q(u) / (d*q(u) - u*q'(u)).  Every power table then has
+    entries of modulus at most 1.
     """
     d = len(coeffs) - 1
     outside = np.abs(z) > 1.0
-    i_in = np.flatnonzero(~outside)
-    i_out = np.flatnonzero(outside)
-    n = len(i_in)
     w = np.empty(z.shape, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.concatenate([z[i_in], 1.0 / z[i_out]])
-        v = np.empty(x.shape, dtype=np.complex128)
-        v[:n] = coeffs[-1]
-        v[n:] = coeffs[0]
-        dv = np.zeros(x.shape, dtype=np.complex128)
-        head, tail = v[:n], v[n:]
-        for c_in, c_out in zip(coeffs[-2::-1].tolist(), coeffs[1:].tolist()):
-            dv *= x
-            dv += v
-            v *= x
-            head += c_in
-            tail += c_out
-        w[i_in] = head / dv[:n]
-        u = x[n:]
-        w[i_out] = z[i_out] * tail / (d * tail - u * dv[n:])
+        if not outside.all():
+            v, dv = _bsgs_values(coeffs, z[~outside])
+            w[~outside] = v / dv
+        if outside.any():
+            zo = z[outside]
+            u = 1.0 / zo
+            q, dq = _bsgs_values(coeffs[::-1], u)
+            w[outside] = zo * q / (d * q - u * dq)
     return w
 
 
@@ -131,23 +182,23 @@ def _backward_residual(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return be
 
 
-def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
-                 seed: int = 0) -> SolveResult:
+def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
     """All roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Start points sit on the circle of radius (|a_0|/|a_d|)^(1/d) with
     golden-angle spacing and seeded 1e-3 radial jitter, so runs are
     reproducible.  Each sweep moves only the active points: a point is
-    frozen once its correction falls below tol (relative to 1 + |z|), and
+    frozen once its correction falls below _TOL (relative to 1 + |z|), and
     the loop ends when none is left.  Frozen points still enter the
     pairwise Aberth sum of the active ones, so they keep repelling them.
     A point whose correction is not finite (coincident approximations, a
-    vanishing derivative) is jittered and stays active.  p/p' is taken in
-    one Horner pass over the coefficients (``_newton_ratio``); the
-    backward residual only once, after the loop.  Convergence means every
-    correction fell below tol; if the correction test stalls at the
-    rounding floor, a final backward-residual check below 1e-11 still
-    accepts.  Roots at the origin are split off exactly first.
+    vanishing derivative) is jittered and stays active.  p/p' is taken by
+    baby-step giant-step evaluation (``_newton_ratio``); the backward
+    residual, by Horner's rule, only once after the loop.  Convergence
+    means every correction fell below _TOL within _MAX_ITER sweeps; if
+    the correction test stalls at the rounding floor, a final
+    backward-residual check below 1e-11 still accepts.  Roots at the
+    origin are split off exactly first.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -169,12 +220,11 @@ def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     angles = _GOLDEN_ANGLE * np.arange(d)
     z = radii * np.exp(1j * angles)
 
-    # rows of the pairwise sum per block: at most 2**18 entries, 4 MB
-    chunk = max(1, (1 << 18) // d)
+    chunk = max(1, _BLOCK_ENTRIES // d)
     active = np.arange(d)
     iterations = 0
     max_corr = math.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         za = z[active]
         w = _newton_ratio(c, za)
         s = np.empty(len(active), dtype=np.complex128)
@@ -193,12 +243,12 @@ def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
         z[active] = za
         rel = np.abs(corr) / (1.0 + np.abs(za))
         max_corr = math.inf if bad.any() else float(rel.max())
-        active = active[bad | (rel >= tol)]
+        active = active[bad | (rel >= _TOL)]
         if not active.size:
             break
     resid = _backward_residual(c, z)
     max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
-    if max_corr >= tol and max_resid > 1e-11:
+    if max_corr >= _TOL and max_resid > 1e-11:
         raise SolverError("Aberth iteration did not converge",
                           iterations=iterations, max_correction=max_corr,
                           max_residual=max_resid)
@@ -210,6 +260,21 @@ def aberth_solve(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
 # ---------------------------------------------------------------------------
 # Exact unit-circle split
 # ---------------------------------------------------------------------------
+
+def _gcd_with(F: IntPolynomial, partner) -> IntPolynomial:
+    """gcd_rational(F, partner(F)), at half degree when F is even.
+
+    partner is ``reciprocal`` or ``IntPolynomial.derivative``.  For
+    F = g(z**2) the gcd is gcd(g, partner(g)) mapped back by z -> z**2,
+    which commutes with gcds over Q: reciprocal(F) = reciprocal(g)(z**2),
+    and F' = 2z g'(z**2), where the factor 2z is coprime to F as long as
+    F(0) != 0, which every caller requires.
+    """
+    if F.is_even():
+        g = F.even_part()
+        return gcd_rational(g, partner(g)).compose_square()
+    return gcd_rational(F, partner(F))
+
 
 @dataclass
 class StripResult:
@@ -223,16 +288,17 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     """Split off the factor of F carrying every root on the unit circle.
 
     Requires F(0) != 0.  The gcd with the reversed polynomial is computed
-    exactly, then peeled by exact trial division against each cyclotomic
-    of degree at most deg(gcd); whatever remains (off-circle reciprocal
-    pairs, or self-reciprocal non-cyclotomic factors) is returned as the
-    residual for numeric classification.
+    exactly (``_gcd_with``, at half degree when F is even), then peeled by
+    exact trial division against each cyclotomic of degree at most
+    deg(gcd); whatever remains (off-circle reciprocal pairs, or
+    self-reciprocal non-cyclotomic factors) is returned as the residual for
+    numeric classification.
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
     if F[0] == 0:
         raise ValueError("F(0) must be nonzero; divide out z first")
-    G = gcd_rational(F, reciprocal(F))
+    G = _gcd_with(F, reciprocal)
     H = exact_quotient_or_none(F, G)
     if H is None:
         raise AssertionError("gcd does not divide exactly")
@@ -375,7 +441,7 @@ def classify_roots(N: int, table: PrimeTable, *,
     work = [F]
     while work:
         piece = work.pop()
-        sqf_gcd = gcd_rational(piece, piece.derivative())
+        sqf_gcd = _gcd_with(piece, IntPolynomial.derivative)
         if sqf_gcd.degree > 0:
             work.append(divrem_exact(piece, sqf_gcd)[0])
             work.append(sqf_gcd)

@@ -6,7 +6,9 @@ number or scalar loops over primes, and F_N a dict of pair sums spread over
 the exponent steps.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
 ``factor.distinct_degree_pattern`` against repeated ``powmod``.
 ``aberth_all_points`` is the Aberth loop that moves every point on every
-sweep, the reference for the solver that freezes converged points.
+sweep, the reference for the solver that freezes converged points; its
+Horner evaluation (``horner_triple``, ``horner_ratio_and_residual``) is
+the reference for the solver's baby-step giant-step p/p'.
 ``stable_coefficient_table_by_divisor_sweep``, ``hl_summary_by_fractions``
 and ``coefficient_csv_by_join`` are the one-step-per-index loops behind the
 whole-array coefficient sweeps.
@@ -404,7 +406,7 @@ def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
     return DegreePattern(components)
 
 
-def _horner_triple(coeffs: np.ndarray, z: np.ndarray):
+def horner_triple(coeffs: np.ndarray, z: np.ndarray):
     """Value, derivative value and absolute scale at all points."""
     v = np.full(z.shape, coeffs[-1], dtype=np.complex128)
     dv = np.zeros(z.shape, dtype=np.complex128)
@@ -417,7 +419,7 @@ def _horner_triple(coeffs: np.ndarray, z: np.ndarray):
     return v, dv, s
 
 
-def _newton_ratio_and_residual(coeffs: np.ndarray, z: np.ndarray):
+def horner_ratio_and_residual(coeffs: np.ndarray, z: np.ndarray):
     """p(z)/p'(z) and the backward residual |p(z)| / sum |c_i| |z|^i.
 
     Points outside the unit disk are evaluated through the reversed
@@ -433,13 +435,13 @@ def _newton_ratio_and_residual(coeffs: np.ndarray, z: np.ndarray):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if inside.any():
             zi = z[inside]
-            v, dv, s = _horner_triple(coeffs, zi)
+            v, dv, s = horner_triple(coeffs, zi)
             w[inside] = v / dv
             be[inside] = np.abs(v) / np.maximum(s, 1e-300)
         if outside.any():
             zo = z[outside]
             u = 1.0 / zo
-            qv, dqv, s = _horner_triple(coeffs[::-1], u)
+            qv, dqv, s = horner_triple(coeffs[::-1], u)
             w[outside] = zo * qv / (d * qv - u * dqv)
             be[outside] = np.abs(qv) / np.maximum(s, 1e-300)
     return w, be
@@ -482,7 +484,7 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     iterations = 0
     max_corr = math.inf
     for iterations in range(1, max_iter + 1):
-        w, _ = _newton_ratio_and_residual(c, z)
+        w, _ = horner_ratio_and_residual(c, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.zeros(d, dtype=np.complex128)
             for i0 in range(0, d, chunk):
@@ -504,7 +506,7 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
             max_corr = math.inf
         if max_corr < tol:
             break
-    resid = _newton_ratio_and_residual(c, z)[1]
+    resid = horner_ratio_and_residual(c, z)[1]
     max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
     if max_corr >= tol and max_resid > 1e-11:
         raise SolverError("Aberth iteration did not converge",

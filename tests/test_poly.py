@@ -317,6 +317,32 @@ class TestGcd:
             a, b = multiply(g, other), multiply(g, IntPolynomial((2, 1)))
             assert gcd_rational(a, b) == subresultant_gcd(a, b).primitive_part() == g
 
+    @pytest.mark.parametrize("a, b, want", [
+        pytest.param((0, 1), (2 ** 31 - 1, 1), (1,), id="coprime"),
+        pytest.param((0, 2, 1), (2 * (2 ** 31 - 1), 2 ** 31 + 1, 1), (2, 1),
+                     id="linear"),
+    ])
+    def test_first_prime_unlucky(self, a, b, want):
+        # modulo 2**31 - 1, the first prime tried, the image has too high a
+        # degree; its candidate fails trial division and the next prime
+        # gives the gcd
+        assert gcd_rational(IntPolynomial(a), IntPolynomial(b)) == \
+            IntPolynomial(want)
+
+    def test_small_gcd_from_one_image(self, monkeypatch):
+        calls = []
+        image_gcd = modp.gcd
+
+        def counting(*args):
+            calls.append(args)
+            return image_gcd(*args)
+
+        monkeypatch.setattr(modp, "gcd", counting)
+        a = IntPolynomial((-1, 0, 1))        # (z-1)(z+1)
+        b = IntPolynomial((1, -2, 1))        # (z-1)^2
+        assert gcd_rational(a, b) == IntPolynomial((-1, 1))
+        assert len(calls) == 1
+
     def test_gcd_of_zero_pair_rejected(self):
         with pytest.raises(ValueError):
             gcd_rational(IntPolynomial.zero(), IntPolynomial.zero())
@@ -332,6 +358,9 @@ class TestEvaluationAndSymmetry:
         assert a.even_part() == IntPolynomial((1, -2, 5))
         with pytest.raises(ValueError):
             IntPolynomial((1, 1)).even_part()
+        assert a.even_part().compose_square() == a
+        assert IntPolynomial((7,)).compose_square() == IntPolynomial((7,))
+        assert IntPolynomial.zero().compose_square().is_zero
 
 
 class TestSerialization:

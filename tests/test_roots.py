@@ -1,4 +1,6 @@
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from goldpoly.poly import (
     IntPolynomial,
     cyclotomic,
     divrem_exact,
+    gcd_rational,
     multiply,
     reciprocal,
 )
@@ -21,7 +24,7 @@ from goldpoly.roots import (
 )
 
 from conftest import multiset_distance
-from oracles import aberth_all_points
+from oracles import aberth_all_points, horner_ratio_and_residual, horner_triple
 from reference_fixtures import ROOT_TABLE
 
 
@@ -84,9 +87,11 @@ class TestAberth:
         assert mags[0] == mags[1] == 0.0
         assert abs(mags[2] - 1) < 1e-12
 
-    def test_nonconvergence_raises_with_diagnostics(self):
+    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(roots, "_TOL", 1e-30)
+        monkeypatch.setattr(roots, "_MAX_ITER", 1)
         with pytest.raises(SolverError) as exc:
-            aberth_solve(IntPolynomial((-1, 0, 1)), tol=1e-30, max_iter=1)
+            aberth_solve(IntPolynomial((-1, 0, 1)))
         assert exc.value.iterations == 1
         assert exc.value.max_correction > 0
 
@@ -137,6 +142,76 @@ class TestAberth:
         assert res.max_residual < 1e-11
 
 
+# d + 1 is a perfect square at 3, 8, 15, 24, and not a multiple of the
+# block length L = isqrt(d) + 1 at 2, 117, 521
+EVALUATOR_DEGREES = (1, 2, 3, 8, 15, 24, 117, 521)
+
+
+def _test_points(rng, n):
+    """Points inside, outside, exactly on and within 1e-9 of |z| = 1."""
+    angles = 2 * np.pi * rng.random(n)
+    radii = np.concatenate([rng.random(n) ** 0.5, 1 + 3 * rng.random(n),
+                            1 + 1e-9 * (2 * rng.random(n) - 1)])
+    circle = np.array([1, -1, 1j, -1j, 0.6 + 0.8j])
+    return np.concatenate([radii * np.tile(np.exp(1j * angles), 3), circle])
+
+
+def _exact_values(coeffs, x):
+    """p(x) and p'(x) as pairs of Fractions, x a complex with dyadic parts."""
+    xr, xi = Fraction(x.real), Fraction(x.imag)
+    pr = pi = dr = di = Fraction(0)
+    for c in coeffs[::-1]:
+        dr, di = dr * xr - di * xi + pr, dr * xi + di * xr + pi
+        pr, pi = pr * xr - pi * xi + Fraction(c), pr * xi + pi * xr
+    return (pr, pi), (dr, di)
+
+
+class TestEvaluator:
+    """Baby-step giant-step p/p' (``_bsgs_values``, ``_newton_ratio``)."""
+
+    @pytest.mark.parametrize("d", EVALUATOR_DEGREES)
+    def test_matches_horner_oracle(self, d):
+        rng = np.random.default_rng(d)
+        c = rng.standard_normal(d + 1)
+        z = _test_points(rng, 12)
+        got = roots._newton_ratio(c, z)
+        want = horner_ratio_and_residual(c, z)[0]
+        assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+        for k in (0, len(z) - 1):
+            assert np.allclose(roots._newton_ratio(c, z[k:k + 1]), want[k],
+                               rtol=1e-9, atol=0.0)
+        # each evaluation errs by a small multiple of d u sum |c_k| |x|^k
+        inside = z[np.abs(z) <= 1.0]
+        v, dv = roots._bsgs_values(c, inside)
+        hv, hdv, s = horner_triple(c, inside)
+        assert np.all(np.abs(v - hv) <= 16 * (d + 1) * 2.0 ** -53 * s)
+        assert np.allclose(dv, hdv, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("d", EVALUATOR_DEGREES)
+    def test_rounding_bound_at_exact_powers(self, d):
+        # the powers of these points are exact in binary floating point, so
+        # the only error is that of the sums: 3 (L + nb) u sum |c_k| |x|^k
+        rng = np.random.default_rng(100 + d)
+        c = rng.integers(-9, 10, d + 1).astype(np.float64)
+        c[-1] = c[-1] or 1.0
+        x = np.array([0, 1, -1, 1j, -1j, 0.5, -0.5j, 0.5 + 0.5j,
+                      -0.5 + 0.5j, 0.25 - 0.25j])
+        L = math.isqrt(d) + 1
+        nb = -(-(d + 1) // L)
+        gamma = 3 * (L + nb) * 2.0 ** -53
+        k = np.arange(d + 1)
+        v, dv = roots._bsgs_values(c, x)
+        for i, xi in enumerate(x):
+            ax = np.abs(xi) ** k
+            bounds = (gamma * float(np.abs(c) @ ax),
+                      gamma * float(np.abs(c[1:] * k[1:]) @ ax[:-1]))
+            for got, want, bound in zip((v[i], dv[i]), _exact_values(c, xi),
+                                        bounds):
+                err2 = ((Fraction(got.real) - want[0]) ** 2
+                        + (Fraction(got.imag) - want[1]) ** 2)
+                assert err2 <= Fraction(bound) ** 2, (d, xi)
+
+
 class TestStrip:
     def test_goldbach_six(self, small_table):
         F6 = goldbach_polynomial(6, small_table)
@@ -164,6 +239,24 @@ class TestStrip:
     def test_rejects_root_at_origin(self):
         with pytest.raises(ValueError):
             strip_unit_circle_part(IntPolynomial((0, 1)))
+
+    @pytest.mark.parametrize("partner", [reciprocal, IntPolynomial.derivative],
+                             ids=["reciprocal", "derivative"])
+    def test_half_degree_gcd_matches_full_degree(self, small_table, partner):
+        phi4_sq = multiply(cyclotomic(4), cyclotomic(4))
+        polys = [goldbach_polynomial(N, small_table) for N in range(6, 19)]
+        polys += [
+            multiply(phi4_sq, IntPolynomial((2, 0, -5, 0, 2))),
+            multiply(multiply(phi4_sq, cyclotomic(12)),
+                     IntPolynomial((-3, 0, 1))),
+            multiply(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
+            IntPolynomial((5, 0, 0, 0, 1)),
+            multiply(cyclotomic(7), IntPolynomial((-3, 1))),  # not even
+        ]
+        for F in polys:
+            assert F[0] != 0
+            want = gcd_rational(F, partner(F))
+            assert roots._gcd_with(F, partner) == want, F
 
     def test_repeated_cyclotomic_multiplicity(self):
         F = multiply(multiply(cyclotomic(4), cyclotomic(4)), IntPolynomial((-2, 1)))
