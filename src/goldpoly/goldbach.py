@@ -2,13 +2,16 @@
 
 The central object is the family F_N(z) = sum_k (sum_n chi(n) z^(k n))^2,
 where chi is the odd-prime indicator (pluggable: any 0/1 indicator works,
-the Liouville-negative set is built in).  This module builds F_N exactly
-from the indicator's pair sums, one autocorrelation by ``modp.convolve``
-spread over the exponent steps k.  ``theorem_reports`` checks the
+the Liouville-negative set is built in).  ``goldbach_coefficients`` builds
+F_N's int64 coefficients from the indicator's pair sums, one
+autocorrelation by ``modp.convolve`` spread over the exponent steps k;
+``goldbach_polynomial`` wraps them as an exact ``IntPolynomial`` for the
+commands that divide or factor F_N.  ``theorem_reports`` checks the
 cyclotomic divisibility statements, the even symmetry and the
-root-of-unity lower bounds for the odd-prime F_N from one set of
-remainders F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``)
-and one pair-count table per N.  The stabilized coefficients a(m), the
+root-of-unity lower bounds for the odd-prime F_N on the coefficient array
+alone: it is folded once mod z^(2N) - 1, and the remainders F_N mod Phi_M
+(M | N and M = 2N, ``cyclotomic_remainders``) are taken from that fold,
+with one pair-count table per N.  The stabilized coefficients a(m), the
 summatory function A(M) with its asymptotic ratio and the
 Hardy-Littlewood summary of a(2m) are whole-array sweeps over one
 pair-count table.
@@ -94,21 +97,23 @@ class TheoremReport:
 # Construction
 # ---------------------------------------------------------------------------
 
-def goldbach_polynomial(N: int, source) -> IntPolynomial:
-    """F_N: sum over k < N of the squared indicator sum at exponent step k.
+def goldbach_coefficients(N: int, source) -> np.ndarray:
+    """F_N's int64 coefficients: sum over k < N of the squared indicator
+    sum at exponent step k.
 
     The inner polynomial for shift k has support {k*n : n in S, n < N}; its
     square contributes pair counts at exponents k*(n1+n2).  The pair counts
     are the autocorrelation of the 0/1 indicator of S; shift 0 puts all
     |S|**2 of them on the constant term.  Degree is at most 2*(N-1)^2, and
-    exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty.  Coefficients are at
-    most N*|S|**2, so int64 holds them.
+    exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty, so the last entry is
+    nonzero; an empty S gives an empty array.  Coefficients are at most
+    N*|S|**2, so int64 holds them.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
     supp = _support(source, N)
     if not len(supp):
-        return IntPolynomial.zero()
+        return np.zeros(0, dtype=np.int64)
     ind = np.zeros(int(supp[-1]) + 1, dtype=np.uint8)
     ind[supp] = 1
     pairs = modp.convolve(ind, ind)
@@ -116,7 +121,12 @@ def goldbach_polynomial(N: int, source) -> IntPolynomial:
     acc[0] = len(supp) ** 2
     for k in range(1, N):
         acc[: k * len(pairs): k] += pairs
-    return IntPolynomial(acc.tolist())
+    return acc
+
+
+def goldbach_polynomial(N: int, source) -> IntPolynomial:
+    """F_N as an exact polynomial, from ``goldbach_coefficients``."""
+    return IntPolynomial(goldbach_coefficients(N, source).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +164,22 @@ def stable_coefficient_table(limit: int, table: PrimeTable,
 # Divisibility and symmetry theorems
 # ---------------------------------------------------------------------------
 
-def cyclotomic_remainders(N: int, F: IntPolynomial) -> dict[int, IntPolynomial]:
+def cyclotomic_remainders(N: int, coeffs: np.ndarray) -> dict[int, IntPolynomial]:
     """F mod Phi_M for every M | N (ascending) and for M = 2N, computed once
-    for both the divisibility and the root-of-unity reports."""
-    rems = {M: remainder_mod_cyclotomic(F, M) for M in arith.divisors(N)}
-    rems[2 * N] = remainder_mod_cyclotomic(F, 2 * N)
+    for both the divisibility and the root-of-unity reports.
+
+    ``coeffs`` are F's int64 coefficients (``goldbach_coefficients``).  They
+    are folded once mod z**(2N) - 1 by one reshape-sum; every Phi_M here
+    divides z**M - 1, which divides z**(2N) - 1, so the fold leaves each
+    remainder unchanged.  For F_N the folded entries sum to
+    F_N(1) = N*|S|**2, so int64 holds them.
+    """
+    period = 2 * N
+    padded = np.zeros(-(-len(coeffs) // period) * period, dtype=np.int64)
+    padded[: len(coeffs)] = coeffs
+    fold = IntPolynomial(padded.reshape(-1, period).sum(axis=0).tolist())
+    rems = {M: remainder_mod_cyclotomic(fold, M) for M in arith.divisors(N)}
+    rems[period] = remainder_mod_cyclotomic(fold, period)
     return rems
 
 
@@ -194,10 +215,11 @@ def verify_divisibility(N: int, counts: np.ndarray,
     return TheoremReport("divisibility", N, holds, witness=witness)
 
 
-def symmetry_report(N: int, F: IntPolynomial) -> TheoremReport:
-    """F_N(z) = F_N(-z); for the odd-prime indicator all exponents are even."""
+def symmetry_report(N: int, coeffs: np.ndarray) -> TheoremReport:
+    """F_N(z) = F_N(-z), from F_N's coefficients; for the odd-prime
+    indicator all exponents are even."""
     # F(-z) = F(z) exactly when every odd coefficient vanishes
-    even = F.is_even()
+    even = not coeffs[1::2].any()
     return TheoremReport(
         "even_symmetry", N, even,
         witness={"substitution_fixed": even, "support_even": even},
@@ -258,14 +280,14 @@ def root_bounds_report(N: int, counts: np.ndarray,
 
 def theorem_reports(N: int, table: PrimeTable) -> list[TheoremReport]:
     """The divisibility, symmetry and root-of-unity reports for the
-    odd-prime F_N, from one F_N, one set of cyclotomic remainders and one
-    pair-count table up to N."""
-    F = goldbach_polynomial(N, table)
-    remainders = cyclotomic_remainders(N, F)
+    odd-prime F_N, from one coefficient array of F_N, one set of cyclotomic
+    remainders and one pair-count table up to N."""
+    coeffs = goldbach_coefficients(N, table)
+    remainders = cyclotomic_remainders(N, coeffs)
     counts = arith.goldbach_count_table(N, table)
     return [
         verify_divisibility(N, counts, remainders),
-        symmetry_report(N, F),
+        symmetry_report(N, coeffs),
         root_bounds_report(N, counts, remainders),
     ]
 

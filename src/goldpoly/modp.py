@@ -166,12 +166,13 @@ def divmod_poly(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.nd
 
 
 def gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd by vectorized Euclid."""
+    """Monic gcd by vectorized Euclid: gcd(a, 0) = gcd(0, a) = monic(a), and
+    gcd(0, 0) is the empty array."""
     a = trim(a.copy())
     b = trim(b.copy())
+    if len(a) < len(b):
+        a, b = b, a
     while len(b):
-        if len(a) < len(b):
-            a, b = b, a
         inv = pow(int(b[-1]), -1, p)
         while len(a) >= len(b):
             c = (int(a[-1]) * inv) % p

@@ -6,8 +6,8 @@ nonzero.  All ring operations are exact; products go through the shared
 integer convolution ``modp.convolve``.  Division is one schoolbook
 long-division loop: ``divrem_exact`` (monic divisor) and
 ``exact_quotient_or_none`` (any divisor, None unless exact) are checks
-around it.  Cyclotomic polynomials are built by exact division and
-memoized.
+around it.  Cyclotomic polynomials are Moebius products of the binomials
+z**d - 1, built in Python ints and memoized.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -17,6 +17,7 @@ at every degree.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -239,19 +240,46 @@ _cyclo_memo: dict[int, IntPolynomial] = {}
 
 
 def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of z**n - 1."""
+    """The n-th cyclotomic polynomial, as a Moebius product of binomials.
+
+    With r = rad(n), the product of the distinct primes of n,
+    Phi_n(z) = Phi_r(z**(n/r)) and Phi_r = prod_{d | r} (z**d - 1)**mu(r/d)
+    (Arnold & Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
+    2011).  The binomials with mu(r/d) = +1 are multiplied in first, so
+    each division by one of the others is exact; dividing by z**d - 1 is a
+    running sum within each residue class mod d.  Coefficients are Python
+    ints throughout.  Results are memoized.
+    """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
     got = _cyclo_memo.get(n)
     if got is not None:
         return got
-    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    for d in arith.divisors(n)[:-1]:
-        num, rem = divrem_exact(num, cyclotomic(d))
-        if not rem.is_zero:
-            raise AssertionError(f"cyclotomic division left a remainder at n={n}")
-    _cyclo_memo[n] = num
-    return num
+    primes = [p for p, _ in arith.factorize(n)]
+    rad = math.prod(primes)
+    if rad < n:
+        base = cyclotomic(rad).coeffs
+        step = n // rad
+        cs = [0] * (step * (len(base) - 1) + 1)
+        cs[::step] = base
+    else:
+        up, down = [], []
+        for k in range(len(primes) + 1):
+            for subset in itertools.combinations(primes, k):
+                # mu(r/d) = (-1)**(number of primes of r missing from d)
+                (down if (len(primes) - k) % 2 else up).append(math.prod(subset))
+        cs = [1]
+        for d in up:
+            # a * (z**d - 1) = a shifted up by d, minus a
+            cs = [hi - lo for hi, lo in zip([0] * d + cs, cs + [0] * d)]
+        for d in down:
+            # a / (z**d - 1) = q, where q[i] = q[i - d] - a[i]
+            cs = [-c for c in cs[:len(cs) - d]]
+            for r in range(d):
+                cs[r::d] = itertools.accumulate(cs[r::d])
+    phi = IntPolynomial(cs)
+    _cyclo_memo[n] = phi
+    return phi
 
 
 def remainder_mod_cyclotomic(a: IntPolynomial, M: int) -> IntPolynomial:

@@ -2,8 +2,10 @@
 
 Except ``ddf_by_powmod``, none of them goes through ``modp.convolve``:
 products are schoolbook loops, pair counts the square of one packed big
-number or scalar loops over primes, and F_N a dict of pair sums spread over
-the exponent steps.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
+number or scalar loops over primes, F_N a dict of pair sums spread over
+the exponent steps, and Phi_n the divisor chain of exact divisions of
+z**n - 1 (``cyclotomic_by_division``).  ``theorem_reports_from_polynomial``
+takes the theorem reports' remainders from that full F_N and that Phi_n.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
 ``factor.distinct_degree_pattern`` against repeated ``powmod``.
 ``aberth_all_points`` is the Aberth loop that moves every point on every
 sweep, the reference for the solver that freezes converged points; its
@@ -27,10 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from goldpoly import arith, modp
+from goldpoly import arith, goldbach, modp
 from goldpoly.factor import BadPrimeError, DegreePattern
-from goldpoly.goldbach import _support
-from goldpoly.poly import IntPolynomial
+from goldpoly.goldbach import TheoremReport, _support
+from goldpoly.poly import IntPolynomial, divrem_exact, substitute_negate
 from goldpoly.roots import _GOLDEN_ANGLE, SolveResult, SolverError
 
 
@@ -106,6 +108,23 @@ def decimal_pair_counts(limit: int, table) -> np.ndarray:
     limbs = np.frombuffer(text.encode(), dtype=np.uint8).reshape(n, width)[::-1]
     place = 10 ** np.arange(width - 1, -1, -1)
     return ((limbs[: limit + 1] - ord("0")).astype(np.int64) * place).sum(axis=1)
+
+
+_CYCLOTOMIC_BY_DIVISION: dict[int, IntPolynomial] = {}
+
+
+def cyclotomic_by_division(n: int) -> IntPolynomial:
+    """Phi_n by the divisor chain: z**n - 1 divided exactly by Phi_d for
+    every proper divisor d of n, each taken from this oracle's own memo."""
+    got = _CYCLOTOMIC_BY_DIVISION.get(n)
+    if got is not None:
+        return got
+    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+    for d in arith.divisors(n)[:-1]:
+        num, rem = divrem_exact(num, cyclotomic_by_division(d))
+        assert rem.is_zero, f"cyclotomic division left a remainder at n={n}"
+    _CYCLOTOMIC_BY_DIVISION[n] = num
+    return num
 
 
 def goldbach_polynomial_by_pairs(N: int, source) -> IntPolynomial:
@@ -196,6 +215,25 @@ def root_bound_by_scalar_counts(N: int, M: int, table) -> int:
                        for n in range(1, N // (2 * M) + 1))
     return N * sum(goldbach_count(n * M, table)
                    for n in range(1, N // M + 1))
+
+
+def theorem_reports_from_polynomial(N: int, table) -> list[TheoremReport]:
+    """``goldbach.theorem_reports`` with every remainder taken from the full
+    F_N polynomial of ``goldbach_polynomial_by_pairs``: F_N folded mod
+    z**M - 1 for each M, then divided by ``cyclotomic_by_division(M)``;
+    the symmetry read off F_N(-z) == F_N(z)."""
+    F = goldbach_polynomial_by_pairs(N, table)
+    remainders = {}
+    for M in arith.divisors(N) + [2 * N]:
+        folded = IntPolynomial([sum(F.coeffs[r::M]) for r in range(M)])
+        remainders[M] = divrem_exact(folded, cyclotomic_by_division(M))[1]
+    counts = arith.goldbach_count_table(N, table)
+    even = substitute_negate(F) == F
+    symmetry = TheoremReport("even_symmetry", N, even,
+                             witness={"substitution_fixed": even,
+                                      "support_even": even})
+    return [goldbach.verify_divisibility(N, counts, remainders), symmetry,
+            goldbach.root_bounds_report(N, counts, remainders)]
 
 
 # ---------------------------------------------------------------------------

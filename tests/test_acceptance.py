@@ -99,8 +99,9 @@ def test_c3_theorem_suite(table):
     start = time.perf_counter()
     failures = []
     for N in range(2, 121):
-        F = goldbach_polynomial(N, table)
-        remainders = goldbach.cyclotomic_remainders(N, F)
+        coeffs = goldbach.goldbach_coefficients(N, table)
+        F = IntPolynomial(coeffs.tolist())
+        remainders = goldbach.cyclotomic_remainders(N, coeffs)
         counts = arith.goldbach_count_table(N, table)
         rep = goldbach.verify_divisibility(N, counts, remainders)
         if not rep.holds:

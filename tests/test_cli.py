@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -69,13 +70,13 @@ class TestVerify:
 
     def test_builds_each_polynomial_once(self, capsys, monkeypatch):
         built = Counter()
-        construct = goldbach.goldbach_polynomial
+        construct = goldbach.goldbach_coefficients
 
         def counted(N, source):
             built[N] += 1
             return construct(N, source)
 
-        monkeypatch.setattr(goldbach, "goldbach_polynomial", counted)
+        monkeypatch.setattr(goldbach, "goldbach_coefficients", counted)
         code, _, _ = run(capsys, "verify", "--n-max", "12")
         assert code == 0
         assert built == Counter(range(2, 13))
@@ -106,6 +107,17 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "1")
         _, out2, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_to_120_matches_benchmark_reference(self, capsys, jobs):
+        # the benchmark's recorded `verify --n-max 120` output, read only
+        reference = json.loads((Path(__file__).resolve().parents[1]
+                                / "perfbench" / "reference.json").read_text())
+        ref = reference["theorems"][0]
+        assert ref["argv"] == ["verify", "--n-max", "120"]
+        code, out, _ = run(capsys, *ref["argv"], "--jobs", jobs)
+        assert code == 0
+        assert out.splitlines() == ref["lines"]
 
     def test_sieve_limit_needs_only_n_max(self, capsys):
         # every report reads primes and pair counts up to N only

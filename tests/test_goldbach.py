@@ -28,6 +28,7 @@ from oracles import (
     stable_coefficient_by_scalar_counts,
     stable_coefficient_table_by_divisor_sweep,
     tau,
+    theorem_reports_from_polynomial,
 )
 from reference_fixtures import QUOTIENTS, quotient_polynomial
 
@@ -68,8 +69,11 @@ class TestConstruction:
         source = small_table if indicator == "odd_primes" else \
             IndicatorSet.liouville_negative(small_table.limit, small_table)
         for N in range(2, 81):
-            assert goldbach_polynomial(N, source) == \
-                goldbach_polynomial_by_pairs(N, source)
+            expected = goldbach_polynomial_by_pairs(N, source)
+            coeffs = goldbach.goldbach_coefficients(N, source)
+            assert coeffs.dtype == np.int64
+            assert coeffs.tolist() == list(expected.coeffs), N
+            assert goldbach_polynomial(N, source) == expected
 
     def test_even_exponents_only(self, small_table):
         for N in range(2, 51):
@@ -170,9 +174,15 @@ class TestDivisibility:
         for N in range(2, 41):
             assert theorem_reports(N, small_table)[0].holds
 
+    def test_reports_match_full_polynomial_oracle(self, small_table):
+        for N in range(2, 81):
+            assert theorem_reports(N, small_table) == \
+                theorem_reports_from_polynomial(N, small_table), N
+
     def test_symmetry_reports(self, small_table):
         for N in (2, 6, 13, 30):
-            rep = goldbach.symmetry_report(N, goldbach_polynomial(N, small_table))
+            rep = goldbach.symmetry_report(
+                N, goldbach.goldbach_coefficients(N, small_table))
             assert rep.holds and rep.witness["support_even"]
 
 
@@ -196,7 +206,7 @@ class TestRootOfUnityValues:
     def test_bounds_match_scalar_sums(self, small_table):
         for N in range(2, 81):
             remainders = goldbach.cyclotomic_remainders(
-                N, goldbach_polynomial(N, small_table))
+                N, goldbach.goldbach_coefficients(N, small_table))
             counts = arith.goldbach_count_table(N, small_table)
             rep = goldbach.root_bounds_report(N, counts, remainders)
             assert rep == theorem_reports(N, small_table)[2]
@@ -212,7 +222,7 @@ class TestRootOfUnityValues:
         # R(n) for n > N must not reach any bound
         for N in range(2, 61):
             remainders = goldbach.cyclotomic_remainders(
-                N, goldbach_polynomial(N, small_table))
+                N, goldbach.goldbach_coefficients(N, small_table))
             exact = arith.goldbach_count_table(N, small_table)
             longer = arith.goldbach_count_table(2 * N, small_table)
             for report in (goldbach.verify_divisibility,

@@ -144,6 +144,16 @@ class TestGcd:
         got = modp.gcd(a, np.zeros(0, dtype=np.int64), p)
         assert np.array_equal(got, np.array([2 * pow(4, p - 2, p) % p, 1]))
 
+    @pytest.mark.parametrize("p", [7, 2_147_483_647])
+    def test_zero_operand_on_either_side(self, p):
+        zero = np.zeros(0, dtype=np.int64)
+        b = np.array([3, 5, 2], dtype=np.int64)
+        expected = np.array([3 * pow(2, -1, p) % p, 5 * pow(2, -1, p) % p, 1])
+        assert np.array_equal(modp.monic(b, p), expected)
+        assert np.array_equal(modp.gcd(zero, b, p), expected)
+        assert np.array_equal(modp.gcd(b, zero, p), expected)
+        assert len(modp.gcd(zero, zero, p)) == 0
+
 
 class TestModulusContext:
     def test_reduce_matches_divmod(self):

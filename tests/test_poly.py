@@ -19,7 +19,7 @@ from goldpoly.poly import (
     to_text,
 )
 
-from oracles import school_mul, subresultant_gcd
+from oracles import cyclotomic_by_division, school_mul, subresultant_gcd
 from reference_fixtures import from_text
 
 Z = IntPolynomial((0, 1))
@@ -216,6 +216,11 @@ class TestCyclotomic:
         for n in range(1, 61):
             assert cyclotomic(n) == mobius_cyclotomic(n)
 
+    def test_matches_divisor_chain_oracle(self):
+        poly._cyclo_memo.clear()
+        for n in range(1, 1001):
+            assert cyclotomic(n) == cyclotomic_by_division(n), n
+
     def test_degree_is_totient(self):
         def phi(n):
             v, rem, p = n, n, 2
@@ -228,11 +233,11 @@ class TestCyclotomic:
             if rem > 1:
                 v = v // rem * (rem - 1)
             return v
-        for n in range(1, 201):
+        for n in range(1, 1001):
             assert cyclotomic(n).degree == phi(n)
 
     def test_self_reciprocal(self):
-        for n in range(2, 101):
+        for n in range(2, 1001):
             assert reciprocal(cyclotomic(n)) == cyclotomic(n)
         assert reciprocal(cyclotomic(1)) == -cyclotomic(1)
 

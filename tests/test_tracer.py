@@ -35,6 +35,9 @@ def test_tracer_installs_and_uninstalls(capsys):
             numpy.fft.rfft) == originals
     summary = tracer.summary()
     spans = summary["spans"]
-    assert spans["goldbach.goldbach_polynomial"]["calls"] == 7
+    # verify reads F_N as a coefficient array and never builds the
+    # polynomial; it takes d(N) + 1 remainders for each N = 2..8
+    assert spans["goldbach.goldbach_polynomial"]["calls"] == 0
+    assert spans["poly.remainder_mod_cyclotomic"]["calls"] == 26
     assert spans["arith.goldbach_count_table"]["calls"] == 7
-    assert summary["counters"]["goldbach.distinct_n"] == 7
+    assert summary["counters"]["goldbach.distinct_n"] == 0
