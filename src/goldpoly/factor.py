@@ -18,6 +18,11 @@ instead of a ``powmod``.
 That product sums deg f terms below (p - 1)^2, so it is exact while
 deg f * (p - 1)^2 < 2**63; DDF raises ValueError beyond that.  The primes
 used here start at 101, where the bound allows degrees up to about 9e14.
+The steps run in blocks whose product of the h - z is built as a product
+tree, one batched multiplication and reduction per level.  A block that
+holds factors is unpacked by reducing all of its rows modulo the block
+gcd G at once (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1),
+so that the per-degree gcds run at the degree of G, not of f.
 
 Every Goldbach quotient q is even, q(z) = g(z^2), so ``certify_even``
 runs the intersection on g, at half the degree, and lifts the verdict to
@@ -63,7 +68,7 @@ from .poly import (
     multiply,
 )
 
-_DDF_BLOCK = 8
+_DDF_BLOCK = 16
 # first prime tried by the pattern intersection
 _PRIME_START = 101
 # surviving degrees listed in a certificate's JSON
@@ -139,8 +144,16 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
     product with the Frobenius matrix of fp (``modp.FrobeniusMap``), built
     once per call, and all steps run mod fp.  That product is exact in
     int64 while deg fp * (p - 1)^2 < 2**63; beyond that this raises
-    ValueError.  gcds are batched in blocks and unpacked only when a block
-    hits.  Raises BadPrimeError when fp is not squarefree.
+    ValueError.
+
+    The steps run in blocks of ``_DDF_BLOCK``, kept as the rows h_d - z
+    of one array.  Their product mod fp is a product tree: each level
+    multiplies the rows pairwise in one batched ``modp.mul`` and
+    ``ModulusContext.reduce``, padding an odd level with a row equal to 1.
+    One gcd G of the cofactor with that product tells whether the block
+    holds any factor.  When it does, every row is reduced mod G in one
+    batched ``reduce``, and the per-d gcds then run at the degree of G,
+    until G is used up.  Raises BadPrimeError when fp is not squarefree.
     """
     fp = modp.monic(modp.trim(fp), p)
     n = len(fp) - 1
@@ -150,30 +163,34 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
         raise BadPrimeError(f"not squarefree mod {p}")
     ctx = modp.ModulusContext(fp, p)
     frobenius = modp.FrobeniusMap(ctx)
-    z_poly = np.array([0, 1], dtype=np.int64)
+    one = np.zeros((1, n), dtype=np.int64)
+    one[0, 0] = 1
     components: dict[int, np.ndarray] = {}
     rem = fp
-    h = z_poly
+    h = np.array([0, 1], dtype=np.int64)
     d = 0
     while len(rem) - 1 > 0:
         rdeg = len(rem) - 1
         if 2 * (d + 1) > rdeg:
             components[rdeg] = rem
-            rem = np.array([1], dtype=np.int64)
             break
         steps = min(_DDF_BLOCK, rdeg // 2 - d)
-        block: list[tuple[int, np.ndarray]] = []
-        prod = np.array([1], dtype=np.int64)
-        for _ in range(steps):
+        # rows h_d - z, d = d0 + 1 .. d0 + steps; 2 <= rdeg <= n here
+        rows = np.zeros((steps, n), dtype=np.int64)
+        for i in range(steps):
             h = frobenius(h)
-            d += 1
-            block.append((d, h))
-            h_minus_z = modp.sub(h, z_poly, p)
-            prod = ctx.mulmod(prod, h_minus_z) if len(h_minus_z) else h_minus_z
-        g = modp.gcd(rem, prod, p)
+            rows[i, : len(h)] = h
+        rows[:, 1] = (rows[:, 1] - 1) % p
+        level = rows
+        while len(level) > 1:
+            if len(level) % 2:
+                level = np.concatenate([level, one])
+            level = ctx.reduce(modp.mul(level[0::2], level[1::2], p))
+        g = modp.gcd(rem, level[0], p)
         if len(g) - 1 > 0:
-            for dd, hd in block:
-                gd = modp.gcd(g, modp.sub(hd, z_poly, p), p)
+            small = modp.ModulusContext(g, p).reduce(rows)
+            for dd, row in enumerate(small, start=d + 1):
+                gd = modp.gcd(g, row, p)
                 deg_gd = len(gd) - 1
                 if deg_gd > 0:
                     if deg_gd % dd:
@@ -183,6 +200,9 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
                     rem, r_rem = modp.divmod_poly(rem, gd, p)
                     if len(g_rem) or len(r_rem):
                         raise AssertionError("inexact split in pattern")
+                    if len(g) == 1:
+                        break
+        d += steps
     pattern = DegreePattern(components)
     if sum(pattern) != n:
         raise AssertionError("pattern degrees do not sum to the degree")

@@ -9,10 +9,16 @@ largest magnitudes certifies that rounding recovers every entry, and
 otherwise packs each operand into one Python int (signed Kronecker
 substitution) and multiplies exactly.
 
+``convolve`` and ``mul`` take a batch of rows (a 2-D array) on either
+operand or both; the batches broadcast, so one row can meet many.
+
 F_p coefficient arrays are little-endian (index = exponent), trimmed (empty
-array = zero polynomial), all entries in [0, p).  The modulus contexts
-precompute a Newton inverse of the reversed modulus so that repeated
-reductions cost two multiplications.
+array = zero polynomial), all entries in [0, p).  ``divmod_poly`` and
+``gcd`` share one long-division loop that works in place on copies of
+their inputs.  A ``ModulusContext`` reduces polynomials of any degree, one
+or a batch of rows at a time, with a Newton inverse of the reversed
+modulus that it extends as wider inputs need it; each reduction then
+costs two multiplications.
 """
 
 from __future__ import annotations
@@ -40,18 +46,20 @@ def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> floa
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact linear convolution of integer arrays: a 1-D or 2-D ``a`` with 1-D ``b``.
+    """Exact linear convolution of integer arrays, 1-D or 2-D on either side.
 
     Entries are machine integers, or Python ints of any size and sign in an
-    object array.  A 2-D ``a`` is a batch of rows, each convolved with
-    ``b``; the bound below is taken over the whole batch.  The rFFT result
-    is used only when ``fft_error_bound`` is below 1/4, so that rounding
-    recovers every entry; it comes back as int64.  Otherwise the exact
-    packer runs, row by row, and the result is an object array of Python
-    ints.  ``convolve(a, a)`` transforms ``a`` once.
+    object array.  A 2-D operand is a batch of rows; the batches broadcast
+    together (equal row counts, or one row against many) and each pair of
+    rows is convolved.  The bound below is taken over the whole batch.  The
+    rFFT result is used only when ``fft_error_bound`` is below 1/4, so that
+    rounding recovers every entry; it comes back as int64.  Otherwise the
+    exact packer runs, row pair by row pair, and the result is an object
+    array of Python ints.  ``convolve(a, a)`` transforms ``a`` once.
     """
-    la, lb = a.shape[-1], len(b)
-    batch = a.shape[:-1]
+    la, lb = a.shape[-1], b.shape[-1]
+    batch = (np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) if b.ndim > 1
+             else a.shape[:-1])
     if la == 0 or lb == 0:
         return np.zeros(batch + (0,), dtype=np.int64)
     n = la + lb - 1
@@ -63,14 +71,15 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # float64 copies and the rounded result are exact integers
     if (min(la, lb) * amax * bmax >= 2 ** 53
             or fft_error_bound(la, lb, amax, bmax, length) >= 0.25):
-        bl = b.tolist()
-        rows = [_kronecker(row, bl) for row in a.reshape(-1, la).tolist()]
+        rows_a = np.broadcast_to(a, batch + (la,)).reshape(-1, la).tolist()
+        rows_b = np.broadcast_to(b, batch + (lb,)).reshape(-1, lb).tolist()
+        rows = [_kronecker(ra, rb) for ra, rb in zip(rows_a, rows_b)]
         return np.array(rows, dtype=object).reshape(batch + (n,))
     spec = np.fft.rfft(np.asarray(a, dtype=np.float64), length)
     if b is a:
         spec *= spec
     else:
-        spec *= np.fft.rfft(np.asarray(b, dtype=np.float64), length)
+        spec = spec * np.fft.rfft(np.asarray(b, dtype=np.float64), length)
     return np.rint(np.fft.irfft(spec, length)[..., :n]).astype(np.int64)
 
 
@@ -130,7 +139,8 @@ def scale(a: np.ndarray, c: int, p: int) -> np.ndarray:
 
 
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a * b over F_p; a 2-D ``a`` gives one untrimmed product row per row."""
+    """a * b over F_p.  With a 2-D operand the rows broadcast as in
+    ``convolve`` and each product row comes back untrimmed."""
     out = (convolve(a, b) % p).astype(np.int64, copy=False)
     return trim(out) if out.ndim == 1 else out
 
@@ -144,44 +154,59 @@ def monic(a: np.ndarray, p: int) -> np.ndarray:
     return scale(a, pow(lead, -1, p), p)
 
 
+def _eliminate(a: np.ndarray, da: int, b: np.ndarray, db: int, p: int,
+               q: np.ndarray | None = None) -> int:
+    """Reduce a[:da + 1] modulo b[:db + 1] in place, by long division.
+
+    ``da`` and ``db`` are the degrees (b[db] != 0).  Each step subtracts
+    c z^sh b from the top of a, which stays exact in int64 for p < 2**31,
+    and steps down one degree without trimming.  The quotient coefficients
+    go into ``q`` when it is given.  Returns the degree of the remainder,
+    -1 when it is zero.
+    """
+    inv = pow(b.item(db), -1, p)
+    bb = b[: db + 1]
+    while da >= db:
+        c = a.item(da) * inv % p
+        if c:
+            sh = da - db
+            if q is not None:
+                q[sh] = c
+            seg = a[sh: da + 1]
+            seg -= c * bb
+            seg %= p
+        da -= 1
+    while da >= 0 and a.item(da) == 0:
+        da -= 1
+    return da
+
+
 def divmod_poly(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(quotient, remainder) of a by nonzero b over F_p."""
     b = trim(b)
-    if len(b) == 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = trim(a.copy())
     db = len(b) - 1
-    if len(a) - 1 < db:
+    if db < 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    a = trim(np.array(a, dtype=np.int64))
+    da = len(a) - 1
+    if da < db:
         return a[:0], a
-    inv = pow(int(b[-1]), -1, p)
-    q = np.zeros(len(a) - db, dtype=np.int64)
-    while len(a) >= len(b):
-        c = (int(a[-1]) * inv) % p
-        sh = len(a) - len(b)
-        q[sh] = c
-        if c:
-            a[sh:] = (a[sh:] - c * b) % p
-        a = trim(a[:-1])
-    return trim(q), a
+    q = np.zeros(da - db + 1, dtype=np.int64)
+    return q, a[: _eliminate(a, da, b, db, p, q) + 1]
 
 
 def gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Monic gcd by vectorized Euclid: gcd(a, 0) = gcd(0, a) = monic(a), and
-    gcd(0, 0) is the empty array."""
-    a = trim(a.copy())
-    b = trim(b.copy())
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b):
-        inv = pow(int(b[-1]), -1, p)
-        while len(a) >= len(b):
-            c = (int(a[-1]) * inv) % p
-            if c:
-                sh = len(a) - len(b)
-                a[sh:] = (a[sh:] - c * b) % p
-            a = trim(a[:-1])
-        a, b = b, a
-    return monic(a, p)
+    """Monic gcd by Euclid on two work rows: gcd(a, 0) = gcd(0, a) = monic(a),
+    and gcd(0, 0) is the empty array."""
+    a = trim(np.array(a, dtype=np.int64))
+    b = trim(np.array(b, dtype=np.int64))
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+    while db >= 0:
+        da = _eliminate(a, da, b, db, p)
+        a, b, da, db = b, a, db, da
+    return monic(a[: da + 1], p)
 
 
 def derivative(a: np.ndarray, p: int) -> np.ndarray:
@@ -194,9 +219,10 @@ def derivative(a: np.ndarray, p: int) -> np.ndarray:
 class ModulusContext:
     """Reduction context mod a monic polynomial f over F_p.
 
-    Precomputes rev(f)^{-1} mod z^(deg f - 1) by Newton iteration so that
-    each reduction of a product (degree <= 2 deg f - 2) costs two
-    multiplications.
+    Keeps rev(f)^{-1} mod z^k, computed by Newton iteration when a
+    reduction first needs it and extended by Newton doubling from the
+    precision it has whenever a wider input needs more, so that each
+    reduction costs two multiplications.
     """
 
     def __init__(self, f: np.ndarray, p: int):
@@ -206,23 +232,25 @@ class ModulusContext:
         self.p = p
         self.f = f
         self.n = len(f) - 1
-        m = max(self.n - 1, 1)
-        self._inv = self._newton_inverse(f[::-1].copy(), m)
+        # rev(f)^{-1} mod z^prec; rev(f)[0] = 1 since f is monic
+        self._inv = np.array([1], dtype=np.int64)
+        self._prec = 1
 
-    def _newton_inverse(self, g: np.ndarray, m: int) -> np.ndarray:
-        # g[0] == 1 since f is monic
-        p = self.p
-        inv = np.array([1], dtype=np.int64)
-        t = 1
-        while t < m:
-            t = min(2 * t, m)
-            prod = mul(inv, trim(g[:t]), p)[:t]
-            two_minus = sub(np.array([2], dtype=np.int64), prod, p)
-            inv = mul(inv, two_minus, p)[:t]
-        return trim(inv[:m])
+    def _inverse(self, k: int) -> np.ndarray:
+        """rev(f)^{-1} mod z^k."""
+        if k > self._prec:
+            p, g = self.p, self.f[::-1]
+            inv, t = self._inv, self._prec
+            while t < k:
+                t = min(2 * t, k)
+                prod = mul(inv, trim(g[:t]), p)[:t]
+                two_minus = sub(np.array([2], dtype=np.int64), prod, p)
+                inv = mul(inv, two_minus, p)[:t]
+            self._inv, self._prec = inv, t
+        return self._inv[:k]
 
     def reduce(self, a: np.ndarray) -> np.ndarray:
-        """a mod f for deg a <= 2 deg f - 2.
+        """a mod f, for a of any degree.
 
         A 2-D ``a`` is a batch of rows, each reduced as a polynomial of
         formal degree width - 1; the result has width exactly deg f.
@@ -239,7 +267,7 @@ class ModulusContext:
         if width <= n:
             return out
         dq = width - 1 - n
-        tmp = mul(a[..., ::-1][..., : dq + 1], self._inv[: dq + 1], p)
+        tmp = mul(a[..., ::-1][..., : dq + 1], self._inverse(dq + 1), p)
         # pad to exactly dq+1 before reversing: low-order quotient
         # coefficients may be zero and must not be trimmed away
         q_rev = np.zeros(a.shape[:-1] + (dq + 1,), dtype=np.int64)

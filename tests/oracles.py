@@ -5,8 +5,13 @@ products are schoolbook loops, pair counts the square of one packed big
 number or scalar loops over primes, F_N a dict of pair sums spread over
 the exponent steps, and Phi_n the divisor chain of exact divisions of
 z**n - 1 (``cyclotomic_by_division``).  ``theorem_reports_from_polynomial``
-takes the theorem reports' remainders from that full F_N and that Phi_n.  ``ddf_by_powmod`` checks the Frobenius-matrix step of
-``factor.distinct_degree_pattern`` against repeated ``powmod``.
+takes the theorem reports' remainders from that full F_N and that Phi_n.
+``divmod_by_trimming`` and ``gcd_by_trimming`` are the F_p long division
+and Euclid that trim and copy once per eliminated degree, the reference
+for ``modp``'s in-place elimination loop.  ``ddf_by_powmod`` checks
+``factor.distinct_degree_pattern`` (Frobenius-matrix steps, product-tree
+blocks and batched unpacking) against repeated ``powmod``, a sequential
+block product and per-degree gcds, all on those two loops.
 ``aberth_all_points`` is the Aberth loop that moves every point on every
 sweep, the reference for the solver that freezes converged points; its
 Horner evaluation (``horner_triple``, ``horner_ratio_and_residual``) is
@@ -401,6 +406,47 @@ def pair_count_trend(grid: list[int], table,
     return out
 
 
+def divmod_by_trimming(a: np.ndarray, b: np.ndarray,
+                       p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(quotient, remainder) of a by nonzero b over F_p, trimming after
+    every eliminated degree."""
+    b = modp.trim(b)
+    if len(b) == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    a = modp.trim(a.copy())
+    db = len(b) - 1
+    if len(a) - 1 < db:
+        return a[:0], a
+    inv = pow(int(b[-1]), -1, p)
+    q = np.zeros(len(a) - db, dtype=np.int64)
+    while len(a) >= len(b):
+        c = (int(a[-1]) * inv) % p
+        sh = len(a) - len(b)
+        q[sh] = c
+        if c:
+            a[sh:] = (a[sh:] - c * b) % p
+        a = modp.trim(a[:-1])
+    return modp.trim(q), a
+
+
+def gcd_by_trimming(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Monic gcd over F_p by Euclid, trimming after every eliminated degree."""
+    a = modp.trim(a.copy())
+    b = modp.trim(b.copy())
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b):
+        inv = pow(int(b[-1]), -1, p)
+        while len(a) >= len(b):
+            c = (int(a[-1]) * inv) % p
+            if c:
+                sh = len(a) - len(b)
+                a[sh:] = (a[sh:] - c * b) % p
+            a = modp.trim(a[:-1])
+        a, b = b, a
+    return modp.monic(a, p)
+
+
 def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
     """Distinct-degree factorization of squarefree fp over F_p, each step
     h -> h^p mod fp a ``powmod``, gcds in blocks of 8 steps, and the modulus
@@ -409,7 +455,7 @@ def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
     fp = modp.monic(modp.trim(fp), p)
     if len(fp) < 2:
         raise ValueError("need degree >= 1")
-    if len(modp.gcd(fp, modp.derivative(fp, p), p)) != 1:
+    if len(gcd_by_trimming(fp, modp.derivative(fp, p), p)) != 1:
         raise BadPrimeError(f"not squarefree mod {p}")
     ctx = modp.ModulusContext(fp, p)
     z_poly = np.array([0, 1], dtype=np.int64)
@@ -424,7 +470,7 @@ def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
             break
         if rdeg >= 2 and 2 * rdeg < len(ctx.f) - 1:
             ctx = modp.ModulusContext(rem, p)
-            h = modp.divmod_poly(h, rem, p)[1]
+            h = divmod_by_trimming(h, rem, p)[1]
         hs = []
         prod = np.array([1], dtype=np.int64)
         for _ in range(min(8, rdeg // 2 - d)):
@@ -433,14 +479,14 @@ def ddf_by_powmod(fp: np.ndarray, p: int) -> DegreePattern:
             hs.append((d, h))
             h_minus_z = modp.sub(h, z_poly, p)
             prod = ctx.mulmod(prod, h_minus_z) if len(h_minus_z) else h_minus_z
-        g = modp.gcd(rem, prod, p)
+        g = gcd_by_trimming(rem, prod, p)
         if len(g) > 1:
             for dd, hd in hs:
-                gd = modp.gcd(g, modp.sub(hd, z_poly, p), p)
+                gd = gcd_by_trimming(g, modp.sub(hd, z_poly, p), p)
                 if len(gd) > 1:
                     components[dd] = gd
-                    g = modp.divmod_poly(g, gd, p)[0]
-                    rem = modp.divmod_poly(rem, gd, p)[0]
+                    g = divmod_by_trimming(g, gd, p)[0]
+                    rem = divmod_by_trimming(rem, gd, p)[0]
     return DegreePattern(components)
 
 

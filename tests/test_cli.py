@@ -266,6 +266,33 @@ class TestIrreducible:
         assert all(c["verdict"] == "Irreducible" for c in certs)
         assert all("elapsed_ms" in c for c in certs)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_certificates_match_benchmark_reference(self, capsys, jobs):
+        # the benchmark's recorded `irreducible --n-max 12` output, read
+        # only.  The reference predates the half-degree certificates, so
+        # its primes differ; the primes below are the first usable ones
+        # at which the degree patterns of g mod p prove irreducibility,
+        # facts about g that no change of algorithm may move.
+        primes_used = {6: [101, 103, 107], 7: [101, 103, 107, 109],
+                       8: [101, 103, 107, 109, 113], 9: [101, 103, 107, 109],
+                       10: [101, 103, 107], 11: [101, 103, 107],
+                       12: [101, 103, 107, 109]}
+        reference = json.loads((Path(__file__).resolve().parents[1]
+                                / "perfbench" / "reference.json").read_text())
+        ref = reference["certify"][0]
+        assert ref["argv"] == ["irreducible", "--n-max", "12"]
+        code, out, _ = run(capsys, *ref["argv"], "--jobs", jobs)
+        assert code == 0
+        got = [json.loads(line) for line in out.splitlines()]
+        expected = [json.loads(line) for line in ref["lines"]]
+        assert len(got) == len(expected)
+        for row, ref_row in zip(got, expected):
+            assert row.pop("primes_used") == primes_used[row["N"]]
+            for key in ("elapsed_ms", "primes_used"):
+                ref_row.pop(key)
+            row.pop("elapsed_ms")
+            assert row == ref_row
+
     @pytest.mark.parametrize("max_primes", ["0", "-3"])
     def test_max_primes_below_one_is_usage_error(self, capsys, max_primes):
         code, out, err = run(capsys, "irreducible", "--n-max", "6",

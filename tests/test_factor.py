@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from goldpoly import factor, modp
+from goldpoly import arith, factor, modp
 from goldpoly.factor import (
     BadPrimeError,
     certify_even,
@@ -27,6 +29,13 @@ def half_degree_polynomial(N, table):
     q, rem = divrem_exact(goldbach_polynomial(N, table), divisor)
     assert rem.is_zero
     return q.even_part()
+
+
+def oracle_pattern(fp, p):
+    try:
+        return list(ddf_by_powmod(fp, p))
+    except BadPrimeError:
+        return None
 
 
 def assert_same_ddf(got, expected):
@@ -189,6 +198,56 @@ class TestFrobeniusMatrixDDF:
                 assert_same_ddf(distinct_degree_pattern(fp, p), expected)
                 checked += 1
         assert checked >= 40
+
+    @pytest.mark.parametrize("N", range(17, 31))
+    def test_goldbach_half_degree_polynomials_to_n30(self, N, small_table):
+        # the first three usable primes >= 101; N <= 16 is covered above
+        g = half_degree_polynomial(N, small_table)
+        usable = 0
+        for p in filter(arith.is_prime, itertools.count(101, 2)):
+            fp = reduce_mod_p(g, p)
+            try:
+                expected = ddf_by_powmod(fp, p)
+            except BadPrimeError:
+                with pytest.raises(BadPrimeError):
+                    distinct_degree_pattern(fp, p)
+                continue
+            assert_same_ddf(distinct_degree_pattern(fp, p), expected)
+            usable += 1
+            if usable == 3:
+                break
+
+    @pytest.mark.parametrize("p, degrees", [
+        (5, [2]),               # one block of one step
+        (5, [1, 1, 1]),         # one step, G is all of f
+        (5, [1, 5]),            # three rows: an odd level
+        (101, [3, 7]),          # five rows
+        (5, [2, 5, 7]),         # seven rows, three hits in one block
+        (101, [1] * 16),        # G used up at the first of eight rows
+        (101, [1, 2, 20]),      # G used up at the second row, then a miss
+        (5, [3, 3, 5, 7]),      # a full block, then a block of one step
+        (101, [4, 9, 9]),       # a full block, then a hit in a block of three
+    ])
+    def test_block_shapes(self, p, degrees, monkeypatch):
+        # f is a product of distinct random monic irreducibles of the given
+        # degrees, so the blocks of 8 steps and their hits are known in
+        # advance
+        monkeypatch.setattr(factor, "_DDF_BLOCK", 8)
+        rng = np.random.default_rng(p + sum(degrees))
+        factors = []
+        while len(factors) < len(degrees):
+            k = degrees[len(factors)]
+            u = rng.integers(0, p, k + 1).astype(np.int64)
+            u[-1] = 1
+            if (u.tolist() not in [f.tolist() for f in factors]
+                    and oracle_pattern(u, p) == [k]):
+                factors.append(u)
+        fp = np.array([1], dtype=np.int64)
+        for u in factors:
+            fp = modp.mul(fp, u, p)
+        pattern = distinct_degree_pattern(fp, p)
+        assert list(pattern) == sorted(degrees)
+        assert_same_ddf(pattern, ddf_by_powmod(fp, p))
 
 
 class TestScreen:

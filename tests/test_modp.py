@@ -3,7 +3,9 @@ import pytest
 
 from goldpoly import modp
 
-from oracles import school_mul
+from oracles import divmod_by_trimming, gcd_by_trimming, school_mul
+
+PRIMES = [5, 101, 2_147_483_647]
 
 
 def rand_poly(rng, p, max_deg=40, monic=False):
@@ -155,6 +157,71 @@ class TestGcd:
         assert len(modp.gcd(zero, zero, p)) == 0
 
 
+def _with_factor(rng, p, shared, deg):
+    """shared times a random polynomial of degree deg, non-monic."""
+    other = rng.integers(0, p, deg + 1).astype(np.int64)
+    other[-1] = int(rng.integers(1, p))
+    return modp.mul(shared, other, p)
+
+
+class TestEliminationAgainstOracles:
+    """gcd and divmod_poly against the trim-per-degree loops they replaced."""
+
+    @staticmethod
+    def check_pair(a, b, p):
+        a0, b0 = a.copy(), b.copy()
+        got = modp.gcd(a, b, p)
+        expected = gcd_by_trimming(a, b, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+        if len(modp.trim(b)):
+            q, r = modp.divmod_poly(a, b, p)
+            eq, er = divmod_by_trimming(a, b, p)
+            assert q.dtype == r.dtype == np.int64
+            assert q.tolist() == eq.tolist() and r.tolist() == er.tolist()
+            assert len(q) == 0 or q[-1] != 0
+            assert len(r) == 0 or r[-1] != 0
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_shared_factors(self, p):
+        rng = np.random.default_rng(p % 1000)
+        for k in range(1, 21):
+            shared = rng.integers(0, p, k + 1).astype(np.int64)
+            shared[-1] = int(rng.integers(1, p))
+            for da, db in ((0, 0), (3, 3), (int(rng.integers(0, 30)),
+                                            int(rng.integers(0, 30)))):
+                a = _with_factor(rng, p, shared, da)
+                b = _with_factor(rng, p, shared, db)
+                self.check_pair(a, b, p)
+                self.check_pair(b, a, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zeros_and_trailing_zeros(self, p):
+        rng = np.random.default_rng(p % 997)
+        zero = np.zeros(0, dtype=np.int64)
+        for _ in range(30):
+            a = rng.integers(0, p, int(rng.integers(1, 25))).astype(np.int64)
+            b = rng.integers(0, p, int(rng.integers(1, 25))).astype(np.int64)
+            # trailing (high-order) zeros that the loops must skip
+            a = np.concatenate([a, np.zeros(int(rng.integers(0, 4)), np.int64)])
+            b = np.concatenate([b, np.zeros(int(rng.integers(0, 4)), np.int64)])
+            for x, y in ((a, b), (b, a), (a, zero), (zero, a),
+                         (a, np.zeros(3, np.int64)), (a, a), (a, b[:1])):
+                self.check_pair(x, y, p)
+        self.check_pair(zero, zero, p)
+        self.check_pair(np.zeros(4, np.int64), np.zeros(2, np.int64), p)
+
+    def test_remainder_with_vanishing_top_coefficients(self):
+        # b divides the top of a exactly: the remainder loses several degrees
+        p = 101
+        b = np.array([3, 0, 7, 5], dtype=np.int64)
+        a = modp.mul(b, np.array([2, 9, 4], dtype=np.int64), p)
+        a[:2] = (a[:2] + [1, 1]) % p
+        self.check_pair(a, b, p)
+        assert modp.divmod_poly(a, b, p)[1].tolist() == [1, 1]
+
+
 class TestModulusContext:
     def test_reduce_matches_divmod(self):
         rng = np.random.default_rng(5)
@@ -168,6 +235,42 @@ class TestModulusContext:
                 a = rand_poly(rng, p, 2 * (len(f) - 1) - 2)
                 expected = modp.divmod_poly(a, f, p)[1]
                 assert np.array_equal(ctx.reduce(a), expected)
+
+    @pytest.mark.parametrize("p", [101, 65_521])
+    def test_reduce_at_any_width(self, p):
+        # widths up to 4 deg f, narrow and wide calls interleaved so that
+        # the cached inverse is both reused and extended
+        rng = np.random.default_rng(p)
+        for n in (1, 2, 10, 33):
+            f = rng.integers(0, p, n + 1).astype(np.int64)
+            f[-1] = 1
+            ctx = modp.ModulusContext(f, p)
+            for width in (4 * n, 2, 2 * n, 3 * n + 1, n + 1, 4 * n):
+                a = rng.integers(0, p, (5, width)).astype(np.int64)
+                a[1, width // 2:] = 0
+                a[4] = 0
+                got = ctx.reduce(a)
+                assert got.shape == (5, n)
+                for row, out in zip(a, got):
+                    expected = modp.divmod_poly(row, f, p)[1]
+                    assert modp.trim(out).tolist() == expected.tolist()
+                    assert ctx.reduce(row).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 7])
+    def test_powmod_of_a_wide_base(self, e):
+        # powmod reduces its base first: deg h up to 4 deg f
+        rng = np.random.default_rng(e)
+        p, n = 101, 10
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        for deg_h in (2 * n - 1, 34, 4 * n):
+            h = rng.integers(0, p, deg_h + 1).astype(np.int64)
+            h[-1] = 1
+            expected = np.array([1], dtype=np.int64)
+            for _ in range(e):
+                expected = modp.divmod_poly(modp.mul(expected, h, p), f, p)[1]
+            assert ctx.powmod(h, e).tolist() == expected.tolist()
 
     def test_powmod_frobenius_fixed_point(self):
         # z^(p^n) == z mod f for irreducible f of degree n: z^2+1 mod 3, n=2
@@ -211,6 +314,34 @@ class TestRowBatchedConvolve:
         for row, out in zip(a, got):
             assert out.tolist() == modp.convolve(row, b).tolist()
         assert got[3].tolist() == [0] * 82
+
+    @pytest.mark.parametrize("p, fft", [(101, True), (2_147_483_647, False)])
+    @pytest.mark.parametrize("rows_a, rows_b", [(5, 5), (1, 4), (4, 1),
+                                                (None, 3)])
+    def test_row_batches_on_both_operands(self, p, fft, rows_a, rows_b):
+        rng = np.random.default_rng(p % 97 + 3 * (rows_a or 0) + (rows_b or 0))
+
+        def operand(rows, width):
+            shape = (width,) if rows is None else (rows, width)
+            return rng.integers(0, p, shape).astype(np.int64)
+
+        a, b = operand(rows_a, 40), operand(rows_b, 27)
+        if a.ndim == 2 and len(a) > 2:
+            a[2] = 0
+        got = modp.convolve(a, b)
+        mod = modp.mul(a, b, p)
+        rows = max(rows_a or 1, rows_b or 1)
+        assert got.shape == mod.shape == (rows, 66)
+        assert got.dtype == (np.int64 if fft else object)
+        ra = a if a.ndim == 2 else a[None]
+        rb = b if b.ndim == 2 else b[None]
+        for i in range(rows):
+            x, y = ra[i % len(ra)], rb[i % len(rb)]
+            assert got[i].tolist() == modp.convolve(x, y).tolist()
+            expected = np.zeros(66, dtype=np.int64)
+            row = modp.mul(x, y, p)
+            expected[: len(row)] = row
+            assert mod[i].tolist() == expected.tolist()
 
     def test_batched_reduce_matches_rows(self):
         rng = np.random.default_rng(9)
