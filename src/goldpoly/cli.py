@@ -67,19 +67,21 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.quotient:
         if args.indicator != "odd_primes":
             raise UsageError("--quotient applies to the odd-prime indicator only")
-        from .poly import cyclotomic, divrem_exact, multiply
-        if args.quotient == "2N":
-            divisor = cyclotomic(2 * N)
-            obj_name = f"F_{N}/Phi_{2 * N}"
-        elif args.quotient == "N,2N":
-            divisor = multiply(cyclotomic(N), cyclotomic(2 * N))
-            obj_name = f"F_{N}/(Phi_{N}*Phi_{2 * N})"
-        else:
-            raise UsageError("--quotient must be '2N' or 'N,2N'")
-        out, rem = divrem_exact(F, divisor)
+        from .poly import cyclotomic, divrem_exact
+        # theorem (a): Phi_2N | F_N for every N
+        out, rem = divrem_exact(F, cyclotomic(2 * N))
+        obj_name = f"F_{N}/Phi_{2 * N}"
         if not rem.is_zero:
             print(f"error: {obj_name} is not an exact quotient", file=sys.stderr)
             return EXIT_VIOLATION
+        if args.quotient == "N,2N":
+            # theorem (b): Phi_N | F_N exactly when N has no odd-prime pair
+            out, rem = divrem_exact(out, cyclotomic(N))
+            if not rem.is_zero:
+                raise UsageError(
+                    f"Phi_{N} does not divide F_{N}: {N} is a sum of two odd "
+                    f"primes (R({N}) > 0); use --quotient 2N")
+            obj_name = f"F_{N}/(Phi_{N}*Phi_{2 * N})"
     if args.output_format == "json":
         print(json.dumps({"object": obj_name, "N": N,
                           "indicator": args.indicator, "coefficients": to_text(out)}))
@@ -110,7 +112,7 @@ def _worker_table(limit: int) -> PrimeTable:
 
 
 def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1:
+    if jobs == 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
@@ -338,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
         return args.run(args)
     except (UsageError, SieveRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

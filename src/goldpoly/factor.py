@@ -24,12 +24,14 @@ holds factors is unpacked by reducing all of its rows modulo the block
 gcd G at once (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1),
 so that the per-degree gcds run at the degree of G, not of f.
 
-Every Goldbach quotient q is even, q(z) = g(z^2), so ``certify_even``
-runs the intersection on g, at half the degree, and lifts the verdict to
-q without any DDF of q.  Let g be irreducible with root b.  By Capelli's
-lemma g(z^2) is irreducible unless b is a square in Q(b), which forces
-the norm of b, of square class (-1)^deg g * g(0) * lc(g), to be a
-rational square.
+Every F_N is even, F_N(z) = g_N(z^2), and Phi_N(z^2) is exactly the
+forced cyclotomic part of F_N (Phi_2N for even N, Phi_N * Phi_2N for odd
+N).  So the Goldbach quotient is q(z) = g(z^2) with g = g_N / Phi_N, a
+division at half the degree, and q is never built: ``certify_even`` runs
+the intersection on g and lifts the verdict to q without any DDF of q.
+Let g be irreducible with root b.  By Capelli's lemma g(z^2) is
+irreducible unless b is a square in Q(b), which forces the norm of b, of
+square class (-1)^deg g * g(0) * lc(g), to be a rational square.
 
 - Even N: deg g is odd, g(0) > 0 and lc(g) = 1, so that class is
   negative and q is irreducible.
@@ -65,7 +67,6 @@ from .poly import (
     divrem_exact,
     exact_quotient_or_none,
     gcd_rational,
-    multiply,
 )
 
 _DDF_BLOCK = 16
@@ -77,13 +78,6 @@ _JSON_DEGREES = 64
 
 class BadPrimeError(RuntimeError):
     """This prime cannot be used (leading coefficient or squarefreeness)."""
-
-
-@dataclass
-class ScreenResult:
-    kind: str                      # "none" | "content" | "linear"
-    content: int = 1
-    factor: IntPolynomial | None = None
 
 
 @dataclass
@@ -224,15 +218,12 @@ def _bounded_divisors(n: int, cap: int = 10 ** 6) -> list[int]:
     return sorted(set(out))
 
 
-def linear_root_screen(f: IntPolynomial) -> ScreenResult:
-    """Rational-root and content screen; returns a linear witness if found."""
+def linear_root_screen(f: IntPolynomial) -> IntPolynomial | None:
+    """A primitive linear factor of f from a rational root, or None."""
     if f.is_zero or f.degree < 1:
-        return ScreenResult("none")
-    c = f.content()
-    if c != 1:
-        return ScreenResult("content", content=c)
+        return None
     if f[0] == 0:
-        return ScreenResult("linear", factor=IntPolynomial((0, 1)))
+        return IntPolynomial((0, 1))
     for q in _bounded_divisors(f.lead, cap=10 ** 3):
         for pv in _bounded_divisors(f[0], cap=10 ** 6):
             for num in (pv, -pv):
@@ -243,9 +234,8 @@ def linear_root_screen(f: IntPolynomial) -> ScreenResult:
                 for k in range(f.degree, -1, -1):
                     val = val * num + f[k] * q ** (f.degree - k)
                 if val == 0:
-                    return ScreenResult(
-                        "linear", factor=IntPolynomial((-num, q)).primitive_part())
-    return ScreenResult("none")
+                    return IntPolynomial((-num, q)).primitive_part()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +302,8 @@ def certify_irreducible(f: IntPolynomial,
         raise ValueError("certify_irreducible expects a primitive polynomial")
     if n == 1:
         return FactorCertificate("Irreducible", n, [], ())
-    screen = linear_root_screen(f)
-    if screen.kind == "linear":
-        wit = screen.factor
+    wit = linear_root_screen(f)
+    if wit is not None:
         if exact_quotient_or_none(f, wit) is None:
             raise AssertionError("screen witness does not divide")
         return FactorCertificate("Reducible", n, [], tuple(range(1, n)),
@@ -337,48 +326,47 @@ def excludes_mirror_split(g: IntPolynomial, p: int,
                for gd in pattern.components.values())
 
 
-def certify_even(q: IntPolynomial, max_primes: int = 12) -> FactorCertificate:
-    """Certificate for a primitive even q(z) = g(z^2) from the DDF of g.
+def certify_even(g: IntPolynomial, max_primes: int = 12) -> FactorCertificate:
+    """Certificate for q(z) = g(z^2), g primitive, from the DDF of g.
 
     Certifies g by pattern intersection and lifts the verdict to q: at
     once when the norm class (-1)^deg g * g(0) * lc(g) is not a square,
     otherwise only after ``excludes_mirror_split`` held at a used prime.
-    If neither happens within ``max_primes`` primes, the certificate is
-    ``certify_irreducible(q)``.  Degree and verdict refer to q.
+    If neither happens within ``max_primes`` primes, q is built and the
+    certificate is ``certify_irreducible(q)``.  Degree and verdict refer
+    to q.
     """
-    if q.degree < 2 or not q.is_even():
-        raise ValueError("certify_even expects an even polynomial of degree >= 2")
-    if abs(q.content()) != 1:
+    if g.degree < 1:
+        raise ValueError("certify_even expects g of degree >= 1")
+    if abs(g.content()) != 1:
         raise ValueError("certify_even expects a primitive polynomial")
-    g = q.even_part()
     norm = (-1) ** g.degree * g[0] * g.lead
     accept = None
     if norm >= 0 and math.isqrt(norm) ** 2 == norm:
         accept = functools.partial(excludes_mirror_split, g)
     cert = _intersect_patterns(g, max_primes, accept)
     if cert.verdict != "Irreducible":
-        return certify_irreducible(q, max_primes)
-    return FactorCertificate("Irreducible", q.degree, cert.primes_used, ())
+        return certify_irreducible(g.compose_square(), max_primes)
+    return FactorCertificate("Irreducible", 2 * g.degree, cert.primes_used, ())
 
 
 def certify_goldbach_quotient(N: int, table: PrimeTable,
                               max_primes: int = 12) -> FactorCertificate:
-    """Certificate for F_N with its forced cyclotomic factors divided out.
+    """Certificate for q = F_N / Phi_N(z^2), F_N with its forced cyclotomic
+    factors divided out: F_N / Phi_2N for even N, F_N / (Phi_N * Phi_2N)
+    for odd N.
 
-    Even N: F_N / Phi_2N.  Odd N: F_N / (Phi_N * Phi_2N).  The division
-    must be exact; a nonzero remainder would falsify the divisibility
-    theorems and raises immediately.  The quotient is even and goes
-    through ``certify_even``.
+    With F_N(z) = g_N(z^2), q(z) = g(z^2) for g = g_N / Phi_N, and g goes
+    through ``certify_even``.  The division must be exact; a nonzero
+    remainder would falsify the divisibility theorems and raises
+    immediately.
     """
     if N <= 5:
         raise ValueError("quotient certification is defined for N > 5")
-    F = goldbach_polynomial(N, table)
-    divisor = cyclotomic(2 * N)
-    if N % 2 == 1:
-        divisor = multiply(divisor, cyclotomic(N))
-    quotient, rem = divrem_exact(F, divisor)
+    g = goldbach_polynomial(N, table).even_part()
+    half, rem = divrem_exact(g, cyclotomic(N))
     if not rem.is_zero:
         raise ArithmeticError(f"cyclotomic quotient inexact at N={N}")
-    cert = certify_even(quotient, max_primes=max_primes)
+    cert = certify_even(half, max_primes=max_primes)
     cert.N = N
     return cert

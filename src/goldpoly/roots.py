@@ -1,8 +1,13 @@
 """Root localization: exact unit-circle split plus simultaneous iteration.
 
-The unit-circle roots of a real polynomial F with F(0) != 0 all divide
-gcd(F, reciprocal(F)), so they are isolated exactly: that gcd is peeled
-into cyclotomic factors (each contributing phi(d) circle roots per
+Every odd-prime F_N is even, F_N(z) = g(z^2), and its roots are the
+square roots +-sqrt(w) of the roots w of g, with |z| < 1, = 1 or > 1
+exactly when |w| is.  So the whole classification runs on g, in the
+plane w = z^2, and its counts are doubled at the end.
+
+The unit-circle roots of a real polynomial g with g(0) != 0 all divide
+gcd(g, reciprocal(g)), so they are isolated exactly: that gcd is peeled
+into cyclotomic factors (each contributing phi(e) circle roots per
 multiplicity) and a residual.  Everything else is classified numerically
 by an Aberth-Ehrlich solver with an escalation ladder for roots landing
 in the epsilon-band around the circle: extended-precision Newton
@@ -261,21 +266,6 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
 # Exact unit-circle split
 # ---------------------------------------------------------------------------
 
-def _gcd_with(F: IntPolynomial, partner) -> IntPolynomial:
-    """gcd_rational(F, partner(F)), at half degree when F is even.
-
-    partner is ``reciprocal`` or ``IntPolynomial.derivative``.  For
-    F = g(z**2) the gcd is gcd(g, partner(g)) mapped back by z -> z**2,
-    which commutes with gcds over Q: reciprocal(F) = reciprocal(g)(z**2),
-    and F' = 2z g'(z**2), where the factor 2z is coprime to F as long as
-    F(0) != 0, which every caller requires.
-    """
-    if F.is_even():
-        g = F.even_part()
-        return gcd_rational(g, partner(g)).compose_square()
-    return gcd_rational(F, partner(F))
-
-
 @dataclass
 class StripResult:
     self_reciprocal_part: IntPolynomial          # gcd(F, reciprocal(F))
@@ -288,17 +278,18 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     """Split off the factor of F carrying every root on the unit circle.
 
     Requires F(0) != 0.  The gcd with the reversed polynomial is computed
-    exactly (``_gcd_with``, at half degree when F is even), then peeled by
-    exact trial division against each cyclotomic of degree at most
-    deg(gcd); whatever remains (off-circle reciprocal pairs, or
-    self-reciprocal non-cyclotomic factors) is returned as the residual for
-    numeric classification.
+    exactly, then peeled by exact trial division against each cyclotomic
+    of degree at most deg(gcd); whatever remains (off-circle reciprocal
+    pairs, or self-reciprocal non-cyclotomic factors) is returned as the
+    residual for numeric classification.  ``classify_roots`` passes the
+    even part g of F_N = g(z**2), so there the factors are Phi_e(w) in the
+    plane w = z**2.
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
     if F[0] == 0:
         raise ValueError("F(0) must be nonzero; divide out z first")
-    G = _gcd_with(F, reciprocal)
+    G = gcd_rational(F, reciprocal(F))
     H = exact_quotient_or_none(F, G)
     if H is None:
         raise AssertionError("gcd does not divide exactly")
@@ -342,7 +333,6 @@ class RootClassification:
     on_circle: int
     outside: int
     undetermined: int
-    cyclotomic_divisors: list[tuple[int, int]]
     residual_on_circle: int
     max_residual: float
     iterations: int
@@ -368,37 +358,36 @@ def _refine_abs_delta(coeffs: tuple[int, ...], z0: complex) -> float:
         return float(abs(z) - 1)
 
 
-def _classify_points(points: np.ndarray, src: IntPolynomial, *, squared: bool,
+def _classify_points(points: np.ndarray, src: IntPolynomial, *,
                      allow_on: bool) -> tuple[int, int, int, int]:
-    """Count (inside, on, outside, undetermined) for solved points.
+    """Count (inside, on, outside, undetermined) for roots w of src.
 
-    ``squared=True`` means each point is w = z**2 for a pair of roots
-    +-sqrt(w), so bands are squared and counts doubled.  Band points are
+    With z**2 = w, the band 1 - eps < |z| < 1 + eps is
+    (1 - eps)**2 < |w| < (1 + eps)**2 for w.  Band points are
     escalated by extended-precision Newton on the exact source
     polynomial; only residual factors may legitimately sit on the circle
     (``allow_on``).
     """
-    mult = 2 if squared else 1
-    lo = (1.0 - _EPSILON) ** mult
-    hi = (1.0 + _EPSILON) ** mult
+    lo = (1.0 - _EPSILON) ** 2
+    hi = (1.0 + _EPSILON) ** 2
     inside = on = outside = undet = 0
     mags = np.abs(points)
     for mag, pt in zip(mags, points):
         if mag < lo:
-            inside += mult
+            inside += 1
         elif mag > hi:
-            outside += mult
+            outside += 1
         else:
             delta = _refine_abs_delta(src.coeffs, complex(pt))
             if abs(delta) <= 1e-20:
                 if allow_on:
-                    on += mult
+                    on += 1
                 else:
-                    undet += mult
+                    undet += 1
             elif delta < 0:
-                inside += mult
+                inside += 1
             else:
-                outside += mult
+                outside += 1
     return inside, on, outside, undet
 
 
@@ -406,42 +395,35 @@ def _solve_counts(P: IntPolynomial, *, seed: int, allow_on: bool):
     """Solve P numerically and classify its roots against the unit circle."""
     if P.degree < 1:
         return (0, 0, 0, 0), 0.0, 0, np.empty(0, dtype=np.complex128)
-    if P.is_even() and P.degree >= 2:
-        g = P.even_part()
-        result = aberth_solve(g, seed=seed)
-        counts = _classify_points(result.roots, g, squared=True,
-                                  allow_on=allow_on)
-        sq = np.sqrt(result.roots.astype(np.complex128))
-        roots = np.concatenate([sq, -sq])
-    else:
-        result = aberth_solve(P, seed=seed)
-        counts = _classify_points(result.roots, P, squared=False,
-                                  allow_on=allow_on)
-        roots = result.roots
-    return counts, result.max_residual, result.iterations, roots
+    result = aberth_solve(P, seed=seed)
+    counts = _classify_points(result.roots, P, allow_on=allow_on)
+    return counts, result.max_residual, result.iterations, result.roots
 
 
 def classify_roots(N: int, table: PrimeTable, *,
                    seed: int = 0) -> RootClassification:
     """Locate all roots of F_N relative to the unit circle.
 
-    The on-circle count is exact for the cyclotomic part (sum of phi(d)
-    over exactly divided factors); the cofactor and any non-cyclotomic
-    residual are classified numerically with escalation.  Repeated roots
-    are handled by classifying gcd(F, F') separately and adding counts.
+    F_N is even, F_N(z) = g(z**2), and all the work runs on g, in the
+    plane w = z**2: |z| and |w| lie on the same side of 1, and each root w
+    gives the two roots +-sqrt(w), so every count is doubled at the end.
+    The on-circle count is exact for the cyclotomic part (sum of phi(e)
+    over exactly divided factors Phi_e(w)); the cofactor and any
+    non-cyclotomic residual are classified numerically with escalation.
+    Repeated roots are handled by classifying gcd(g, g') separately and
+    adding counts.
     """
     if N <= 5:
         raise ValueError("classification is defined for N > 5")
-    F = goldbach_polynomial(N, table)
-    degree = F.degree
+    g = goldbach_polynomial(N, table).even_part()
 
     # decompose into squarefree pieces; a root of multiplicity m lands in
     # m pieces, so the piecewise counts are additive
     pieces: list[IntPolynomial] = []
-    work = [F]
+    work = [g]
     while work:
         piece = work.pop()
-        sqf_gcd = _gcd_with(piece, IntPolynomial.derivative)
+        sqf_gcd = gcd_rational(piece, piece.derivative())
         if sqf_gcd.degree > 0:
             work.append(divrem_exact(piece, sqf_gcd)[0])
             work.append(sqf_gcd)
@@ -449,15 +431,13 @@ def classify_roots(N: int, table: PrimeTable, *,
             pieces.append(piece)
 
     inside = on_exact = outside = undet = residual_on = 0
-    cyclo: dict[int, int] = {}
     max_resid = 0.0
     iters = 0
     all_roots = []
     for piece in pieces:
         strip = strip_unit_circle_part(piece)
-        for d, m in strip.cyclotomic_factors:
-            cyclo[d] = cyclo.get(d, 0) + m
-            on_exact += arith.euler_phi(d) * m
+        for e, m in strip.cyclotomic_factors:
+            on_exact += arith.euler_phi(e) * m
         (h_in, h_on, h_out, h_un), r1, i1, roots1 = _solve_counts(
             strip.cofactor, seed=seed, allow_on=False)
         (g_in, g_on, g_out, g_un), r2, i2, roots2 = _solve_counts(
@@ -470,16 +450,14 @@ def classify_roots(N: int, table: PrimeTable, *,
         iters = max(iters, i1, i2)
         all_roots.extend([roots1, roots2])
 
-    numeric = (np.concatenate(all_roots)
-               if all_roots else np.empty(0, dtype=np.complex128))
+    sq = np.sqrt(np.concatenate(all_roots))
     return RootClassification(
-        N=N, degree=degree, inside=inside,
-        on_circle=on_exact + residual_on, outside=outside,
-        undetermined=undet,
-        cyclotomic_divisors=sorted(cyclo.items()),
-        residual_on_circle=residual_on,
+        N=N, degree=2 * g.degree, inside=2 * inside,
+        on_circle=2 * (on_exact + residual_on), outside=2 * outside,
+        undetermined=2 * undet,
+        residual_on_circle=2 * residual_on,
         max_residual=max_resid, iterations=iters,
-        numeric_roots=numeric,
+        numeric_roots=np.concatenate([sq, -sq]),
     )
 
 

@@ -280,7 +280,8 @@ def test_c8_soundness_products(table):
             g = multiply(a, b).primitive_part()
             q = IntPolynomial(tuple(c for x in g.coeffs for c in (x, 0))[:-1])
         even_done += 1
-        if factor.certify_even(q, max_primes=3).verdict == "Irreducible":
+        if factor.certify_even(q.even_part(),
+                               max_primes=3).verdict == "Irreducible":
             falsely_certified += 1
     elapsed = time.perf_counter() - start
     _report("8b", "soundness on 200 products and 200 even products",

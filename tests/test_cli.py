@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from goldpoly import arith, cli, factor, goldbach, modp, roots
+from goldpoly.poly import cyclotomic, multiply
 from oracles import (
     coefficient_csv_by_join,
     stable_coefficient_table_by_divisor_sweep,
@@ -30,6 +31,22 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "7", "--quotient", "N,2N")
         assert code == 0
         assert from_text(out.strip()) == quotient_polynomial((7, "N,2N"))
+
+    def test_odd_half_quotient_where_phi_n_divides(self, capsys, small_table):
+        # R(4) = 0, so Phi_4 | F_4 and the quotient is exact
+        code, out, _ = run(capsys, "construct", "4", "--quotient", "N,2N")
+        assert code == 0
+        F4 = goldbach.goldbach_polynomial(4, small_table)
+        assert multiply(from_text(out.strip()),
+                        multiply(cyclotomic(4), cyclotomic(8))) == F4
+
+    def test_phi_n_quotient_of_a_goldbach_n_is_usage_error(self, capsys):
+        # 10 = 3 + 7, so Phi_10 does not divide F_10 (theorem (b)): asking
+        # for that quotient is a usage error, not a failed theorem
+        code, out, err = run(capsys, "construct", "10", "--quotient", "N,2N")
+        assert code == 2
+        assert out == ""
+        assert "Phi_10 does not divide F_10" in err
 
     def test_zero_polynomial_warns(self, capsys):
         code, out, err = run(capsys, "construct", "2")
@@ -154,6 +171,19 @@ class TestTable1:
         _, out1, _ = run(capsys, "table1", "--n-max", "9", "--jobs", "1")
         _, out2, _ = run(capsys, "table1", "--n-max", "9", "--jobs", "2")
         assert out1 == out2
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_rows_match_benchmark_reference(self, capsys, jobs, seed):
+        # the benchmark's recorded `table1 --n-max 24` output, read only
+        reference = json.loads((Path(__file__).resolve().parents[1]
+                                / "perfbench" / "reference.json").read_text())
+        ref = reference["roots"][0]
+        assert ref["argv"] == ["table1", "--n-max", "24"]
+        code, out, _ = run(capsys, *ref["argv"], "--jobs", jobs,
+                           "--seed", seed)
+        assert code == 0
+        assert out.splitlines() == ref["lines"]
 
     def test_rejects_tiny_n_max(self, capsys):
         code, _, _ = run(capsys, "table1", "--n-max", "5")
@@ -385,6 +415,22 @@ class TestUsage:
         code, out, _ = run(capsys, *argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["construct", "6"],
+        ["verify", "--n-max", "8"],
+        ["table1", "--n-max", "6"],
+        ["coeffs", "--m-max", "10"],
+        ["summatory", "--M", "16"],
+        ["hl", "--m-max", "100"],
+        ["irreducible", "--n-max", "6"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_below_one_is_usage_error(self, capsys, argv, jobs):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert "--jobs" in err
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert cli.main(["--version"]) == 0

@@ -251,30 +251,22 @@ class TestFrobeniusMatrixDDF:
 
 
 class TestScreen:
+    # content is rejected before the screen: TestCertify.test_imprimitive_rejected
     def test_finds_unit_root(self):
-        res = linear_root_screen(IntPolynomial((-1, 0, 1)))
-        assert res.kind == "linear"
-        assert res.factor == IntPolynomial((-1, 1))
+        assert (linear_root_screen(IntPolynomial((-1, 0, 1)))
+                == IntPolynomial((-1, 1)))
 
     def test_no_rational_root(self):
-        assert linear_root_screen(IntPolynomial((1, 0, 1))).kind == "none"
-
-    def test_imprimitive_reported_as_content(self):
-        res = linear_root_screen(IntPolynomial((2, 2)))
-        assert res.kind == "content"
-        assert res.content == 2
+        assert linear_root_screen(IntPolynomial((1, 0, 1))) is None
 
     def test_root_at_origin(self):
-        res = linear_root_screen(IntPolynomial((0, 1, 1)))
-        assert res.kind == "linear"
-        assert res.factor == IntPolynomial((0, 1))
+        assert (linear_root_screen(IntPolynomial((0, 1, 1)))
+                == IntPolynomial((0, 1)))
 
     def test_non_monic_rational_root(self):
         # (2z-1)(z^2+z+1)
         f = multiply(IntPolynomial((-1, 2)), IntPolynomial((1, 1, 1)))
-        res = linear_root_screen(f)
-        assert res.kind == "linear"
-        assert res.factor == IntPolynomial((-1, 2))
+        assert linear_root_screen(f) == IntPolynomial((-1, 2))
 
 
 class TestCertify:
@@ -378,21 +370,19 @@ class TestEvenLift:
         assert norm in (1, 4)
         q = IntPolynomial(tuple(c for a in g.coeffs for c in (a, 0))[:-1])
         assert q.even_part() == g
-        cert = certify_even(q)
+        cert = certify_even(q.even_part())
         assert cert.verdict != "Irreducible"
         assert cert.degree == q.degree
 
     def test_nonsquare_norm_lifts_without_split_test(self):
         # z^2 + 3: g = z + 3 has norm -3
-        cert = certify_even(IntPolynomial((3, 0, 1)))
+        cert = certify_even(IntPolynomial((3, 0, 1)).even_part())
         assert cert.verdict == "Irreducible"
         assert cert.degree == 2
 
-    def test_rejects_odd_or_imprimitive(self):
+    def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
-            certify_even(IntPolynomial((1, 1, 1)))
-        with pytest.raises(ValueError):
-            certify_even(IntPolynomial((2, 0, 4)))
+            certify_even(IntPolynomial((2, 0, 4)).even_part())
 
     def test_split_test_fires_for_odd_quotients(self, small_table,
                                                 monkeypatch):

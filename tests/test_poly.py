@@ -241,6 +241,15 @@ class TestCyclotomic:
             assert reciprocal(cyclotomic(n)) == cyclotomic(n)
         assert reciprocal(cyclotomic(1)) == -cyclotomic(1)
 
+    def test_composed_with_square(self):
+        # Phi_N(z^2) is the forced cyclotomic part of F_N that the quotient
+        # certificates divide out at half degree
+        for n in range(1, 301):
+            want = cyclotomic(2 * n)
+            if n % 2:
+                want = multiply(cyclotomic(n), want)
+            assert cyclotomic(n).compose_square() == want, n
+
 
 class TestReciprocal:
     def test_examples(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goldpoly import roots
+from goldpoly import arith, roots
 from goldpoly.goldbach import goldbach_polynomial
 from goldpoly.poly import (
     IntPolynomial,
@@ -13,7 +13,6 @@ from goldpoly.poly import (
     divrem_exact,
     gcd_rational,
     multiply,
-    reciprocal,
 )
 from goldpoly.roots import (
     SolverError,
@@ -30,8 +29,8 @@ from reference_fixtures import ROOT_TABLE
 
 def _cofactor_even_part(N, table):
     """The polynomial classify_roots hands to the solver for F_N's cofactor."""
-    F = goldbach_polynomial(N, table)
-    return strip_unit_circle_part(F).cofactor.even_part()
+    g = goldbach_polynomial(N, table).even_part()
+    return strip_unit_circle_part(g).cofactor
 
 
 def _random_polynomials():
@@ -240,9 +239,10 @@ class TestStrip:
         with pytest.raises(ValueError):
             strip_unit_circle_part(IntPolynomial((0, 1)))
 
-    @pytest.mark.parametrize("partner", [reciprocal, IntPolynomial.derivative],
-                             ids=["reciprocal", "derivative"])
-    def test_half_degree_gcd_matches_full_degree(self, small_table, partner):
+    def test_even_part_strip_matches_full_degree(self, small_table):
+        # classify_roots strips g, not F = g(z^2): the cofactor and residual
+        # of F are those of g composed with z^2, and the on-circle count
+        # sum phi(d) m of F is twice that of g, whose factors are Phi_e(w)
         phi4_sq = multiply(cyclotomic(4), cyclotomic(4))
         polys = [goldbach_polynomial(N, small_table) for N in range(6, 19)]
         polys += [
@@ -251,12 +251,21 @@ class TestStrip:
                      IntPolynomial((-3, 0, 1))),
             multiply(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
             IntPolynomial((5, 0, 0, 0, 1)),
-            multiply(cyclotomic(7), IntPolynomial((-3, 1))),  # not even
         ]
         for F in polys:
-            assert F[0] != 0
-            want = gcd_rational(F, partner(F))
-            assert roots._gcd_with(F, partner) == want, F
+            assert F[0] != 0 and F.is_even()
+            g = F.even_part()
+            full, half = strip_unit_circle_part(F), strip_unit_circle_part(g)
+            assert half.cofactor.compose_square() == full.cofactor, F
+            assert half.residual.compose_square() == full.residual, F
+            assert (half.self_reciprocal_part.compose_square()
+                    == full.self_reciprocal_part), F
+            on = [sum(arith.euler_phi(d) * m for d, m in s.cyclotomic_factors)
+                  for s in (full, half)]
+            assert on[0] == 2 * on[1], F
+            # the squarefree split of g maps the same way: F' = 2z g'(z^2)
+            assert (gcd_rational(g, g.derivative()).compose_square()
+                    == gcd_rational(F, F.derivative())), F
 
     def test_repeated_cyclotomic_multiplicity(self):
         F = multiply(multiply(cyclotomic(4), cyclotomic(4)), IntPolynomial((-2, 1)))
