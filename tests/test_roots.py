@@ -13,6 +13,7 @@ from goldpoly.poly import (
     divrem_exact,
     gcd_rational,
     multiply,
+    reciprocal,
 )
 from goldpoly.roots import (
     SolverError,
@@ -263,9 +264,26 @@ class TestStrip:
             on = [sum(arith.euler_phi(d) * m for d, m in s.cyclotomic_factors)
                   for s in (full, half)]
             assert on[0] == 2 * on[1], F
-            # the squarefree split of g maps the same way: F' = 2z g'(z^2)
-            assert (gcd_rational(g, g.derivative()).compose_square()
-                    == gcd_rational(F, F.derivative())), F
+
+    @pytest.mark.parametrize("partner", [reciprocal, IntPolynomial.derivative],
+                             ids=["reciprocal", "derivative"])
+    def test_half_degree_gcd_matches_full_degree(self, small_table, partner):
+        # the gcds taken on g map to those of F = g(z^2) by z -> z^2:
+        # reciprocal(F) = reciprocal(g)(z^2) and F' = 2z g'(z^2) with F(0) != 0
+        phi4_sq = multiply(cyclotomic(4), cyclotomic(4))
+        polys = [goldbach_polynomial(N, small_table) for N in range(6, 19)]
+        polys += [
+            multiply(phi4_sq, IntPolynomial((2, 0, -5, 0, 2))),
+            multiply(multiply(phi4_sq, cyclotomic(12)),
+                     IntPolynomial((-3, 0, 1))),
+            multiply(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
+            IntPolynomial((5, 0, 0, 0, 1)),
+        ]
+        for F in polys:
+            assert F[0] != 0 and F.is_even()
+            g = F.even_part()
+            assert (gcd_rational(g, partner(g)).compose_square()
+                    == gcd_rational(F, partner(F))), F
 
     def test_repeated_cyclotomic_multiplicity(self):
         F = multiply(multiply(cyclotomic(4), cyclotomic(4)), IntPolynomial((-2, 1)))
