@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
@@ -112,9 +111,14 @@ def _worker_table(limit: int) -> PrimeTable:
 
 
 def _map_jobs(fn, items, jobs: int):
+    """fn over items in order, in a pool of at most one worker per item.
+
+    The pool, and its import, come only with --jobs above 1.
+    """
     if jobs == 1:
         return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))
 
 

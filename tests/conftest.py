@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from goldpoly import arith
+from goldpoly import arith, roots
+from goldpoly.goldbach import goldbach_polynomial
 
 LONG_MODE = os.environ.get("GOLDPOLY_LONG", "") not in ("", "0")
 
@@ -19,6 +20,24 @@ def multiset_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
             d = np.abs(x[i0:i0 + chunk, None] - y[None, :]).min(axis=1)
             worst = max(worst, float(d.max()))
     return worst
+
+
+def solved_pieces(N: int, table, seed: int = 0) -> list:
+    """The Aberth solves ``roots.classify_roots(N, table, seed=seed)`` makes
+    when no disc overlaps: the cofactor and the residual of g, where
+    F_N(z) = g(z**2), at seeds seed and seed + 1, each of positive degree."""
+    strip = roots.strip_unit_circle_part(
+        goldbach_polynomial(N, table).even_part())
+    return [roots.aberth_solve(P, seed=s)
+            for P, s in ((strip.cofactor, seed), (strip.residual, seed + 1))
+            if P.degree > 0]
+
+
+def numeric_roots(N: int, table, seed: int = 0) -> np.ndarray:
+    """The roots +-sqrt(w) in the z plane of F_N from ``solved_pieces``."""
+    sq = np.sqrt(np.concatenate([res.roots
+                                 for res in solved_pieces(N, table, seed)]))
+    return np.concatenate([sq, -sq])
 
 
 @pytest.fixture(scope="session")

@@ -556,7 +556,7 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     d = len(c) - 1
     if d == 0:
         roots = np.zeros(n_zero, dtype=np.complex128)
-        return SolveResult(roots, 0, 0.0, 0.0)
+        return SolveResult(roots, 0, 0.0, 0.0, np.zeros(n_zero))
 
     rng = np.random.default_rng(seed)
     radius = (abs(c[0]) / abs(c[-1])) ** (1.0 / d)
@@ -598,4 +598,33 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
                           max_residual=max_resid)
     if n_zero:
         z = np.concatenate([z, np.zeros(n_zero, dtype=np.complex128)])
-    return SolveResult(z, iterations, max_corr, max_resid)
+    # no inclusion discs: an infinite radius about every point
+    return SolveResult(z, iterations, max_corr, max_resid,
+                       np.full(len(z), np.inf))
+
+
+def schur_cohn_inside(p: IntPolynomial) -> int | None:
+    """Number of roots of the real polynomial p inside |z| = 1, exactly, by
+    the Schur-Cohn recursion (Marden, *Geometry of Polynomials*, ch. X,
+    Theorem 43.1); None in the singular case, when some delta_j is 0.
+
+    With f_0 = p of degree n and f^* the reversal of f at its nominal
+    degree m, f_(j+1) = f_j(0) f_j - [z^m] f_j * f_j^* loses its top term,
+    and delta_(j+1) = f_(j+1)(0).  If no delta_j vanishes, p has no root on
+    the circle and as many inside as there are negative products
+    delta_1 ... delta_k, k = 1..n.  Each f_j is divided by its content,
+    which scales every later delta by a positive square and so keeps the
+    signs, and keeps the integers from doubling in length at every step.
+    """
+    a = list(p.coeffs)
+    inside = 0
+    sign = 1
+    for m in range(len(a) - 1, 0, -1):
+        a = [a[0] * a[k] - a[m] * a[m - k] for k in range(m)]
+        if a[0] == 0:
+            return None
+        sign = sign if a[0] > 0 else -sign
+        inside += sign < 0
+        content = math.gcd(*a)
+        a = [c // content for c in a]
+    return inside

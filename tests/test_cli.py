@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -188,6 +192,33 @@ class TestTable1:
     def test_rejects_tiny_n_max(self, capsys):
         code, _, _ = run(capsys, "table1", "--n-max", "5")
         assert code == 2
+
+    def test_pool_has_one_worker_per_item_at_most(self, capsys, monkeypatch):
+        # one row with --jobs 3 builds a pool of one worker, with the same
+        # stdout as --jobs 1
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        code, out_pool, _ = run(capsys, "table1", "--n-max", "6", "--jobs", "3")
+        assert code == 0 and workers == [1]
+        code, out_serial, _ = run(capsys, "table1", "--n-max", "6",
+                                  "--jobs", "1")
+        assert code == 0 and workers == [1]
+        assert out_pool == out_serial
 
     def test_count_mismatch_exits_1(self, capsys, monkeypatch):
         # a classification with one root moved off the circle contradicts
@@ -434,3 +465,22 @@ class TestUsage:
 
     def test_version_flag_exits_cleanly(self, capsys):
         assert cli.main(["--version"]) == 0
+
+
+class TestImports:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def test_cli_import_loads_no_mpmath_and_no_process_pool(self):
+        # a fresh interpreter: nothing the test process imported counts
+        probe = ("import sys, goldpoly.cli; "
+                 "print(sorted({'mpmath', 'concurrent.futures.process'} "
+                 "& set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={"PYTHONPATH": str(self.ROOT / "src")},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_numpy_is_the_only_dependency(self):
+        text = (self.ROOT / "pyproject.toml").read_text()
+        block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M)
+        assert re.findall(r'"([^"]*)"', block.group(1)) == ["numpy>=1.24"]

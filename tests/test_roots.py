@@ -23,8 +23,13 @@ from goldpoly.roots import (
     unit_circle_count_report,
 )
 
-from conftest import multiset_distance
-from oracles import aberth_all_points, horner_ratio_and_residual, horner_triple
+from conftest import multiset_distance, numeric_roots, solved_pieces
+from oracles import (
+    aberth_all_points,
+    horner_ratio_and_residual,
+    horner_triple,
+    schur_cohn_inside,
+)
 from reference_fixtures import ROOT_TABLE
 
 
@@ -304,8 +309,9 @@ class TestClassification:
         assert (rc.inside, rc.on_circle, rc.outside) == (inside, on, outside)
         assert rc.undetermined == 0
         assert rc.inside + rc.on_circle + rc.outside + rc.undetermined == \
-            rc.degree
-        assert rc.max_residual < 1e-8
+            goldbach_polynomial(N, small_table).degree
+        assert max(res.max_residual
+                   for res in solved_pieces(N, small_table, seed)) < 1e-8
 
     def test_rejects_small_N(self, small_table):
         with pytest.raises(ValueError):
@@ -318,8 +324,7 @@ class TestClassification:
         assert rep12.holds and rep12.witness["on_circle"] == 8
 
     def test_multiset_closures(self, small_table):
-        rc = classify_roots(11, small_table)
-        pts = rc.numeric_roots
+        pts = numeric_roots(11, small_table)
         # closed under conjugation and negation within tolerance
         for transform in (np.conj, np.negative):
             assert multiset_distance(pts, transform(pts)) < 1e-6
@@ -332,15 +337,288 @@ class TestClassification:
                      IntPolynomial((2, -5, 2)))
         deg = F.degree
 
-        from goldpoly.poly import gcd_rational, divrem_exact
-        pieces = []
-        work = [F]
-        while work:
-            piece = work.pop()
-            g = gcd_rational(piece, piece.derivative())
-            if g.degree > 0:
-                work.append(divrem_exact(piece, g)[0])
-                work.append(g)
-            else:
-                pieces.append(piece)
+        pieces = roots._squarefree_pieces(F)
         assert sum(p.degree for p in pieces) == deg
+        assert all(gcd_rational(p, p.derivative()).degree == 0
+                   for p in pieces)
+        # the double roots +-i overlap, so the solve splits F; the circle
+        # roots are never placed numerically, the other two are
+        assert roots._solve_counts(F, seed=0) == (1, 1, 4)
+        strip = strip_unit_circle_part(F)
+        assert strip.cyclotomic_factors == [(4, 2)]
+        assert strip.cofactor == IntPolynomial.one()
+        assert roots._solve_counts(strip.residual, seed=1) == (1, 1, 0)
+
+
+def _float_coeffs(coeffs):
+    """The float coefficients ``aberth_solve`` hands to the disc pass, and
+    their scale: the largest integer coefficient in magnitude."""
+    scale = max(abs(c) for c in coeffs)
+    return np.array([float(x) / scale for x in coeffs]), scale
+
+
+def _grid(x):
+    """(a, b, e) with x = (a + ib) / 2**e exactly, for a complex float x."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    e = max(re.denominator, im.denominator).bit_length() - 1
+    return int(re * 2 ** e), int(im * 2 ** e), e
+
+
+def _exact_gap2(got, num, den):
+    """|got - (num[0] + i num[1]) / den|**2 as a Fraction."""
+    return ((Fraction(got.real) - Fraction(num[0], den)) ** 2
+            + (Fraction(got.imag) - Fraction(num[1], den)) ** 2)
+
+
+def _linear_product(factors):
+    """The integer polynomial prod (b w - a) for pairs (a, b), times the
+    quadratics b**2 w**2 - 2 a b w + (a**2 + c**2), with roots (a +- ic)/b,
+    for triples (a, b, c)."""
+    P = IntPolynomial.one()
+    for f in factors:
+        if len(f) == 2:
+            a, b = f
+            P = multiply(P, IntPolynomial((-a, b)))
+        else:
+            a, b, c = f
+            P = multiply(P, IntPolynomial((a * a + c * c, -2 * a * b, b * b)))
+    return P
+
+
+def _known_roots(factors):
+    out = []
+    for f in factors:
+        if len(f) == 2:
+            out.append((Fraction(f[0], f[1]), Fraction(0)))
+        else:
+            a, b, c = f
+            out += [(Fraction(a, b), Fraction(c, b)),
+                    (Fraction(a, b), Fraction(-c, b))]
+    return out
+
+
+def _known_root_cases():
+    rng = np.random.default_rng(31)
+    for trial in range(4):
+        factors = [(int(rng.integers(-60, 61)) or 1, int(b))
+                   for b in rng.choice([3, 7, 9, 11, 13, 17], 6)]
+        factors += [(int(rng.integers(-40, 41)), int(b),
+                     int(rng.integers(1, 30)))
+                    for b in rng.choice([3, 7, 11, 13], 3)]
+        yield factors
+    # roots 1e-12 and 1e-15 from the circle, and one cluster of two
+    yield [(10 ** 12 + 1, 10 ** 12), (10 ** 15, 10 ** 15 + 1), (1, 3),
+           (2, 7, 5)]
+    yield [(3, 7), (5, 7), (4, 7), (-6, 7), (1, 5, 3), (1, 5, 4)]
+
+
+class TestInclusionDiscs:
+    """The disc pass: rigorous evaluation bounds, radii, disjointness."""
+
+    def test_evaluation_bounds_hold_exactly(self, small_table):
+        # at dyadic points inside, outside, on and within 1e-9 of |z| = 1,
+        # the bounds of _evaluate_with_bounds cover the distance from the
+        # exact p(x) and p'(x) of the integer polynomial over its scale,
+        # for p and for the reversed polynomial that points outside use
+        rng = np.random.default_rng(5)
+        polys = [_cofactor_even_part(N, small_table) for N in range(6, 17)]
+        polys += list(_random_polynomials())[:3]
+        for P in polys:
+            for coeffs in (P.coeffs, P.coeffs[::-1]):
+                c, scale = _float_coeffs(coeffs)
+                d = len(coeffs) - 1
+                x = _test_points(rng, 4)
+                v, dv, ev, edv, s = roots._evaluate_with_bounds(c, x)
+                assert np.all(ev > 0) and np.all(edv > 0)
+                for k, xk in enumerate(x):
+                    a, b, e = _grid(xk)
+                    vr, vi, wr, wi = roots._exact_values(coeffs, a, b, e)
+                    assert _exact_gap2(v[k], (vr, vi), scale << e * d) <= \
+                        Fraction(float(ev[k])) ** 2, (P.degree, xk)
+                    assert _exact_gap2(dv[k], (wr, wi),
+                                       scale << e * (d - 1)) <= \
+                        Fraction(float(edv[k])) ** 2, (P.degree, xk)
+
+    def test_exact_values_match_fraction_horner(self):
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 40):
+            coeffs = tuple(int(v) for v in rng.integers(-50, 51, d + 1))
+            for x in _test_points(rng, 2)[::3]:
+                a, b, e = _grid(x)
+                got = roots._exact_values(coeffs, a, b, e)
+                (pr, pi), (dr, di) = _exact_values(coeffs, x)
+                scale = Fraction(2) ** e
+                assert got == (pr * scale ** d, pi * scale ** d,
+                               dr * scale ** (d - 1),
+                               di * scale ** (d - 1)), (d, x)
+
+    @pytest.mark.parametrize("factors", list(_known_root_cases()))
+    def test_discs_hold_the_known_roots(self, factors):
+        # every disc holds a true root, compared exactly; disjoint discs
+        # hold one each
+        P = _linear_product(factors)
+        want = _known_roots(factors)
+        for seed in range(2):
+            res = aberth_solve(P, seed=seed)
+            nearest = []
+            for z, r in zip(res.roots, res.radii):
+                zr, zi = Fraction(z.real), Fraction(z.imag)
+                gaps = [(zr - wr) ** 2 + (zi - wi) ** 2 for wr, wi in want]
+                k = min(range(len(want)), key=gaps.__getitem__)
+                assert gaps[k] <= Fraction(float(r)) ** 2, (z, r, want[k])
+                nearest.append(k)
+            if roots._isolated(res.roots, res.radii).all():
+                assert sorted(nearest) == list(range(len(want)))
+
+    def test_goldbach_discs_are_disjoint_and_off_the_circle(self, small_table):
+        for N in range(6, 25):
+            res = aberth_solve(_cofactor_even_part(N, small_table), seed=N)
+            assert roots._isolated(res.roots, res.radii).all(), N
+            assert res.radii.max() < 1e-8, N
+            assert np.all(np.abs(np.abs(res.roots) - 1) > res.radii), N
+
+    def test_isolated_matches_all_pairs(self):
+        rng = np.random.default_rng(12)
+        for trial in range(20):
+            n = int(rng.integers(2, 300))
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if trial % 3 == 0:
+                # conjugate pairs share their real parts
+                z[n // 2:] = np.conj(z[:n - n // 2])
+            r = 10.0 ** rng.uniform(-8, -0.5, n)
+            if trial % 4 == 1:
+                # a few discs that touch exactly
+                i, j = 0, 1
+                r[j] = abs(z[i] - z[j]) - r[i] if abs(z[i] - z[j]) > r[i] \
+                    else r[j]
+            dist = np.abs(z[:, None] - z[None, :]) * roots._DOWN
+            hit = dist <= (r[:, None] + r[None, :]) * roots._UP
+            np.fill_diagonal(hit, False)
+            assert np.array_equal(roots._isolated(z, r), ~hit.any(axis=1))
+        # one infinite disc meets every other; a single disc is isolated
+        z = np.array([0j, 5 + 0j, 10j])
+        assert not roots._isolated(z, np.array([1e-9, np.inf, 1e-9])).any()
+        assert roots._isolated(z[:1], np.array([np.inf])).all()
+
+    def test_residual_matches_horner_oracle(self, small_table):
+        # the disc pass's backward residual, the solver's acceptance gate,
+        # against the Horner loop it replaced: both at the rounding floor
+        g = _cofactor_even_part(14, small_table)
+        res = aberth_solve(g, seed=3)
+        c, _ = _float_coeffs(g.coeffs)
+        got = roots._inclusion_radii(c, res.roots)[1]
+        want = horner_ratio_and_residual(c, res.roots)[1]
+        assert np.all(got < 1e-13) and np.all(want < 1e-13)
+        assert res.max_residual == float(got.max())
+
+
+def _solve_counts_sound(P, inside, outside, seed=0):
+    """_solve_counts of P, checked against its true inside and outside
+    counts: never more roots on a side than it has.  The counts are
+    returned for the caller's own checks."""
+    got_in, got_out, undet = roots._solve_counts(P, seed=seed)
+    assert got_in <= inside and got_out <= outside, (got_in, got_out)
+    assert got_in + got_out + undet == P.degree
+    return got_in, got_out, undet
+
+
+# a fixed cofactor: 1/3 and the roots of 5w^2 + 3w + 4 (|w|^2 = 4/5) inside,
+# -7/2 outside
+_FILLER = multiply(multiply(IntPolynomial((-1, 3)), IntPolynomial((7, 2))),
+                   IntPolynomial((4, 3, 5)))
+
+
+class TestSoundness:
+    """No root ever lands on the wrong side of the circle."""
+
+    @pytest.mark.parametrize("b, a, side", [
+        (10 ** 12, 10 ** 12 + 1, 1), (10 ** 12 + 1, 10 ** 12, -1),
+        (10 ** 15, 10 ** 15 + 1, 1), (10 ** 15 + 1, 10 ** 15, -1),
+        (3 * 10 ** 14, 3 * 10 ** 14 - 1, -1),
+    ], ids=["1e-12-out", "1e-12-in", "1e-15-out", "1e-15-in", "3e-15-in"])
+    def test_root_near_the_circle(self, b, a, side):
+        # b w - a has its root a/b within 1e-12 .. 1e-15 of |w| = 1; the
+        # float discs meet the circle and the exact step must place it
+        P = multiply(IntPolynomial((-a, b)), _FILLER)
+        inside, outside = 3 + (side < 0), 1 + (side > 0)
+        for seed in range(3):
+            assert _solve_counts_sound(P, inside, outside, seed) == (
+                inside, outside, 0)
+
+    def test_root_near_the_circle_needs_the_exact_step(self, monkeypatch):
+        calls = []
+        exact_side = roots._exact_side
+
+        def counting(*args):
+            calls.append(args[1])
+            return exact_side(*args)
+
+        monkeypatch.setattr(roots, "_exact_side", counting)
+        P = multiply(IntPolynomial((-(10 ** 15 + 1), 10 ** 15)), _FILLER)
+        assert roots._solve_counts(P, seed=0) == (3, 2, 0)
+        assert len(calls) == 1 and abs(abs(calls[0]) - 1) < 1e-14
+
+    @pytest.mark.parametrize("offset, inside, outside", [
+        (1, 0, 2), (-3, 2, 0), (-1, 1, 0), (-2, 1, 0)],
+        ids=["both-out", "both-in", "in-and-on", "on-and-in"])
+    def test_near_double_root(self, offset, inside, outside):
+        # (b w - a)(b w - a - 1) with b about 1e9: two roots 1e-9 apart at
+        # most 3e-9 from the circle, one exactly on it for a = b - 1, b - 2
+        b = 10 ** 9 + 7
+        a = b + offset
+        P = multiply(IntPolynomial((-a, b)), IntPolynomial((-a - 1, b)))
+        for seed in range(3):
+            _solve_counts_sound(P, inside, outside, seed)
+            _solve_counts_sound(multiply(P, _FILLER), inside + 3,
+                                outside + 1, seed)
+
+    def test_self_reciprocal_factor_on_the_circle(self):
+        # Lehmer's polynomial: self-reciprocal, not cyclotomic, 8 roots on
+        # the circle and the Salem pair 1.17628..., 1/1.17628...; and
+        # 2w^2 - w + 2, whose two roots lie on the circle
+        lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+        strip = strip_unit_circle_part(lehmer)
+        assert strip.cyclotomic_factors == [] and strip.residual == lehmer
+        for seed in range(3):
+            assert _solve_counts_sound(lehmer, 1, 1, seed)[2] == 8
+            assert _solve_counts_sound(IntPolynomial((2, -1, 2)), 0, 0,
+                                       seed) == (0, 0, 2)
+            assert _solve_counts_sound(multiply(lehmer, _FILLER), 4, 2,
+                                       seed)[2] == 8
+
+    def test_overlapping_discs_are_undetermined_and_strict_exits_3(
+            self, capsys, monkeypatch, small_table):
+        monkeypatch.setattr(roots, "_isolated",
+                            lambda z, r: np.zeros(len(z), dtype=bool))
+        rc = classify_roots(8, small_table)
+        assert (rc.inside, rc.on_circle, rc.outside, rc.undetermined) == (
+            0, 8, 0, 90)
+        assert not unit_circle_count_report(rc).holds
+        from goldpoly import cli
+        assert cli.main(["table1", "--n-max", "8", "--strict"]) == 3
+        assert cli.main(["table1", "--n-max", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[3] == "8,8,0,8,0,90"
+
+
+class TestSchurCohn:
+    def test_inside_counts_match_exact_schur_cohn(self, small_table):
+        # the cofactor's roots inside the circle, counted exactly; a
+        # singular case (some delta_j = 0) would be listed, not compared
+        singular = []
+        for N in range(6, 17):
+            strip = strip_unit_circle_part(
+                goldbach_polynomial(N, small_table).even_part())
+            assert strip.residual.degree == 0
+            want = schur_cohn_inside(strip.cofactor)
+            if want is None:
+                singular.append(N)
+                continue
+            assert classify_roots(N, small_table).inside == 2 * want, N
+        assert singular == []
+
+    def test_oracle_on_known_roots(self):
+        for factors in _known_root_cases():
+            want = sum(wr * wr + wi * wi < 1
+                       for wr, wi in _known_roots(factors))
+            assert schur_cohn_inside(_linear_product(factors)) == want
+        assert schur_cohn_inside(IntPolynomial((2, -1, 2))) is None
