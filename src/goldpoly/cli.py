@@ -138,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if args.output_format == "csv":
                 lines.append(f"{rep['N']},{rep['theorem_id']},{rep['holds']}")
             else:
-                lines.append(json.dumps(rep, default=str))
+                lines.append(json.dumps(rep))
     if args.output_format == "csv":
         lines.insert(0, "N,theorem_id,holds")
     print("\n".join(lines))

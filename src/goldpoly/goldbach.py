@@ -2,19 +2,20 @@
 
 The central object is the family F_N(z) = sum_k (sum_n chi(n) z^(k n))^2,
 where chi is the odd-prime indicator (pluggable: any 0/1 indicator works,
-the Liouville-negative set is built in).  ``goldbach_coefficients`` builds
-F_N's int64 coefficients from the indicator's pair sums, one
-autocorrelation by ``modp.convolve`` spread over the exponent steps k;
-``goldbach_polynomial`` wraps them as an exact ``IntPolynomial`` for the
-commands that divide or factor F_N.  ``theorem_reports`` checks the
-cyclotomic divisibility statements, the even symmetry and the
-root-of-unity lower bounds for the odd-prime F_N on the coefficient array
-alone: it is folded once mod z^(2N) - 1, and the remainders F_N mod Phi_M
-(M | N and M = 2N, ``cyclotomic_remainders``) are taken from that fold,
-with one pair-count table per N.  The stabilized coefficients a(m), the
-summatory function A(M) with its asymptotic ratio and the
-Hardy-Littlewood summary of a(2m) are whole-array sweeps over one
-pair-count table.
+the Liouville-negative set is built in).  ``pair_sums`` is the
+indicator's autocorrelation, one ``modp.convolve`` per N.
+``goldbach_coefficients`` spreads it over the exponent steps k into F_N's
+int64 coefficients, and ``goldbach_polynomial`` wraps them as an exact
+``IntPolynomial`` for the commands that divide or factor F_N.
+``theorem_reports`` checks the cyclotomic divisibility statements, the
+even symmetry and the root-of-unity lower bounds for the odd-prime F_N
+from the pair sums alone, without F_N's O(N**2) coefficients: they give
+F_N's fold mod z^(2N) - 1 (``goldbach_fold``), from which the remainders
+F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``) are taken,
+the pair counts R(n) for n <= N, and the parity of F_N's exponents.  The
+stabilized coefficients a(m), the summatory function A(M) with its
+asymptotic ratio and the Hardy-Littlewood summary of a(2m) are
+whole-array sweeps over one pair-count table.
 """
 
 from __future__ import annotations
@@ -97,17 +98,13 @@ class TheoremReport:
 # Construction
 # ---------------------------------------------------------------------------
 
-def goldbach_coefficients(N: int, source) -> np.ndarray:
-    """F_N's int64 coefficients: sum over k < N of the squared indicator
-    sum at exponent step k.
+def pair_sums(N: int, source) -> np.ndarray:
+    """Ordered pair sums of the indicator support S on [1, N-1]: entry s
+    counts the pairs (n1, n2) in S x S with n1 + n2 = s.
 
-    The inner polynomial for shift k has support {k*n : n in S, n < N}; its
-    square contributes pair counts at exponents k*(n1+n2).  The pair counts
-    are the autocorrelation of the 0/1 indicator of S; shift 0 puts all
-    |S|**2 of them on the constant term.  Degree is at most 2*(N-1)^2, and
-    exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty, so the last entry is
-    nonzero; an empty S gives an empty array.  Coefficients are at most
-    N*|S|**2, so int64 holds them.
+    One autocorrelation of the 0/1 indicator of S by ``modp.convolve``.
+    Its length is 2*max(S) + 1, so the last entry is nonzero, and its
+    entries sum to |S|**2; an empty S gives an empty array.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -116,12 +113,53 @@ def goldbach_coefficients(N: int, source) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     ind = np.zeros(int(supp[-1]) + 1, dtype=np.uint8)
     ind[supp] = 1
-    pairs = modp.convolve(ind, ind)
+    return modp.convolve(ind, ind)
+
+
+def goldbach_coefficients(N: int, source) -> np.ndarray:
+    """F_N's int64 coefficients: sum over k < N of the squared indicator
+    sum at exponent step k.
+
+    The inner polynomial for shift k has support {k*n : n in S, n < N}; its
+    square puts the pair sums of ``pair_sums`` at exponents k*s; shift 0
+    puts all |S|**2 of them on the constant term.  Degree is at most
+    2*(N-1)^2, and exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty, so
+    the last entry is nonzero; an empty S gives an empty array.
+    Coefficients are at most N*|S|**2, so int64 holds them.
+    """
+    pairs = pair_sums(N, source)
+    if not len(pairs):
+        return pairs
     acc = np.zeros((N - 1) * (len(pairs) - 1) + 1, dtype=np.int64)
-    acc[0] = len(supp) ** 2
+    acc[0] = pairs.sum()
     for k in range(1, N):
         acc[: k * len(pairs): k] += pairs
     return acc
+
+
+def goldbach_fold(N: int, pairs: np.ndarray) -> np.ndarray:
+    """F_N mod z**(2N) - 1 as 2N int64 entries, from ``pair_sums(N, .)``.
+
+    F_N = |S|**2 + sum over k = 1..N-1 and s of pairs[s] * z**(k*s), so
+    entry 0 gets |S|**2 and entry (k*s) mod 2N gets pairs[s]: one outer
+    product of exponents and one weighted ``bincount``, without F_N's
+    O(N**2) coefficients.  bincount sums its weights in float64, which is
+    exact while every sum is below 2**53; the entries sum to
+    F_N(1) = N*|S|**2, and a larger total raises ValueError.
+    """
+    period = 2 * N
+    squared = int(pairs.sum())
+    if N * squared >= 2 ** 53:
+        raise ValueError(f"F_{N}(1) = {N * squared} is past 2^53, beyond "
+                         f"which the float64 fold is not exact")
+    s = np.nonzero(pairs)[0]
+    exps = np.outer(np.arange(1, N, dtype=np.int64), s)
+    exps %= period
+    weights = np.broadcast_to(pairs[s], exps.shape)
+    fold = np.bincount(exps.ravel(), weights.ravel(),
+                       minlength=period).astype(np.int64)
+    fold[0] += squared
+    return fold
 
 
 def goldbach_polynomial(N: int, source) -> IntPolynomial:
@@ -168,18 +206,13 @@ def cyclotomic_remainders(N: int, coeffs: np.ndarray) -> dict[int, IntPolynomial
     """F mod Phi_M for every M | N (ascending) and for M = 2N, computed once
     for both the divisibility and the root-of-unity reports.
 
-    ``coeffs`` are F's int64 coefficients (``goldbach_coefficients``).  They
-    are folded once mod z**(2N) - 1 by one reshape-sum; every Phi_M here
+    ``coeffs`` are F's int64 coefficients (``goldbach_coefficients``), or
+    their fold mod z**(2N) - 1 (``goldbach_fold``): every Phi_M here
     divides z**M - 1, which divides z**(2N) - 1, so the fold leaves each
-    remainder unchanged.  For F_N the folded entries sum to
-    F_N(1) = N*|S|**2, so int64 holds them.
+    remainder unchanged.
     """
-    period = 2 * N
-    padded = np.zeros(-(-len(coeffs) // period) * period, dtype=np.int64)
-    padded[: len(coeffs)] = coeffs
-    fold = IntPolynomial(padded.reshape(-1, period).sum(axis=0).tolist())
-    rems = {M: remainder_mod_cyclotomic(fold, M) for M in arith.divisors(N)}
-    rems[period] = remainder_mod_cyclotomic(fold, period)
+    rems = {M: remainder_mod_cyclotomic(coeffs, M) for M in arith.divisors(N)}
+    rems[2 * N] = remainder_mod_cyclotomic(coeffs, 2 * N)
     return rems
 
 
@@ -215,11 +248,12 @@ def verify_divisibility(N: int, counts: np.ndarray,
     return TheoremReport("divisibility", N, holds, witness=witness)
 
 
-def symmetry_report(N: int, coeffs: np.ndarray) -> TheoremReport:
-    """F_N(z) = F_N(-z), from F_N's coefficients; for the odd-prime
-    indicator all exponents are even."""
-    # F(-z) = F(z) exactly when every odd coefficient vanishes
-    even = not coeffs[1::2].any()
+def symmetry_report(N: int, pairs: np.ndarray) -> TheoremReport:
+    """F_N(z) = F_N(-z), from the pair sums of ``pair_sums``; for the
+    odd-prime indicator all exponents are even."""
+    # F(-z) = F(z) exactly when no exponent k*s is odd; every pair sum is
+    # nonnegative and k = 1 occurs, so that is when no odd s has a pair
+    even = not pairs[1::2].any()
     return TheoremReport(
         "even_symmetry", N, even,
         witness={"substitution_fixed": even, "support_even": even},
@@ -280,14 +314,18 @@ def root_bounds_report(N: int, counts: np.ndarray,
 
 def theorem_reports(N: int, table: PrimeTable) -> list[TheoremReport]:
     """The divisibility, symmetry and root-of-unity reports for the
-    odd-prime F_N, from one coefficient array of F_N, one set of cyclotomic
-    remainders and one pair-count table up to N."""
-    coeffs = goldbach_coefficients(N, table)
-    remainders = cyclotomic_remainders(N, coeffs)
-    counts = arith.goldbach_count_table(N, table)
+    odd-prime F_N, all from one ``pair_sums`` array: its fold of F_N mod
+    z**(2N) - 1 gives the cyclotomic remainders, and its first N + 1
+    entries are the pair counts R(n), n <= N (every pair summing to at
+    most N lies in [1, N-1])."""
+    pairs = pair_sums(N, table)
+    remainders = cyclotomic_remainders(N, goldbach_fold(N, pairs))
+    counts = np.zeros(N + 1, dtype=np.int64)
+    head = pairs[: N + 1]
+    counts[: len(head)] = head
     return [
         verify_divisibility(N, counts, remainders),
-        symmetry_report(N, coeffs),
+        symmetry_report(N, pairs),
         root_bounds_report(N, counts, remainders),
     ]
 

@@ -3,11 +3,15 @@
 IntPolynomial stores an immutable tuple of Python ints (index = exponent),
 canonical: empty tuple is the zero polynomial, otherwise the last entry is
 nonzero.  All ring operations are exact; products go through the shared
-integer convolution ``modp.convolve``.  Division is one schoolbook
-long-division loop: ``divrem_exact`` (monic divisor) and
+integer convolution ``modp.convolve``.  General division is one
+schoolbook long-division loop: ``divrem_exact`` (monic divisor) and
 ``exact_quotient_or_none`` (any divisor, None unless exact) are checks
-around it.  Cyclotomic polynomials are Moebius products of the binomials
-z**d - 1, built in Python ints and memoized.
+around it.  Cyclotomic polynomials Phi_n and their cofactors
+(z**n - 1) / Phi_n are Moebius products of the binomials z**d - 1, built
+in Python ints; Phi_n is memoized.  ``remainder_mod_cyclotomic`` takes
+no long division: it folds mod z**M - 1 and divides by Phi_M with two
+convolutions through the power-series inverse of Phi_M, in int64 numpy
+when an exact bound allows and in Python ints otherwise.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -239,60 +243,120 @@ def exact_quotient_or_none(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial 
 _cyclo_memo: dict[int, IntPolynomial] = {}
 
 
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, as a Moebius product of binomials.
+def _moebius_binomials(n: int, cofactor: bool) -> list[int]:
+    """Coefficients of Phi_n, or with ``cofactor`` of
+    Psi_n = (z**n - 1) / Phi_n, as Moebius products of binomials.
 
     With r = rad(n), the product of the distinct primes of n,
-    Phi_n(z) = Phi_r(z**(n/r)) and Phi_r = prod_{d | r} (z**d - 1)**mu(r/d)
+    Phi_n(z) = Phi_r(z**(n/r)) and Psi_n(z) = Psi_r(z**(n/r)), where
+    Phi_r = prod_{d | r} (z**d - 1)**mu(r/d) and
+    Psi_r = prod_{d | r, d < r} (z**d - 1)**(-mu(r/d))
     (Arnold & Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
-    2011).  The binomials with mu(r/d) = +1 are multiplied in first, so
-    each division by one of the others is exact; dividing by z**d - 1 is a
+    2011).  The binomials with exponent +1 are multiplied in first, so each
+    division by one of the others is exact; dividing by z**d - 1 is a
     running sum within each residue class mod d.  Coefficients are Python
-    ints throughout.  Results are memoized.
+    ints throughout.
     """
+    primes = [p for p, _ in arith.factorize(n)]
+    rad = math.prod(primes)
+    up, down = [], []
+    for k in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, k):
+            d = math.prod(subset)
+            # mu(r/d) = (-1)**(number of primes of r missing from d)
+            mu_plus = (len(primes) - k) % 2 == 0
+            if not cofactor:
+                (up if mu_plus else down).append(d)
+            elif d < rad:
+                (down if mu_plus else up).append(d)
+    cs = [1]
+    for d in up:
+        # a * (z**d - 1) = a shifted up by d, minus a
+        cs = [hi - lo for hi, lo in zip([0] * d + cs, cs + [0] * d)]
+    for d in down:
+        # a / (z**d - 1) = q, where q[i] = q[i - d] - a[i]
+        cs = [-c for c in cs[:len(cs) - d]]
+        for r in range(d):
+            cs[r::d] = itertools.accumulate(cs[r::d])
+    step = n // rad
+    spread = [0] * (step * (len(cs) - 1) + 1)
+    spread[::step] = cs
+    return spread
+
+
+def cyclotomic(n: int) -> IntPolynomial:
+    """The n-th cyclotomic polynomial, by ``_moebius_binomials``; memoized."""
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
     got = _cyclo_memo.get(n)
-    if got is not None:
-        return got
-    primes = [p for p, _ in arith.factorize(n)]
-    rad = math.prod(primes)
-    if rad < n:
-        base = cyclotomic(rad).coeffs
-        step = n // rad
-        cs = [0] * (step * (len(base) - 1) + 1)
-        cs[::step] = base
-    else:
-        up, down = [], []
-        for k in range(len(primes) + 1):
-            for subset in itertools.combinations(primes, k):
-                # mu(r/d) = (-1)**(number of primes of r missing from d)
-                (down if (len(primes) - k) % 2 else up).append(math.prod(subset))
-        cs = [1]
-        for d in up:
-            # a * (z**d - 1) = a shifted up by d, minus a
-            cs = [hi - lo for hi, lo in zip([0] * d + cs, cs + [0] * d)]
-        for d in down:
-            # a / (z**d - 1) = q, where q[i] = q[i - d] - a[i]
-            cs = [-c for c in cs[:len(cs) - d]]
-            for r in range(d):
-                cs[r::d] = itertools.accumulate(cs[r::d])
-    phi = IntPolynomial(cs)
-    _cyclo_memo[n] = phi
-    return phi
+    if got is None:
+        got = _cyclo_memo[n] = IntPolynomial(_moebius_binomials(n, False))
+    return got
 
 
-def remainder_mod_cyclotomic(a: IntPolynomial, M: int) -> IntPolynomial:
+_INT64_MAX = 2 ** 63 - 1
+
+# M -> (phi(M), growth, {dtype: (Phi_M, -Psi_M mod z**(M - phi(M)))})
+_division_memo: dict[int, tuple] = {}
+
+
+def _division_data(M: int) -> tuple:
+    """phi(M), the growth factor 1 + sum|Psi_M[:k]| * sum|Phi_M| of
+    ``remainder_mod_cyclotomic`` (k = M - phi(M)), and Phi_M with
+    -Psi_M[:k] as object arrays and as int64 arrays (None when the growth
+    factor is past int64)."""
+    got = _division_memo.get(M)
+    if got is None:
+        phi = cyclotomic(M).coeffs
+        m = len(phi) - 1
+        neg_psi = [-c for c in _moebius_binomials(M, True)[:M - m]]
+        growth = 1 + sum(map(abs, neg_psi)) * sum(map(abs, phi))
+        arrays = (np.array(phi, dtype=object), np.array(neg_psi, dtype=object))
+        fits = growth <= _INT64_MAX
+        got = _division_memo[M] = (
+            m, growth, {object: arrays,
+                        np.int64: tuple(x.astype(np.int64) for x in arrays)
+                        if fits else None})
+    return got
+
+
+def remainder_mod_cyclotomic(a, M: int) -> IntPolynomial:
     """a mod Phi_M, exact; degree < phi(M).
 
-    Exponents are first folded mod z**M - 1 (a multiple of Phi_M), which
-    keeps the cost linear in deg a even for large inputs.
+    ``a`` is an IntPolynomial or a 1-D array of int64 or Python-int
+    coefficients.  It is first folded mod z**M - 1 (a multiple of Phi_M)
+    by one reshape-sum, which keeps the cost linear in deg a.  For M >= 2
+    the fold f, of degree < M, is divided by the reversed-power-series
+    quotient (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
+    With m = phi(M), k = M - m and Psi_M = (z**M - 1) / Phi_M: Phi_M is
+    palindromic and Phi_M * (-Psi_M) = 1 mod z**k, so the reversed
+    quotient is rev(f)[:k] * (-Psi_M) mod z**k, and the remainder is
+    f[:m] - (q * Phi_M)[:m].  The two products are ``np.convolve`` calls
+    on int64 arrays when the bound below keeps every partial sum under
+    2**63, and the same calls on arrays of Python ints otherwise.
     """
     if M < 1:
         raise ValueError("M must be positive")
-    cs = a.coeffs
-    folded = [sum(cs[r::M]) for r in range(M)]
-    return divrem_exact(IntPolynomial(folded), cyclotomic(M))[1]
+    cs = (np.array(a.coeffs, dtype=object) if isinstance(a, IntPolynomial)
+          else np.asarray(a))
+    top = max(int(cs.max()), -int(cs.min())) if len(cs) else 0
+    if not top:
+        return IntPolynomial.zero()
+    m, growth, arrays = _division_data(M)
+    rows = -(-len(cs) // M)
+    # fold entries are at most T = rows * max|a|; partial sums of the
+    # quotient at most T * sum|Psi_M[:k]|, of q * Phi_M that times
+    # sum|Phi_M|, and the remainder adds a fold entry: T * growth in all
+    dtype = np.int64 if rows * top * growth <= _INT64_MAX else object
+    fold = np.zeros(rows * M, dtype=dtype)
+    fold[:len(cs)] = cs
+    fold = fold.reshape(rows, M).sum(axis=0)
+    if M == 1:
+        return IntPolynomial(fold.tolist())
+    phi, neg_psi = arrays[dtype]
+    k = M - m
+    q = np.convolve(fold[m:][::-1], neg_psi)[k - 1::-1]
+    return IntPolynomial((fold[:m] - np.convolve(q, phi)[:m]).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -89,18 +89,22 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--n-max", "notanumber")
         assert code == 2
 
-    def test_builds_each_polynomial_once(self, capsys, monkeypatch):
-        built = Counter()
-        construct = goldbach.goldbach_coefficients
+    def test_builds_one_pair_sum_array_per_n(self, capsys, monkeypatch):
+        calls = Counter()
+        pair_sums = goldbach.pair_sums
 
         def counted(N, source):
-            built[N] += 1
-            return construct(N, source)
+            calls[N] += 1
+            return pair_sums(N, source)
 
-        monkeypatch.setattr(goldbach, "goldbach_coefficients", counted)
+        def forbidden(N, source):
+            raise AssertionError("verify builds F_N's coefficients")
+
+        monkeypatch.setattr(goldbach, "pair_sums", counted)
+        monkeypatch.setattr(goldbach, "goldbach_coefficients", forbidden)
         code, _, _ = run(capsys, "verify", "--n-max", "12")
         assert code == 0
-        assert built == Counter(range(2, 13))
+        assert calls == Counter(range(2, 13))
 
     def test_computes_each_remainder_and_pair_count_once(self, capsys,
                                                          monkeypatch):
@@ -119,10 +123,10 @@ class TestVerify:
         monkeypatch.setattr(arith, "goldbach_count_table", counted_count)
         code, _, _ = run(capsys, "verify", "--n-max", "12")
         assert code == 0
-        # one fold per M | N and one for M = 2N, one pair-count table per N,
-        # for N = 2..12
+        # one remainder per M | N and one for M = 2N, for N = 2..12; the
+        # pair counts come from the pair sums, with no separate table
         assert calls["fold"] == 45
-        assert calls["count"] == 11
+        assert calls["count"] == 0
 
     def test_jobs_equivalence(self, capsys):
         _, out1, _ = run(capsys, "verify", "--n-max", "20", "--jobs", "1")

@@ -175,15 +175,67 @@ class TestDivisibility:
             assert theorem_reports(N, small_table)[0].holds
 
     def test_reports_match_full_polynomial_oracle(self, small_table):
-        for N in range(2, 81):
+        for N in range(2, 121):
             assert theorem_reports(N, small_table) == \
                 theorem_reports_from_polynomial(N, small_table), N
 
     def test_symmetry_reports(self, small_table):
         for N in (2, 6, 13, 30):
             rep = goldbach.symmetry_report(
-                N, goldbach.goldbach_coefficients(N, small_table))
+                N, goldbach.pair_sums(N, small_table))
             assert rep.holds and rep.witness["support_even"]
+
+    def test_symmetry_matches_odd_exponents(self, small_table):
+        # the Liouville set has elements of both parities
+        liouville_set = IndicatorSet.liouville_negative(small_table.limit,
+                                                        small_table)
+        verdicts = set()
+        for source in (small_table, liouville_set):
+            for N in range(2, 61):
+                rep = goldbach.symmetry_report(N, goldbach.pair_sums(N, source))
+                coeffs = goldbach.goldbach_coefficients(N, source)
+                assert rep.holds == (not coeffs[1::2].any()), N
+                verdicts.add(rep.holds)
+        assert verdicts == {True, False}
+
+
+class TestPairSums:
+    @pytest.mark.parametrize("indicator", ["odd_primes", "liouville"])
+    def test_fold_matches_folded_coefficients(self, small_table, indicator):
+        source = small_table if indicator == "odd_primes" else \
+            IndicatorSet.liouville_negative(small_table.limit, small_table)
+        for N in range(2, 121):
+            coeffs = goldbach.goldbach_coefficients(N, source)
+            period = 2 * N
+            padded = np.zeros(-(-len(coeffs) // period) * period, dtype=np.int64)
+            padded[: len(coeffs)] = coeffs
+            fold = goldbach.goldbach_fold(N, goldbach.pair_sums(N, source))
+            assert fold.dtype == np.int64
+            assert fold.tolist() == \
+                padded.reshape(-1, period).sum(axis=0).tolist(), N
+
+    def test_head_is_the_pair_count_table(self, small_table):
+        for N in range(2, 121):
+            pairs = goldbach.pair_sums(N, small_table)
+            head = np.zeros(N + 1, dtype=np.int64)
+            head[: min(len(pairs), N + 1)] = pairs[: N + 1]
+            assert head.tolist() == \
+                arith.goldbach_count_table(N, small_table).tolist(), N
+
+    def test_empty_support(self, small_table):
+        for N in (2, 3):
+            pairs = goldbach.pair_sums(N, small_table)
+            assert len(pairs) == 0
+            assert goldbach.goldbach_fold(N, pairs).tolist() == [0] * (2 * N)
+
+    def test_rejects_n_below_two(self, small_table):
+        with pytest.raises(ValueError):
+            goldbach.pair_sums(1, small_table)
+
+    def test_fold_guards_float64_exactness(self):
+        # F_N(1) = N * |S|**2 = 2**53: bincount's float64 sums could round
+        with pytest.raises(ValueError, match="2\\^53"):
+            goldbach.goldbach_fold(2 ** 51, np.array([0, 0, 4]))
 
 
 class TestRootOfUnityValues:

@@ -286,6 +286,82 @@ class TestRemainderModCyclotomic:
                 a = random_poly(rng, max_deg=60)
                 assert remainder_mod_cyclotomic(a, M) == divrem_exact(a, cyclotomic(M))[1]
 
+    def test_matches_divrem_on_int64_folds_to_240(self):
+        rng = np.random.default_rng(8)
+        for M in range(1, 241):
+            # a fold of M entries, and a longer array folded first
+            for size in (M, int(rng.integers(M + 1, 4 * M + 1))):
+                a = rng.integers(-2 ** 40, 2 ** 40, size=size)
+                expected = divrem_exact(IntPolynomial(a.tolist()), cyclotomic(M))[1]
+                assert remainder_mod_cyclotomic(a, M) == expected, (M, size)
+
+    @staticmethod
+    def _convolve_dtypes(monkeypatch) -> list:
+        seen = []
+        convolve = np.convolve
+
+        def spy(a, v, *args, **kwargs):
+            seen.append((a.dtype, v.dtype))
+            return convolve(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "convolve", spy)
+        return seen
+
+    @pytest.mark.parametrize("M", [2, 3, 12, 30, 105, 165, 210, 240])
+    def test_int64_path_up_to_its_guard(self, monkeypatch, M):
+        rng = np.random.default_rng(M)
+        top = poly._INT64_MAX // (2 * poly._division_data(M)[1])
+        for peak, dtype in ((top, np.int64), (top + 1, object)):
+            # two rows folded onto each other, extremes of both signs
+            a = rng.integers(-peak, peak + 1, size=2 * M)
+            a[rng.integers(0, 2 * M, size=M)] = peak
+            a[0] = -peak
+            seen = self._convolve_dtypes(monkeypatch)
+            got = remainder_mod_cyclotomic(a, M)
+            monkeypatch.undo()
+            assert seen == [(dtype, dtype)] * 2, (M, peak)
+            assert got == divrem_exact(IntPolynomial(a.tolist()), cyclotomic(M))[1]
+
+    def test_remainder_past_int64_is_exact(self):
+        # 2**62 - (-2**62) = 2**63: int64 inputs whose remainder wraps in int64
+        a = np.array([2 ** 62, 0, -2 ** 62], dtype=np.int64)
+        assert remainder_mod_cyclotomic(a, 3) == IntPolynomial((2 ** 63, 2 ** 62))
+
+    def test_python_int_coefficients_past_int64(self):
+        rng = np.random.default_rng(9)
+        for M in (1, 2, 3, 12, 30, 105, 240):
+            coeffs = [int(c) * 2 ** 64 + int(c) for c in
+                      rng.integers(-2 ** 20, 2 ** 20, size=3 * M)]
+            coeffs[0] = 2 ** 63
+            a = IntPolynomial(coeffs)
+            expected = divrem_exact(a, cyclotomic(M))[1]
+            assert remainder_mod_cyclotomic(a, M) == expected
+            assert remainder_mod_cyclotomic(np.array(coeffs, dtype=object),
+                                            M) == expected
+
+    @pytest.mark.parametrize("M", [1, 2, 6])
+    def test_empty_and_zero_inputs(self, M):
+        for a in (IntPolynomial.zero(), np.zeros(0, dtype=np.int64),
+                  np.zeros(3 * M, dtype=np.int64)):
+            assert remainder_mod_cyclotomic(a, M).is_zero
+
+    def test_indices_one_and_two(self):
+        a = IntPolynomial((5, -3, 7, 2))
+        # mod z - 1 the value at 1, mod z + 1 the value at -1
+        assert remainder_mod_cyclotomic(a, 1) == IntPolynomial((11,))
+        assert remainder_mod_cyclotomic(a, 2) == IntPolynomial((13,))
+        assert remainder_mod_cyclotomic(IntPolynomial((4, 4)), 2).is_zero
+
+    def test_rejects_index_zero(self):
+        with pytest.raises(ValueError):
+            remainder_mod_cyclotomic(ONE, 0)
+
+    def test_cofactor_times_cyclotomic_is_binomial(self):
+        for n in range(1, 241):
+            psi = IntPolynomial(poly._moebius_binomials(n, True))
+            assert multiply(psi, cyclotomic(n)) == \
+                IntPolynomial((-1,) + (0,) * (n - 1) + (1,)), n
+
 
 class TestGcd:
     def test_shared_linear_factor(self):

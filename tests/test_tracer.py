@@ -35,9 +35,11 @@ def test_tracer_installs_and_uninstalls(capsys):
             numpy.fft.rfft) == originals
     summary = tracer.summary()
     spans = summary["spans"]
-    # verify reads F_N as a coefficient array and never builds the
-    # polynomial; it takes d(N) + 1 remainders for each N = 2..8
+    # verify works from one pair-sum array per N and never builds the
+    # polynomial or a pair-count table; it takes d(N) + 1 remainders for
+    # each N = 2..8, none of them by long division
     assert spans["goldbach.goldbach_polynomial"]["calls"] == 0
     assert spans["poly.remainder_mod_cyclotomic"]["calls"] == 26
-    assert spans["arith.goldbach_count_table"]["calls"] == 7
+    assert spans["poly.divrem_exact"]["calls"] == 0
+    assert spans["arith.goldbach_count_table"]["calls"] == 0
     assert summary["counters"]["goldbach.distinct_n"] == 0
