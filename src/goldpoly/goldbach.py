@@ -83,15 +83,11 @@ class TheoremReport:
     theorem_id: str
     N: int
     holds: bool
-    M: int | None = None
     witness: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {"theorem_id": self.theorem_id, "N": self.N, "holds": self.holds}
-        if self.M is not None:
-            out["M"] = self.M
-        out["witness"] = self.witness
-        return out
+        return {"theorem_id": self.theorem_id, "N": self.N,
+                "holds": self.holds, "witness": self.witness}
 
 
 # ---------------------------------------------------------------------------

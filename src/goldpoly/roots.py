@@ -24,18 +24,30 @@ and every root of discs that overlap even after a squarefree split, is
 "undetermined": no verdict is a guess, and no root is called "on" the
 circle numerically.
 
-The solver freezes each approximation once its correction is below
-tolerance, so a sweep evaluates and moves only the points still active,
-while the frozen ones stay in every pairwise Aberth sum.  A sweep takes
-p/p' for all active points by baby-step giant-step evaluation (Paterson
-and Stockmeyer): blocks of sqrt(d) coefficients against a table of
-powers, O(sqrt(d)) numpy calls per sweep instead of a Horner loop of d
-steps, with a rounding bound of the same order as Horner's.  The products
-run in ``einsum``, not BLAS, whose threads would cost more CPU than they
-save.  Points outside the unit disk go through the reversed polynomial at
-1/z.  The discs come from one more pass after the last sweep, one
-evaluation of p and p' and one of the weights sum |c_k| |z|^k at every
-point, which also give the backward residual, the acceptance gate.
+Every polynomial solved here is real, so its roots come in conjugate
+pairs, and the solver keeps its approximations in pairs as well: it
+starts from floor(d/2) pairs (u, conj u) with Im u > 0 and, for odd d, one
+point on the negative real axis, moves only the upper point of each pair
+and sets its mirror to the exact conjugate, which is the mirror's own
+Aberth step while the points form a conjugate-symmetric set.  The first
+time an upper point reaches or crosses the real axis, which is how
+further real roots are reached, every pair still moving is freed into two
+independent points, as it is after a fixed number of sweeps.  The
+solver also freezes each approximation once its correction is below
+tolerance, so a sweep evaluates and moves only the active
+representatives, while every point, frozen or mirrored, stays in every
+pairwise Aberth sum.  A sweep takes p/p' for those points by baby-step
+giant-step evaluation (Paterson and Stockmeyer): blocks of sqrt(d)
+coefficients against a table of powers, O(sqrt(d)) numpy calls per sweep
+instead of a Horner loop of d steps, with a rounding bound of the same
+order as Horner's.  The products run in ``einsum``, not BLAS, whose
+threads would cost more CPU than they save.  Points outside the unit disk
+go through the reversed polynomial at 1/z.
+The discs come from one more pass after the last sweep, one evaluation of
+p and p' and one of the weights sum |c_k| |z|^k at each representative,
+which also give the backward residual, the acceptance gate.  A mirror
+takes its upper point's radius and residual: conjugation maps the roots
+of a real p onto themselves and the disc D(z, r) onto D(conj z, r).
 """
 
 from __future__ import annotations
@@ -58,12 +70,13 @@ from .poly import (
     reciprocal,
 )
 
-# Golden angle in radians; irrational rotation spreads the start points.
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Aberth stopping rule: a point is frozen once its correction, relative to
 # 1 + |z|, is below _TOL; the solve fails after _MAX_ITER sweeps.
 _TOL = 1e-12
 _MAX_ITER = 600
+# Conjugate pairs still active after this many sweeps are freed; the g_N
+# solves up to N = 120 take about 6 to 20 sweeps in all.
+_PAIRED_SWEEPS = 50
 # Entries per block of the solver's work arrays: 2**18 complex, 4 MB.
 _BLOCK_ENTRIES = 1 << 18
 # Unit roundoff of float64.
@@ -280,23 +293,48 @@ def _inclusion_radii(c: np.ndarray, z: np.ndarray
 
 
 def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
-    """All roots of p by simultaneous Aberth-Ehrlich iteration.
+    """All roots of p by simultaneous Aberth-Ehrlich iteration, solving
+    each conjugate pair of approximations once.
 
-    Start points sit on the circle of radius (|a_0|/|a_d|)^(1/d) with
-    golden-angle spacing and seeded 1e-3 radial jitter, so runs are
-    reproducible.  Each sweep moves only the active points: a point is
-    frozen once its correction falls below _TOL (relative to 1 + |z|), and
-    the loop ends when none is left.  Frozen points still enter the
-    pairwise Aberth sum of the active ones, so they keep repelling them.
-    A point whose correction is not finite (coincident approximations, a
-    vanishing derivative) is jittered and stays active.  p/p' is taken by
-    baby-step giant-step evaluation (``_newton_ratio``).  After the loop,
-    one pass (``_inclusion_radii``) gives every point the radius of a disc
-    about it that holds a root of p, and the backward residual.
-    Convergence means every correction fell below _TOL within _MAX_ITER
-    sweeps; if the correction test stalls at the rounding floor, a final
-    backward-residual check below 1e-11 still accepts.  Roots at the
-    origin are split off exactly first, with radius 0.
+    p is real, so its roots come in conjugate pairs, and the iteration
+    keeps its approximations in pairs too.  With m = floor(d/2) and
+    n = 2m + 1, the start points are the m upper points u_k at angles
+    (2k + 1) pi / n, k < m, all in the open upper half plane, their m
+    conjugates, and for odd d one point on the negative real axis, all on
+    the circle of radius (|a_0|/|a_d|)^(1/d) with seeded 1e-3 radial
+    jitter, so runs are reproducible.  No start point lies on the
+    imaginary axis, and the set is not symmetric under z -> -z, where an
+    even p would keep it.
+
+    A sweep computes p/p' (``_newton_ratio``) and the pairwise Aberth sum
+    only for the active representatives: the upper point of each pair and
+    every point of no pair.  Each sum still runs over all d points, and
+    each mirror is then set to the exact conjugate of its upper point, so
+    a sweep costs about half the unpaired one.  That conjugate is the
+    mirror's own Aberth step because the points form a conjugate-symmetric
+    set: pairs, and the one point on the real axis.  The first sweep that
+    takes an upper point onto the real axis or below it, which is how a
+    second and further real roots are reached, therefore frees every pair
+    still active into two independent points, not the crossing pair alone:
+    a mirror moved beside a free point it never saw could land on it.  A
+    freed mirror keeps its place from before that sweep, so the two do not
+    stay conjugate.  The same happens after _PAIRED_SWEEPS sweeps, and
+    from then on the loop is the unpaired iteration; pairs frozen before
+    stay pairs.  A point is frozen once its correction falls below
+    _TOL (relative to 1 + |z|), and the loop ends when none is left;
+    frozen points still enter the pairwise sums, so they keep repelling
+    the active ones.  A point whose correction is not finite (coincident
+    approximations, a vanishing derivative) is jittered and stays active.
+
+    After the loop, one pass (``_inclusion_radii``) gives each
+    representative the radius of a disc about it that holds a root of p,
+    and its backward residual; a mirror copies both from its upper point.
+    That is rigorous: p is real, so conjugation maps roots of p to roots
+    and the disc D(z, r) onto D(conj z, r), which then holds the conjugate
+    root.  Convergence means every correction fell below _TOL within
+    _MAX_ITER sweeps; if the correction test stalls at the rounding floor,
+    a final backward-residual check below 1e-11 still accepts.  Roots at
+    the origin are split off exactly first, with radius 0.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -312,14 +350,20 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
         roots = np.zeros(n_zero, dtype=np.complex128)
         return SolveResult(roots, 0, 0.0, 0.0, np.zeros(n_zero))
 
+    # z = [upper points (m), their mirrors (m), the unpaired point (d - 2m)];
+    # paired[k] holds while z[k + m] is the conjugate of z[k]
+    m = d // 2
     rng = np.random.default_rng(seed)
     radius = (abs(c[0]) / abs(c[-1])) ** (1.0 / d)
-    radii = radius * (1.0 + 1e-3 * (2.0 * rng.random(d) - 1.0))
-    angles = _GOLDEN_ANGLE * np.arange(d)
-    z = radii * np.exp(1j * angles)
+    radii = radius * (1.0 + 1e-3 * (2.0 * rng.random(d - m) - 1.0))
+    angles = np.pi * (2 * np.arange(m) + 1) / (2 * m + 1)
+    upper = radii[:m] * np.exp(1j * angles)
+    z = np.concatenate([upper, upper.conj(), -radii[m:]])
+    paired = np.zeros(d, dtype=bool)
+    paired[:m] = True
 
     chunk = max(1, _BLOCK_ENTRIES // d)
-    active = np.arange(d)
+    active = np.r_[:m, 2 * m:d]
     iterations = 0
     max_corr = math.inf
     for iterations in range(1, _MAX_ITER + 1):
@@ -341,10 +385,24 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
         z[active] = za
         rel = np.abs(corr) / (1.0 + np.abs(za))
         max_corr = math.inf if bad.any() else float(rel.max())
+        up = active[paired[active]]
         active = active[bad | (rel >= _TOL)]
+        if iterations < _PAIRED_SWEEPS and (z[up].imag > 0.0).all():
+            z[up + m] = z[up].conj()
+        elif up.size:
+            # free every pair still active; each mirror keeps its place
+            # from before this sweep
+            paired[up] = False
+            active = np.union1d(active, np.concatenate([up, up + m]))
         if not active.size:
             break
-    radii, resid = _inclusion_radii(c, z)
+    mirrors = np.flatnonzero(paired) + m
+    rep = np.ones(d, dtype=bool)
+    rep[mirrors] = False
+    radii = np.empty(d, dtype=np.float64)
+    resid = np.empty(d, dtype=np.float64)
+    radii[rep], resid[rep] = _inclusion_radii(c, z[rep])
+    radii[mirrors], resid[mirrors] = radii[mirrors - m], resid[mirrors - m]
     max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
     if max_corr >= _TOL and max_resid > 1e-11:
         raise SolverError("Aberth iteration did not converge",
@@ -362,8 +420,7 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
 
 @dataclass
 class StripResult:
-    self_reciprocal_part: IntPolynomial          # gcd(F, reciprocal(F))
-    cofactor: IntPolynomial                      # F / gcd, exact
+    cofactor: IntPolynomial                      # F / gcd(F, reciprocal(F))
     cyclotomic_factors: list[tuple[int, int]]    # (d, multiplicity)
     residual: IntPolynomial                      # non-cyclotomic part of the gcd
 
@@ -412,7 +469,7 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
             mult += 1
         if mult:
             factors.append((d, mult))
-    return StripResult(G, H, factors, residual)
+    return StripResult(H, factors, residual)
 
 
 # ---------------------------------------------------------------------------

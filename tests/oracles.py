@@ -13,7 +13,9 @@ for ``modp``'s in-place elimination loop.  ``ddf_by_powmod`` checks
 blocks and batched unpacking) against repeated ``powmod``, a sequential
 block product and per-degree gcds, all on those two loops.
 ``aberth_all_points`` is the Aberth loop that moves every point on every
-sweep, the reference for the solver that freezes converged points; its
+sweep from golden-angle start points, none of them conjugate, the
+reference for the solver that freezes converged points and solves each
+conjugate pair once; its
 Horner evaluation (``horner_triple``, ``horner_ratio_and_residual``) is
 the reference for the solver's baby-step giant-step p/p'.
 ``stable_coefficient_table_by_divisor_sweep``, ``hl_summary_by_fractions``
@@ -38,7 +40,11 @@ from goldpoly import arith, goldbach, modp
 from goldpoly.factor import BadPrimeError, DegreePattern
 from goldpoly.goldbach import TheoremReport, _support
 from goldpoly.poly import IntPolynomial, divrem_exact, substitute_negate
-from goldpoly.roots import _GOLDEN_ANGLE, SolveResult, SolverError
+from goldpoly.roots import SolveResult, SolverError
+
+# Golden angle in radians: ``aberth_all_points`` rotates each start point by
+# it from the last, so no two start points are conjugate.
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
 def school_mul(a, b) -> list:
@@ -535,14 +541,17 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
                       seed: int = 0) -> SolveResult:
     """All roots of p by the Aberth-Ehrlich loop that moves every point on
     every sweep and evaluates value, derivative and residual scale together;
-    the reference for ``roots.aberth_solve``, which freezes converged points.
+    the reference for ``roots.aberth_solve``, which freezes converged points
+    and solves each conjugate pair of points once.
 
     Start points sit on the circle of radius (|a_0|/|a_d|)^(1/d) with
     golden-angle spacing and seeded 1e-3 radial jitter, so runs are
-    reproducible.  Convergence means every correction fell below tol
-    (relative to 1 + |z|); if the correction test stalls at the rounding
-    floor, a final backward-residual check below 1e-11 still accepts.
-    Roots at the origin are split off exactly first.
+    reproducible.  No two of them are conjugate, and no point is tied to
+    another: every point moves on its own from the first sweep.
+    Convergence means every correction fell below tol (relative to
+    1 + |z|); if the correction test stalls at the rounding floor, a final
+    backward-residual check below 1e-11 still accepts.  Roots at the
+    origin are split off exactly first.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
