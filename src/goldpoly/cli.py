@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-import time
 
 from . import __version__, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
@@ -25,16 +25,6 @@ EXIT_COMPUTE = 3
 
 # rows per write of the ``coeffs`` CSV
 CSV_BLOCK_ROWS = 2 ** 14
-
-
-def _resolve_sieve_limit(args: argparse.Namespace, implied: int) -> int:
-    if args.sieve_limit is None:
-        return implied
-    if args.sieve_limit < implied:
-        raise UsageError(
-            f"--sieve-limit {args.sieve_limit} is below the bound {implied} "
-            f"implied by the command")
-    return args.sieve_limit
 
 
 class UsageError(Exception):
@@ -53,7 +43,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     N = args.N
     if N is None or N < 2:
         raise UsageError("construct requires N >= 2")
-    table = PrimeTable(_resolve_sieve_limit(args, max(16, N)))
+    table = PrimeTable(max(16, N))
     source = table
     if args.indicator == "liouville":
         source = IndicatorSet.liouville_negative(table.limit, table)
@@ -93,32 +83,22 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one(args: tuple) -> list[dict]:
-    N, limit = args
-    return [r.to_json_dict()
-            for r in goldbach.theorem_reports(N, _worker_table(limit))]
-
-
-_WORKER_TABLES: dict[int, PrimeTable] = {}
-
-
-def _worker_table(limit: int) -> PrimeTable:
-    table = _WORKER_TABLES.get(limit)
-    if table is None:
-        table = PrimeTable(limit)
-        _WORKER_TABLES[limit] = table
-    return table
+def _verify_one(item: tuple) -> list[dict]:
+    N, table = item
+    return [r.to_json_dict() for r in goldbach.theorem_reports(N, table)]
 
 
 def _map_jobs(fn, items, jobs: int):
-    """fn over items in order, in a pool of at most one worker per item.
+    """fn over items in order, in a pool of at most one worker per item
+    and per core.
 
     The pool, and its import, come only with --jobs above 1.
     """
     if jobs == 1:
         return [fn(it) for it in items]
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -126,8 +106,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else (120 if args.long_mode else 50)
     if n_max < 2:
         raise UsageError("--n-max must be >= 2")
-    limit = _resolve_sieve_limit(args, max(16, n_max))
-    items = [(N, limit) for N in range(2, n_max + 1)]
+    table = PrimeTable(max(16, n_max))
+    items = [(N, table) for N in range(2, n_max + 1)]
     all_reports = _map_jobs(_verify_one, items, args.jobs)
     failures = 0
     lines = []
@@ -149,14 +129,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # table1
 # ---------------------------------------------------------------------------
 
-def _classify_one(args: tuple) -> tuple[tuple, bool]:
+def _classify_one(item: tuple) -> tuple[tuple, bool]:
     """The table1 row for N, and whether it contradicts the 2 phi(N) count.
 
     An undetermined root leaves the count unproved, not contradicted;
     --strict reports that case.
     """
-    N, limit, seed = args
-    table = _worker_table(limit)
+    N, table, seed = item
     rc = roots.classify_roots(N, table, seed=_per_n_seed(seed, N))
     report = roots.unit_circle_count_report(rc)
     row = (rc.N, report.witness["expected_on_circle"], rc.inside,
@@ -168,8 +147,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     n_max = args.n_max if args.n_max is not None else (50 if args.long_mode else 20)
     if n_max < 6:
         raise UsageError("--n-max must be >= 6 (classification needs N > 5)")
-    limit = _resolve_sieve_limit(args, max(16, n_max))
-    items = [(N, limit, args.seed) for N in range(6, n_max + 1)]
+    table = PrimeTable(max(16, n_max))
+    items = [(N, table, args.seed) for N in range(6, n_max + 1)]
     results = _map_jobs(_classify_one, items, args.jobs)
     lines = ["N,two_phi_N,inside,on,outside,undetermined"]
     undetermined = 0
@@ -194,8 +173,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     m_max = args.m_max
     if m_max < 1:
         raise UsageError("--m-max must be >= 1")
-    limit = _resolve_sieve_limit(args, max(16, m_max))
-    table = PrimeTable(limit)
+    table = PrimeTable(max(16, m_max))
     coeff = goldbach.stable_coefficient_table(m_max, table)
     if args.output_format == "json":
         print(json.dumps({"m_max": m_max, "a": coeff[1:].tolist()}))
@@ -214,8 +192,7 @@ def cmd_summatory(args: argparse.Namespace) -> int:
     M = args.M
     if M < 16:
         raise UsageError("--M must be >= 16")
-    limit = _resolve_sieve_limit(args, max(16, 2 * M))
-    table = PrimeTable(limit)
+    table = PrimeTable(max(16, 2 * M))
     report = goldbach.summatory_report(M, table)
     print(json.dumps(report))
     return EXIT_OK if report["identity_ok"] else EXIT_VIOLATION
@@ -228,7 +205,12 @@ def cmd_hl(args: argparse.Namespace) -> int:
         goldbach.check_hl_range(m_min, m_max)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    limit = _resolve_sieve_limit(args, max(16, 2 * m_max))
+    # the sieve limit also sets how far the twin-prime product runs
+    implied = max(16, 2 * m_max)
+    limit = implied if args.sieve_limit is None else args.sieve_limit
+    if limit < implied:
+        raise UsageError(f"--sieve-limit {limit} is below the bound {implied} "
+                         f"implied by the command")
     table = PrimeTable(limit)
     summary = goldbach.hl_summary(m_min, m_max, table)
     print(json.dumps(summary))
@@ -239,14 +221,10 @@ def cmd_hl(args: argparse.Namespace) -> int:
 # irreducible
 # ---------------------------------------------------------------------------
 
-def _certify_one(args: tuple) -> dict:
-    N, limit, max_primes = args
-    table = _worker_table(limit)
-    start = time.perf_counter()
-    cert = factor.certify_goldbach_quotient(N, table, max_primes=max_primes)
-    out = cert.to_json_dict()
-    out["elapsed_ms"] = round(1000 * (time.perf_counter() - start), 3)
-    return out
+def _certify_one(item: tuple) -> dict:
+    N, table, max_primes = item
+    return factor.certify_goldbach_quotient(
+        N, table, max_primes=max_primes).to_json_dict()
 
 
 def cmd_irreducible(args: argparse.Namespace) -> int:
@@ -255,8 +233,8 @@ def cmd_irreducible(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be >= 6 (certification needs N > 5)")
     if args.max_primes < 1:
         raise UsageError("--max-primes must be >= 1")
-    limit = _resolve_sieve_limit(args, max(16, n_max))
-    items = [(N, limit, args.max_primes) for N in range(6, n_max + 1)]
+    table = PrimeTable(max(16, n_max))
+    items = [(N, table, args.max_primes) for N in range(6, n_max + 1)]
     certs = _map_jobs(_certify_one, items, args.jobs)
     reducible = sum(1 for c in certs if c["verdict"] == "Reducible")
     unresolved = sum(1 for c in certs if c["verdict"] == "Unresolved")
@@ -290,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     }
 
     def common(sp, *flags):
-        sp.add_argument("--sieve-limit", type=int, default=None)
         sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
         for flag in flags:
@@ -325,6 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hl", help="Hardy-Littlewood ratio summary for a(2m)")
     sp.add_argument("--m-min", type=int, default=None)
     sp.add_argument("--m-max", type=int, default=100_000)
+    sp.add_argument("--sieve-limit", type=int, default=None)
     common(sp)
     sp.set_defaults(run=cmd_hl)
 
@@ -346,6 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         return args.run(args)
     except (UsageError, SieveRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -167,13 +167,6 @@ class IntPolynomial:
         cs[0::2] = self.coeffs
         return IntPolynomial(cs)
 
-    # -- evaluation -----------------------------------------------------------
-    def evaluate_complex(self, z: complex) -> complex:
-        v = 0j
-        for c in reversed(self.coeffs):
-            v = v * z + c
-        return v
-
 
 # ---------------------------------------------------------------------------
 # Multiplication

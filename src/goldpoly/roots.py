@@ -429,10 +429,11 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     """Split off the factor of F carrying every root on the unit circle.
 
     Requires F(0) != 0.  The gcd with the reversed polynomial is computed
-    exactly, then peeled by exact trial division against each cyclotomic
-    of degree at most deg(gcd); whatever remains (off-circle reciprocal
-    pairs, or self-reciprocal non-cyclotomic factors) is returned as the
-    residual for numeric classification.  ``classify_roots`` passes the
+    exactly, then peeled by exact trial division against every Phi_d with
+    phi(d) at most the degree of what remains, with no floating-point
+    screen; whatever remains (off-circle reciprocal pairs, or
+    self-reciprocal non-cyclotomic factors) is returned as the residual
+    for numeric classification.  ``classify_roots`` passes the
     even part g of F_N = g(z**2), so there the factors are Phi_e(w) in the
     plane w = z**2.
     """
@@ -452,12 +453,6 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
         d += 1
         phi_d = arith.euler_phi(d)
         if phi_d > residual.degree:
-            continue
-        # numeric prefilter: exact division attempted only near zeros
-        zeta = complex(math.cos(2 * math.pi / d), math.sin(2 * math.pi / d))
-        val = residual.evaluate_complex(zeta)
-        scale = sum(abs(cf) for cf in residual.coeffs)
-        if abs(val) > 1e-6 * scale:
             continue
         phi_poly = cyclotomic(d)
         mult = 0
