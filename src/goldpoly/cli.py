@@ -35,6 +35,28 @@ def _per_n_seed(seed: int, N: int) -> int:
     return seed * 1_000_003 + N
 
 
+def _sweep(args: argparse.Namespace, first: int, default: int,
+           long_default: int, fn, *extra) -> list:
+    """fn over (N, table, *extra) for N = first..n_max in order, with
+    n_max from --n-max, else ``default`` or under --long ``long_default``.
+
+    All N share one PrimeTable.  Above --jobs 1 the items go to a pool of
+    at most one worker per item and per core, imported only then.
+    """
+    n_max = args.n_max if args.n_max is not None else (
+        long_default if args.long_mode else default)
+    if n_max < first:
+        raise UsageError(f"--n-max must be >= {first}")
+    table = PrimeTable(max(16, n_max))
+    items = [(N, table, *extra) for N in range(first, n_max + 1)]
+    if args.jobs == 1:
+        return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(args.jobs, len(items), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -88,27 +110,8 @@ def _verify_one(item: tuple) -> list[dict]:
     return [r.to_json_dict() for r in goldbach.theorem_reports(N, table)]
 
 
-def _map_jobs(fn, items, jobs: int):
-    """fn over items in order, in a pool of at most one worker per item
-    and per core.
-
-    The pool, and its import, come only with --jobs above 1.
-    """
-    if jobs == 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    n_max = args.n_max if args.n_max is not None else (120 if args.long_mode else 50)
-    if n_max < 2:
-        raise UsageError("--n-max must be >= 2")
-    table = PrimeTable(max(16, n_max))
-    items = [(N, table) for N in range(2, n_max + 1)]
-    all_reports = _map_jobs(_verify_one, items, args.jobs)
+    all_reports = _sweep(args, 2, 50, 120, _verify_one)
     failures = 0
     lines = []
     for reports in all_reports:
@@ -144,12 +147,7 @@ def _classify_one(item: tuple) -> tuple[tuple, bool]:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    n_max = args.n_max if args.n_max is not None else (50 if args.long_mode else 20)
-    if n_max < 6:
-        raise UsageError("--n-max must be >= 6 (classification needs N > 5)")
-    table = PrimeTable(max(16, n_max))
-    items = [(N, table, args.seed) for N in range(6, n_max + 1)]
-    results = _map_jobs(_classify_one, items, args.jobs)
+    results = _sweep(args, 6, 20, 50, _classify_one, args.seed)
     lines = ["N,two_phi_N,inside,on,outside,undetermined"]
     undetermined = 0
     violations = 0
@@ -228,14 +226,9 @@ def _certify_one(item: tuple) -> dict:
 
 
 def cmd_irreducible(args: argparse.Namespace) -> int:
-    n_max = args.n_max if args.n_max is not None else (50 if args.long_mode else 30)
-    if n_max < 6:
-        raise UsageError("--n-max must be >= 6 (certification needs N > 5)")
     if args.max_primes < 1:
         raise UsageError("--max-primes must be >= 1")
-    table = PrimeTable(max(16, n_max))
-    items = [(N, table, args.max_primes) for N in range(6, n_max + 1)]
-    certs = _map_jobs(_certify_one, items, args.jobs)
+    certs = _sweep(args, 6, 30, 50, _certify_one, args.max_primes)
     reducible = sum(1 for c in certs if c["verdict"] == "Reducible")
     unresolved = sum(1 for c in certs if c["verdict"] == "Unresolved")
     print("\n".join(json.dumps(c) for c in certs))

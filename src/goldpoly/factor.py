@@ -219,7 +219,10 @@ def _bounded_divisors(n: int, cap: int = 10 ** 6) -> list[int]:
 
 
 def linear_root_screen(f: IntPolynomial) -> IntPolynomial | None:
-    """A primitive linear factor of f from a rational root, or None."""
+    """A primitive linear factor of f from a rational root, or None.
+
+    Reached as ``certify_irreducible`` is; it is the one source of a
+    Reducible verdict, whose witness is an exact factor."""
     if f.is_zero or f.degree < 1:
         return None
     if f[0] == 0:
@@ -294,6 +297,9 @@ def certify_irreducible(f: IntPolynomial,
     proper factor degree survives the intersection; Reducible with an
     exact witness from the rational-root screen; otherwise Unresolved
     with the surviving degree set (an honest outcome, never forced).
+    A Goldbach quotient reaches it only when its g is Unresolved or
+    unaccepted in ``certify_even`` (no N of the benchmark); it keeps that
+    q's verdict unforced.
     """
     n = f.degree
     if n < 1:

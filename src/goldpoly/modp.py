@@ -15,10 +15,10 @@ operand or both; the batches broadcast, so one row can meet many.
 F_p coefficient arrays are little-endian (index = exponent), trimmed (empty
 array = zero polynomial), all entries in [0, p).  ``divmod_poly`` and
 ``gcd`` share one long-division loop that works in place on copies of
-their inputs.  A ``ModulusContext`` reduces polynomials of any degree, one
-or a batch of rows at a time, with a Newton inverse of the reversed
-modulus that it extends as wider inputs need it; each reduction then
-costs two multiplications.
+their inputs.  A ``ModulusContext`` reduces a batch of rows, or one
+polynomial as a batch of one, of any degree, with a Newton inverse of the
+reversed modulus that it extends as wider inputs need it; each reduction
+then costs two multiplications.
 """
 
 from __future__ import annotations
@@ -90,7 +90,9 @@ def _kronecker(a: list[int], b: list[int]) -> list[int]:
     bits the limb width, so adding 2**(bits - 1) to every limb of the
     product makes all limbs nonnegative without carries between them.  The
     maxima are taken as at least 1, so that the limbs of an all-zero
-    sequence are still wide enough to hold the other one.
+    sequence are still wide enough to hold the other one.  Only products
+    past the FFT bound reach it (p near 2**31, large --max-primes, big
+    coefficients; none in the benchmark); it keeps ``convolve`` exact.
     """
     need = (min(len(a), len(b)) * max(1, max(map(abs, a)))
             * max(1, max(map(abs, b))))
@@ -253,31 +255,24 @@ class ModulusContext:
         """a mod f, for a of any degree.
 
         A 2-D ``a`` is a batch of rows, each reduced as a polynomial of
-        formal degree width - 1; the result has width exactly deg f.
+        formal degree width - 1; the result has width exactly deg f.  A 1-D
+        ``a`` is the one-row batch trim(a)[None], its remainder trimmed.
         """
-        batch = a.ndim == 2
-        if not batch:
-            a = trim(a)
-            if len(a) <= self.n:
-                return a
+        if a.ndim == 1:
+            return trim(self.reduce(trim(a)[None])[0])
         p, n = self.p, self.n
         width = a.shape[-1]
-        out = np.zeros(a.shape[:-1] + (n,), dtype=np.int64)
-        out[..., : min(n, width)] = a[..., :n]
+        out = np.zeros((len(a), n), dtype=np.int64)
+        out[:, : min(n, width)] = a[:, :n]
         if width <= n:
             return out
         dq = width - 1 - n
-        tmp = mul(a[..., ::-1][..., : dq + 1], self._inverse(dq + 1), p)
-        # pad to exactly dq+1 before reversing: low-order quotient
-        # coefficients may be zero and must not be trimmed away
-        q_rev = np.zeros(a.shape[:-1] + (dq + 1,), dtype=np.int64)
-        take = min(tmp.shape[-1], dq + 1)
-        q_rev[..., :take] = tmp[..., :take]
-        q = q_rev[..., ::-1]
-        low = mul(q if batch else trim(q.copy()), self.f, p)
-        take = min(n, low.shape[-1])
-        out[..., :take] = (out[..., :take] - low[..., :take]) % p
-        return out if batch else trim(out)
+        # rev(q) = rev(a) rev(f)^{-1} mod z^(dq+1); row products come back
+        # untrimmed: q keeps its low zeros, mul(q, f) has >= n columns
+        q = mul(a[:, ::-1][:, : dq + 1], self._inverse(dq + 1), p)[:, dq::-1]
+        out -= mul(q, self.f, p)[:, :n]
+        out %= p
+        return out
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.reduce(mul(a, b, self.p))

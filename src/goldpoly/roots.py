@@ -9,8 +9,9 @@ plane w = z^2, and its counts are doubled at the end.
 The unit-circle roots of a real polynomial g with g(0) != 0 all divide
 gcd(g, reciprocal(g)), so they are isolated exactly: that gcd is peeled
 into cyclotomic factors (each contributing phi(e) circle roots per
-multiplicity) and a residual.  Every other root is located by an
-Aberth-Ehrlich solver and proved by an inclusion disc.  Since
+multiplicity), each divided off g too.  Every root of the one cofactor
+left is located by an Aberth-Ehrlich solver and proved by an inclusion
+disc.  Since
 p'/p(z) = sum_k 1/(z - zeta_k), some root of p lies within d |p(z)/p'(z)|
 of any point z, so with rigorous bounds B_i >= |p(z_i)| and
 L_i <= |p'(z_i)| the disc of radius r_i = d B_i / L_i about the solver's
@@ -420,51 +421,48 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
 
 @dataclass
 class StripResult:
-    cofactor: IntPolynomial                      # F / gcd(F, reciprocal(F))
+    cofactor: IntPolynomial                      # F / prod Phi_d^m
     cyclotomic_factors: list[tuple[int, int]]    # (d, multiplicity)
-    residual: IntPolynomial                      # non-cyclotomic part of the gcd
 
 
 def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
-    """Split off the factor of F carrying every root on the unit circle.
+    """Divide every cyclotomic factor of F, with its multiplicity, off F.
 
-    Requires F(0) != 0.  The gcd with the reversed polynomial is computed
-    exactly, then peeled by exact trial division against every Phi_d with
-    phi(d) at most the degree of what remains, with no floating-point
-    screen; whatever remains (off-circle reciprocal pairs, or
-    self-reciprocal non-cyclotomic factors) is returned as the residual
-    for numeric classification.  ``classify_roots`` passes the
-    even part g of F_N = g(z**2), so there the factors are Phi_e(w) in the
-    plane w = z**2.
+    Requires F(0) != 0.  Phi_d^m divides F exactly when it divides
+    G = gcd(F, reciprocal(F)), as Phi_d is palindromic up to sign.  G is
+    computed exactly, then peeled by exact trial division against every
+    Phi_d with phi(d) at most the degree of what remains, with no
+    floating-point screen, and each Phi_d found is divided off F too.  The
+    cofactor keeps every other root (reciprocal pairs, self-reciprocal
+    non-cyclotomic factors) for numeric classification.  ``classify_roots``
+    passes g of F_N = g(z**2), so there the factors are Phi_e(w).
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
     if F[0] == 0:
         raise ValueError("F(0) must be nonzero; divide out z first")
     G = gcd_rational(F, reciprocal(F))
-    H = exact_quotient_or_none(F, G)
-    if H is None:
-        raise AssertionError("gcd does not divide exactly")
+    cofactor = F
     factors: list[tuple[int, int]] = []
-    residual = G
-    # candidates d have phi(d) <= deg(residual); phi(d) > sqrt(d) for d > 6
+    # candidates d have phi(d) <= deg(G); phi(d) > sqrt(d) for d > 6
     d = 0
-    while residual.degree > 0 and d < max(6, residual.degree ** 2):
+    while G.degree > 0 and d < max(6, G.degree ** 2):
         d += 1
         phi_d = arith.euler_phi(d)
-        if phi_d > residual.degree:
+        if phi_d > G.degree:
             continue
         phi_poly = cyclotomic(d)
         mult = 0
-        while residual.degree >= phi_d:
-            q, r = divrem_exact(residual, phi_poly)
+        while G.degree >= phi_d:
+            q, r = divrem_exact(G, phi_poly)
             if not r.is_zero:
                 break
-            residual = q
+            G = q
+            cofactor = divrem_exact(cofactor, phi_poly)[0]
             mult += 1
         if mult:
             factors.append((d, mult))
-    return StripResult(H, factors, residual)
+    return StripResult(cofactor, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +592,10 @@ def _exact_side(coeffs: tuple[int, ...], z: complex, r: float) -> int:
     """-1 (inside) or 1 (outside) if exact arithmetic places a root of p
     in the disc D(z, r) on that side of |w| = 1, else 0.
 
+    It keeps the side verdict of a disjoint disc that meets the circle,
+    else undetermined: 112 discs of ``table1`` to N = 120, all N >= 83,
+    and none in the benchmark or ``table1`` to N = 40, seeds 0 and 1.
+
     p and p' are taken exactly (``_exact_values``) at z rounded to the
     grid 2**-64, and the disc of radius rho >= d |p/p'| about that point
     holds a root; if it lies inside D(z, r), that is a root of D(z, r),
@@ -646,7 +648,11 @@ def _count_sides(P: IntPolynomial, result: SolveResult
 
 def _squarefree_pieces(P: IntPolynomial) -> list[IntPolynomial]:
     """Squarefree polynomials whose product is P, split by gcd(P, P'); a
-    root of multiplicity m lies in m of them, so their counts add."""
+    root of multiplicity m lies in m of them, so their counts add.
+
+    Only overlapping discs reach it, never in the benchmark or in
+    ``table1`` to N = 40.  It keeps proved counts for repeated roots,
+    whose discs overlap at any precision and would be undetermined."""
     pieces: list[IntPolynomial] = []
     work = [P]
     while work:
@@ -662,7 +668,8 @@ def _squarefree_pieces(P: IntPolynomial) -> list[IntPolynomial]:
 def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int]:
     """(inside, outside, undetermined) for the roots of P, P(0) != 0.
 
-    P is solved as it stands.  Only when its discs overlap is it split into
+    P is solved as it stands: for ``classify_roots``, once per N, the one
+    cofactor of g.  Only when its discs overlap is it split into
     squarefree pieces, each solved and counted on its own.
     """
     if P.degree < 1:
@@ -685,8 +692,8 @@ def classify_roots(N: int, table: PrimeTable, *,
     plane w = z**2: |z| and |w| lie on the same side of 1, and each root w
     gives the two roots +-sqrt(w), so every count is doubled at the end.
     The on-circle count is exact: the sum of phi(e) m over the factors
-    Phi_e(w)^m divided off g.  The cofactor and any non-cyclotomic
-    residual are solved and their roots placed by inclusion discs
+    Phi_e(w)^m divided off g.  The one cofactor left, with every other
+    root, is solved and its roots placed by inclusion discs
     (``_solve_counts``); g itself is never split by gcd(g, g'), which only
     runs for a solved polynomial whose discs overlap.
     """
@@ -695,9 +702,7 @@ def classify_roots(N: int, table: PrimeTable, *,
     g = goldbach_polynomial(N, table).even_part()
     strip = strip_unit_circle_part(g)
     on = sum(arith.euler_phi(e) * m for e, m in strip.cyclotomic_factors)
-    cofactor = _solve_counts(strip.cofactor, seed)
-    residual = _solve_counts(strip.residual, seed + 1)
-    inside, outside, undet = (a + b for a, b in zip(cofactor, residual))
+    inside, outside, undet = _solve_counts(strip.cofactor, seed)
     return RootClassification(N=N, inside=2 * inside, on_circle=2 * on,
                               outside=2 * outside, undetermined=2 * undet)
 

@@ -22,21 +22,18 @@ def multiset_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
     return worst
 
 
-def solved_pieces(N: int, table, seed: int = 0) -> list:
-    """The Aberth solves ``roots.classify_roots(N, table, seed=seed)`` makes
-    when no disc overlaps: the cofactor and the residual of g, where
-    F_N(z) = g(z**2), at seeds seed and seed + 1, each of positive degree."""
+def solved_cofactor(N: int, table, seed: int = 0):
+    """The Aberth solve ``roots.classify_roots(N, table, seed=seed)`` makes
+    when no disc overlaps: that of the cofactor of g, where
+    F_N(z) = g(z**2), at the same seed."""
     strip = roots.strip_unit_circle_part(
         goldbach_polynomial(N, table).even_part())
-    return [roots.aberth_solve(P, seed=s)
-            for P, s in ((strip.cofactor, seed), (strip.residual, seed + 1))
-            if P.degree > 0]
+    return roots.aberth_solve(strip.cofactor, seed=seed)
 
 
 def numeric_roots(N: int, table, seed: int = 0) -> np.ndarray:
-    """The roots +-sqrt(w) in the z plane of F_N from ``solved_pieces``."""
-    sq = np.sqrt(np.concatenate([res.roots
-                                 for res in solved_pieces(N, table, seed)]))
+    """The roots +-sqrt(w) in the z plane of F_N from ``solved_cofactor``."""
+    sq = np.sqrt(solved_cofactor(N, table, seed).roots)
     return np.concatenate([sq, -sq])
 
 

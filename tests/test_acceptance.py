@@ -23,7 +23,7 @@ from conftest import (
     multiset_distance,
     numeric_roots,
     requires_long,
-    solved_pieces,
+    solved_cofactor,
 )
 from oracles import (
     coefficient_by_formula,
@@ -314,13 +314,12 @@ def test_c9_numerics_hygiene(table):
     if not _classified:  # direct invocation without criterion 2
         for N in range(6, 13):
             _classified[N] = roots.classify_roots(N, table)
-    # the residuals and closures are those of the Aberth solves that
-    # classify_roots makes, recomputed here on the same pieces and seeds
+    # the residual and closures are those of the Aberth solve that
+    # classify_roots makes, recomputed here on the same cofactor and seed
     start = time.perf_counter()
     bad = []
     for N, rc in sorted(_classified.items()):
-        max_residual = max(res.max_residual
-                           for res in solved_pieces(N, table))
+        max_residual = solved_cofactor(N, table).max_residual
         if max_residual >= 1e-8:
             bad.append((N, "residual", max_residual))
         if (rc.inside + rc.on_circle + rc.outside + rc.undetermined

@@ -500,6 +500,31 @@ class TestUsage:
         assert out == ""
         assert "--seed" in err
 
+    @pytest.mark.parametrize("command, first", [
+        ("verify", 2), ("table1", 6), ("irreducible", 6)])
+    def test_sweep_starts_at_its_first_n(self, capsys, command, first):
+        # below the first N the sweep is a usage error that prints nothing;
+        # at it, the sweep prints the record of that one N
+        code, out, err = run(capsys, command, "--n-max", str(first - 1))
+        assert code == 2 and out == "" and f">= {first}" in err
+        code, out, _ = run(capsys, command, "--n-max", str(first))
+        assert code == 0
+        lines = out.splitlines()
+        if command == "table1":
+            assert lines[0].startswith("N,") and len(lines) == 2
+            assert lines[1].split(",")[0] == str(first)
+        elif command == "irreducible":
+            assert [json.loads(line)["N"] for line in lines] == [first]
+        else:
+            got = [json.loads(line)["N"] for line in lines]
+            assert got == [first] * len(
+                goldbach.theorem_reports(first, arith.PrimeTable(16)))
+
+    def test_max_primes_is_checked_before_the_sweep(self, capsys):
+        # at the default --n-max as well, no record is printed
+        code, out, err = run(capsys, "irreducible", "--max-primes", "0")
+        assert code == 2 and out == "" and "--max-primes" in err
+
     def test_version_flag_exits_cleanly(self, capsys):
         assert cli.main(["--version"]) == 0
 

@@ -256,6 +256,25 @@ class TestModulusContext:
                     assert modp.trim(out).tolist() == expected.tolist()
                     assert ctx.reduce(row).tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("p", [101, 2_147_483_647])
+    def test_one_polynomial_is_a_batch_of_one_row(self, p):
+        # reduce(a) runs as the one-row batch trim(a)[None]: at every width
+        # from 0 to 3 deg f + 2, with trailing zeros and for zero itself
+        rng = np.random.default_rng(p % 1000)
+        for n in (1, 4, 17):
+            f = rng.integers(0, p, n + 1).astype(np.int64)
+            f[-1] = 1
+            ctx = modp.ModulusContext(f, p)
+            for width in range(3 * n + 3):
+                a = rng.integers(0, p, width).astype(np.int64)
+                tail = a.copy()
+                tail[width // 2:] = 0
+                for x in (a, tail, np.zeros(width, dtype=np.int64)):
+                    got = ctx.reduce(x)
+                    assert got.tolist() == modp.trim(
+                        ctx.reduce(x[None])[0]).tolist()
+                    assert got.tolist() == modp.divmod_poly(x, f, p)[1].tolist()
+
     @pytest.mark.parametrize("e", [1, 2, 3, 7])
     def test_powmod_of_a_wide_base(self, e):
         # powmod reduces its base first: deg h up to 4 deg f

@@ -22,7 +22,7 @@ from goldpoly.roots import (
     unit_circle_count_report,
 )
 
-from conftest import multiset_distance, numeric_roots, solved_pieces
+from conftest import multiset_distance, numeric_roots, solved_cofactor
 from oracles import (
     aberth_all_points,
     horner_ratio_and_residual,
@@ -36,6 +36,12 @@ def _cofactor_even_part(N, table):
     """The polynomial classify_roots hands to the solver for F_N's cofactor."""
     g = goldbach_polynomial(N, table).even_part()
     return strip_unit_circle_part(g).cofactor
+
+
+def _no_reciprocal_pair(P):
+    """True when no root of P has its inverse as a root too: none on the
+    circle, and no pair w, 1/w."""
+    return gcd_rational(P, reciprocal(P)).degree == 0
 
 
 def _random_polynomials():
@@ -248,8 +254,8 @@ class TestEvaluator:
 
 
 def _strip_product(sr):
-    """cofactor * prod Phi_e^m * residual, which must give back F."""
-    P = multiply(sr.cofactor, sr.residual)
+    """cofactor * prod Phi_e^m, which must give back F."""
+    P = sr.cofactor
     for e, mult in sr.cyclotomic_factors:
         for _ in range(mult):
             P = multiply(P, cyclotomic(e))
@@ -261,32 +267,43 @@ class TestStrip:
         F6 = goldbach_polynomial(6, small_table)
         sr = strip_unit_circle_part(F6)
         assert sr.cyclotomic_factors == [(12, 1)]
-        assert sr.residual == IntPolynomial.one()
+        assert _no_reciprocal_pair(sr.cofactor)
         assert _strip_product(sr) == F6
 
     def test_off_circle_reciprocal_pair(self):
-        # (z-2)(2z-1): the gcd contains both roots but none on the circle
+        # (z-2)(2z-1): the gcd contains both roots but none on the circle,
+        # so both stay in the cofactor
         F = IntPolynomial((2, -5, 2))
         sr = strip_unit_circle_part(F)
-        assert sr.cofactor == IntPolynomial.one()
+        assert sr.cofactor == F
         assert sr.cyclotomic_factors == []
-        assert sr.residual == F
 
     def test_cyclotomic_times_linear(self):
         F = multiply(cyclotomic(7), IntPolynomial((-3, 1)))
         sr = strip_unit_circle_part(F)
         assert sr.cofactor == IntPolynomial((-3, 1))
         assert sr.cyclotomic_factors == [(7, 1)]
-        assert sr.residual == IntPolynomial.one()
         assert _strip_product(sr) == F
+
+    def test_reciprocal_pair_stays_with_cofactor(self):
+        # Phi_5 (w^2 - 3w + 1)(w - 3): the gcd with the reciprocal is
+        # Phi_5 (w^2 - 3w + 1), whose pair (3 +- sqrt5)/2 is off the circle;
+        # the one cofactor holds it beside w - 3, and one solve places all
+        # three roots
+        rest = multiply(IntPolynomial((1, -3, 1)), IntPolynomial((-3, 1)))
+        sr = strip_unit_circle_part(multiply(cyclotomic(5), rest))
+        assert sr.cyclotomic_factors == [(5, 1)]
+        assert sr.cofactor == rest
+        for seed in range(3):
+            assert roots._solve_counts(sr.cofactor, seed=seed) == (1, 2, 0)
 
     def test_rejects_root_at_origin(self):
         with pytest.raises(ValueError):
             strip_unit_circle_part(IntPolynomial((0, 1)))
 
     def test_even_part_strip_matches_full_degree(self, small_table):
-        # classify_roots strips g, not F = g(z^2): the cofactor and residual
-        # of F are those of g composed with z^2, and the on-circle count
+        # classify_roots strips g, not F = g(z^2): the cofactor of F is
+        # that of g composed with z^2, and the on-circle count
         # sum phi(d) m of F is twice that of g, whose factors are Phi_e(w)
         phi4_sq = multiply(cyclotomic(4), cyclotomic(4))
         polys = [goldbach_polynomial(N, small_table) for N in range(6, 19)]
@@ -302,7 +319,6 @@ class TestStrip:
             g = F.even_part()
             full, half = strip_unit_circle_part(F), strip_unit_circle_part(g)
             assert half.cofactor.compose_square() == full.cofactor, F
-            assert half.residual.compose_square() == full.residual, F
             assert _strip_product(full) == F and _strip_product(half) == g, F
             on = [sum(arith.euler_phi(d) * m for d, m in s.cyclotomic_factors)
                   for s in (full, half)]
@@ -349,8 +365,7 @@ class TestClassification:
         assert rc.undetermined == 0
         assert rc.inside + rc.on_circle + rc.outside + rc.undetermined == \
             goldbach_polynomial(N, small_table).degree
-        assert max(res.max_residual
-                   for res in solved_pieces(N, small_table, seed)) < 1e-8
+        assert solved_cofactor(N, small_table, seed).max_residual < 1e-8
 
     def test_rejects_small_N(self, small_table):
         with pytest.raises(ValueError):
@@ -385,8 +400,8 @@ class TestClassification:
         assert roots._solve_counts(F, seed=0) == (1, 1, 4)
         strip = strip_unit_circle_part(F)
         assert strip.cyclotomic_factors == [(4, 2)]
-        assert strip.cofactor == IntPolynomial.one()
-        assert roots._solve_counts(strip.residual, seed=1) == (1, 1, 0)
+        assert strip.cofactor == IntPolynomial((2, -5, 2))
+        assert roots._solve_counts(strip.cofactor, seed=0) == (1, 1, 0)
 
 
 def _float_coeffs(coeffs):
@@ -617,7 +632,7 @@ class TestSoundness:
         # 2w^2 - w + 2, whose two roots lie on the circle
         lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
         strip = strip_unit_circle_part(lehmer)
-        assert strip.cyclotomic_factors == [] and strip.residual == lehmer
+        assert strip.cyclotomic_factors == [] and strip.cofactor == lehmer
         for seed in range(3):
             assert _solve_counts_sound(lehmer, 1, 1, seed)[2] == 8
             assert _solve_counts_sound(IntPolynomial((2, -1, 2)), 0, 0,
@@ -670,7 +685,7 @@ class TestSchurCohn:
         for N in range(6, 17):
             strip = strip_unit_circle_part(
                 goldbach_polynomial(N, small_table).even_part())
-            assert strip.residual.degree == 0
+            assert _no_reciprocal_pair(strip.cofactor), N
             want = schur_cohn_inside(strip.cofactor)
             if want is None:
                 singular.append(N)
