@@ -83,8 +83,10 @@ def goldbach_count_table(limit: int, table: PrimeTable) -> np.ndarray:
         raise ValueError("pair-count limit beyond sieve limit")
     odd = np.zeros((limit + 1) // 2, dtype=np.uint8)
     odd[table.odd_primes_upto(limit) // 2] = 1
+    # the product first, so that the count array is not alive during it
+    pairs = modp.convolve(odd, odd)[: limit // 2]
     counts = np.zeros(limit + 1, dtype=np.int64)
-    counts[2::2] = modp.convolve(odd, odd)[: limit // 2]
+    counts[2::2] = pairs
     return counts
 
 

@@ -1,5 +1,9 @@
 """Batch driver and machine-readable emitters for the goldpoly library.
 
+Commands print JSON lines or CSV.  The ``coeffs`` table, a row per m up
+to millions of rows, is written in blocks whose text comes from one numpy
+decimal kernel (``_decimal_rows``), not from a string per value.
+
 Exit codes: 0 all good, 1 a theorem or conjecture check failed (worth
 looking at!), 2 usage error, 3 computational failure (solver
 non-convergence, or an Unresolved certificate under --strict).
@@ -8,9 +12,12 @@ non-convergence, or an Unresolved certificate under --strict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+
+import numpy as np
 
 from . import __version__, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
@@ -23,8 +30,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 
-# rows per write of the ``coeffs`` CSV
+# rows per write of the ``coeffs`` table, CSV or JSON
 CSV_BLOCK_ROWS = 2 ** 14
+# the decimal kernel's digit group: one 4-byte unit of text
+_GROUP = 10_000
 
 
 class UsageError(Exception):
@@ -167,22 +176,86 @@ def cmd_table1(args: argparse.Namespace) -> int:
 # coeffs / summatory / hl
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _digit_units() -> np.ndarray:
+    """Every 4-digit group g < G as a 4-byte unit of ASCII, in three tables.
+
+    [0, G): zero-padded, 42 as "0042", for every group but a value's
+    leading one; [G, 2G): leading zeros as NUL, 42 as NUL NUL "42" and 0
+    as four NULs, for the leading group or one left of it; [2G, 3G): the
+    same but 0 as NUL NUL NUL "0", for the last group of a value below G.
+    """
+    g = np.arange(_GROUP)[:, None]
+    place = 10 ** np.arange(3, -1, -1)
+    padded = g // place % 10 + ord("0")
+    lead = np.where(g < place, 0, padded)
+    alone = lead.copy()
+    alone[0, -1] = ord("0")
+    units = np.concatenate([padded, lead, alone]).astype(np.uint8)
+    units = units.view(np.uint32).ravel()
+    units.flags.writeable = False  # one cached array serves every call
+    return units
+
+
+def _decimal_rows(columns: list[np.ndarray], seps: list[str]) -> str:
+    """Rows of text whose k-th field is the decimal of ``columns[k][i]``
+    followed by ``seps[k]``: the CSV rows of the columns for (",", "\\n").
+
+    The columns are equal-length arrays of non-negative int64 (a negative
+    value raises ValueError); a separator is 1 to 4 ASCII characters.
+    Each value is split into as many 4-digit groups as the column's largest
+    value needs, one ``// G`` per group; each group is one lookup in
+    ``_digit_units``, written into one uint32 array of rows with the
+    separators as units of their own.  The bytes of that array less their
+    NULs are the text.
+    """
+    units = _digit_units()
+    widths = []
+    for col in columns:
+        if col.min(initial=0) < 0:
+            raise ValueError("decimal rows take non-negative values only")
+        widths.append(-(-len(str(int(col.max(initial=0)))) // 4))
+    rows = np.empty((len(columns[0]), sum(widths) + len(seps)),
+                    dtype=np.uint32)
+    end = 0
+    for col, width, sep in zip(columns, widths, seps):
+        # least significant group first; ``above`` is the value left of it
+        h, offset = col, 2 * _GROUP
+        for j in range(end + width - 1, end - 1, -1):
+            above = h // _GROUP
+            rows[:, j] = units[np.where(above == 0, h + offset,
+                                        h - above * _GROUP)]
+            h, offset = above, _GROUP
+        end += width
+        rows[:, end] = np.frombuffer(sep.encode("ascii").ljust(4, b"\0"),
+                                     dtype=np.uint32)[0]
+        end += 1
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def cmd_coeffs(args: argparse.Namespace) -> int:
     m_max = args.m_max
     if m_max < 1:
         raise UsageError("--m-max must be >= 1")
     table = PrimeTable(max(16, m_max))
     coeff = goldbach.stable_coefficient_table(m_max, table)
-    if args.output_format == "json":
-        print(json.dumps({"m_max": m_max, "a": coeff[1:].tolist()}))
-    else:
-        # rows in fixed blocks: a whole-table tolist() would raise peak memory
-        out = sys.stdout
-        out.write("m,a\n")
-        for lo in range(1, m_max + 1, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, m_max + 1)
-            out.write("".join(f"{m},{a}\n" for m, a in
-                              zip(range(lo, hi), coeff[lo:hi].tolist())))
+    # Both formats stream blocks of rows through the decimal kernel, so no
+    # list of a million Python ints or strings is ever built.  The JSON text
+    # is what json.dumps gives for {"m_max": m_max, "a": coeff[1:]}: values
+    # joined by ", ", the last block's trailing separator dropped.
+    as_json = args.output_format == "json"
+    out = sys.stdout
+    out.write(f'{{"m_max": {m_max}, "a": [' if as_json else "m,a\n")
+    for lo in range(1, m_max + 1, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, m_max + 1)
+        if as_json:
+            text = _decimal_rows([coeff[lo:hi]], [", "])
+            out.write(text if hi <= m_max else text[:-2])
+        else:
+            out.write(_decimal_rows([np.arange(lo, hi), coeff[lo:hi]],
+                                    [",", "\n"]))
+    if as_json:
+        out.write("]}\n")
     return EXIT_OK
 
 

@@ -80,7 +80,10 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         spec *= spec
     else:
         spec = spec * np.fft.rfft(np.asarray(b, dtype=np.float64), length)
-    return np.rint(np.fft.irfft(spec, length)[..., :n]).astype(np.int64)
+    # drop the spectrum and round in place: fewer full-length temporaries
+    out = np.fft.irfft(spec, length)[..., :n]
+    del spec
+    return np.rint(out, out=out).astype(np.int64)
 
 
 def _kronecker(a: list[int], b: list[int]) -> list[int]:

@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -10,6 +12,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import numpy as np
 
 from goldpoly import arith, cli, factor, goldbach, modp, roots
 from goldpoly.poly import cyclotomic, multiply
@@ -293,13 +297,87 @@ class TestCoeffs:
         expected = stable_coefficient_table_by_divisor_sweep(m_max, table)
         assert out == coefficient_csv_by_join(expected)
 
-    def test_json_format(self, capsys, table):
-        code, out, _ = run(capsys, "coeffs", "--m-max", "2000",
+    @pytest.mark.parametrize("m_max", [1, 2000, 2 ** 14 - 1, 2 ** 14,
+                                       2 ** 14 + 1, 3 * 2 ** 14 + 5])
+    def test_json_format(self, capsys, table, m_max):
+        code, out, _ = run(capsys, "coeffs", "--m-max", str(m_max),
                            "--format", "json")
         assert code == 0
-        expected = stable_coefficient_table_by_divisor_sweep(2000, table)
-        assert out == json.dumps({"m_max": 2000,
+        expected = stable_coefficient_table_by_divisor_sweep(m_max, table)
+        assert out == json.dumps({"m_max": m_max,
                                   "a": expected[1:].tolist()}) + "\n"
+
+    def test_matches_benchmark_reference(self, capsys):
+        # the benchmark's recorded `coeffs` workload output, read only:
+        # the CSV by its digest, the JSON lines field by field, floats to
+        # the benchmark's relative 1e-9
+        reference = json.loads((Path(__file__).resolve().parents[1]
+                                / "perfbench" / "reference.json").read_text())
+        csv_ref, summatory_ref, hl_ref = reference["coeffs"]
+        assert csv_ref["argv"] == ["coeffs", "--m-max", "200000"]
+        assert summatory_ref["argv"] == ["summatory", "--M", "50000"]
+        assert hl_ref["argv"] == ["hl", "--m-max", "30000"]
+        code, out, _ = run(capsys, *csv_ref["argv"])
+        assert code == 0
+        assert len(out.encode()) == csv_ref["bytes"]
+        assert hashlib.sha256(out.encode()).hexdigest() == csv_ref["sha256"]
+        for ref in (summatory_ref, hl_ref):
+            code, out, _ = run(capsys, *ref["argv"])
+            assert code == 0
+            lines = out.splitlines()
+            assert len(lines) == len(ref["lines"]) == 1
+            got, want = json.loads(lines[0]), json.loads(ref["lines"][0])
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert type(got[key]) is type(value), key
+                if isinstance(value, float):
+                    assert math.isclose(got[key], value, rel_tol=1e-9,
+                                        abs_tol=0.0), key
+                else:
+                    assert got[key] == value, key
+
+
+def _joined(columns, seps):
+    """The rows of ``cli._decimal_rows`` by f-strings of Python ints."""
+    return "".join("".join(f"{v}{sep}" for v, sep in zip(row, seps))
+                   for row in zip(*(c.tolist() for c in columns)))
+
+
+class TestDecimalRows:
+    EDGES = sorted({0, 9999, 10 ** 4, 10 ** 8 - 1, 10 ** 8 + 1, 2 ** 63 - 1}
+                   | {10 ** (k - 1) for k in range(1, 20)}
+                   | {10 ** k - 1 for k in range(1, 19)})
+
+    def test_every_digit_width(self):
+        col = np.array(self.EDGES, dtype=np.int64)
+        assert {len(str(v)) for v in self.EDGES} == set(range(1, 20))
+        assert cli._decimal_rows([col], ["\n"]) == "".join(
+            f"{v}\n" for v in self.EDGES)
+
+    @pytest.mark.parametrize("value", [0, 9999, 10 ** 4, 2 ** 63 - 1])
+    def test_one_row_block(self, value):
+        col = np.array([value], dtype=np.int64)
+        assert cli._decimal_rows([col], ["\n"]) == f"{value}\n"
+        assert (cli._decimal_rows([np.arange(7, 8), col], [",", "\n"])
+                == f"7,{value}\n")
+
+    @pytest.mark.parametrize("seps", [["\n"], [", "], [",", ",", "\n"]])
+    def test_random_int64_columns(self, seps):
+        rng = np.random.default_rng(len(seps) * 10 + len(seps[0]))
+        n = 5000
+        # every magnitude: full-range values shifted right by 0..62 bits
+        columns = [rng.integers(0, 2 ** 63 - 1, n, dtype=np.int64,
+                                endpoint=True)
+                   >> rng.integers(0, 63, n) for _ in seps]
+        columns[0][::97] = 0
+        assert cli._decimal_rows(columns, seps) == _joined(columns, seps)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_negative_value_raises(self, position):
+        columns = [np.arange(5, dtype=np.int64), np.arange(5, dtype=np.int64)]
+        columns[position][3] = -12
+        with pytest.raises(ValueError):
+            cli._decimal_rows(columns, [",", "\n"])
 
 
 class TestHl:
