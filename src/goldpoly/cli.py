@@ -5,8 +5,11 @@ to millions of rows, is written in blocks whose text comes from one numpy
 decimal kernel (``_decimal_rows``), not from a string per value.
 
 Exit codes: 0 all good, 1 a theorem or conjecture check failed (worth
-looking at!), 2 usage error, 3 computational failure (solver
-non-convergence, or an Unresolved certificate under --strict).
+looking at!), or an exact computation contradicted a theorem
+(``goldbach.TheoremViolation``), 2 usage error, 3 computational failure
+(solver non-convergence, an Unresolved certificate under --strict, or any
+other exception, such as a MemoryError or a broken worker pool).  A
+raised error is reported as one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -398,6 +401,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, goldbach.TheoremViolation):
+            return EXIT_VIOLATION
         return EXIT_COMPUTE
 
 

@@ -26,9 +26,11 @@ so that the per-degree gcds run at the degree of G, not of f.
 
 Every F_N is even, F_N(z) = g_N(z^2), and Phi_N(z^2) is exactly the
 forced cyclotomic part of F_N (Phi_2N for even N, Phi_N * Phi_2N for odd
-N).  So the Goldbach quotient is q(z) = g(z^2) with g = g_N / Phi_N, a
-division at half the degree, and q is never built: ``certify_even`` runs
-the intersection on g and lifts the verdict to q without any DDF of q.
+N).  So the Goldbach quotient is q(z) = g(z^2) with g = g_N / Phi_N, the
+one exact division at half the degree that ``goldbach.goldbach_cofactor``
+makes for ``roots.classify_roots`` too, and q is never built:
+``certify_even`` runs the intersection on g and lifts the verdict to q
+without any DDF of q.
 Let g be irreducible with root b.  By Capelli's lemma g(z^2) is
 irreducible unless b is a square in Q(b), which forces the norm of b, of
 square class (-1)^deg g * g(0) * lc(g), to be a rational square.
@@ -60,14 +62,8 @@ import numpy as np
 
 from . import arith, modp
 from .arith import PrimeTable
-from .goldbach import goldbach_polynomial
-from .poly import (
-    IntPolynomial,
-    cyclotomic,
-    divrem_exact,
-    exact_quotient_or_none,
-    gcd_rational,
-)
+from .goldbach import goldbach_cofactor
+from .poly import IntPolynomial, exact_quotient_or_none, gcd_rational
 
 _DDF_BLOCK = 16
 # first prime tried by the pattern intersection
@@ -362,17 +358,10 @@ def certify_goldbach_quotient(N: int, table: PrimeTable,
     factors divided out: F_N / Phi_2N for even N, F_N / (Phi_N * Phi_2N)
     for odd N.
 
-    With F_N(z) = g_N(z^2), q(z) = g(z^2) for g = g_N / Phi_N, and g goes
-    through ``certify_even``.  The division must be exact; a nonzero
-    remainder would falsify the divisibility theorems and raises
-    immediately.
+    With F_N(z) = g_N(z^2), q(z) = g(z^2) for g = g_N / Phi_N
+    (``goldbach.goldbach_cofactor``, which raises TheoremViolation if the
+    division is inexact), and g goes through ``certify_even``.
     """
-    if N <= 5:
-        raise ValueError("quotient certification is defined for N > 5")
-    g = goldbach_polynomial(N, table).even_part()
-    half, rem = divrem_exact(g, cyclotomic(N))
-    if not rem.is_zero:
-        raise ArithmeticError(f"cyclotomic quotient inexact at N={N}")
-    cert = certify_even(half, max_primes=max_primes)
+    cert = certify_even(goldbach_cofactor(N, table), max_primes=max_primes)
     cert.N = N
     return cert

@@ -6,7 +6,9 @@ the Liouville-negative set is built in).  ``pair_sums`` is the
 indicator's autocorrelation, one ``modp.convolve`` per N.
 ``goldbach_coefficients`` spreads it over the exponent steps k into F_N's
 int64 coefficients, and ``goldbach_polynomial`` wraps them as an exact
-``IntPolynomial`` for the commands that divide or factor F_N.
+``IntPolynomial`` for the commands that divide or factor F_N, and
+``goldbach_cofactor`` divides its forced cyclotomic part Phi_N(z^2) off
+at half the degree, for both of them.
 ``theorem_reports`` checks the cyclotomic divisibility statements, the
 even symmetry and the root-of-unity lower bounds for the odd-prime F_N
 from the pair sums alone, without F_N's O(N**2) coefficients: they give
@@ -27,10 +29,19 @@ import numpy as np
 
 from . import arith, modp
 from .arith import PrimeTable
-from .poly import IntPolynomial, remainder_mod_cyclotomic
+from .poly import (
+    IntPolynomial,
+    cyclotomic,
+    divrem_exact,
+    remainder_mod_cyclotomic,
+)
 
 
-class NonConstantRemainderError(ArithmeticError):
+class TheoremViolation(ArithmeticError):
+    """An exact computation contradicts one of the paper's theorems."""
+
+
+class NonConstantRemainderError(TheoremViolation):
     """Remainder mod a cyclotomic was expected to be constant and is not."""
 
 
@@ -161,6 +172,25 @@ def goldbach_fold(N: int, pairs: np.ndarray) -> np.ndarray:
 def goldbach_polynomial(N: int, source) -> IntPolynomial:
     """F_N as an exact polynomial, from ``goldbach_coefficients``."""
     return IntPolynomial(goldbach_coefficients(N, source).tolist())
+
+
+def goldbach_cofactor(N: int, table: PrimeTable) -> IntPolynomial:
+    """g_N / Phi_N, where F_N(z) = g_N(z^2), for the odd-prime F_N, N > 5.
+
+    Phi_N(z^2) is the forced cyclotomic part of F_N (Phi_2N for even N,
+    Phi_N * Phi_2N for odd N), so this is F_N with that part divided out,
+    in the plane w = z^2: one exact division at half the degree.  It is
+    what ``factor.certify_goldbach_quotient`` certifies and what
+    ``roots.classify_roots`` solves.  A nonzero remainder would falsify
+    the divisibility theorems and raises TheoremViolation.
+    """
+    if N <= 5:
+        raise ValueError("the Goldbach cofactor is defined for N > 5")
+    g = goldbach_polynomial(N, table).even_part()
+    quotient, rem = divrem_exact(g, cyclotomic(N))
+    if not rem.is_zero:
+        raise TheoremViolation(f"Phi_{N} does not divide g_{N}")
+    return quotient
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
-"""Root localization: exact unit-circle split, simultaneous iteration and
-inclusion discs.
+"""Root localization: inclusion discs from simultaneous iteration, and an
+exact unit-circle split for the roots they leave unplaced.
 
 Every odd-prime F_N is even, F_N(z) = g(z^2), and its roots are the
 square roots +-sqrt(w) of the roots w of g, with |z| < 1, = 1 or > 1
 exactly when |w| is.  So the whole classification runs on g, in the
 plane w = z^2, and its counts are doubled at the end.
 
-The unit-circle roots of a real polynomial g with g(0) != 0 all divide
-gcd(g, reciprocal(g)), so they are isolated exactly: that gcd is peeled
-into cyclotomic factors (each contributing phi(e) circle roots per
-multiplicity), each divided off g too.  Every root of the one cofactor
-left is located by an Aberth-Ehrlich solver and proved by an inclusion
-disc.  Since
+By the divisibility theorems Phi_N(w) divides g, and its phi(N) roots lie
+on the circle; the cofactor g / Phi_N (``goldbach.goldbach_cofactor``)
+holds every other root.  Each of its roots is located by an Aberth-Ehrlich
+solver and proved by an inclusion disc.  Since
 p'/p(z) = sum_k 1/(z - zeta_k), some root of p lies within d |p(z)/p'(z)|
 of any point z, so with rigorous bounds B_i >= |p(z_i)| and
 L_i <= |p'(z_i)| the disc of radius r_i = d B_i / L_i about the solver's
@@ -20,10 +18,15 @@ exactly one simple root.  A disc wholly inside or outside |w| = 1 counts
 its root on that side.  A disc that meets the circle is evaluated again,
 exactly, in Python integers, at its dyadic centre and if need be after one
 Newton step; the refined disc has to lie inside the old one and miss the
-circle.  A root that none of this places,
-and every root of discs that overlap even after a squarefree split, is
-"undetermined": no verdict is a guess, and no root is called "on" the
-circle numerically.
+circle.  A root on the circle is never placed that way, and neither is a
+repeated root, whose discs overlap.  So only when some root is left
+unplaced does an exact split run: the cyclotomic factors of the solved
+polynomial are divided off (their roots are on the circle, counted
+exactly from the unit-circle strip, a gcd with the reciprocal), and what
+is left is split into squarefree pieces, each solved and placed by discs
+again.  The g_N cofactors to N = 120 never need it.  A root that none of
+this places is "undetermined": no verdict is a guess, and no root is
+called "on" the circle numerically.
 
 Every polynomial solved here is real, so its roots come in conjugate
 pairs, and the solver keeps its approximations in pairs as well: it
@@ -61,7 +64,7 @@ import numpy as np
 
 from . import arith
 from .arith import PrimeTable
-from .goldbach import TheoremReport, goldbach_polynomial
+from .goldbach import TheoremReport, goldbach_cofactor
 from .poly import (
     IntPolynomial,
     cyclotomic,
@@ -434,8 +437,8 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     Phi_d with phi(d) at most the degree of what remains, with no
     floating-point screen, and each Phi_d found is divided off F too.  The
     cofactor keeps every other root (reciprocal pairs, self-reciprocal
-    non-cyclotomic factors) for numeric classification.  ``classify_roots``
-    passes g of F_N = g(z**2), so there the factors are Phi_e(w).
+    non-cyclotomic factors) for numeric classification.  ``_solve_counts``
+    calls it only for a polynomial whose solve left a root unplaced.
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
@@ -595,6 +598,7 @@ def _exact_side(coeffs: tuple[int, ...], z: complex, r: float) -> int:
     It keeps the side verdict of a disjoint disc that meets the circle,
     else undetermined: 112 discs of ``table1`` to N = 120, all N >= 83,
     and none in the benchmark or ``table1`` to N = 40, seeds 0 and 1.
+    ``_count_sides`` calls it once per conjugate pair of discs.
 
     p and p' are taken exactly (``_exact_values``) at z rounded to the
     grid 2**-64, and the disc of radius rho >= d |p/p'| about that point
@@ -624,14 +628,16 @@ def _exact_side(coeffs: tuple[int, ...], z: complex, r: float) -> int:
 
 
 def _count_sides(P: IntPolynomial, result: SolveResult
-                 ) -> tuple[int, int, int, bool]:
-    """(inside, outside, undetermined, disjoint) for the solved roots of P.
+                 ) -> tuple[int, int, int]:
+    """(inside, outside, undetermined) for the solved roots of P.
 
-    Only discs that meet no other disc are counted.  When all of them are
-    disjoint (``disjoint``) each holds exactly one root, so the counts are
-    exact; otherwise each counted disc still holds at least one, and the
-    inside and outside counts are proved lower bounds.  A disc that meets
-    the circle goes to ``_exact_side``.
+    Only discs that meet no other disc are counted, each for one root, so
+    the inside and outside counts are proved lower bounds.  They are exact
+    when no root is left undetermined: then every disc meets no other and
+    holds exactly one root.  A disc that meets the circle goes to
+    ``_exact_side``, once per conjugate pair: P is real, so D(conj z, r)
+    holds the conjugate of each root in D(z, r), on the same side, and a
+    disc whose conjugate was settled first takes that side.
     """
     z, r = result.roots, result.radii
     free = _isolated(z, r)
@@ -639,20 +645,22 @@ def _count_sides(P: IntPolynomial, result: SolveResult
     inside = free & (mag * _UP + r * _UP < _DOWN)
     outside = free & (mag * _DOWN - r * _UP > _UP)
     n_in, n_out = int(inside.sum()), int(outside.sum())
+    settled: dict[tuple[complex, float], int] = {}
     for k in np.flatnonzero(free & ~inside & ~outside):
-        side = _exact_side(P.coeffs, complex(z[k]), float(r[k]))
+        zk, rk = complex(z[k]), float(r[k])
+        side = settled.get((zk.conjugate(), rk))
+        if side is None:
+            side = settled[zk, rk] = _exact_side(P.coeffs, zk, rk)
         n_in += side < 0
         n_out += side > 0
-    return n_in, n_out, len(z) - n_in - n_out, bool(free.all())
+    return n_in, n_out, len(z) - n_in - n_out
 
 
 def _squarefree_pieces(P: IntPolynomial) -> list[IntPolynomial]:
-    """Squarefree polynomials whose product is P, split by gcd(P, P'); a
-    root of multiplicity m lies in m of them, so their counts add.
-
-    Only overlapping discs reach it, never in the benchmark or in
-    ``table1`` to N = 40.  It keeps proved counts for repeated roots,
-    whose discs overlap at any precision and would be undetermined."""
+    """Squarefree polynomials whose product is P, of degree >= 1, split by
+    gcd(P, P'); a root of multiplicity m lies in m of them, so their
+    counts add.  It keeps proved counts for repeated roots, whose discs
+    overlap at any precision and would be undetermined."""
     pieces: list[IntPolynomial] = []
     work = [P]
     while work:
@@ -665,23 +673,33 @@ def _squarefree_pieces(P: IntPolynomial) -> list[IntPolynomial]:
     return pieces
 
 
-def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int]:
-    """(inside, outside, undetermined) for the roots of P, P(0) != 0.
+def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int, int]:
+    """(on, inside, outside, undetermined) for the roots of P, P(0) != 0.
 
-    P is solved as it stands: for ``classify_roots``, once per N, the one
-    cofactor of g.  Only when its discs overlap is it split into
-    squarefree pieces, each solved and counted on its own.
+    P is solved as it stands, and when its discs place every root, that
+    is the answer, with none on the circle: for ``classify_roots``, the one
+    solve of g_N / Phi_N per N, and no gcd.  Otherwise one exact split
+    follows.  ``strip_unit_circle_part`` divides P's cyclotomic factors
+    off, their roots counted on the circle, and ``_squarefree_pieces``
+    splits the cofactor left; each piece is solved and counted.  A root on
+    the circle is never placed by a disc, so every cyclotomic root reaches
+    the strip.  When P has no cyclotomic factor and is squarefree, the
+    split would solve P again, and the first counts stand.
     """
     if P.degree < 1:
-        return 0, 0, 0
-    *counts, disjoint = _count_sides(P, aberth_solve(P, seed=seed))
-    if not disjoint:
-        pieces = _squarefree_pieces(P)
-        if len(pieces) > 1:
-            split = [_count_sides(q, aberth_solve(q, seed=seed))[:3]
-                     for q in pieces]
-            counts = [sum(col) for col in zip(*split)]
-    return tuple(counts)
+        return 0, 0, 0, 0
+    inside, outside, undet = _count_sides(P, aberth_solve(P, seed=seed))
+    if not undet:
+        return 0, inside, outside, 0
+    strip = strip_unit_circle_part(P)
+    on = sum(arith.euler_phi(e) * m for e, m in strip.cyclotomic_factors)
+    rest = strip.cofactor
+    pieces = _squarefree_pieces(rest) if rest.degree > 0 else []
+    if not on and len(pieces) == 1:
+        return 0, inside, outside, undet
+    split = [_count_sides(q, aberth_solve(q, seed=seed)) for q in pieces]
+    inside, outside, undet = (sum(col) for col in zip((0, 0, 0), *split))
+    return on, inside, outside, undet
 
 
 def classify_roots(N: int, table: PrimeTable, *,
@@ -691,18 +709,14 @@ def classify_roots(N: int, table: PrimeTable, *,
     F_N is even, F_N(z) = g(z**2), and all the work runs on g, in the
     plane w = z**2: |z| and |w| lie on the same side of 1, and each root w
     gives the two roots +-sqrt(w), so every count is doubled at the end.
-    The on-circle count is exact: the sum of phi(e) m over the factors
-    Phi_e(w)^m divided off g.  The one cofactor left, with every other
-    root, is solved and its roots placed by inclusion discs
-    (``_solve_counts``); g itself is never split by gcd(g, g'), which only
-    runs for a solved polynomial whose discs overlap.
+    Three steps: the cofactor q = g / Phi_N (``goldbach.goldbach_cofactor``),
+    its counts (``_solve_counts``: one solve, proved by inclusion discs,
+    with an exact split only for roots the discs leave unplaced), and the
+    phi(N) roots of Phi_N(w) added to the on-circle count.
     """
-    if N <= 5:
-        raise ValueError("classification is defined for N > 5")
-    g = goldbach_polynomial(N, table).even_part()
-    strip = strip_unit_circle_part(g)
-    on = sum(arith.euler_phi(e) * m for e, m in strip.cyclotomic_factors)
-    inside, outside, undet = _solve_counts(strip.cofactor, seed)
+    q = goldbach_cofactor(N, table)
+    on, inside, outside, undet = _solve_counts(q, seed)
+    on += arith.euler_phi(N)
     return RootClassification(N=N, inside=2 * inside, on_circle=2 * on,
                               outside=2 * outside, undetermined=2 * undet)
 

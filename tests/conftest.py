@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from goldpoly import arith, roots
-from goldpoly.goldbach import goldbach_polynomial
+from goldpoly import arith, goldbach, roots
+from goldpoly.goldbach import goldbach_cofactor
+from goldpoly.poly import IntPolynomial
 
 LONG_MODE = os.environ.get("GOLDPOLY_LONG", "") not in ("", "0")
 
@@ -23,12 +24,23 @@ def multiset_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
 
 
 def solved_cofactor(N: int, table, seed: int = 0):
-    """The Aberth solve ``roots.classify_roots(N, table, seed=seed)`` makes
-    when no disc overlaps: that of the cofactor of g, where
-    F_N(z) = g(z**2), at the same seed."""
-    strip = roots.strip_unit_circle_part(
-        goldbach_polynomial(N, table).even_part())
-    return roots.aberth_solve(strip.cofactor, seed=seed)
+    """The one Aberth solve ``roots.classify_roots(N, table, seed=seed)``
+    makes when its discs place every root: that of g / Phi_N, where
+    F_N(z) = g(z**2) (``goldbach_cofactor``), at the same seed."""
+    return roots.aberth_solve(goldbach_cofactor(N, table), seed=seed)
+
+
+def break_divisibility(monkeypatch):
+    """Patch ``goldbach.goldbach_polynomial`` to return F_N + 1: Phi_N
+    divides g_N, so it cannot divide g_N + 1, and ``goldbach_cofactor``
+    has to raise TheoremViolation."""
+    build = goldbach.goldbach_polynomial
+
+    def shifted(N, source):
+        F = build(N, source)
+        return IntPolynomial((F[0] + 1,) + F.coeffs[1:])
+
+    monkeypatch.setattr(goldbach, "goldbach_polynomial", shifted)
 
 
 def numeric_roots(N: int, table, seed: int = 0) -> np.ndarray:

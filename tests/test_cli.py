@@ -15,8 +15,10 @@ import pytest
 
 import numpy as np
 
-from goldpoly import arith, cli, factor, goldbach, modp, roots
+from goldpoly import arith, cli, factor, goldbach, modp, poly, roots
 from goldpoly.poly import cyclotomic, multiply
+
+from conftest import break_divisibility
 from oracles import (
     coefficient_csv_by_join,
     stable_coefficient_table_by_divisor_sweep,
@@ -28,6 +30,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_text(got: str, want: str, window: int = 40) -> None:
+    """got == want; on a mismatch, report both lengths and the first
+    differing offset with a short window of each text, not pytest's diff of
+    the whole strings, which takes minutes at a megabyte."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo = max(0, at - window)
+    pytest.fail(f"texts differ: lengths {len(got)} and {len(want)}, first "
+                f"difference at offset {at}: got {got[lo:at + window]!r}, "
+                f"want {want[lo:at + window]!r}", pytrace=False)
 
 
 class TestConstruct:
@@ -268,6 +284,72 @@ class TestTable1:
         assert any(line.startswith("error: forced failure")
                    for line in err.splitlines())
 
+    def test_common_path_takes_no_gcd(self, capsys, monkeypatch):
+        # the discs place every root of g_N / Phi_N to N = 24, so no exact
+        # split runs: no strip, no gcd, no squarefree split, and the
+        # cofactor is built once per N
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(roots, "strip_unit_circle_part")
+        count(roots, "_squarefree_pieces")
+        count(roots, "gcd_rational")
+        count(poly, "gcd_rational")
+        count(roots, "goldbach_cofactor")
+        for seed in range(4):
+            code, _, _ = run(capsys, "table1", "--n-max", "24",
+                             "--seed", str(seed))
+            assert code == 0
+        assert calls == {"goldbach_cofactor": 4 * 19}
+
+
+class TestFailureExits:
+    """A raised error exits with its documented code and one stderr line,
+    never a traceback, in the process or from a pool worker."""
+
+    @pytest.mark.parametrize("command", ["table1", "irreducible"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_theorem_violation_exits_1(self, capsys, monkeypatch, jobs,
+                                       command):
+        # the patch reaches the pool workers only by fork
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers do not inherit the patched polynomial")
+        break_divisibility(monkeypatch)
+        code, out, err = run(capsys, command, "--n-max", "7", "--jobs", jobs)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: TheoremViolation: Phi_6 does not divide g_6"]
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("table1", roots, "aberth_solve"),
+        ("irreducible", factor, "certify_even"),
+    ], ids=["table1", "irreducible"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_other_error_exits_3(self, capsys, monkeypatch, jobs, command,
+                                 module, name):
+        # raised, never allocated: a MemoryError stands for any exception
+        # that is neither a usage error nor a theorem violation
+        if jobs != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers do not inherit the patched function")
+
+        def fail(*args, **kwargs):
+            raise MemoryError("forced failure")
+
+        monkeypatch.setattr(module, name, fail)
+        code, out, err = run(capsys, command, "--n-max", "7", "--jobs", jobs)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: MemoryError: forced failure"]
+
 
 class TestSummatory:
     def test_identity_and_fields(self, capsys):
@@ -295,7 +377,7 @@ class TestCoeffs:
         code, out, _ = run(capsys, "coeffs", "--m-max", str(m_max))
         assert code == 0
         expected = stable_coefficient_table_by_divisor_sweep(m_max, table)
-        assert out == coefficient_csv_by_join(expected)
+        assert_same_text(out, coefficient_csv_by_join(expected))
 
     @pytest.mark.parametrize("m_max", [1, 2000, 2 ** 14 - 1, 2 ** 14,
                                        2 ** 14 + 1, 3 * 2 ** 14 + 5])
@@ -304,8 +386,8 @@ class TestCoeffs:
                            "--format", "json")
         assert code == 0
         expected = stable_coefficient_table_by_divisor_sweep(m_max, table)
-        assert out == json.dumps({"m_max": m_max,
-                                  "a": expected[1:].tolist()}) + "\n"
+        assert_same_text(out, json.dumps({"m_max": m_max,
+                                          "a": expected[1:].tolist()}) + "\n")
 
     def test_matches_benchmark_reference(self, capsys):
         # the benchmark's recorded `coeffs` workload output, read only:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from goldpoly import arith, factor, modp
+from goldpoly import arith, factor, modp, roots
 from goldpoly.factor import (
     BadPrimeError,
     certify_even,
@@ -14,7 +14,7 @@ from goldpoly.factor import (
     linear_root_screen,
     reduce_mod_p,
 )
-from goldpoly.goldbach import goldbach_polynomial
+from goldpoly.goldbach import goldbach_cofactor, goldbach_polynomial
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
 from oracles import ddf_by_powmod
@@ -347,6 +347,20 @@ class TestQuotientCertificates:
     def test_rejects_small_N(self, small_table):
         with pytest.raises(ValueError):
             certify_goldbach_quotient(5, small_table)
+
+    def test_shared_cofactor_matches_full_degree_oracle(self, small_table):
+        # goldbach_cofactor, at half the degree, against the division of
+        # the full F_N; and the unit-circle strip of g_N finds exactly
+        # Phi_N, once, and leaves the same cofactor, which is why the
+        # classification never needs it for g_N / Phi_N
+        for N in range(6, 31):
+            assert (goldbach_cofactor(N, small_table)
+                    == half_degree_polynomial(N, small_table)), N
+        for N in range(6, 41):
+            g = goldbach_polynomial(N, small_table).even_part()
+            strip = roots.strip_unit_circle_part(g)
+            assert strip.cyclotomic_factors == [(N, 1)], N
+            assert strip.cofactor == goldbach_cofactor(N, small_table), N
 
     def test_json_shape(self, small_table):
         cert = certify_goldbach_quotient(7, small_table)

@@ -8,11 +8,14 @@ from goldpoly import arith, goldbach
 from goldpoly.goldbach import (
     IndicatorSet,
     NonConstantRemainderError,
+    TheoremViolation,
+    goldbach_cofactor,
     goldbach_polynomial,
     theorem_reports,
 )
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
+from conftest import break_divisibility
 from oracles import (
     coefficient_by_formula,
     coefficient_table_by_formula,
@@ -250,6 +253,7 @@ class TestRootOfUnityValues:
         remainders = {1: IntPolynomial((5,)), 3: IntPolynomial((0, 1))}
         with pytest.raises(NonConstantRemainderError):
             goldbach.root_bounds_report(3, counts, remainders)
+        assert issubclass(NonConstantRemainderError, TheoremViolation)
 
     def test_bounds_hold_to_forty(self, small_table):
         for N in range(2, 41):
@@ -281,6 +285,23 @@ class TestRootOfUnityValues:
                            goldbach.root_bounds_report):
                 assert report(N, longer, remainders) == \
                     report(N, exact, remainders)
+
+
+class TestGoldbachCofactor:
+    def test_times_phi_n_gives_the_even_part(self, small_table):
+        for N in range(6, 25):
+            g = goldbach_polynomial(N, small_table).even_part()
+            assert multiply(goldbach_cofactor(N, small_table),
+                            cyclotomic(N)) == g, N
+
+    def test_inexact_division_raises(self, small_table, monkeypatch):
+        break_divisibility(monkeypatch)
+        with pytest.raises(TheoremViolation, match="Phi_9 does not divide"):
+            goldbach_cofactor(9, small_table)
+
+    def test_rejects_small_N(self, small_table):
+        with pytest.raises(ValueError):
+            goldbach_cofactor(5, small_table)
 
 
 class TestLowerBounds:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from goldpoly import arith, roots
-from goldpoly.goldbach import goldbach_polynomial
+from goldpoly.goldbach import goldbach_cofactor, goldbach_polynomial
 from goldpoly.poly import (
     IntPolynomial,
     cyclotomic,
@@ -34,8 +34,7 @@ from reference_fixtures import ROOT_TABLE
 
 def _cofactor_even_part(N, table):
     """The polynomial classify_roots hands to the solver for F_N's cofactor."""
-    g = goldbach_polynomial(N, table).even_part()
-    return strip_unit_circle_part(g).cofactor
+    return goldbach_cofactor(N, table)
 
 
 def _no_reciprocal_pair(P):
@@ -295,7 +294,7 @@ class TestStrip:
         assert sr.cyclotomic_factors == [(5, 1)]
         assert sr.cofactor == rest
         for seed in range(3):
-            assert roots._solve_counts(sr.cofactor, seed=seed) == (1, 2, 0)
+            assert roots._solve_counts(sr.cofactor, seed=seed) == (0, 1, 2, 0)
 
     def test_rejects_root_at_origin(self):
         with pytest.raises(ValueError):
@@ -395,13 +394,70 @@ class TestClassification:
         assert sum(p.degree for p in pieces) == deg
         assert all(gcd_rational(p, p.derivative()).degree == 0
                    for p in pieces)
-        # the double roots +-i overlap, so the solve splits F; the circle
-        # roots are never placed numerically, the other two are
-        assert roots._solve_counts(F, seed=0) == (1, 1, 4)
+        # the double roots +-i overlap, so the solve leaves them unplaced
+        # and the exact split divides Phi_4^2 off: the circle roots are
+        # counted exactly, never numerically, and the other two are placed
+        assert roots._solve_counts(F, seed=0) == (4, 1, 1, 0)
         strip = strip_unit_circle_part(F)
         assert strip.cyclotomic_factors == [(4, 2)]
         assert strip.cofactor == IntPolynomial((2, -5, 2))
-        assert roots._solve_counts(strip.cofactor, seed=0) == (1, 1, 0)
+        assert roots._solve_counts(strip.cofactor, seed=0) == (0, 1, 1, 0)
+
+
+class TestExactFallback:
+    """The exact split runs only for roots the discs leave unplaced, and
+    then counts the cyclotomic roots on the circle exactly."""
+
+    def test_cyclotomic_roots_are_counted_on_the_circle(self):
+        # Phi_5 (w^2 - 3w + 1)(w - 3): the four roots of Phi_5 are never
+        # placed by a disc, so the strip divides Phi_5 off; the pair
+        # (3 +- sqrt5)/2 and 3 are then placed by one more solve
+        rest = multiply(IntPolynomial((1, -3, 1)), IntPolynomial((-3, 1)))
+        P = multiply(cyclotomic(5), rest)
+        for seed in range(3):
+            assert roots._solve_counts(P, seed=seed) == (4, 1, 2, 0)
+
+    @pytest.mark.parametrize("N", [6, 7, 12, 15])
+    def test_extra_cyclotomic_factor_of_the_cofactor(self, monkeypatch,
+                                                     small_table, N):
+        # a cofactor carrying Phi_3 too: its two roots reach the strip and
+        # are proved on the circle, beside the phi(N) of Phi_N
+        plain = classify_roots(N, small_table, seed=N)
+        cofactor = roots.goldbach_cofactor
+        monkeypatch.setattr(roots, "goldbach_cofactor",
+                            lambda N, table: multiply(cofactor(N, table),
+                                                      cyclotomic(3)))
+        rc = classify_roots(N, small_table, seed=N)
+        assert rc.on_circle == 2 * (arith.euler_phi(N) + 2)
+        assert rc.undetermined == 0
+        assert (rc.inside, rc.outside) == (plain.inside, plain.outside)
+
+    @pytest.mark.parametrize("c, inside, outside", [
+        (10 ** 12 + 2, 2, 4), (10 ** 12 - 2, 4, 2)], ids=["out", "in"])
+    def test_conjugate_pair_takes_one_exact_step(self, monkeypatch, c,
+                                                 inside, outside):
+        # 10^12 w^2 + 10^12 w + c has a conjugate pair with
+        # |w|^2 = c / 10^12, within 1e-12 of the circle, and the filler
+        # (5w^2 + 3w + 4)(w^2 + w + 3) has no real root either, so the
+        # pair stays mirrored: its two discs meet the circle, and the
+        # mirror takes the side that the exact step found for the upper one
+        calls = []
+        exact_side = roots._exact_side
+
+        def counting(*args):
+            calls.append(args[1])
+            return exact_side(*args)
+
+        monkeypatch.setattr(roots, "_exact_side", counting)
+        a = 10 ** 12
+        P = multiply(IntPolynomial((c, a, a)),
+                     multiply(IntPolynomial((4, 3, 5)),
+                              IntPolynomial((3, 1, 1))))
+        for seed in range(3):
+            calls.clear()
+            assert roots._solve_counts(P, seed=seed) == (0, inside, outside, 0)
+            assert len(calls) == 1 and calls[0].imag > 0
+            assert abs(abs(calls[0]) - 1) < 2e-12
 
 
 def _float_coeffs(coeffs):
@@ -566,14 +622,15 @@ class TestInclusionDiscs:
         assert res.max_residual == float(got.max())
 
 
-def _solve_counts_sound(P, inside, outside, seed=0):
-    """_solve_counts of P, checked against its true inside and outside
-    counts: never more roots on a side than it has.  The counts are
-    returned for the caller's own checks."""
-    got_in, got_out, undet = roots._solve_counts(P, seed=seed)
+def _solve_counts_sound(P, on, inside, outside, seed=0):
+    """_solve_counts of P, checked against its true on-circle, inside and
+    outside counts: never more roots on a side, or on the circle, than it
+    has.  The counts are returned for the caller's own checks."""
+    got_on, got_in, got_out, undet = roots._solve_counts(P, seed=seed)
+    assert got_on <= on, (got_on, on)
     assert got_in <= inside and got_out <= outside, (got_in, got_out)
-    assert got_in + got_out + undet == P.degree
-    return got_in, got_out, undet
+    assert got_on + got_in + got_out + undet == P.degree
+    return got_on, got_in, got_out, undet
 
 
 # a fixed cofactor: 1/3 and the roots of 5w^2 + 3w + 4 (|w|^2 = 4/5) inside,
@@ -596,8 +653,8 @@ class TestSoundness:
         P = multiply(IntPolynomial((-a, b)), _FILLER)
         inside, outside = 3 + (side < 0), 1 + (side > 0)
         for seed in range(3):
-            assert _solve_counts_sound(P, inside, outside, seed) == (
-                inside, outside, 0)
+            assert _solve_counts_sound(P, 0, inside, outside, seed) == (
+                0, inside, outside, 0)
 
     def test_root_near_the_circle_needs_the_exact_step(self, monkeypatch):
         calls = []
@@ -609,21 +666,21 @@ class TestSoundness:
 
         monkeypatch.setattr(roots, "_exact_side", counting)
         P = multiply(IntPolynomial((-(10 ** 15 + 1), 10 ** 15)), _FILLER)
-        assert roots._solve_counts(P, seed=0) == (3, 2, 0)
+        assert roots._solve_counts(P, seed=0) == (0, 3, 2, 0)
         assert len(calls) == 1 and abs(abs(calls[0]) - 1) < 1e-14
 
-    @pytest.mark.parametrize("offset, inside, outside", [
-        (1, 0, 2), (-3, 2, 0), (-1, 1, 0), (-2, 1, 0)],
+    @pytest.mark.parametrize("offset, on, inside, outside", [
+        (1, 0, 0, 2), (-3, 0, 2, 0), (-1, 1, 1, 0), (-2, 0, 1, 0)],
         ids=["both-out", "both-in", "in-and-on", "on-and-in"])
-    def test_near_double_root(self, offset, inside, outside):
+    def test_near_double_root(self, offset, on, inside, outside):
         # (b w - a)(b w - a - 1) with b about 1e9: two roots 1e-9 apart at
-        # most 3e-9 from the circle, one exactly on it for a = b - 1, b - 2
+        # most 3e-9 from the circle, one exactly on it for a = b - 1
         b = 10 ** 9 + 7
         a = b + offset
         P = multiply(IntPolynomial((-a, b)), IntPolynomial((-a - 1, b)))
         for seed in range(3):
-            _solve_counts_sound(P, inside, outside, seed)
-            _solve_counts_sound(multiply(P, _FILLER), inside + 3,
+            _solve_counts_sound(P, on, inside, outside, seed)
+            _solve_counts_sound(multiply(P, _FILLER), on, inside + 3,
                                 outside + 1, seed)
 
     def test_self_reciprocal_factor_on_the_circle(self):
@@ -634,11 +691,11 @@ class TestSoundness:
         strip = strip_unit_circle_part(lehmer)
         assert strip.cyclotomic_factors == [] and strip.cofactor == lehmer
         for seed in range(3):
-            assert _solve_counts_sound(lehmer, 1, 1, seed)[2] == 8
-            assert _solve_counts_sound(IntPolynomial((2, -1, 2)), 0, 0,
-                                       seed) == (0, 0, 2)
-            assert _solve_counts_sound(multiply(lehmer, _FILLER), 4, 2,
-                                       seed)[2] == 8
+            assert _solve_counts_sound(lehmer, 8, 1, 1, seed)[3] == 8
+            assert _solve_counts_sound(IntPolynomial((2, -1, 2)), 2, 0, 0,
+                                       seed) == (0, 0, 0, 2)
+            assert _solve_counts_sound(multiply(lehmer, _FILLER), 8, 4, 2,
+                                       seed)[3] == 8
 
     @pytest.mark.parametrize("paired_sweeps", [
         1, roots._PAIRED_SWEEPS, roots._MAX_ITER],
@@ -661,7 +718,7 @@ class TestSoundness:
         inside = sum(wr * wr + wi * wi < 1 for wr, wi in _known_roots(factors))
         for seed in range(3):
             assert roots._solve_counts(P, seed=seed) == (
-                inside, P.degree - inside, 0)
+                0, inside, P.degree - inside, 0)
 
     def test_overlapping_discs_are_undetermined_and_strict_exits_3(
             self, capsys, monkeypatch, small_table):
