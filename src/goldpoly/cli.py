@@ -2,19 +2,23 @@
 
 Commands print JSON lines or CSV.  The ``coeffs`` table, a row per m up
 to millions of rows, is written in blocks whose text comes from one numpy
-decimal kernel (``_decimal_rows``), not from a string per value.
+decimal kernel (``_decimal_rows``), not from a string per value.  The
+per-N sweeps ``verify``, ``table1`` and ``irreducible`` print each N's
+records once it and every N before it are done (``_sweep``).
 
 Exit codes: 0 all good, 1 a theorem or conjecture check failed (worth
 looking at!), or an exact computation contradicted a theorem
 (``goldbach.TheoremViolation``), 2 usage error, 3 computational failure
 (solver non-convergence, an Unresolved certificate under --strict, or any
 other exception, such as a MemoryError or a broken worker pool).  A
-raised error is reported as one stderr line, never a traceback.
+raised error is reported as one stderr line, never a traceback, which
+names the N of a sweep item that raised it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -43,30 +47,58 @@ class UsageError(Exception):
     pass
 
 
-def _per_n_seed(seed: int, N: int) -> int:
-    return seed * 1_000_003 + N
-
-
 def _sweep(args: argparse.Namespace, first: int, default: int,
-           long_default: int, fn, *extra) -> list:
-    """fn over (N, table, *extra) for N = first..n_max in order, with
-    n_max from --n-max, else ``default`` or under --long ``long_default``.
+           long_default: int, fn, *extra, header: str | None = None) -> int:
+    """Print fn's records for N = first..n_max and return the exit code;
+    n_max is --n-max, else ``default`` or under --long ``long_default``.
 
-    All N share one PrimeTable.  Above --jobs 1 the items go to a pool of
-    at most one worker per item and per core, imported only then.
+    fn maps (N, table, *extra), all N sharing one PrimeTable, to (lines,
+    violated, unproved).  The header comes once n_max is checked, then each
+    N's lines, flushed, once that N and every N before it are done: by the
+    ordered ``map`` of a pool of at most one worker per item and per core
+    above --jobs 1.  An item that raises ends the sweep with one stderr
+    line naming its N.  Exit 1 if any N violated its check, else 3 under
+    --strict if any N is unproved, else 0.
     """
     n_max = args.n_max if args.n_max is not None else (
         long_default if args.long_mode else default)
     if n_max < first:
         raise UsageError(f"--n-max must be >= {first}")
     table = PrimeTable(max(16, n_max))
+    if header is not None:
+        print(header, flush=True)
     items = [(N, table, *extra) for N in range(first, n_max + 1)]
-    if args.jobs == 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-    workers = min(args.jobs, len(items), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    violated = unproved = False
+    with contextlib.ExitStack() as stack:
+        results = map(fn, items)
+        if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            workers = min(args.jobs, len(items), os.cpu_count() or 1)
+            results = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers)).map(fn, items)
+        N = first
+        try:
+            for lines, bad, open_ in results:
+                print("".join(f"{line}\n" for line in lines), end="",
+                      flush=True)
+                violated |= bad
+                unproved |= open_
+                N += 1
+        except Exception as exc:
+            return _error_exit(exc, f"N={N}: ")
+    if violated:
+        return EXIT_VIOLATION
+    # verify has no --strict, and none of its N is ever unproved
+    return EXIT_COMPUTE if unproved and args.strict else EXIT_OK
+
+
+def _error_exit(exc: Exception, where: str = "") -> int:
+    """Print exc as one stderr line; exit 1 for a TheoremViolation, else 3."""
+    text = str(exc) if isinstance(exc, SolverError) else (
+        f"{type(exc).__name__}: {exc}")
+    print(f"error: {where}{text}", file=sys.stderr)
+    return (EXIT_VIOLATION if isinstance(exc, goldbach.TheoremViolation)
+            else EXIT_COMPUTE)
 
 
 # ---------------------------------------------------------------------------
@@ -117,62 +149,40 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one(item: tuple) -> list[dict]:
-    N, table = item
-    return [r.to_json_dict() for r in goldbach.theorem_reports(N, table)]
+def _verify_one(item: tuple) -> tuple[list[str], bool, bool]:
+    N, table, csv = item
+    reps = [r.to_json_dict() for r in goldbach.theorem_reports(N, table)]
+    lines = [f"{r['N']},{r['theorem_id']},{r['holds']}" if csv
+             else json.dumps(r) for r in reps]
+    return lines, not all(r["holds"] for r in reps), False
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    all_reports = _sweep(args, 2, 50, 120, _verify_one)
-    failures = 0
-    lines = []
-    for reports in all_reports:
-        for rep in reports:
-            if not rep["holds"]:
-                failures += 1
-            if args.output_format == "csv":
-                lines.append(f"{rep['N']},{rep['theorem_id']},{rep['holds']}")
-            else:
-                lines.append(json.dumps(rep))
-    if args.output_format == "csv":
-        lines.insert(0, "N,theorem_id,holds")
-    print("\n".join(lines))
-    return EXIT_VIOLATION if failures else EXIT_OK
+    csv = args.output_format == "csv"
+    return _sweep(args, 2, 50, 120, _verify_one, csv,
+                  header="N,theorem_id,holds" if csv else None)
 
 
 # ---------------------------------------------------------------------------
 # table1
 # ---------------------------------------------------------------------------
 
-def _classify_one(item: tuple) -> tuple[tuple, bool]:
-    """The table1 row for N, and whether it contradicts the 2 phi(N) count.
-
-    An undetermined root leaves the count unproved, not contradicted;
-    --strict reports that case.
-    """
+def _classify_one(item: tuple) -> tuple[list[str], bool, bool]:
+    """The table1 row for N.  An undetermined root leaves the 2 phi(N)
+    count unproved, not contradicted; --strict reports that case."""
     N, table, seed = item
-    rc = roots.classify_roots(N, table, seed=_per_n_seed(seed, N))
+    # one solver seed per (--seed, N), the same under every --jobs
+    rc = roots.classify_roots(N, table, seed=seed * 1_000_003 + N)
     report = roots.unit_circle_count_report(rc)
     row = (rc.N, report.witness["expected_on_circle"], rc.inside,
            rc.on_circle, rc.outside, rc.undetermined)
-    return row, not report.holds and rc.undetermined == 0
+    return ([",".join(map(str, row))],
+            not report.holds and not rc.undetermined, rc.undetermined > 0)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    results = _sweep(args, 6, 20, 50, _classify_one, args.seed)
-    lines = ["N,two_phi_N,inside,on,outside,undetermined"]
-    undetermined = 0
-    violations = 0
-    for row, violated in results:
-        undetermined += row[5]
-        violations += violated
-        lines.append(",".join(str(v) for v in row))
-    print("\n".join(lines))
-    if violations:
-        return EXIT_VIOLATION
-    if args.strict and undetermined:
-        return EXIT_COMPUTE
-    return EXIT_OK
+    return _sweep(args, 6, 20, 50, _classify_one, args.seed,
+                  header="N,two_phi_N,inside,on,outside,undetermined")
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +305,17 @@ def cmd_hl(args: argparse.Namespace) -> int:
 # irreducible
 # ---------------------------------------------------------------------------
 
-def _certify_one(item: tuple) -> dict:
+def _certify_one(item: tuple) -> tuple[list[str], bool, bool]:
     N, table, max_primes = item
-    return factor.certify_goldbach_quotient(
-        N, table, max_primes=max_primes).to_json_dict()
+    cert = factor.certify_goldbach_quotient(N, table, max_primes=max_primes)
+    return ([json.dumps(cert.to_json_dict())], cert.verdict == "Reducible",
+            cert.verdict == "Unresolved")
 
 
 def cmd_irreducible(args: argparse.Namespace) -> int:
     if args.max_primes < 1:
         raise UsageError("--max-primes must be >= 1")
-    certs = _sweep(args, 6, 30, 50, _certify_one, args.max_primes)
-    reducible = sum(1 for c in certs if c["verdict"] == "Reducible")
-    unresolved = sum(1 for c in certs if c["verdict"] == "Unresolved")
-    print("\n".join(json.dumps(c) for c in certs))
-    if reducible:
-        return EXIT_VIOLATION
-    if args.strict and unresolved:
-        return EXIT_COMPUTE
-    return EXIT_OK
+    return _sweep(args, 6, 30, 50, _certify_one, args.max_primes)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +402,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, SieveRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, goldbach.TheoremViolation):
-            return EXIT_VIOLATION
-        return EXIT_COMPUTE
+        return _error_exit(exc)
 
 
 if __name__ == "__main__":

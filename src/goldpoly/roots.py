@@ -367,6 +367,7 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
     paired[:m] = True
 
     chunk = max(1, _BLOCK_ENTRIES // d)
+    work = np.empty((min(chunk, d), d), dtype=np.complex128)
     active = np.r_[:m, 2 * m:d]
     iterations = 0
     max_corr = math.inf
@@ -377,7 +378,8 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
         with np.errstate(divide="ignore", invalid="ignore"):
             for i0 in range(0, len(active), chunk):
                 rows = active[i0:i0 + chunk]
-                diff = z[rows, None] - z[None, :]
+                diff = np.subtract(z[rows, None], z[None, :],
+                                   out=work[:len(rows)])
                 diff[np.arange(len(rows)), rows] = np.inf
                 s[i0:i0 + len(rows)] = np.divide(1.0, diff, out=diff).sum(axis=1)
             corr = w / (1.0 - w * s)

@@ -18,7 +18,6 @@ import numpy as np
 from goldpoly import arith, cli, factor, goldbach, modp, poly, roots
 from goldpoly.poly import cyclotomic, multiply
 
-from conftest import break_divisibility
 from oracles import (
     coefficient_csv_by_join,
     stable_coefficient_table_by_divisor_sweep,
@@ -279,10 +278,12 @@ class TestTable1:
                                     max_correction=1.0, max_residual=1.0)
 
         monkeypatch.setattr(roots, "aberth_solve", fail)
-        code, _, err = run(capsys, "table1", "--n-max", "7", "--jobs", jobs)
+        code, out, err = run(capsys, "table1", "--n-max", "7", "--jobs", jobs)
         assert code == 3
-        assert any(line.startswith("error: forced failure")
-                   for line in err.splitlines())
+        assert out == "N,two_phi_N,inside,on,outside,undetermined\n"
+        assert err.splitlines() == [
+            "error: N=6: forced failure (iterations=1, max_correction=1.000e+00,"
+            " max_residual=1.000e+00)"]
 
     def test_common_path_takes_no_gcd(self, capsys, monkeypatch):
         # the discs place every root of g_N / Phi_N to N = 24, so no exact
@@ -312,43 +313,57 @@ class TestTable1:
 
 
 class TestFailureExits:
-    """A raised error exits with its documented code and one stderr line,
-    never a traceback, in the process or from a pool worker."""
+    """An error raised at one N exits with its documented code and one
+    stderr line naming that N, never a traceback, in the process or from a
+    pool worker; stdout keeps the records of every N before it."""
 
-    @pytest.mark.parametrize("command", ["table1", "irreducible"])
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_theorem_violation_exits_1(self, capsys, monkeypatch, jobs,
-                                       command):
+    SWEEPS = [("verify", goldbach, "theorem_reports"),
+              ("table1", roots, "classify_roots"),
+              ("irreducible", factor, "certify_goldbach_quotient")]
+
+    @staticmethod
+    def fail_at_7(capsys, monkeypatch, jobs, command, module, name, error):
+        """(exit code, stderr lines) of ``command --n-max 9`` with
+        module.name raising ``error`` at N = 7; stdout must be that of
+        ``--n-max 6``, the header and the records for N < 7."""
         # the patch reaches the pool workers only by fork
         if jobs != "1" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers do not inherit the patched polynomial")
-        break_divisibility(monkeypatch)
-        code, out, err = run(capsys, command, "--n-max", "7", "--jobs", jobs)
-        assert code == 1
-        assert out == ""
-        assert err.splitlines() == [
-            "error: TheoremViolation: Phi_6 does not divide g_6"]
+            pytest.skip("workers do not inherit the patched function")
+        code, before, _ = run(capsys, command, "--n-max", "6")
+        assert code == 0
+        fn = getattr(module, name)
 
-    @pytest.mark.parametrize("command, module, name", [
-        ("table1", roots, "aberth_solve"),
-        ("irreducible", factor, "certify_even"),
-    ], ids=["table1", "irreducible"])
+        def fail(N, *args, **kwargs):
+            if N == 7:
+                raise error
+            return fn(N, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, fail)
+        code, out, err = run(capsys, command, "--n-max", "9", "--jobs", jobs)
+        assert out == before
+        return code, err.splitlines()
+
+    @pytest.mark.parametrize("command, module, name", SWEEPS,
+                             ids=[sweep[0] for sweep in SWEEPS])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_theorem_violation_exits_1(self, capsys, monkeypatch, jobs,
+                                       command, module, name):
+        error = goldbach.TheoremViolation("Phi_7 does not divide g_7")
+        assert self.fail_at_7(capsys, monkeypatch, jobs, command, module,
+                              name, error) == (1, [
+            "error: N=7: TheoremViolation: Phi_7 does not divide g_7"])
+
+    @pytest.mark.parametrize("command, module, name", SWEEPS,
+                             ids=[sweep[0] for sweep in SWEEPS])
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_other_error_exits_3(self, capsys, monkeypatch, jobs, command,
                                  module, name):
         # raised, never allocated: a MemoryError stands for any exception
         # that is neither a usage error nor a theorem violation
-        if jobs != "1" and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers do not inherit the patched function")
-
-        def fail(*args, **kwargs):
-            raise MemoryError("forced failure")
-
-        monkeypatch.setattr(module, name, fail)
-        code, out, err = run(capsys, command, "--n-max", "7", "--jobs", jobs)
-        assert code == 3
-        assert out == ""
-        assert err.splitlines() == ["error: MemoryError: forced failure"]
+        error = MemoryError("forced failure")
+        assert self.fail_at_7(capsys, monkeypatch, jobs, command, module,
+                              name, error) == (3, [
+            "error: N=7: MemoryError: forced failure"])
 
 
 class TestSummatory:

@@ -417,6 +417,30 @@ class TestExactFallback:
         for seed in range(3):
             assert roots._solve_counts(P, seed=seed) == (4, 1, 2, 0)
 
+    @pytest.mark.parametrize("P, counts", [
+        (multiply(multiply(IntPolynomial((4, 3, 5)), IntPolynomial((4, 3, 5))),
+                  IntPolynomial((-7, 2))), (0, 4, 1, 0)),
+        (multiply(IntPolynomial((2, -5, 2)), IntPolynomial((2, -5, 2))),
+         (0, 2, 2, 0)),
+    ], ids=["double-pair-inside", "self-reciprocal-square"])
+    def test_repeated_root_off_the_circle(self, monkeypatch, P, counts):
+        # (5w^2 + 3w + 4)^2 (2w - 7) and (2w^2 - 5w + 2)^2: the discs of a
+        # double root overlap, so the solve leaves it unplaced and the exact
+        # split reaches _squarefree_pieces; the second is self-reciprocal,
+        # so the strip's gcd is the whole polynomial
+        calls = []
+        pieces = roots._squarefree_pieces
+
+        def counting(Q):
+            calls.append(Q)
+            return pieces(Q)
+
+        monkeypatch.setattr(roots, "_squarefree_pieces", counting)
+        for seed in range(3):
+            calls.clear()
+            assert roots._solve_counts(P, seed=seed) == counts
+            assert calls == [P]
+
     @pytest.mark.parametrize("N", [6, 7, 12, 15])
     def test_extra_cyclotomic_factor_of_the_cofactor(self, monkeypatch,
                                                      small_table, N):
@@ -670,11 +694,12 @@ class TestSoundness:
         assert len(calls) == 1 and abs(abs(calls[0]) - 1) < 1e-14
 
     @pytest.mark.parametrize("offset, on, inside, outside", [
-        (1, 0, 0, 2), (-3, 0, 2, 0), (-1, 1, 1, 0), (-2, 0, 1, 0)],
-        ids=["both-out", "both-in", "in-and-on", "on-and-in"])
+        (1, 0, 0, 2), (-3, 0, 2, 0), (-1, 1, 1, 0), (-2, 0, 2, 0)],
+        ids=["both-out", "both-in", "in-and-on", "both-in-close"])
     def test_near_double_root(self, offset, on, inside, outside):
         # (b w - a)(b w - a - 1) with b about 1e9: two roots 1e-9 apart at
-        # most 3e-9 from the circle, one exactly on it for a = b - 1
+        # most 3e-9 from the circle, one exactly on it for a = b - 1; for
+        # a = b - 2 both, (b - 2)/b and (b - 1)/b, lie inside it
         b = 10 ** 9 + 7
         a = b + offset
         P = multiply(IntPolynomial((-a, b)), IntPolynomial((-a - 1, b)))
