@@ -1,5 +1,6 @@
-"""Root localization: inclusion discs from simultaneous iteration, and an
-exact unit-circle split for the roots they leave unplaced.
+"""Root localization: a proved count of the roots inside the unit circle
+by the argument principle, and, where it declines, inclusion discs from
+simultaneous iteration with an exact unit-circle split.
 
 Every odd-prime F_N is even, F_N(z) = g(z^2), and its roots are the
 square roots +-sqrt(w) of the roots w of g, with |z| < 1, = 1 or > 1
@@ -7,9 +8,34 @@ exactly when |w| is.  So the whole classification runs on g, in the
 plane w = z^2, and its counts are doubled at the end.
 
 By the divisibility theorems Phi_N(w) divides g, and its phi(N) roots lie
-on the circle; the cofactor g / Phi_N (``goldbach.goldbach_cofactor``)
-holds every other root.  Each of its roots is located by an Aberth-Ehrlich
-solver and proved by an inclusion disc.  Since
+on the circle; the cofactor q = g / Phi_N (``goldbach.goldbach_cofactor``)
+holds every other root.  ``_winding_count`` counts them.
+
+**The count.**  If q has no zero on |w| = 1, the number of its zeros
+inside, with multiplicity, is the winding number of q(e^(i theta)), and q
+is real, so that is Theta / pi, Theta the gain of arg q over the upper
+half circle.  The half circle is tiled by arcs.  On each, q and its
+Taylor coefficients q^(m)/m!, m <= 4, are evaluated at a centre: on the
+first level, L >= 32 (d + 1) arcs about the L-th roots of unity, by one
+real FFT of five rows, with Percival's bound for its error; on the levels
+below, the two halves of every arc that failed, by baby-step giant-step
+evaluation (``_bsgs_values``), with its rounding bound.  A Taylor bound
+with a global tail term then proves |q(w) - q(x)| <= |q(x)| / 2 on a disc
+about the centre x that covers the arc, or the arc fails.  An arc that
+passes holds no zero and turns arg q by at most pi/6 from its centre, so
+the principal argument of each ratio of successive centres is the true
+change, and summed from the exact q(1) to the exact q(-1) they give
+Theta, within a summed error bound.  The count is proved when that bound
+leaves one multiple of pi; all of q's zeros then lie off the circle, and
+the row is inside = count, outside = d - count, on = phi(N).  The count
+declines (None) when q(1) or q(-1) is 0, when a coefficient reaches
+2**53 or the degree 2**16, when an arc still fails after 40 bisections or
+a level grows past 4 (d + 1) arcs, and when the error bound is too wide.
+Every g_N cofactor to N = 120 is counted, at most 14 levels deep.
+
+**The fallback.**  Where the count declines, q is solved instead.  Each
+of its roots is located by an Aberth-Ehrlich solver and proved by an
+inclusion disc.  Since
 p'/p(z) = sum_k 1/(z - zeta_k), some root of p lies within d |p(z)/p'(z)|
 of any point z, so with rigorous bounds B_i >= |p(z_i)| and
 L_i <= |p'(z_i)| the disc of radius r_i = d B_i / L_i about the solver's
@@ -24,9 +50,8 @@ unplaced does an exact split run: the cyclotomic factors of the solved
 polynomial are divided off (their roots are on the circle, counted
 exactly from the unit-circle strip, a gcd with the reciprocal), and what
 is left is split into squarefree pieces, each solved and placed by discs
-again.  The g_N cofactors to N = 120 never need it.  A root that none of
-this places is "undetermined": no verdict is a guess, and no root is
-called "on" the circle numerically.
+again.  A root that none of this places is "undetermined": no verdict is
+a guess, and no root is called "on" the circle numerically.
 
 Every polynomial solved here is real, so its roots come in conjugate
 pairs, and the solver keeps its approximations in pairs as well: it
@@ -41,7 +66,7 @@ solver also freezes each approximation once its correction is below
 tolerance, so a sweep evaluates and moves only the active
 representatives, while every point, frozen or mirrored, stays in every
 pairwise Aberth sum.  A sweep takes p/p' for those points by baby-step
-giant-step evaluation (Paterson and Stockmeyer): blocks of sqrt(d)
+giant-step evaluation, the count's evaluator: blocks of sqrt(d)
 coefficients against a table of powers, O(sqrt(d)) numpy calls per sweep
 instead of a Horner loop of d steps, with a rounding bound of the same
 order as Horner's.  The products run in ``einsum``, not BLAS, whose
@@ -139,50 +164,57 @@ def _bsgs_error(d: int) -> float:
     return 4 * (d + 2 * L + 2 * nb) * _U
 
 
-def _bsgs_values(coeffs: np.ndarray, x: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """p(x) and p'(x) at every point by baby-step giant-step evaluation.
+def _with_derivative(coeffs: np.ndarray) -> np.ndarray:
+    """The rows of p and p' for ``_bsgs_values``: c and (k c_k), padded."""
+    d = len(coeffs) - 1
+    rows = np.zeros((2, d + 1), dtype=np.float64)
+    rows[0] = coeffs
+    rows[1, :d] = coeffs[1:] * np.arange(1, d + 1)
+    return rows
 
-    With L = isqrt(d) + 1 and nb = ceil((d + 1) / L), column b of the real
-    L x 2nb matrix C holds the block c[bL : bL + L] of p and column nb + b
-    the same block of p', so with the baby steps T = [x^0 .. x^(L-1)] and
-    the giant steps U = [y^0 .. y^(nb-1)], y = x^L,
-    p(x) = sum_b U_b (T C)_b and p'(x) = sum_b U_b (T C)_(nb+b)
-    (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  Both power tables
-    come from ``cumprod`` and T C from two real ``einsum`` products, for
-    T.real and T.imag, since C is real: a sweep costs O(sqrt(d)) numpy
-    calls and O(d) flops per point.  Real points (the weights of the disc
-    pass) run in real arithmetic throughout.  ``einsum`` runs in numpy's
-    own loops; BLAS (``@``) would start its thread pool and spend more CPU
+
+def _bsgs_values(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every row polynomial at every point, by baby-step giant-step
+    evaluation: entry (r, i) is sum_k rows[r, k] x_i^k.
+
+    With d + 1 coefficients per row, L = isqrt(d) + 1 and
+    nb = ceil((d + 1) / L), column r nb + b of the real L x R nb matrix C
+    holds the block rows[r, bL : bL + L], so with the baby steps
+    T = [x^0 .. x^(L-1)] and the giant steps U = [y^0 .. y^(nb-1)],
+    y = x^L, row r at x is sum_b U_b (T C)_(r nb + b) (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973).  Both power tables come from
+    ``cumprod`` and T C from two real ``einsum`` products, for T.real and
+    T.imag, since C is real: R rows cost O(sqrt(d)) numpy calls and
+    O(R d) flops per point.  Real points (the weights of the disc pass)
+    run in real arithmetic throughout.  ``einsum`` runs in numpy's own
+    loops; BLAS (``@``) would start its thread pool and spend more CPU
     than it saves wall time.  Row blocks of points keep T C within 2**18
     entries.
 
-    Rounding, with u = 2**-53 and S(x) = sum |c_k| |x|^k: the computed
-    p(x) is within gamma S(x) of the exact value of the float polynomial,
-    gamma = 4 (d + 2L + 2nb) u (``_bsgs_error``), when d u < 1e-6 and
-    nothing underflows.  A power x^k = y^b x^j is a chain of at most
+    Rounding, with u = 2**-53 and S(x) = sum |c_k| |x|^k for a row c: the
+    computed value is within gamma S(x) of the exact value of the float
+    polynomial, gamma = 4 (d + 2L + 2nb) u (``_bsgs_error``), when d u < 1e-6
+    and nothing underflows.  A power x^k = y^b x^j is a chain of at most
     k + nb complex products of relative error sqrt(5) u each, the real dot
     products of length L and the complex sum over the nb blocks add
     sqrt(2) (L + nb) u, and the product U_b (T C)_b adds sqrt(5) u: at
     most (3 (d + nb) + 2 (L + nb) + 3) u per term to first order, which
-    gamma covers with a quarter to spare.  The same holds for p' with the
-    weights S'(x) = sum k |c_k| |x|^(k-1), once its coefficients k c_k are
-    rounded (u more).  At points whose powers are exact (x = 0, 1/2,
-    (1 + i)/2, ...) only the sums err, by at most 3 (L + nb) u S(x).
+    gamma covers with a quarter to spare.  The row (k c_k) of p' from
+    ``_with_derivative`` has the weights S'(x) = sum k |c_k| |x|^(k-1),
+    and its rounded coefficients add u more.  At points whose powers are
+    exact (x = 0, 1/2, (1 + i)/2, ...) only the sums err, by at most
+    3 (L + nb) u S(x).
     """
-    d = len(coeffs) - 1
-    L, nb = _bsgs_shape(d)
-    blocks = np.zeros((2 * nb, L), dtype=np.float64)
-    flat = blocks.reshape(2, nb * L)
-    flat[0, :d + 1] = coeffs
-    flat[1, :d] = coeffs[1:] * np.arange(1, d + 1)
-    C = np.ascontiguousarray(blocks.T)
+    R, n = rows.shape
+    L, nb = _bsgs_shape(n - 1)
+    blocks = np.zeros((R, nb * L), dtype=np.float64)
+    blocks[:, :n] = rows
+    C = np.ascontiguousarray(blocks.reshape(R * nb, L).T)
     dtype = np.result_type(x, np.float64)
-    p = np.empty(x.shape, dtype=dtype)
-    dp = np.empty(x.shape, dtype=dtype)
-    rows = max(1, _BLOCK_ENTRIES // (2 * nb))
-    for i0 in range(0, len(x), rows):
-        xb = x[i0:i0 + rows]
+    out = np.empty((R, len(x)), dtype=dtype)
+    step = max(1, _BLOCK_ENTRIES // (R * nb))
+    for i0 in range(0, len(x), step):
+        xb = x[i0:i0 + step]
         T = np.empty((len(xb), L), dtype=dtype)
         T[:, 0] = 1.0
         T[:, 1:] = xb[:, None]
@@ -196,9 +228,9 @@ def _bsgs_values(coeffs: np.ndarray, x: np.ndarray
         U[:, 0] = 1.0
         U[:, 1:] = (T[:, -1] * xb)[:, None]
         np.cumprod(U, axis=1, out=U)
-        p[i0:i0 + rows] = np.einsum("ij,ij->i", U, B[:, :nb])
-        dp[i0:i0 + rows] = np.einsum("ij,ij->i", U, B[:, nb:])
-    return p, dp
+        out[:, i0:i0 + step] = np.einsum("ib,irb->ri", U,
+                                         B.reshape(len(xb), R, nb))
+    return out
 
 
 def _newton_ratio(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -215,12 +247,12 @@ def _newton_ratio(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     w = np.empty(z.shape, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if not outside.all():
-            v, dv = _bsgs_values(coeffs, z[~outside])
+            v, dv = _bsgs_values(_with_derivative(coeffs), z[~outside])
             w[~outside] = v / dv
         if outside.any():
             zo = z[outside]
             u = 1.0 / zo
-            q, dq = _bsgs_values(coeffs[::-1], u)
+            q, dq = _bsgs_values(_with_derivative(coeffs[::-1]), u)
             w[outside] = zo * q / (d * q - u * dq)
     return w
 
@@ -240,8 +272,8 @@ def _evaluate_with_bounds(c: np.ndarray, x: np.ndarray):
     """
     d = len(c) - 1
     gamma = _bsgs_error(d)
-    v, dv = _bsgs_values(c, x)
-    s, ds = _bsgs_values(np.abs(c), np.abs(x) * _UP)
+    v, dv = _bsgs_values(_with_derivative(c), x)
+    s, ds = _bsgs_values(_with_derivative(np.abs(c)), np.abs(x) * _UP)
     grow = (1.0 + gamma) * _UP
     ev = ((gamma + 4 * _U) * grow * s + _TINY) * _UP
     edv = ((gamma + 5 * _U) * grow * ds + _TINY) * _UP
@@ -418,6 +450,196 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
         z = np.concatenate([z, np.zeros(n_zero, dtype=np.complex128)])
         radii = np.concatenate([radii, np.zeros(n_zero)])
     return SolveResult(z, iterations, max_corr, max_resid, radii)
+
+
+# ---------------------------------------------------------------------------
+# Counting by the argument principle
+# ---------------------------------------------------------------------------
+
+# Taylor rows of the arc test: q^(m)/m! for m < _ORDERS, then a tail bound.
+_ORDERS = 5
+# The first level has L >= _ARCS_PER_ROOT (d + 1) arcs on the whole circle.
+_ARCS_PER_ROOT = 32
+# Bisection levels below the first; arc centres are integer keys in units
+# of h / 2**_MAX_DEPTH.
+_MAX_DEPTH = 40
+# A float sum or Euclidean norm of at most 2**30 nonnegative terms is at
+# most this factor below the exact one.
+_SUM_UP = 1.0 + 2.0 ** -20
+# A bisected arc's evaluation centre lies within _OFF of its circle point.
+_OFF = 16 * _U
+
+
+def _taylor_rows(coeffs: tuple[int, ...]) -> np.ndarray:
+    """Row m holds the coefficients of q^(m)/m!, C(j + m, m) c_(j+m) at j.
+
+    C(k, m) is exact in int64 for k < 2**16, and so is every float c_k
+    below 2**53: each entry is the exact one rounded at most twice, within
+    3u of it.
+    """
+    d = len(coeffs) - 1
+    c = np.array(coeffs, dtype=np.float64)
+    k = np.arange(d + 1, dtype=np.int64)
+    binom = np.ones(d + 1, dtype=np.int64)
+    rows = np.zeros((_ORDERS, d + 1), dtype=np.float64)
+    rows[0] = c
+    for m in range(1, _ORDERS):
+        binom = binom * (k - m + 1) // m
+        rows[m, :max(d + 1 - m, 0)] = binom[m:] * c[m:]
+    return rows
+
+
+def _fft_error(L: int) -> float:
+    """eps_L: every entry of ``rfft(x, L)`` is within eps_L sqrt(L) ||x||_2
+    of the exact transform of the float vector x.
+
+    Percival's bound for one transform of length 2**k (Math. Comp. 72,
+    2003; Higham, *Accuracy and Stability*, Thm 24.2) is
+    ||y^ - y||_2 <= ||y||_2 ((1 + u)^k (1 + u sqrt5)^k (1 + beta)^k - 1),
+    with ||y||_2 = sqrt(L) ||x||_2.  This is its first-order term, as in
+    ``modp.fft_error_bound``, with u doubled for margin and one level more
+    for the real transform's packing.
+    """
+    k = math.log2(L) + 1
+    return 2 * _U * (2 + math.sqrt(5)) * k
+
+
+def _arc_test(Y: np.ndarray, E: np.ndarray, rho: float, tail: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, err) for the discs |w - x_j| <= rho about the evaluation
+    centres x_j, given Y[m, j] within E[m] of q^(m)(x_j)/m! or of its
+    conjugate, and tail >= sum_(m >= _ORDERS) |q^(m)(x_j)/m!| rho^m.
+
+    With A_j = |Y[0, j]| - E[0] <= |q(x_j)| and
+    B_j = sum_(m >= 1) (|Y[m, j]| + E[m]) rho^m + tail >= |q(w) - q(x_j)|
+    on the disc, rounded down and up, the arc passes iff B_j <= A_j / 2:
+    then q(w) / q(x_j) lies in the disc |z - 1| <= 1/2, so q has no zero
+    there and its argument stays within pi/6 of that of q(x_j).  err_j
+    bounds the angle between Y[0, j] and q(x_j), or its conjugate:
+    asin(E[0] / A_j) <= (pi/2) E[0] / A_j.
+    """
+    lower = (np.abs(Y[0]) * _DOWN - E[0]) * _DOWN
+    spread = np.full(lower.shape, tail)
+    power = rho
+    for m in range(1, _ORDERS):
+        spread += (np.abs(Y[m]) + E[m]) * power
+        power *= rho * _UP
+    ok = (lower > 0) & (spread * _UP <= 0.5 * lower)
+    return ok, (np.pi / 2) * E[0] / np.where(ok, lower, 1.0) * _UP * _UP
+
+
+def _winding_count(q: IntPolynomial) -> int | None:
+    """The number of zeros of q in |w| < 1, with multiplicity, when a
+    rigorous argument-principle count proves it and the circle free of
+    zeros; None otherwise.
+
+    q is real, so the argument of q(e^(i theta)) gains as much over
+    [pi, 2 pi] as over [0, pi], and the count is Theta / pi, Theta the
+    gain over [0, pi].  That interval is tiled by arcs, each the set of
+    circle points within angle r of its centre theta: first L / 2 + 1
+    arcs of half-width h = pi / L about the L-th roots of unity, then the
+    two halves of every arc that fails ``_arc_test``.  Each arc is tested
+    on a disc of radius rho about an evaluation centre x that covers it.
+    Along a chain of passing arcs, from the exact q(1) to the exact q(-1),
+    the argument moves by at most pi/3 from one centre to the next, so the
+    principal argument of each successive ratio is that move, and Theta
+    is their sum.  The computed sum is within its summed error bound of
+    Theta, an integer multiple of pi, and the count is proved when that
+    leaves one multiple.
+
+    - **Decline** (None) if q(1) or q(-1) is 0, if some |c_k| >= 2**53 (the
+      float copy of every smaller one is exact), or if d + 1 > 2**16 (the
+      keys and binomials below must fit in int64).
+    - **First level.** L is the power of two at least 32 (d + 1).  One
+      real FFT of the _ORDERS rows of ``_taylor_rows`` gives q^(m)/m! at
+      the upper-half L-th roots of unity, each within
+      E_m = eps_L sqrt(L) ||X_m||_2 + 4u sum |X_m| (``_fft_error`` and the
+      rows' own rounding); rho = h.
+    - **Bisection.** A failing arc (theta, r) gives (theta +- r/2, r/2);
+      at theta = 0 and pi only the child inside [0, pi] stays.  Every
+      child of one level is evaluated in one ``_bsgs_values`` call, at
+      x = cos theta + i sin theta computed in float: the key's conversion
+      and scaling err by at most 2.4u theta and cos and sin by 4 ulps
+      each, so |x - e^(i theta)| <= 14u < 16u = _OFF, and rho = r + _OFF.
+      The weights sum |X_m[k]| |x|^k are at most the scalars
+      (1 + _OFF)^d sum |X_m|, and E_m is ``_bsgs_error`` plus 4u of them.
+    - **Tail.** sum_(m >= 5) |q^(m)(x)/m!| rho^m is at most
+      sum_k |c_k| C(k, 5) rho^5 (|x| + rho)^(k-5)
+      <= e^(d (rho + _OFF)) rho^5 / 5! sum_k |c_k| k^5.
+    - **Stop.** An arc still failing at depth _MAX_DEPTH declines, and so
+      does a level of more than 4 (d + 1) arcs, which would cost more than
+      four solver sweeps: each zero near the circle fails two to four arcs
+      a level while the bisection closes in on it.
+    - **Sum.** Step j of the chain errs by at most err_a + err_b from the
+      two centres' values and 64u from ``angle`` and the wrap into
+      (-pi, pi]; ``fsum`` adds 2u |Theta|.  With z = round(Theta / pi), the
+      count is z if |Theta - z pi| plus that bound is below pi/4: the
+      true gain is then within pi/4 of z pi, and a multiple of pi.
+
+    Every bound is rounded outward, as in ``_evaluate_with_bounds``.
+    """
+    coeffs = q.coeffs
+    d = q.degree
+    at_one, at_minus_one = sum(coeffs), sum(coeffs[::2]) - sum(coeffs[1::2])
+    if (not at_one or not at_minus_one or d + 1 > 1 << 16
+            or max(map(abs, coeffs)) >= 1 << 53):
+        return None
+    L = 1 << (_ARCS_PER_ROOT * (d + 1) - 1).bit_length()
+    h = math.pi / L
+    X = _taylor_rows(coeffs)
+    absX = np.abs(X)
+    size = absX.sum(axis=1) * _SUM_UP
+    moment = float(sum(abs(ck) * k ** 5 for k, ck in enumerate(coeffs)))
+
+    def tail(rho: float) -> float:
+        return (math.exp(d * (rho + _OFF)) * rho ** 5 / 120 * moment
+                * _UP ** 5)
+
+    # first level: rfft gives conj(q^(m)(w_j)/m!) at w_j = e^(2 pi i j / L)
+    Y = np.fft.rfft(X, L, axis=1)
+    norm = np.sqrt(np.einsum("ij,ij->i", absX, absX)) * _SUM_UP
+    E = (_fft_error(L) * math.sqrt(L) * norm + 4 * _U * size) * _UP + _TINY
+    rho = h * _UP
+    ok, err = _arc_test(Y, E, rho, tail(rho))
+    keys = np.arange(L // 2 + 1, dtype=np.int64) << (_MAX_DEPTH + 1)
+    passed = [(keys[ok], Y[0, ok].conj(), err[ok])]
+    failing = keys[~ok]
+    del Y
+
+    E = ((_bsgs_error(d) + 4 * _U) * math.exp(d * _OFF) * _UP * size
+         * _UP + _TINY)
+    last = keys[-1]
+    for depth in range(1, _MAX_DEPTH + 1):
+        if not failing.size:
+            break
+        half = 1 << (_MAX_DEPTH - depth)
+        kids = np.concatenate([failing - half, failing + half])
+        kids = kids[(kids >= 0) & (kids <= last)]
+        if len(kids) > 4 * (d + 1):
+            return None
+        theta = kids * (h / (1 << _MAX_DEPTH))
+        Y = _bsgs_values(X, np.cos(theta) + 1j * np.sin(theta))
+        rho = (h / (1 << depth) * _UP + _OFF) * _UP
+        ok, err = _arc_test(Y, E, rho, tail(rho))
+        passed.append((kids[ok], Y[0, ok], err[ok]))
+        failing = kids[~ok]
+    if failing.size:
+        return None
+
+    keys, values, errs = (np.concatenate(col) for col in zip(*passed))
+    order = np.argsort(keys, kind="stable")
+    phase = np.concatenate([[0.0 if at_one > 0 else math.pi],
+                            np.angle(values[order]),
+                            [0.0 if at_minus_one > 0 else math.pi]])
+    steps = np.diff(phase)
+    steps -= 2 * np.pi * np.round(steps / (2 * np.pi))
+    theta = math.fsum(steps)
+    bound = (2 * math.fsum(errs) + 64 * _U * len(steps)
+             + 2 * _U * abs(theta)) * _UP
+    z = round(theta / math.pi)
+    if 0 <= z <= d and abs(theta - z * math.pi) + bound < math.pi / 4:
+        return z
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +820,8 @@ def _exact_side(coeffs: tuple[int, ...], z: complex, r: float) -> int:
     in the disc D(z, r) on that side of |w| = 1, else 0.
 
     It keeps the side verdict of a disjoint disc that meets the circle,
-    else undetermined: 112 discs of ``table1`` to N = 120, all N >= 83,
-    and none in the benchmark or ``table1`` to N = 40, seeds 0 and 1.
+    else undetermined: solving every g_N cofactor to N = 120 takes it for
+    112 discs, all N >= 83, and for none to N = 40 at seeds 0 and 1.
     ``_count_sides`` calls it once per conjugate pair of discs.
 
     p and p' are taken exactly (``_exact_values``) at z rounded to the
@@ -679,11 +901,12 @@ def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int, int]:
     """(on, inside, outside, undetermined) for the roots of P, P(0) != 0.
 
     P is solved as it stands, and when its discs place every root, that
-    is the answer, with none on the circle: for ``classify_roots``, the one
-    solve of g_N / Phi_N per N, and no gcd.  Otherwise one exact split
-    follows.  ``strip_unit_circle_part`` divides P's cyclotomic factors
-    off, their roots counted on the circle, and ``_squarefree_pieces``
-    splits the cofactor left; each piece is solved and counted.  A root on
+    is the answer, with none on the circle: for ``classify_roots``, where
+    the count declines, one solve of g_N / Phi_N, and no gcd.  Otherwise
+    one exact split follows.  ``strip_unit_circle_part`` divides P's
+    cyclotomic factors off, their roots counted on the circle, and
+    ``_squarefree_pieces`` splits the cofactor left; each piece is solved
+    and counted.  A root on
     the circle is never placed by a disc, so every cyclotomic root reaches
     the strip.  When P has no cyclotomic factor and is squarefree, the
     split would solve P again, and the first counts stand.
@@ -712,12 +935,18 @@ def classify_roots(N: int, table: PrimeTable, *,
     plane w = z**2: |z| and |w| lie on the same side of 1, and each root w
     gives the two roots +-sqrt(w), so every count is doubled at the end.
     Three steps: the cofactor q = g / Phi_N (``goldbach.goldbach_cofactor``),
-    its counts (``_solve_counts``: one solve, proved by inclusion discs,
-    with an exact split only for roots the discs leave unplaced), and the
-    phi(N) roots of Phi_N(w) added to the on-circle count.
+    its counts, and the phi(N) roots of Phi_N(w) added to the on-circle
+    count.  The counts are ``_winding_count``'s, proved with every root
+    of q off the circle, or where it declines ``_solve_counts``' (one
+    solve, proved by inclusion discs, with an exact split only for roots
+    the discs leave unplaced), the only step that ``seed`` moves.
     """
     q = goldbach_cofactor(N, table)
-    on, inside, outside, undet = _solve_counts(q, seed)
+    inside = _winding_count(q)
+    if inside is None:
+        on, inside, outside, undet = _solve_counts(q, seed)
+    else:
+        on, outside, undet = 0, q.degree - inside, 0
     on += arith.euler_phi(N)
     return RootClassification(N=N, inside=2 * inside, on_circle=2 * on,
                               outside=2 * outside, undetermined=2 * undet)

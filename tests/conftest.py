@@ -24,9 +24,12 @@ def multiset_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
 
 
 def solved_cofactor(N: int, table, seed: int = 0):
-    """The one Aberth solve ``roots.classify_roots(N, table, seed=seed)``
-    makes when its discs place every root: that of g / Phi_N, where
-    F_N(z) = g(z**2) (``goldbach_cofactor``), at the same seed."""
+    """The Aberth solve of g / Phi_N, where F_N(z) = g(z**2)
+    (``goldbach_cofactor``), at the seed given: the one solve that
+    ``roots.classify_roots(N, table, seed=seed)`` makes on its fallback,
+    when the argument-principle count declines and the discs then place
+    every root.  No g_N to N = 120 takes that fallback, so this checks the
+    fallback solver, not the path ``classify_roots`` runs."""
     return roots.aberth_solve(goldbach_cofactor(N, table), seed=seed)
 
 

@@ -277,6 +277,9 @@ class TestTable1:
             raise roots.SolverError("forced failure", iterations=1,
                                     max_correction=1.0, max_residual=1.0)
 
+        # the count proves every g_N row, so the solver runs only when it
+        # declines
+        monkeypatch.setattr(roots, "_winding_count", lambda q: None)
         monkeypatch.setattr(roots, "aberth_solve", fail)
         code, out, err = run(capsys, "table1", "--n-max", "7", "--jobs", jobs)
         assert code == 3
@@ -285,10 +288,11 @@ class TestTable1:
             "error: N=6: forced failure (iterations=1, max_correction=1.000e+00,"
             " max_residual=1.000e+00)"]
 
-    def test_common_path_takes_no_gcd(self, capsys, monkeypatch):
-        # the discs place every root of g_N / Phi_N to N = 24, so no exact
-        # split runs: no strip, no gcd, no squarefree split, and the
-        # cofactor is built once per N
+    def test_common_path_counts_without_solving(self, capsys, monkeypatch):
+        # the argument-principle count proves every row of g_N / Phi_N to
+        # N = 24, so neither the solver nor the exact split runs: no solve,
+        # no strip, no gcd, no squarefree split, the cofactor is built once
+        # per N, and --seed, which only moves the solver, moves no byte
         calls = Counter()
 
         def count(module, name):
@@ -300,16 +304,21 @@ class TestTable1:
 
             monkeypatch.setattr(module, name, counted)
 
+        count(roots, "_solve_counts")
+        count(roots, "aberth_solve")
         count(roots, "strip_unit_circle_part")
         count(roots, "_squarefree_pieces")
         count(roots, "gcd_rational")
         count(poly, "gcd_rational")
         count(roots, "goldbach_cofactor")
+        outs = set()
         for seed in range(4):
-            code, _, _ = run(capsys, "table1", "--n-max", "24",
-                             "--seed", str(seed))
+            code, out, _ = run(capsys, "table1", "--n-max", "24",
+                               "--seed", str(seed))
             assert code == 0
+            outs.add(out)
         assert calls == {"goldbach_cofactor": 4 * 19}
+        assert len(outs) == 1
 
 
 class TestFailureExits:

@@ -22,7 +22,12 @@ from goldpoly.roots import (
     unit_circle_count_report,
 )
 
-from conftest import multiset_distance, numeric_roots, solved_cofactor
+from conftest import (
+    multiset_distance,
+    numeric_roots,
+    requires_long,
+    solved_cofactor,
+)
 from oracles import (
     aberth_all_points,
     horner_ratio_and_residual,
@@ -222,7 +227,7 @@ class TestEvaluator:
                                rtol=1e-9, atol=0.0)
         # each evaluation errs by a small multiple of d u sum |c_k| |x|^k
         inside = z[np.abs(z) <= 1.0]
-        v, dv = roots._bsgs_values(c, inside)
+        v, dv = roots._bsgs_values(roots._with_derivative(c), inside)
         hv, hdv, s = horner_triple(c, inside)
         assert np.all(np.abs(v - hv) <= 16 * (d + 1) * 2.0 ** -53 * s)
         assert np.allclose(dv, hdv, rtol=1e-9, atol=0.0)
@@ -240,7 +245,7 @@ class TestEvaluator:
         nb = -(-(d + 1) // L)
         gamma = 3 * (L + nb) * 2.0 ** -53
         k = np.arange(d + 1)
-        v, dv = roots._bsgs_values(c, x)
+        v, dv = roots._bsgs_values(roots._with_derivative(c), x)
         for i, xi in enumerate(x):
             ax = np.abs(xi) ** k
             bounds = (gamma * float(np.abs(c) @ ax),
@@ -747,6 +752,9 @@ class TestSoundness:
 
     def test_overlapping_discs_are_undetermined_and_strict_exits_3(
             self, capsys, monkeypatch, small_table):
+        # the count proves every g_N row, so the solver runs only when it
+        # declines
+        monkeypatch.setattr(roots, "_winding_count", lambda q: None)
         monkeypatch.setattr(roots, "_isolated",
                             lambda z, r: np.zeros(len(z), dtype=bool))
         rc = classify_roots(8, small_table)
@@ -757,6 +765,177 @@ class TestSoundness:
         assert cli.main(["table1", "--n-max", "8", "--strict"]) == 3
         assert cli.main(["table1", "--n-max", "8"]) == 0
         assert capsys.readouterr().out.splitlines()[3] == "8,8,0,8,0,90"
+
+
+def _record_levels(monkeypatch):
+    """Record ``_winding_count``'s levels: the arguments and verdicts of
+    each ``_arc_test`` call, the first level's from the FFT, and the
+    centres of each bisected level, handed to the evaluator."""
+    tests, centres = [], []
+    arc_test, evaluate = roots._arc_test, roots._bsgs_values
+
+    def recording_test(Y, E, rho, tail):
+        ok, err = arc_test(Y, E, rho, tail)
+        tests.append((Y.copy(), E.copy(), rho, tail, ok.copy()))
+        return ok, err
+
+    def recording_evaluate(rows, x):
+        if len(rows) == roots._ORDERS:
+            centres.append(x.copy())
+        return evaluate(rows, x)
+
+    monkeypatch.setattr(roots, "_arc_test", recording_test)
+    monkeypatch.setattr(roots, "_bsgs_values", recording_evaluate)
+    return tests, centres
+
+
+def _horner(coeffs, w):
+    """p at every point of w, by a float Horner loop."""
+    v = np.zeros(w.shape, dtype=np.complex128)
+    for c in coeffs[::-1]:
+        v = v * w + c
+    return v
+
+
+def _level_arcs(tests, centres):
+    """(Y, E, rho, tail, ok, x, r) per level: the recorded arc test, the
+    evaluation centres (the L-th roots of unity on the first level) and
+    the arcs' true half-width r."""
+    Y, *rest = tests[0]
+    L = 2 * (Y.shape[1] - 1)
+    x = np.exp(2j * np.pi * np.arange(L // 2 + 1) / L)
+    yield (Y.conj(), *rest, x, np.pi / L)
+    for depth, (test, x) in enumerate(zip(tests[1:], centres), start=1):
+        yield (*test, x, np.pi / L / 2 ** depth)
+
+
+# 1000 (w - 1)^5 + 3, whose Taylor terms of orders 1..4 vanish at w = 1,
+# so only the tail bounds its spread there; 1000 w^20 - 1001, whose 20
+# zeros lie 5e-5 outside the circle, so every one takes bisection; and
+# the g_N cofactor at N = 24
+_BOUND_CASES = [
+    IntPolynomial((-997, 5000, -10000, 10000, -5000, 1000)),
+    IntPolynomial((-1001,) + (0,) * 19 + (1000,)),
+]
+
+
+class TestWindingCount:
+    """The argument-principle count (``_winding_count``) of the zeros of q
+    inside the circle: proved, or None, never wrong."""
+
+    @pytest.mark.parametrize("case", [0, 1, 24], ids=["tail", "bisected",
+                                                        "N24"])
+    def test_each_disc_covers_its_arc_and_bounds_the_spread(
+            self, monkeypatch, small_table, case):
+        # every passing arc's disc of radius rho about its centre holds the
+        # arc's two ends, and |q(w) - q(x)| there stays within the bound B
+        # the arc passed with, up to the float Horner error of both values
+        if case < len(_BOUND_CASES):
+            P = _BOUND_CASES[case]
+            want = schur_cohn_inside(P)
+        else:
+            P, want = goldbach_cofactor(case, small_table), ROOT_TABLE[case][1]
+            want //= 2
+        tests, centres = _record_levels(monkeypatch)
+        assert roots._winding_count(P) == want
+        if case == 1:
+            assert len(centres) > 3
+        slack = 8 * (P.degree + 1) * 2.0 ** -53 * sum(map(abs, P.coeffs))
+        for Y, E, rho, tail, ok, x, r in _level_arcs(tests, centres):
+            B = tail + sum((np.abs(Y[m]) + E[m]) * rho ** m
+                           for m in range(1, roots._ORDERS))
+            x, B = x[ok], B[ok]
+            for side in (-1, 1):
+                w = x * np.exp(1j * side * r)
+                assert np.all(np.abs(w - x) <= rho + 2.0 ** -50), r
+                spread = np.abs(_horner(P.coeffs, w) - _horner(P.coeffs, x))
+                assert np.all(spread <= B + slack), r
+
+    @pytest.mark.parametrize("P", _BOUND_CASES, ids=["tail", "bisected"])
+    def test_value_bounds_hold_exactly(self, monkeypatch, P):
+        # each level's values of the Taylor rows lie within E of their
+        # exact values, compared in rationals: on the first level at
+        # w = 1, i and -1, below it at the first centres of each level
+        tests, centres = _record_levels(monkeypatch)
+        roots._winding_count(P)
+        X = roots._taylor_rows(P.coeffs)
+        for level, (Y, E, _, _, _, x, _) in enumerate(
+                _level_arcs(tests, centres)):
+            L = 2 * (len(x) - 1)
+            points = ({0: 1, L // 4: 1j, L // 2: -1} if level == 0
+                      else {j: x[j] for j in range(min(3, len(x)))})
+            for j, point in points.items():
+                for m in range(roots._ORDERS):
+                    want = _exact_values(X[m], complex(point))[0]
+                    assert _exact_gap2(Y[m, j], want, 1) <= \
+                        Fraction(float(E[m])) ** 2, (level, j, m)
+
+    @pytest.mark.parametrize("factors", list(_known_root_cases()))
+    def test_matches_schur_cohn_on_known_roots(self, factors):
+        # four of the six products have a coefficient of 2**53 or more and
+        # are declined; the other two, one with roots 1e-12 and 1e-15 from
+        # the circle, are proved
+        P = _linear_product(factors)
+        got = roots._winding_count(P)
+        big = max(map(abs, P.coeffs)) >= 2 ** 53
+        assert got is None if big else got == schur_cohn_inside(P)
+
+    def test_matches_schur_cohn_on_random_polynomials(self):
+        for P in _random_polynomials():
+            assert roots._winding_count(P) == schur_cohn_inside(P), P.degree
+
+    @pytest.mark.parametrize("P", [
+        IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)),
+        multiply(IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)),
+                 _FILLER),
+        IntPolynomial((2, -1, 2)),
+        multiply(IntPolynomial((-(10 ** 9 + 6), 10 ** 9 + 7)),
+                 IntPolynomial((-(10 ** 9 + 7), 10 ** 9 + 7))),
+        multiply(cyclotomic(5), _FILLER),
+        IntPolynomial((-(2 ** 53) - 1, 2 ** 53)),
+    ], ids=["lehmer", "lehmer-filler", "2w2-w+2", "near-double-on",
+            "phi5-filler", "coefficient-2^53"])
+    def test_declines_zeros_on_the_circle(self, P):
+        # Lehmer's polynomial has 8 roots on the circle, 2w^2 - w + 2 two,
+        # (b w - b + 1)(b w - b) one at w = 1 beside one 1e-9 inside, and
+        # Phi_5 four; the last is declined for its coefficients
+        assert roots._winding_count(P) is None
+
+    @pytest.mark.parametrize("b, a", [
+        (10 ** 12, 10 ** 12 + 1), (10 ** 12 + 1, 10 ** 12),
+        (10 ** 15, 10 ** 15 + 1), (10 ** 15 + 1, 10 ** 15),
+        (3 * 10 ** 14, 3 * 10 ** 14 - 1),
+        (10 ** 9 + 7, 10 ** 9 + 8), (10 ** 9 + 7, 10 ** 9 + 4),
+        (10 ** 9 + 7, 10 ** 9 + 5),
+    ], ids=["1e-12-out", "1e-12-in", "1e-15-out", "1e-15-in", "3e-15-in",
+            "double-out", "double-in", "double-in-close"])
+    def test_roots_near_the_circle_are_right_or_declined(self, b, a):
+        # b w - a alone beside the filler, or the near-double pair
+        # (b w - a)(b w - a - 1), roots 1e-9 apart within 3e-9 of the
+        # circle; a lone root 1e-12 or more from the circle is counted
+        single = multiply(IntPolynomial((-a, b)), _FILLER)
+        double = multiply(single, IntPolynomial((-a - 1, b)))
+        got = {P: roots._winding_count(P) for P in (single, double)}
+        for P, count in got.items():
+            assert count is None or count == schur_cohn_inside(P), (b, a)
+        if abs(a - b) / b > 1e-13:
+            assert got[single] is not None
+
+    def test_matches_disc_count_51_to_60(self, table):
+        for N in range(51, 61):
+            q = goldbach_cofactor(N, table)
+            assert roots._solve_counts(q, seed=0) == (
+                0, roots._winding_count(q), q.degree - roots._winding_count(q),
+                0), N
+
+    @requires_long
+    def test_matches_disc_count_6_to_120(self, table):
+        for N in range(6, 121):
+            q = goldbach_cofactor(N, table)
+            inside = roots._winding_count(q)
+            assert inside is not None, N
+            assert roots._solve_counts(q, seed=0) == (
+                0, inside, q.degree - inside, 0), N
 
 
 class TestSchurCohn:
