@@ -1,6 +1,6 @@
 """Root localization: a proved count of the roots inside the unit circle
-by the argument principle, and, where it declines, inclusion discs from
-simultaneous iteration with an exact unit-circle split.
+by the argument principle, and, where it declines, the exact unit-circle
+strip and one solve with inclusion discs.
 
 Every odd-prime F_N is even, F_N(z) = g(z^2), and its roots are the
 square roots +-sqrt(w) of the roots w of g, with |z| < 1, = 1 or > 1
@@ -9,49 +9,46 @@ plane w = z^2, and its counts are doubled at the end.
 
 By the divisibility theorems Phi_N(w) divides g, and its phi(N) roots lie
 on the circle; the cofactor q = g / Phi_N (``goldbach.goldbach_cofactor``)
-holds every other root.  ``_winding_count`` counts them.
+holds every other root.  ``_solve_counts`` counts them.
 
 **The count.**  If q has no zero on |w| = 1, the number of its zeros
 inside, with multiplicity, is the winding number of q(e^(i theta)), and q
 is real, so that is Theta / pi, Theta the gain of arg q over the upper
 half circle.  The half circle is tiled by arcs.  On each, q and its
 Taylor coefficients q^(m)/m!, m <= 4, are evaluated at a centre: on the
-first level, L >= 32 (d + 1) arcs about the L-th roots of unity, by one
-real FFT of five rows, with Percival's bound for its error; on the levels
-below, the two halves of every arc that failed, by baby-step giant-step
-evaluation (``_bsgs_values``), with its rounding bound.  A Taylor bound
-with a global tail term then proves |q(w) - q(x)| <= |q(x)| / 2 on a disc
-about the centre x that covers the arc, or the arc fails.  An arc that
-passes holds no zero and turns arg q by at most pi/6 from its centre, so
-the principal argument of each ratio of successive centres is the true
-change, and summed from the exact q(1) to the exact q(-1) they give
-Theta, within a summed error bound.  The count is proved when that bound
-leaves one multiple of pi; all of q's zeros then lie off the circle, and
-the row is inside = count, outside = d - count, on = phi(N).  The count
-declines (None) when q(1) or q(-1) is 0, when a coefficient reaches
-2**53 or the degree 2**16, when an arc still fails after 40 bisections or
-a level grows past 4 (d + 1) arcs, and when the error bound is too wide.
-Every g_N cofactor to N = 120 is counted, at most 14 levels deep.
+first level, L >= 32 (d + 1) arcs about the L-th roots of unity, by a
+real FFT of each of the five rows in turn, with Percival's bound for its
+error; on the levels below, the two halves of every arc that failed, by
+baby-step giant-step evaluation (``_bsgs_values``), with its rounding
+bound.  A Taylor bound with a global tail term then proves
+|q(w) - q(x)| <= |q(x)| / 2 on a disc about the centre x that covers the
+arc, or the arc fails.  An arc that passes holds no zero and turns arg q
+by at most pi/6 from its centre, so along the chain from the exact q(1)
+through the passing centres to the exact q(-1) each true move is within
+pi/3.  Each computed angle errs by its centre's own bound; where two
+neighbours' bounds add to less than pi/3, the principal argument of the
+computed step is the true move plus the later error minus the earlier
+one, and the sum telescopes: Theta, up to rounding, since both ends are
+exact.  The count is proved when that leaves one multiple of pi; all of
+q's zeros then lie off the circle.  The count declines (None) when q(1)
+or q(-1) is 0, when a coefficient reaches 2**53 or the degree 2**16, when
+an arc still fails after 40 bisections or a level grows past 4 (d + 1)
+arcs, when two neighbours' angle bounds reach pi/3, and when the rounding
+bound is too wide.  Every g_N cofactor to N = 200 but N = 183 is counted.
 
-**The fallback.**  Where the count declines, q is solved instead.  Each
-of its roots is located by an Aberth-Ehrlich solver and proved by an
-inclusion disc.  Since
-p'/p(z) = sum_k 1/(z - zeta_k), some root of p lies within d |p(z)/p'(z)|
-of any point z, so with rigorous bounds B_i >= |p(z_i)| and
-L_i <= |p'(z_i)| the disc of radius r_i = d B_i / L_i about the solver's
-point z_i holds a root.  If the d discs are pairwise disjoint, each holds
-exactly one simple root.  A disc wholly inside or outside |w| = 1 counts
-its root on that side.  A disc that meets the circle is evaluated again,
-exactly, in Python integers, at its dyadic centre and if need be after one
-Newton step; the refined disc has to lie inside the old one and miss the
-circle.  A root on the circle is never placed that way, and neither is a
-repeated root, whose discs overlap.  So only when some root is left
-unplaced does an exact split run: the cyclotomic factors of the solved
-polynomial are divided off (their roots are on the circle, counted
-exactly from the unit-circle strip, a gcd with the reciprocal), and what
-is left is split into squarefree pieces, each solved and placed by discs
-again.  A root that none of this places is "undetermined": no verdict is
-a guess, and no root is called "on" the circle numerically.
+**The fallback.**  Where the count declines, ``strip_unit_circle_part``
+divides the cyclotomic factors off (their roots are on the circle,
+counted exactly from a gcd with the reciprocal), and if it divided any,
+what is left is counted again.  If that declines too, it is solved once:
+each of its roots is located by an Aberth-Ehrlich solver and proved by an
+inclusion disc.  Since p'/p(z) = sum_k 1/(z - zeta_k), some root of p
+lies within d |p(z)/p'(z)| of any point z, so with rigorous bounds
+B_i >= |p(z_i)| and L_i <= |p'(z_i)| the disc of radius r_i = d B_i / L_i
+about the solver's point z_i holds a root.  A disc that meets no other
+disc holds exactly one root, and if it lies wholly inside or outside
+|w| = 1 it counts that root on its side.  Every other root is
+"undetermined": no verdict is a guess, and no root is called "on" the
+circle numerically.
 
 Every polynomial solved here is real, so its roots come in conjugate
 pairs, and the solver keeps its approximations in pairs as well: it
@@ -82,8 +79,8 @@ of a real p onto themselves and the disc D(z, r) onto D(conj z, r).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -94,7 +91,6 @@ from .poly import (
     IntPolynomial,
     cyclotomic,
     divrem_exact,
-    exact_quotient_or_none,
     gcd_rational,
     reciprocal,
 )
@@ -117,9 +113,6 @@ _DOWN = 1.0 - 2.0 ** -40
 # Absolute slack for underflow: each of at most a million operations of an
 # evaluation errs by at most 2**-1075 beyond its relative bound.
 _TINY = 2.0 ** -1000
-# The exact Newton step starts from its centre rounded to the grid
-# 2**-_GRID_BITS and rounds the refined centre to 2**-(2 * _GRID_BITS).
-_GRID_BITS = 64
 
 
 class SolverError(RuntimeError):
@@ -504,28 +497,35 @@ def _fft_error(L: int) -> float:
     return 2 * _U * (2 + math.sqrt(5)) * k
 
 
-def _arc_test(Y: np.ndarray, E: np.ndarray, rho: float, tail: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, err) for the discs |w - x_j| <= rho about the evaluation
-    centres x_j, given Y[m, j] within E[m] of q^(m)(x_j)/m! or of its
-    conjugate, and tail >= sum_(m >= _ORDERS) |q^(m)(x_j)/m!| rho^m.
+def _arc_test(rows: Iterable[np.ndarray], E: np.ndarray, rho: float,
+              tail: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, values, err) for the discs |w - x_j| <= rho about the
+    evaluation centres x_j, given the rows Y_m, m < _ORDERS, in order, with
+    Y_m[j] within E[m] of q^(m)(x_j)/m! or of its conjugate, and
+    tail >= sum_(m >= _ORDERS) |q^(m)(x_j)/m!| rho^m.
 
-    With A_j = |Y[0, j]| - E[0] <= |q(x_j)| and
-    B_j = sum_(m >= 1) (|Y[m, j]| + E[m]) rho^m + tail >= |q(w) - q(x_j)|
+    With A_j = |Y_0[j]| - E[0] <= |q(x_j)| and
+    B_j = sum_(m >= 1) (|Y_m[j]| + E[m]) rho^m + tail >= |q(w) - q(x_j)|
     on the disc, rounded down and up, the arc passes iff B_j <= A_j / 2:
     then q(w) / q(x_j) lies in the disc |z - 1| <= 1/2, so q has no zero
-    there and its argument stays within pi/6 of that of q(x_j).  err_j
-    bounds the angle between Y[0, j] and q(x_j), or its conjugate:
-    asin(E[0] / A_j) <= (pi/2) E[0] / A_j.
+    there and its argument stays within pi/6 of that of q(x_j).  values is
+    Y_0, and err_j bounds the angle between Y_0[j] and q(x_j), or its
+    conjugate: asin(E[0] / A_j) <= (pi/2) E[0] / A_j while E[0] <= A_j,
+    and above pi/2, a bound no chain step accepts, otherwise.  rows may be
+    any iterable, an array or a generator: each row after Y_0 is folded
+    into B as it arrives and then dropped.
     """
-    lower = (np.abs(Y[0]) * _DOWN - E[0]) * _DOWN
+    rows = iter(rows)
+    values = next(rows)
+    lower = (np.abs(values) * _DOWN - E[0]) * _DOWN
     spread = np.full(lower.shape, tail)
     power = rho
     for m in range(1, _ORDERS):
-        spread += (np.abs(Y[m]) + E[m]) * power
+        spread += (np.abs(next(rows)) + E[m]) * power
         power *= rho * _UP
     ok = (lower > 0) & (spread * _UP <= 0.5 * lower)
-    return ok, (np.pi / 2) * E[0] / np.where(ok, lower, 1.0) * _UP * _UP
+    err = (np.pi / 2) * E[0] / np.where(ok, lower, 1.0) * _UP * _UP
+    return ok, values, err
 
 
 def _winding_count(q: IntPolynomial) -> int | None:
@@ -541,20 +541,20 @@ def _winding_count(q: IntPolynomial) -> int | None:
     two halves of every arc that fails ``_arc_test``.  Each arc is tested
     on a disc of radius rho about an evaluation centre x that covers it.
     Along a chain of passing arcs, from the exact q(1) to the exact q(-1),
-    the argument moves by at most pi/3 from one centre to the next, so the
-    principal argument of each successive ratio is that move, and Theta
-    is their sum.  The computed sum is within its summed error bound of
-    Theta, an integer multiple of pi, and the count is proved when that
-    leaves one multiple.
+    the argument moves by at most pi/3 from one centre to the next, and
+    Theta is the sum of those moves.  The computed sum is within a
+    rounding bound of Theta, an integer multiple of pi, and the count is
+    proved when that leaves one multiple.
 
     - **Decline** (None) if q(1) or q(-1) is 0, if some |c_k| >= 2**53 (the
       float copy of every smaller one is exact), or if d + 1 > 2**16 (the
       keys and binomials below must fit in int64).
-    - **First level.** L is the power of two at least 32 (d + 1).  One
-      real FFT of the _ORDERS rows of ``_taylor_rows`` gives q^(m)/m! at
-      the upper-half L-th roots of unity, each within
+    - **First level.** L is the power of two at least 32 (d + 1).  A real
+      FFT of each of the _ORDERS rows of ``_taylor_rows`` in turn gives
+      q^(m)/m! at the upper-half L-th roots of unity, each within
       E_m = eps_L sqrt(L) ||X_m||_2 + 4u sum |X_m| (``_fft_error`` and the
-      rows' own rounding); rho = h.
+      rows' own rounding); rho = h.  ``_arc_test`` folds each transform
+      into its bound as it comes, so no more than two are held.
     - **Bisection.** A failing arc (theta, r) gives (theta +- r/2, r/2);
       at theta = 0 and pi only the child inside [0, pi] stays.  Every
       child of one level is evaluated in one ``_bsgs_values`` call, at
@@ -570,11 +570,18 @@ def _winding_count(q: IntPolynomial) -> int | None:
       does a level of more than 4 (d + 1) arcs, which would cost more than
       four solver sweeps: each zero near the circle fails two to four arcs
       a level while the bisection closes in on it.
-    - **Sum.** Step j of the chain errs by at most err_a + err_b from the
-      two centres' values and 64u from ``angle`` and the wrap into
-      (-pi, pi]; ``fsum`` adds 2u |Theta|.  With z = round(Theta / pi), the
-      count is z if |Theta - z pi| plus that bound is below pi/4: the
-      true gain is then within pi/4 of z pi, and a multiple of pi.
+    - **Sum.** The chain's points are P_0 = the exact q(1), the passing
+      centres in key order, and the exact q(-1) last; point j's computed
+      angle errs by delta_j, its ``_arc_test`` err, and 0 at both ends.
+      The true move t_j from P_j to P_(j+1) is within pi/3, so where
+      delta_j + delta_(j+1) < pi/3 the computed step, wrapped into
+      (-pi, pi], is t_j + delta_(j+1) - delta_j, and the steps sum to
+      Theta + delta_last - delta_0 = Theta: the angle errors telescope.
+      The count declines if any step breaks that condition.  Otherwise
+      ``angle`` and the wrap add 64u a step and ``fsum`` 2u |Theta|, and
+      with z = round(Theta / pi), the count is z if |Theta - z pi| plus
+      that bound is below pi/4: the true gain is then within pi/4 of z pi,
+      and a multiple of pi.
 
     Every bound is rounded outward, as in ``_evaluate_with_bounds``.
     """
@@ -596,15 +603,15 @@ def _winding_count(q: IntPolynomial) -> int | None:
                 * _UP ** 5)
 
     # first level: rfft gives conj(q^(m)(w_j)/m!) at w_j = e^(2 pi i j / L)
-    Y = np.fft.rfft(X, L, axis=1)
     norm = np.sqrt(np.einsum("ij,ij->i", absX, absX)) * _SUM_UP
     E = (_fft_error(L) * math.sqrt(L) * norm + 4 * _U * size) * _UP + _TINY
     rho = h * _UP
-    ok, err = _arc_test(Y, E, rho, tail(rho))
+    ok, values, err = _arc_test((np.fft.rfft(row, L) for row in X), E, rho,
+                                tail(rho))
     keys = np.arange(L // 2 + 1, dtype=np.int64) << (_MAX_DEPTH + 1)
-    passed = [(keys[ok], Y[0, ok].conj(), err[ok])]
+    passed = [(keys[ok], -np.angle(values[ok]), err[ok])]
     failing = keys[~ok]
-    del Y
+    del values
 
     E = ((_bsgs_error(d) + 4 * _U) * math.exp(d * _OFF) * _UP * size
          * _UP + _TINY)
@@ -618,24 +625,26 @@ def _winding_count(q: IntPolynomial) -> int | None:
         if len(kids) > 4 * (d + 1):
             return None
         theta = kids * (h / (1 << _MAX_DEPTH))
-        Y = _bsgs_values(X, np.cos(theta) + 1j * np.sin(theta))
         rho = (h / (1 << depth) * _UP + _OFF) * _UP
-        ok, err = _arc_test(Y, E, rho, tail(rho))
-        passed.append((kids[ok], Y[0, ok], err[ok]))
+        ok, values, err = _arc_test(
+            _bsgs_values(X, np.cos(theta) + 1j * np.sin(theta)), E, rho,
+            tail(rho))
+        passed.append((kids[ok], np.angle(values[ok]), err[ok]))
         failing = kids[~ok]
     if failing.size:
         return None
 
-    keys, values, errs = (np.concatenate(col) for col in zip(*passed))
+    keys, phase, errs = (np.concatenate(col) for col in zip(*passed))
     order = np.argsort(keys, kind="stable")
-    phase = np.concatenate([[0.0 if at_one > 0 else math.pi],
-                            np.angle(values[order]),
+    phase = np.concatenate([[0.0 if at_one > 0 else math.pi], phase[order],
                             [0.0 if at_minus_one > 0 else math.pi]])
+    errs = np.concatenate([[0.0], errs[order], [0.0]])
+    if ((errs[:-1] + errs[1:]) * _UP >= math.pi / 3).any():
+        return None
     steps = np.diff(phase)
     steps -= 2 * np.pi * np.round(steps / (2 * np.pi))
     theta = math.fsum(steps)
-    bound = (2 * math.fsum(errs) + 64 * _U * len(steps)
-             + 2 * _U * abs(theta)) * _UP
+    bound = (64 * _U * len(steps) + 2 * _U * abs(theta)) * _UP
     z = round(theta / math.pi)
     if 0 <= z <= d and abs(theta - z * math.pi) + bound < math.pi / 4:
         return z
@@ -643,7 +652,7 @@ def _winding_count(q: IntPolynomial) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Exact unit-circle split
+# Exact unit-circle strip
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -661,8 +670,8 @@ def strip_unit_circle_part(F: IntPolynomial) -> StripResult:
     Phi_d with phi(d) at most the degree of what remains, with no
     floating-point screen, and each Phi_d found is divided off F too.  The
     cofactor keeps every other root (reciprocal pairs, self-reciprocal
-    non-cyclotomic factors) for numeric classification.  ``_solve_counts``
-    calls it only for a polynomial whose solve left a root unplaced.
+    non-cyclotomic factors).  ``_solve_counts`` calls it only for a
+    polynomial whose count declined.
     """
     if F.is_zero:
         raise ValueError("zero polynomial")
@@ -741,190 +750,48 @@ def _isolated(z: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise_sum(coeffs: list[int], powers: list[tuple[int, int]], e: int
-                  ) -> tuple[int, int]:
-    """D^(n-1) sum_k c_k x^k for the n coefficients, x = A / D, D = 2^e.
+def _count_sides(result: SolveResult) -> tuple[int, int, int]:
+    """(inside, outside, undetermined) for the solved roots of a polynomial.
 
-    Summed pairwise, like a product tree: a block of n coefficients
-    carries D^(n-1) times its value, and a full block of width m joins the
-    block to its right, of width n', as L D^n' + A^m R, with A^m the
-    squaring ``powers[j]`` = A^(2^j) and the Gaussian product taken by
-    three integer products.
-    """
-    vals = [(c, 0) for c in coeffs]
-    n, width = len(vals), 1
-    for pr, pi in powers:
-        if len(vals) == 1:
-            break
-        joined = []
-        for i in range(0, len(vals) - 1, 2):
-            (lr, li), (rr, ri) = vals[i], vals[i + 1]
-            shift = e * min(width, n - (i + 1) * width)
-            k1 = rr * (pr + pi)
-            k2 = pr * (ri - rr)
-            k3 = pi * (rr + ri)
-            joined.append(((lr << shift) + k1 - k3, (li << shift) + k1 + k2))
-        if len(vals) % 2:
-            joined.append(vals[-1])
-        vals, width = joined, 2 * width
-    return vals[0]
-
-
-def _exact_values(coeffs: tuple[int, ...], a: int, b: int, e: int
-                  ) -> tuple[int, int, int, int]:
-    """D^d p(x) and D^(d-1) p'(x) at x = (a + ib) / D, D = 2^e, exactly.
-
-    Returned as (Re, Im, Re, Im) integers, both summed pairwise
-    (``_pairwise_sum``) on one table of squarings of a + ib.  Python's
-    Karatsuba products make that O(M(d e) log d), where Horner's rule
-    would take O(d^2 e): at d = 7897 and e = 64, 0.4 s against 2.7 s.
-    """
-    powers = [(a, b)]
-    while 1 << len(powers) < len(coeffs):
-        pr, pi = powers[-1]
-        powers.append(((pr - pi) * (pr + pi), 2 * pr * pi))
-    derivative = [k * c for k, c in enumerate(coeffs)][1:]
-    return (*_pairwise_sum(coeffs, powers, e),
-            *_pairwise_sum(derivative, powers, e))
-
-
-def _sqrt_up(num: int, den: int) -> Fraction:
-    """A rational upper bound on sqrt(num / den) within a relative 2**-60."""
-    shift = max(0, min(num.bit_length(), den.bit_length()) - 192)
-    num, den = (num >> shift) + 1, den >> shift
-    t = max(0, (130 - num.bit_length() + den.bit_length()) // 2)
-    return Fraction(math.isqrt((num << 2 * t) // den) + 1, 1 << t)
-
-
-def _exact_disc_side(z: complex, r: float, a: int, b: int, e: int,
-                     rho: Fraction) -> int:
-    """-1 or 1 if the disc about c = (a + ib) / 2^e of radius rho lies
-    inside D(z, r) and inside or outside |w| = 1, else 0; exactly."""
-    scale = Fraction(1, 1 << e)
-    if math.isfinite(r):
-        slack = Fraction(r) - rho
-        dist2 = ((a * scale - Fraction(z.real)) ** 2
-                 + (b * scale - Fraction(z.imag)) ** 2)
-        if slack < 0 or dist2 > slack * slack:
-            return 0
-    mag2 = (a * a + b * b) * scale * scale
-    if rho < 1 and mag2 < (1 - rho) ** 2:
-        return -1
-    if mag2 > (1 + rho) ** 2:
-        return 1
-    return 0
-
-
-def _exact_side(coeffs: tuple[int, ...], z: complex, r: float) -> int:
-    """-1 (inside) or 1 (outside) if exact arithmetic places a root of p
-    in the disc D(z, r) on that side of |w| = 1, else 0.
-
-    It keeps the side verdict of a disjoint disc that meets the circle,
-    else undetermined: solving every g_N cofactor to N = 120 takes it for
-    112 discs, all N >= 83, and for none to N = 40 at seeds 0 and 1.
-    ``_count_sides`` calls it once per conjugate pair of discs.
-
-    p and p' are taken exactly (``_exact_values``) at z rounded to the
-    grid 2**-64, and the disc of radius rho >= d |p/p'| about that point
-    holds a root; if it lies inside D(z, r), that is a root of D(z, r),
-    the only one when the solver's discs are disjoint.  If the disc does
-    not settle the side, one Newton step, rounded to the grid 2**-128,
-    gives a second centre and disc, again exact.  Every comparison is
-    exact, in rationals.
-    """
-    d = len(coeffs) - 1
-    e = _GRID_BITS
-    a, b = round(math.ldexp(z.real, e)), round(math.ldexp(z.imag, e))
-    while True:
-        vr, vi, wr, wi = _exact_values(coeffs, a, b, e)
-        w2 = wr * wr + wi * wi
-        if not w2:
-            return 0
-        rho = _sqrt_up(d * d * (vr * vr + vi * vi), w2 << 2 * e)
-        side = _exact_disc_side(z, r, a, b, e, rho)
-        if side or e > _GRID_BITS:
-            return side
-        # x - p/p' = (A W - V) / (W D), rounded to the grid 2**-2e
-        nr, ni = a * wr - b * wi - vr, a * wi + b * wr - vi
-        a = ((nr * wr + ni * wi << e + 1) + w2) // (2 * w2)
-        b = ((ni * wr - nr * wi << e + 1) + w2) // (2 * w2)
-        e *= 2
-
-
-def _count_sides(P: IntPolynomial, result: SolveResult
-                 ) -> tuple[int, int, int]:
-    """(inside, outside, undetermined) for the solved roots of P.
-
-    Only discs that meet no other disc are counted, each for one root, so
-    the inside and outside counts are proved lower bounds.  They are exact
-    when no root is left undetermined: then every disc meets no other and
-    holds exactly one root.  A disc that meets the circle goes to
-    ``_exact_side``, once per conjugate pair: P is real, so D(conj z, r)
-    holds the conjugate of each root in D(z, r), on the same side, and a
-    disc whose conjugate was settled first takes that side.
+    Only discs that meet no other disc and lie wholly inside or wholly
+    outside the circle are counted, each for one root, so the inside and
+    outside counts are proved lower bounds, and exact when no root is
+    left undetermined.
     """
     z, r = result.roots, result.radii
     free = _isolated(z, r)
     mag = np.abs(z)
-    inside = free & (mag * _UP + r * _UP < _DOWN)
-    outside = free & (mag * _DOWN - r * _UP > _UP)
-    n_in, n_out = int(inside.sum()), int(outside.sum())
-    settled: dict[tuple[complex, float], int] = {}
-    for k in np.flatnonzero(free & ~inside & ~outside):
-        zk, rk = complex(z[k]), float(r[k])
-        side = settled.get((zk.conjugate(), rk))
-        if side is None:
-            side = settled[zk, rk] = _exact_side(P.coeffs, zk, rk)
-        n_in += side < 0
-        n_out += side > 0
+    n_in = int((free & (mag * _UP + r * _UP < _DOWN)).sum())
+    n_out = int((free & (mag * _DOWN - r * _UP > _UP)).sum())
     return n_in, n_out, len(z) - n_in - n_out
 
 
-def _squarefree_pieces(P: IntPolynomial) -> list[IntPolynomial]:
-    """Squarefree polynomials whose product is P, of degree >= 1, split by
-    gcd(P, P'); a root of multiplicity m lies in m of them, so their
-    counts add.  It keeps proved counts for repeated roots, whose discs
-    overlap at any precision and would be undetermined."""
-    pieces: list[IntPolynomial] = []
-    work = [P]
-    while work:
-        piece = work.pop()
-        G = gcd_rational(piece, piece.derivative())
-        if G.degree > 0:
-            work += [exact_quotient_or_none(piece, G), G]
-        else:
-            pieces.append(piece)
-    return pieces
-
-
 def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int, int]:
-    """(on, inside, outside, undetermined) for the roots of P, P(0) != 0.
+    """(on, inside, outside, undetermined) for the roots of P, P(0) != 0,
+    with multiplicity.
 
-    P is solved as it stands, and when its discs place every root, that
-    is the answer, with none on the circle: for ``classify_roots``, where
-    the count declines, one solve of g_N / Phi_N, and no gcd.  Otherwise
-    one exact split follows.  ``strip_unit_circle_part`` divides P's
-    cyclotomic factors off, their roots counted on the circle, and
-    ``_squarefree_pieces`` splits the cofactor left; each piece is solved
-    and counted.  A root on
-    the circle is never placed by a disc, so every cyclotomic root reaches
-    the strip.  When P has no cyclotomic factor and is squarefree, the
-    split would solve P again, and the first counts stand.
+    In order: ``_winding_count(P)``; where it declines,
+    ``strip_unit_circle_part(P)``, whose cyclotomic roots are counted on
+    the circle; if the strip divided anything off, the count of the
+    cofactor left; and if that is still not proved, one ``aberth_solve``
+    of the cofactor, counted by its discs (``_count_sides``), the only
+    step that ``seed`` moves.  A cofactor of degree 0 has no roots.
     """
     if P.degree < 1:
         return 0, 0, 0, 0
-    inside, outside, undet = _count_sides(P, aberth_solve(P, seed=seed))
-    if not undet:
-        return 0, inside, outside, 0
-    strip = strip_unit_circle_part(P)
-    on = sum(arith.euler_phi(e) * m for e, m in strip.cyclotomic_factors)
-    rest = strip.cofactor
-    pieces = _squarefree_pieces(rest) if rest.degree > 0 else []
-    if not on and len(pieces) == 1:
-        return 0, inside, outside, undet
-    split = [_count_sides(q, aberth_solve(q, seed=seed)) for q in pieces]
-    inside, outside, undet = (sum(col) for col in zip((0, 0, 0), *split))
-    return on, inside, outside, undet
+    inside = _winding_count(P)
+    on = 0
+    if inside is None:
+        strip = strip_unit_circle_part(P)
+        on = sum(arith.euler_phi(e) * m for e, m in strip.cyclotomic_factors)
+        P = strip.cofactor
+        if P.degree < 1:
+            return on, 0, 0, 0
+        if on:
+            inside = _winding_count(P)
+        if inside is None:
+            return (on, *_count_sides(aberth_solve(P, seed=seed)))
+    return on, inside, P.degree - inside, 0
 
 
 def classify_roots(N: int, table: PrimeTable, *,
@@ -935,18 +802,11 @@ def classify_roots(N: int, table: PrimeTable, *,
     plane w = z**2: |z| and |w| lie on the same side of 1, and each root w
     gives the two roots +-sqrt(w), so every count is doubled at the end.
     Three steps: the cofactor q = g / Phi_N (``goldbach.goldbach_cofactor``),
-    its counts, and the phi(N) roots of Phi_N(w) added to the on-circle
-    count.  The counts are ``_winding_count``'s, proved with every root
-    of q off the circle, or where it declines ``_solve_counts``' (one
-    solve, proved by inclusion discs, with an exact split only for roots
-    the discs leave unplaced), the only step that ``seed`` moves.
+    its counts (``_solve_counts``), and the phi(N) roots of Phi_N(w) added
+    to the on-circle count.
     """
-    q = goldbach_cofactor(N, table)
-    inside = _winding_count(q)
-    if inside is None:
-        on, inside, outside, undet = _solve_counts(q, seed)
-    else:
-        on, outside, undet = 0, q.degree - inside, 0
+    on, inside, outside, undet = _solve_counts(goldbach_cofactor(N, table),
+                                               seed)
     on += arith.euler_phi(N)
     return RootClassification(N=N, inside=2 * inside, on_circle=2 * on,
                               outside=2 * outside, undetermined=2 * undet)

@@ -27,9 +27,10 @@ def solved_cofactor(N: int, table, seed: int = 0):
     """The Aberth solve of g / Phi_N, where F_N(z) = g(z**2)
     (``goldbach_cofactor``), at the seed given: the one solve that
     ``roots.classify_roots(N, table, seed=seed)`` makes on its fallback,
-    when the argument-principle count declines and the discs then place
-    every root.  No g_N to N = 120 takes that fallback, so this checks the
-    fallback solver, not the path ``classify_roots`` runs."""
+    when the argument-principle count declines and the unit-circle strip
+    divides nothing off.  Of the g_N to N = 200 only N = 183 takes that
+    fallback, so this checks the fallback solver, not the path
+    ``classify_roots`` runs."""
     return roots.aberth_solve(goldbach_cofactor(N, table), seed=seed)
 
 

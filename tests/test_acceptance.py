@@ -315,8 +315,9 @@ def test_c9_numerics_hygiene(table):
         for N in range(6, 13):
             _classified[N] = roots.classify_roots(N, table)
     # the residual and closures are those of the Aberth solve that
-    # classify_roots falls back to where its count declines, made here on
-    # the same cofactor and seed; no N here takes that fallback
+    # classify_roots falls back to where its count declines and the strip
+    # divides nothing off, made here on the same cofactor and seed; no N
+    # here takes that fallback
     start = time.perf_counter()
     bad = []
     for N, rc in sorted(_classified.items()):

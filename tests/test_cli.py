@@ -290,9 +290,9 @@ class TestTable1:
 
     def test_common_path_counts_without_solving(self, capsys, monkeypatch):
         # the argument-principle count proves every row of g_N / Phi_N to
-        # N = 24, so neither the solver nor the exact split runs: no solve,
-        # no strip, no gcd, no squarefree split, the cofactor is built once
-        # per N, and --seed, which only moves the solver, moves no byte
+        # N = 24, so neither the strip nor the solver runs: no strip, no
+        # gcd, no solve, no disc count, the cofactor is built once per N,
+        # and --seed, which only moves the solver, moves no byte
         calls = Counter()
 
         def count(module, name):
@@ -304,10 +304,9 @@ class TestTable1:
 
             monkeypatch.setattr(module, name, counted)
 
-        count(roots, "_solve_counts")
         count(roots, "aberth_solve")
+        count(roots, "_count_sides")
         count(roots, "strip_unit_circle_part")
-        count(roots, "_squarefree_pieces")
         count(roots, "gcd_rational")
         count(poly, "gcd_rational")
         count(roots, "goldbach_cofactor")
