@@ -13,6 +13,15 @@ Library layout:
 - ``cli``: the ``goldpoly`` command
 """
 
+import os
+
+# Importing numpy starts OpenBLAS worker threads, and one of them spins
+# for about 0.1 s of CPU.  goldpoly calls no BLAS routine (``roots`` and
+# ``modp`` avoid it on purpose), so each process, pool workers included,
+# would burn that CPU for nothing.  This must run before numpy is first
+# imported; a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .arith import PrimeTable

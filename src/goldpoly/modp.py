@@ -3,11 +3,14 @@
 ``convolve`` is the one place where goldpoly multiplies integer sequences
 exactly: the pair-count table (``arith``), the pair sums of
 ``goldbach.goldbach_polynomial``, ``IntPolynomial`` products (``poly``) and
-the F_p products below all go through it.  It takes a real
-FFT whenever a rounding bound computed from the operands' lengths and
-largest magnitudes certifies that rounding recovers every entry, and
-otherwise packs each operand into one Python int (signed Kronecker
-substitution) and multiplies exactly.
+the F_p products below all go through it.  It has three branches.  When a
+rounding bound computed from the operands' lengths and largest magnitudes
+does not certify a float product, it packs each operand into one Python
+int (signed Kronecker substitution) and multiplies exactly.  When the bound
+holds, one pair of rows with la * lb <= 2**15 is multiplied directly in
+int64 (``np.convolve``), and anything larger by a real FFT: the direct
+product is the cheaper one below that crossover (measured on a 2-core
+x86_64 for la = lb: 7 against 14 us at 128, 25 against 17 us at 256).
 
 ``convolve`` and ``mul`` take a batch of rows (a 2-D array) on either
 operand or both; the batches broadcast, so one row can meet many.
@@ -29,6 +32,7 @@ import numpy as np
 
 _EPS = 2.0 ** -52  # twice the unit roundoff of float64
 _BATCH_COEFFS = 2 ** 18  # operand size of one row-batched product
+_DIRECT_COEFFS = 2 ** 15  # largest la * lb of a direct product
 
 
 def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> float:
@@ -51,11 +55,19 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Entries are machine integers, or Python ints of any size and sign in an
     object array.  A 2-D operand is a batch of rows; the batches broadcast
     together (equal row counts, or one row against many) and each pair of
-    rows is convolved.  The bound below is taken over the whole batch.  The
-    rFFT result is used only when ``fft_error_bound`` is below 1/4, so that
-    rounding recovers every entry; it comes back as int64.  Otherwise the
-    exact packer runs, row pair by row pair, and the result is an object
-    array of Python ints.  ``convolve(a, a)`` transforms ``a`` once.
+    rows is convolved.  The bound below is taken over the whole batch.
+    Three branches:
+
+    - **Kronecker**, when some entry may reach 2**53 or
+      ``fft_error_bound`` is not below 1/4: the exact packer runs, row pair
+      by row pair, and the result is an object array of Python ints.
+    - **Direct**, otherwise, for one row pair with la * lb <= 2**15
+      (``_DIRECT_COEFFS``, the measured crossover): ``np.convolve`` of the
+      int64 operands, exact as every entry is below 2**53.
+    - **FFT**, otherwise: rounding the rFFT product recovers every entry.
+      ``convolve(a, a)`` transforms ``a`` once.
+
+    The direct and FFT results are int64 and equal entry for entry.
     """
     la, lb = a.shape[-1], b.shape[-1]
     batch = (np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) if b.ndim > 1
@@ -75,6 +87,10 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         rows_b = np.broadcast_to(b, batch + (lb,)).reshape(-1, lb).tolist()
         rows = [_kronecker(ra, rb) for ra, rb in zip(rows_a, rows_b)]
         return np.array(rows, dtype=object).reshape(batch + (n,))
+    if math.prod(batch) == 1 and la * lb <= _DIRECT_COEFFS:
+        out = np.convolve(np.asarray(a, dtype=np.int64).reshape(la),
+                          np.asarray(b, dtype=np.int64).reshape(lb))
+        return out.reshape(batch + (n,))
     spec = np.fft.rfft(np.asarray(a, dtype=np.float64), length)
     if b is a:
         spec *= spec

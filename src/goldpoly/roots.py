@@ -569,7 +569,9 @@ def _winding_count(q: IntPolynomial) -> int | None:
     - **Stop.** An arc still failing at depth _MAX_DEPTH declines, and so
       does a level of more than 4 (d + 1) arcs, which would cost more than
       four solver sweeps: each zero near the circle fails two to four arcs
-      a level while the bisection closes in on it.
+      a level while the bisection closes in on it.  So does a level whose
+      half-width h / 2**depth is below _OFF: there rho = r + _OFF no
+      longer shrinks, and nearly every arc fails again.
     - **Sum.** The chain's points are P_0 = the exact q(1), the passing
       centres in key order, and the exact q(-1) last; point j's computed
       angle errs by delta_j, its ``_arc_test`` err, and 0 at both ends.
@@ -619,6 +621,8 @@ def _winding_count(q: IntPolynomial) -> int | None:
     for depth in range(1, _MAX_DEPTH + 1):
         if not failing.size:
             break
+        if h / (1 << depth) < _OFF:
+            return None
         half = 1 << (_MAX_DEPTH - depth)
         kids = np.concatenate([failing - half, failing + half])
         kids = kids[(kids >= 0) & (kids <= last)]

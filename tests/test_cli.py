@@ -725,6 +725,26 @@ class TestImports:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts threads in /proc/self/task (Linux)")
+    @pytest.mark.parametrize("given, kept", [(None, "1"), ("2", "2")])
+    def test_cli_import_starts_no_blas_thread(self, given, kept):
+        # numpy's OpenBLAS starts a spinning worker thread unless told not
+        # to; goldpoly sets the default before numpy loads, and a value
+        # already in the environment wins
+        probe = ("import os, goldpoly.cli; "
+                 "print(len(os.listdir('/proc/self/task')), "
+                 "os.environ['OPENBLAS_NUM_THREADS'])")
+        env = {"PYTHONPATH": str(self.ROOT / "src")}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        threads, value = done.stdout.split()
+        assert value == kept
+        if given is None:
+            assert threads == "1"
+
     def test_numpy_is_the_only_dependency(self):
         text = (self.ROOT / "pyproject.toml").read_text()
         block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M)

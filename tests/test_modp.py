@@ -104,6 +104,88 @@ class TestConvolve:
         a = np.array([3, -1, 4], dtype=np.int64)
         assert modp.convolve(a, np.zeros(2, dtype=np.int64)).tolist() == [0] * 4
         assert len(modp.convolve(a, np.zeros(0, dtype=np.int64))) == 0
+        zero = np.zeros(5, dtype=np.int64)
+        for x, y, shape in [(zero, a, (7,)), (zero[None], a, (1, 7)),
+                            (a[None], zero[None], (1, 7))]:
+            got = modp.convolve(x, y)
+            assert got.dtype == np.int64
+            assert got.shape == shape and not got.any()
+
+
+def count_transforms(monkeypatch):
+    """Wrap numpy.fft.rfft; the list grows by one entry per call."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return calls
+
+
+class TestDirectConvolve:
+    # (la, lb) on both sides of la * lb = 2**15, the direct branch's bound
+    SHAPES = [(1, 1), (5, 7), (128, 128), (181, 181), (64, 512), (1, 2 ** 15),
+              (182, 181), (64, 513), (1, 2 ** 15 + 1), (256, 256)]
+
+    @pytest.mark.parametrize("la, lb", SHAPES)
+    def test_matches_fft_and_packer(self, monkeypatch, la, lb):
+        rng = np.random.default_rng(la * 1000 + lb)
+        a = rng.integers(-100, 101, la).astype(np.int64)
+        b = rng.integers(0, 101, lb).astype(np.int64)
+        calls = count_transforms(monkeypatch)
+        got = modp.convolve(a, b)
+        assert (len(calls) == 0) == (la * lb <= 2 ** 15)
+        monkeypatch.setattr(modp, "_DIRECT_COEFFS", 0)
+        fft = modp.convolve(a, b)
+        assert got.dtype == fft.dtype == np.int64
+        assert got.shape == fft.shape == (la + lb - 1,)
+        assert got.tolist() == fft.tolist()
+        assert got.tolist() == modp._kronecker(a.tolist(), b.tolist())
+        square = modp.convolve(a, a)
+        assert square.dtype == np.int64
+        assert square.tolist() == modp._kronecker(a.tolist(), a.tolist())
+
+    def test_narrow_and_object_inputs(self, monkeypatch):
+        # uint8 entries would wrap if multiplied in their own dtype; Python
+        # ints in an object array are converted too
+        rng = np.random.default_rng(11)
+        a = rng.integers(200, 256, 150).astype(np.uint8)
+        b = np.array([int(x) for x in rng.integers(0, 1000, 90)], dtype=object)
+        calls = count_transforms(monkeypatch)
+        for x, y in [(a, a), (a, b), (b, a)]:
+            got = modp.convolve(x, y)
+            assert got.dtype == np.int64
+            assert got.tolist() == modp._kronecker([int(v) for v in x],
+                                                   [int(v) for v in y])
+        assert not calls
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((1, 40), (27,)),
+                                                  ((40,), (1, 27)),
+                                                  ((1, 40), (1, 27))])
+    def test_one_row_batches(self, monkeypatch, shape_a, shape_b):
+        rng = np.random.default_rng(13)
+        a = rng.integers(0, 101, shape_a).astype(np.int64)
+        b = rng.integers(0, 101, shape_b).astype(np.int64)
+        calls = count_transforms(monkeypatch)
+        got = modp.convolve(a, b)
+        assert not calls
+        monkeypatch.setattr(modp, "_DIRECT_COEFFS", 0)
+        fft = modp.convolve(a, b)
+        assert got.shape == fft.shape == (1, 66)
+        assert got.dtype == fft.dtype == np.int64
+        assert got.tolist() == fft.tolist()
+        expected = modp._kronecker(a.ravel().tolist(), b.ravel().tolist())
+        assert got[0].tolist() == expected
+
+    def test_entries_at_2_53_take_the_packer(self):
+        a = np.array([2 ** 27], dtype=np.int64)
+        b = np.array([2 ** 26, -3], dtype=np.int64)
+        got = modp.convolve(a, b)
+        assert got.dtype == object
+        assert got.tolist() == [2 ** 53, -3 * 2 ** 27]
 
 
 class TestDivmod:
