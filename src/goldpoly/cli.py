@@ -9,10 +9,14 @@ records once it and every N before it are done (``_sweep``).
 Exit codes: 0 all good, 1 a theorem or conjecture check failed (worth
 looking at!), or an exact computation contradicted a theorem
 (``goldbach.TheoremViolation``), 2 usage error, 3 computational failure
-(solver non-convergence, an Unresolved certificate under --strict, or any
-other exception, such as a MemoryError or a broken worker pool).  A
-raised error is reported as one stderr line, never a traceback, which
-names the N of a sweep item that raised it.
+(an Unresolved certificate or an undetermined root under --strict, or any
+other exception, such as a MemoryError or a broken worker pool).  A root solve
+that does not converge raises nothing: it leaves roots undetermined.  A
+raised error is reported as one stderr line, ``error: <Type>: <message>``,
+never a traceback, with ``N=<N>: `` before the type for a sweep item.
+
+Every command accepts --seed (below 0 it is a usage error), and no output
+depends on it: stdout is a function of the other arguments alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from . import __version__, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
 from .goldbach import IndicatorSet
 from .poly import to_text
-from .roots import SolverError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -94,9 +97,7 @@ def _sweep(args: argparse.Namespace, first: int, default: int,
 
 def _error_exit(exc: Exception, where: str = "") -> int:
     """Print exc as one stderr line; exit 1 for a TheoremViolation, else 3."""
-    text = str(exc) if isinstance(exc, SolverError) else (
-        f"{type(exc).__name__}: {exc}")
-    print(f"error: {where}{text}", file=sys.stderr)
+    print(f"error: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
     return (EXIT_VIOLATION if isinstance(exc, goldbach.TheoremViolation)
             else EXIT_COMPUTE)
 
@@ -170,9 +171,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _classify_one(item: tuple) -> tuple[list[str], bool, bool]:
     """The table1 row for N.  An undetermined root leaves the 2 phi(N)
     count unproved, not contradicted; --strict reports that case."""
-    N, table, seed = item
-    # one solver seed per (--seed, N), the same under every --jobs
-    rc = roots.classify_roots(N, table, seed=seed * 1_000_003 + N)
+    N, table = item
+    rc = roots.classify_roots(N, table)
     report = roots.unit_circle_count_report(rc)
     row = (rc.N, report.witness["expected_on_circle"], rc.inside,
            rc.on_circle, rc.outside, rc.undetermined)
@@ -181,7 +181,7 @@ def _classify_one(item: tuple) -> tuple[list[str], bool, bool]:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    return _sweep(args, 6, 20, 50, _classify_one, args.seed,
+    return _sweep(args, 6, 20, 50, _classify_one,
                   header="N,two_phi_N,inside,on,outside,undetermined")
 
 
@@ -341,6 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, *flags):
         sp.add_argument("--jobs", type=int, default=1)
+        # kept for callers that pass it; no command's output depends on it
         sp.add_argument("--seed", type=int, default=0)
         for flag in flags:
             sp.add_argument(flag, **optional[flag])

@@ -48,7 +48,11 @@ about the solver's point z_i holds a root.  A disc that meets no other
 disc holds exactly one root, and if it lies wholly inside or outside
 |w| = 1 it counts that root on its side.  Every other root is
 "undetermined": no verdict is a guess, and no root is called "on" the
-circle numerically.
+circle numerically.  The discs hold roots whether or not the iteration
+converged, so the solve never fails: a point still far from a root after
+_MAX_ITER sweeps gets a wide or infinite disc and leaves its root
+undetermined.  Its seed is N (``classify_roots``), so a row of the table
+depends on N alone.
 
 Every polynomial solved here is real, so its roots come in conjugate
 pairs, and the solver keeps its approximations in pairs as well: it
@@ -71,7 +75,7 @@ threads would cost more CPU than they save.  Points outside the unit disk
 go through the reversed polynomial at 1/z.
 The discs come from one more pass after the last sweep, one evaluation of
 p and p' and one of the weights sum |c_k| |z|^k at each representative,
-which also give the backward residual, the acceptance gate.  A mirror
+which also give the backward residual, a diagnostic only.  A mirror
 takes its upper point's radius and residual: conjugation maps the roots
 of a real p onto themselves and the disc D(z, r) onto D(conj z, r).
 """
@@ -96,7 +100,7 @@ from .poly import (
 )
 
 # Aberth stopping rule: a point is frozen once its correction, relative to
-# 1 + |z|, is below _TOL; the solve fails after _MAX_ITER sweeps.
+# 1 + |z|, is below _TOL; the loop stops after _MAX_ITER sweeps at most.
 _TOL = 1e-12
 _MAX_ITER = 600
 # Conjugate pairs still active after this many sweeps are freed; the g_N
@@ -115,32 +119,10 @@ _DOWN = 1.0 - 2.0 ** -40
 _TINY = 2.0 ** -1000
 
 
-class SolverError(RuntimeError):
-    """Aberth iteration failed to converge; carries diagnostics.
-
-    All four fields are positional ``args``, so the error pickles and
-    crosses a process pool intact.
-    """
-
-    def __init__(self, message: str, iterations: int, max_correction: float,
-                 max_residual: float):
-        super().__init__(message, iterations, max_correction, max_residual)
-        self.message = message
-        self.iterations = iterations
-        self.max_correction = max_correction
-        self.max_residual = max_residual
-
-    def __str__(self) -> str:
-        return (f"{self.message} (iterations={self.iterations}, "
-                f"max_correction={self.max_correction:.3e}, "
-                f"max_residual={self.max_residual:.3e})")
-
-
 @dataclass
 class SolveResult:
     roots: np.ndarray
     iterations: int
-    max_correction: float
     max_residual: float
     radii: np.ndarray            # inclusion radius about each root
 
@@ -360,10 +342,11 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
     and its backward residual; a mirror copies both from its upper point.
     That is rigorous: p is real, so conjugation maps roots of p to roots
     and the disc D(z, r) onto D(conj z, r), which then holds the conjugate
-    root.  Convergence means every correction fell below _TOL within
-    _MAX_ITER sweeps; if the correction test stalls at the rounding floor,
-    a final backward-residual check below 1e-11 still accepts.  Roots at
-    the origin are split off exactly first, with radius 0.
+    root.  The solve returns whether or not the loop converged: a point
+    still far from a root after _MAX_ITER sweeps gets a wide or infinite
+    disc, whose root ``_count_sides`` leaves undetermined.  ``iterations`` counts the
+    sweeps run, below _MAX_ITER once every point froze.  Roots at the
+    origin are split off exactly first, with radius 0.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -377,7 +360,7 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
     d = len(c) - 1
     if d == 0:
         roots = np.zeros(n_zero, dtype=np.complex128)
-        return SolveResult(roots, 0, 0.0, 0.0, np.zeros(n_zero))
+        return SolveResult(roots, 0, 0.0, np.zeros(n_zero))
 
     # z = [upper points (m), their mirrors (m), the unpaired point (d - 2m)];
     # paired[k] holds while z[k + m] is the conjugate of z[k]
@@ -395,7 +378,6 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
     work = np.empty((min(chunk, d), d), dtype=np.complex128)
     active = np.r_[:m, 2 * m:d]
     iterations = 0
-    max_corr = math.inf
     for iterations in range(1, _MAX_ITER + 1):
         za = z[active]
         w = _newton_ratio(c, za)
@@ -415,7 +397,6 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
         za -= corr
         z[active] = za
         rel = np.abs(corr) / (1.0 + np.abs(za))
-        max_corr = math.inf if bad.any() else float(rel.max())
         up = active[paired[active]]
         active = active[bad | (rel >= _TOL)]
         if iterations < _PAIRED_SWEEPS and (z[up].imag > 0.0).all():
@@ -435,14 +416,10 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
     radii[rep], resid[rep] = _inclusion_radii(c, z[rep])
     radii[mirrors], resid[mirrors] = radii[mirrors - m], resid[mirrors - m]
     max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
-    if max_corr >= _TOL and max_resid > 1e-11:
-        raise SolverError("Aberth iteration did not converge",
-                          iterations=iterations, max_correction=max_corr,
-                          max_residual=max_resid)
     if n_zero:
         z = np.concatenate([z, np.zeros(n_zero, dtype=np.complex128)])
         radii = np.concatenate([radii, np.zeros(n_zero)])
-    return SolveResult(z, iterations, max_corr, max_resid, radii)
+    return SolveResult(z, iterations, max_resid, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +756,8 @@ def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int, int]:
     the circle; if the strip divided anything off, the count of the
     cofactor left; and if that is still not proved, one ``aberth_solve``
     of the cofactor, counted by its discs (``_count_sides``), the only
-    step that ``seed`` moves.  A cofactor of degree 0 has no roots.
+    step that ``seed`` moves; a root whose point did not converge is left
+    undetermined.  A cofactor of degree 0 has no roots.
     """
     if P.degree < 1:
         return 0, 0, 0, 0
@@ -798,19 +776,19 @@ def _solve_counts(P: IntPolynomial, seed: int) -> tuple[int, int, int, int]:
     return on, inside, P.degree - inside, 0
 
 
-def classify_roots(N: int, table: PrimeTable, *,
-                   seed: int = 0) -> RootClassification:
+def classify_roots(N: int, table: PrimeTable) -> RootClassification:
     """Locate all roots of F_N relative to the unit circle.
 
     F_N is even, F_N(z) = g(z**2), and all the work runs on g, in the
     plane w = z**2: |z| and |w| lie on the same side of 1, and each root w
     gives the two roots +-sqrt(w), so every count is doubled at the end.
     Three steps: the cofactor q = g / Phi_N (``goldbach.goldbach_cofactor``),
-    its counts (``_solve_counts``), and the phi(N) roots of Phi_N(w) added
-    to the on-circle count.
+    its counts (``_solve_counts``, whose fallback solve takes N as its
+    seed, so the result depends on N alone), and the phi(N) roots of
+    Phi_N(w) added to the on-circle count.
     """
     on, inside, outside, undet = _solve_counts(goldbach_cofactor(N, table),
-                                               seed)
+                                               seed=N)
     on += arith.euler_phi(N)
     return RootClassification(N=N, inside=2 * inside, on_circle=2 * on,
                               outside=2 * outside, undetermined=2 * undet)

@@ -26,11 +26,14 @@ def multiset_distance(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> float:
 def solved_cofactor(N: int, table, seed: int = 0):
     """The Aberth solve of g / Phi_N, where F_N(z) = g(z**2)
     (``goldbach_cofactor``), at the seed given: the one solve that
-    ``roots.classify_roots(N, table, seed=seed)`` makes on its fallback,
+    ``roots.classify_roots(N, table)`` makes on its fallback, at seed N,
     when the argument-principle count declines and the unit-circle strip
     divides nothing off.  Of the g_N to N = 200 only N = 183 takes that
     fallback, so this checks the fallback solver, not the path
-    ``classify_roots`` runs."""
+    ``classify_roots`` runs.  The solve returns whether or not it
+    converged; a point still far from a root gets a wide disc, which
+    leaves its root undetermined; a caller that needs converged points checks
+    ``max_residual``."""
     return roots.aberth_solve(goldbach_cofactor(N, table), seed=seed)
 
 

@@ -40,7 +40,7 @@ from goldpoly import arith, goldbach, modp
 from goldpoly.factor import BadPrimeError, DegreePattern
 from goldpoly.goldbach import TheoremReport, _support
 from goldpoly.poly import IntPolynomial, divrem_exact, substitute_negate
-from goldpoly.roots import SolveResult, SolverError
+from goldpoly.roots import SolveResult
 
 # Golden angle in radians: ``aberth_all_points`` rotates each start point by
 # it from the last, so no two start points are conjugate.
@@ -537,6 +537,10 @@ def horner_ratio_and_residual(coeffs: np.ndarray, z: np.ndarray):
     return w, be
 
 
+class OracleNotConverged(RuntimeError):
+    """``aberth_all_points`` did not converge: no reference to compare."""
+
+
 def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
                       seed: int = 0) -> SolveResult:
     """All roots of p by the Aberth-Ehrlich loop that moves every point on
@@ -550,8 +554,9 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     another: every point moves on its own from the first sweep.
     Convergence means every correction fell below tol (relative to
     1 + |z|); if the correction test stalls at the rounding floor, a final
-    backward-residual check below 1e-11 still accepts.  Roots at the
-    origin are split off exactly first.
+    backward-residual check below 1e-11 still accepts; otherwise it
+    raises ``OracleNotConverged``.  Roots at the origin are split off
+    exactly first.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
@@ -565,7 +570,7 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     d = len(c) - 1
     if d == 0:
         roots = np.zeros(n_zero, dtype=np.complex128)
-        return SolveResult(roots, 0, 0.0, 0.0, np.zeros(n_zero))
+        return SolveResult(roots, 0, 0.0, np.zeros(n_zero))
 
     rng = np.random.default_rng(seed)
     radius = (abs(c[0]) / abs(c[-1])) ** (1.0 / d)
@@ -602,14 +607,13 @@ def aberth_all_points(p: IntPolynomial, tol: float = 1e-12, max_iter: int = 600,
     resid = horner_ratio_and_residual(c, z)[1]
     max_resid = float(resid.max()) if np.isfinite(resid).all() else math.inf
     if max_corr >= tol and max_resid > 1e-11:
-        raise SolverError("Aberth iteration did not converge",
-                          iterations=iterations, max_correction=max_corr,
-                          max_residual=max_resid)
+        raise OracleNotConverged(
+            f"after {iterations} sweeps: max correction {max_corr:.3e}, "
+            f"max residual {max_resid:.3e}")
     if n_zero:
         z = np.concatenate([z, np.zeros(n_zero, dtype=np.complex128)])
     # no inclusion discs: an infinite radius about every point
-    return SolveResult(z, iterations, max_corr, max_resid,
-                       np.full(len(z), np.inf))
+    return SolveResult(z, iterations, max_resid, np.full(len(z), np.inf))
 
 
 def schur_cohn_inside(p: IntPolynomial) -> int | None:

@@ -64,6 +64,19 @@ class TestConstruct:
         assert multiply(from_text(out.strip()),
                         multiply(cyclotomic(4), cyclotomic(8))) == F4
 
+    def test_quotient_is_the_goldbach_cofactor(self, capsys, small_table):
+        # F_N / Phi_2N for even N and F_N / (Phi_N Phi_2N) for odd N are
+        # both g_N / Phi_N composed with z**2, the cofactor of the table1
+        # and irreducible sweeps; the command keeps its own divisions for
+        # the messages of N <= 5 and of R(N) > 0
+        for N in range(6, 21):
+            quotient = "2N" if N % 2 == 0 else "N,2N"
+            code, out, _ = run(capsys, "construct", str(N), "--quotient",
+                               quotient)
+            cofactor = goldbach.goldbach_cofactor(N, small_table)
+            assert (code, out) == (0, poly.to_text(cofactor.compose_square())
+                                   + "\n"), N
+
     def test_phi_n_quotient_of_a_goldbach_n_is_usage_error(self, capsys):
         # 10 = 3 + 7, so Phi_10 does not divide F_10 (theorem (b)): asking
         # for that quotient is a usage error, not a failed theorem
@@ -267,32 +280,38 @@ class TestTable1:
         assert out.strip().splitlines()[2] == "7,12,4,11,45,0"
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_solver_failure_exits_3(self, capsys, monkeypatch, jobs):
-        # the patched solver reaches the pool workers only by fork; the
-        # error has to cross back to the parent intact
+    def test_unconverged_solve_leaves_rows_undetermined(self, capsys,
+                                                        monkeypatch, jobs):
+        # forced onto the fallback solve and stopped after one sweep, long
+        # before any point converges, table1 still prints every row, with
+        # undetermined roots and nothing on stderr; --strict alone turns
+        # them into exit 3.  The patch reaches the pool workers only by fork
         if jobs != "1" and multiprocessing.get_start_method() != "fork":
             pytest.skip("workers do not inherit the patched solver")
-
-        def fail(p, *args, **kwargs):
-            raise roots.SolverError("forced failure", iterations=1,
-                                    max_correction=1.0, max_residual=1.0)
-
-        # the count proves every g_N row, so the solver runs only when it
-        # declines
         monkeypatch.setattr(roots, "_winding_count", lambda q: None)
-        monkeypatch.setattr(roots, "aberth_solve", fail)
-        code, out, err = run(capsys, "table1", "--n-max", "7", "--jobs", jobs)
-        assert code == 3
-        assert out == "N,two_phi_N,inside,on,outside,undetermined\n"
-        assert err.splitlines() == [
-            "error: N=6: forced failure (iterations=1, max_correction=1.000e+00,"
-            " max_residual=1.000e+00)"]
+        monkeypatch.setattr(roots, "_MAX_ITER", 1)
+        monkeypatch.setattr(roots, "_TOL", 1e-30)
+        argv = ("table1", "--n-max", "8", "--jobs", jobs)
+        code, out, err = run(capsys, *argv, "--seed", "0")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["6", "7", "8"]
+        assert all(int(row[5]) > 0 for row in rows)
+        assert run(capsys, *argv, "--strict") == (3, out, "")
+        # the seed does not reach the solve: stopped after 1, 3 or 6
+        # sweeps, the solve decides the rows, and at 6 a seed-dependent
+        # start would leave different roots undetermined
+        assert run(capsys, *argv, "--seed", "5") == (0, out, "")
+        for sweeps in (3, 6):
+            monkeypatch.setattr(roots, "_MAX_ITER", sweeps)
+            code, out, err = run(capsys, *argv, "--seed", "0")
+            assert run(capsys, *argv, "--seed", "5") == (code, out, err)
 
     def test_common_path_counts_without_solving(self, capsys, monkeypatch):
         # the argument-principle count proves every row of g_N / Phi_N to
         # N = 24, so neither the strip nor the solver runs: no strip, no
         # gcd, no solve, no disc count, the cofactor is built once per N,
-        # and --seed, which only moves the solver, moves no byte
+        # and --seed moves no byte
         calls = Counter()
 
         def count(module, name):

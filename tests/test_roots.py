@@ -1,5 +1,4 @@
 import math
-import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from goldpoly.poly import (
     reciprocal,
 )
 from goldpoly.roots import (
-    SolverError,
     aberth_solve,
     classify_roots,
     strip_unit_circle_part,
@@ -101,23 +99,6 @@ class TestAberth:
         assert mags[0] == mags[1] == 0.0
         assert abs(mags[2] - 1) < 1e-12
 
-    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
-        monkeypatch.setattr(roots, "_TOL", 1e-30)
-        monkeypatch.setattr(roots, "_MAX_ITER", 1)
-        with pytest.raises(SolverError) as exc:
-            aberth_solve(IntPolynomial((-1, 0, 1)))
-        assert exc.value.iterations == 1
-        assert exc.value.max_correction > 0
-
-    def test_solver_error_pickles(self):
-        err = SolverError("no convergence", iterations=7, max_correction=0.5,
-                          max_residual=1e-3)
-        back = pickle.loads(pickle.dumps(err))
-        assert str(back) == str(err)
-        assert "no convergence" in str(back)
-        assert (back.iterations, back.max_correction, back.max_residual) == (
-            7, 0.5, 1e-3)
-
     def test_deterministic_for_fixed_seed(self):
         p = IntPolynomial((3, -2, 0, 0, 7, 1))
         a = aberth_solve(p, seed=42).roots
@@ -133,7 +114,8 @@ class TestAberth:
                 want = aberth_all_points(p, seed=seed)
                 assert multiset_distance(got.roots, want.roots) < 1e-9, (
                     p.degree, seed)
-                assert got.max_correction < 1e-12
+                # the loop ended with every point frozen
+                assert got.iterations < roots._MAX_ITER
 
     def test_converged_points_are_not_re_evaluated(self, small_table,
                                                    monkeypatch):
@@ -374,7 +356,9 @@ class TestClassification:
     ] + [pytest.param(N, seed, id=f"{N}-seed{seed}")
          for N in range(21, 25) for seed in range(4)])
     def test_matches_root_table(self, small_table, N, seed):
-        rc = classify_roots(N, small_table, seed=seed)
+        # the row depends on N alone; the seed moves only the fallback
+        # solve, which converges at each
+        rc = classify_roots(N, small_table)
         two_phi, inside, on, outside = ROOT_TABLE[N]
         assert (rc.inside, rc.on_circle, rc.outside) == (inside, on, outside)
         assert rc.undetermined == 0
@@ -447,12 +431,12 @@ class TestExactFallback:
                                                      small_table, N):
         # a cofactor carrying Phi_3 too: its two roots reach the strip and
         # are proved on the circle, beside the phi(N) of Phi_N
-        plain = classify_roots(N, small_table, seed=N)
+        plain = classify_roots(N, small_table)
         cofactor = roots.goldbach_cofactor
         monkeypatch.setattr(roots, "goldbach_cofactor",
                             lambda N, table: multiply(cofactor(N, table),
                                                       cyclotomic(3)))
-        rc = classify_roots(N, small_table, seed=N)
+        rc = classify_roots(N, small_table)
         assert rc.on_circle == 2 * (arith.euler_phi(N) + 2)
         assert rc.undetermined == 0
         assert (rc.inside, rc.outside) == (plain.inside, plain.outside)
@@ -496,6 +480,23 @@ def _known_roots(factors):
             out += [(Fraction(a, b), Fraction(c, b)),
                     (Fraction(a, b), Fraction(-c, b))]
     return out
+
+
+def _nearest_in_disc(res, want):
+    """For each point of the solve, the index in want of its nearest known
+    root, asserting exactly that the point's disc holds that root; an
+    infinite disc holds every root and gives None."""
+    nearest = []
+    for z, r in zip(res.roots, res.radii):
+        if not np.isfinite(r):
+            nearest.append(None)
+            continue
+        zr, zi = Fraction(z.real), Fraction(z.imag)
+        gaps = [(zr - wr) ** 2 + (zi - wi) ** 2 for wr, wi in want]
+        k = min(range(len(want)), key=gaps.__getitem__)
+        assert gaps[k] <= Fraction(float(r)) ** 2, (z, r, want[k])
+        nearest.append(k)
+    return nearest
 
 
 def _known_root_cases():
@@ -545,13 +546,7 @@ class TestInclusionDiscs:
         want = _known_roots(factors)
         for seed in range(2):
             res = aberth_solve(P, seed=seed)
-            nearest = []
-            for z, r in zip(res.roots, res.radii):
-                zr, zi = Fraction(z.real), Fraction(z.imag)
-                gaps = [(zr - wr) ** 2 + (zi - wi) ** 2 for wr, wi in want]
-                k = min(range(len(want)), key=gaps.__getitem__)
-                assert gaps[k] <= Fraction(float(r)) ** 2, (z, r, want[k])
-                nearest.append(k)
+            nearest = _nearest_in_disc(res, want)
             if roots._isolated(res.roots, res.radii).all():
                 assert sorted(nearest) == list(range(len(want)))
 
@@ -586,8 +581,8 @@ class TestInclusionDiscs:
         assert roots._isolated(z[:1], np.array([np.inf])).all()
 
     def test_residual_matches_horner_oracle(self, small_table):
-        # the disc pass's backward residual, the solver's acceptance gate,
-        # against the Horner loop it replaced: both at the rounding floor
+        # the disc pass's backward residual against the Horner loop it
+        # replaced: both at the rounding floor
         g = _cofactor_even_part(14, small_table)
         res = aberth_solve(g, seed=3)
         c, _ = _float_coeffs(g.coeffs)
@@ -687,6 +682,28 @@ class TestSoundness:
         for seed in range(3):
             assert roots._count_sides(aberth_solve(P, seed=seed)) == (
                 inside, P.degree - inside, 0)
+
+    @pytest.mark.parametrize("factors", list(_known_root_cases()))
+    def test_unconverged_solve_is_sound(self, monkeypatch, factors):
+        # stopped after 1 to 8 sweeps, where no point can freeze, the
+        # solve still returns: every finite disc holds a true root,
+        # compared exactly, and the disc counts are lower bounds on each
+        # side, the roots they miss left undetermined
+        monkeypatch.setattr(roots, "_TOL", 1e-30)
+        P = _linear_product(factors)
+        want = _known_roots(factors)
+        inside = sum(wr * wr + wi * wi < 1 for wr, wi in want)
+        undetermined = 0
+        for max_iter in (1, 2, 3, 5, 8):
+            monkeypatch.setattr(roots, "_MAX_ITER", max_iter)
+            for seed in range(2):
+                res = aberth_solve(P, seed=seed)
+                assert res.iterations == max_iter
+                _nearest_in_disc(res, want)
+                n_in, n_out, undet = roots._count_sides(res)
+                assert n_in <= inside and n_out <= P.degree - inside
+                undetermined += undet
+        assert undetermined
 
     def test_overlapping_discs_are_undetermined_and_strict_exits_3(
             self, capsys, monkeypatch, small_table):
