@@ -30,10 +30,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, factor, goldbach, roots
+from . import __version__, arith, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
 from .goldbach import IndicatorSet
-from .poly import to_text
+from .poly import cyclotomic, divrem_exact, to_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -123,13 +123,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if args.quotient:
         if args.indicator != "odd_primes":
             raise UsageError("--quotient applies to the odd-prime indicator only")
-        from .poly import cyclotomic, divrem_exact
         # theorem (a): Phi_2N | F_N for every N
         out, rem = divrem_exact(F, cyclotomic(2 * N))
         obj_name = f"F_{N}/Phi_{2 * N}"
         if not rem.is_zero:
-            print(f"error: {obj_name} is not an exact quotient", file=sys.stderr)
-            return EXIT_VIOLATION
+            raise goldbach.TheoremViolation(f"Phi_{2 * N} does not divide F_{N}")
         if args.quotient == "N,2N":
             # theorem (b): Phi_N | F_N exactly when N has no odd-prime pair
             out, rem = divrem_exact(out, cyclotomic(N))
@@ -251,7 +249,8 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     if m_max < 1:
         raise UsageError("--m-max must be >= 1")
     table = PrimeTable(max(16, m_max))
-    coeff = goldbach.stable_coefficient_table(m_max, table)
+    coeff = goldbach.stable_coefficient_table(
+        m_max, arith.goldbach_count_table(m_max, table))
     # Both formats stream blocks of rows through the decimal kernel, so no
     # list of a million Python ints or strings is ever built.  The JSON text
     # is what json.dumps gives for {"m_max": m_max, "a": coeff[1:]}: values

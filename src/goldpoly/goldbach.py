@@ -4,20 +4,20 @@ The central object is the family F_N(z) = sum_k (sum_n chi(n) z^(k n))^2,
 where chi is the odd-prime indicator (pluggable: any 0/1 indicator works,
 the Liouville-negative set is built in).  ``pair_sums`` is the
 indicator's autocorrelation, one ``modp.convolve`` per N.
-``goldbach_coefficients`` spreads it over the exponent steps k into F_N's
-int64 coefficients, and ``goldbach_polynomial`` wraps them as an exact
-``IntPolynomial`` for the commands that divide or factor F_N, and
-``goldbach_cofactor`` divides its forced cyclotomic part Phi_N(z^2) off
-at half the degree, for both of them.
+``exponent_spread`` spreads pair sums over the exponent steps k, the one
+place that does: spread whole they give F_N (``goldbach_polynomial``),
+spread mod z^(2N) - 1 they give F_N's fold, and their even half spread
+gives g_N with F_N(z) = g_N(z^2), from which ``goldbach_cofactor``
+divides the forced cyclotomic part Phi_N off at half the degree.
 ``theorem_reports`` checks the cyclotomic divisibility statements, the
 even symmetry and the root-of-unity lower bounds for the odd-prime F_N
 from the pair sums alone, without F_N's O(N**2) coefficients: they give
-F_N's fold mod z^(2N) - 1 (``goldbach_fold``), from which the remainders
-F_N mod Phi_M (M | N and M = 2N, ``cyclotomic_remainders``) are taken,
-the pair counts R(n) for n <= N, and the parity of F_N's exponents.  The
-stabilized coefficients a(m), the summatory function A(M) with its
-asymptotic ratio and the Hardy-Littlewood summary of a(2m) are
-whole-array sweeps over one pair-count table.
+the fold, from which the remainders F_N mod Phi_M (M | N and M = 2N,
+``cyclotomic_remainders``) are taken, the pair counts R(n) for n <= N,
+and the parity of F_N's exponents.  The stabilized coefficients a(m),
+the summatory function A(M) with its asymptotic ratio and the
+Hardy-Littlewood summary of a(2m) are whole-array sweeps over one
+pair-count table.
 """
 
 from __future__ import annotations
@@ -123,55 +123,40 @@ def pair_sums(N: int, source) -> np.ndarray:
     return modp.convolve(ind, ind)
 
 
-def goldbach_coefficients(N: int, source) -> np.ndarray:
-    """F_N's int64 coefficients: sum over k < N of the squared indicator
-    sum at exponent step k.
+def exponent_spread(N: int, pairs: np.ndarray,
+                    period: int | None = None) -> np.ndarray:
+    """sum over k < N and s of pairs[s] * z**(k*s) as int64 coefficients,
+    reduced mod z**period - 1 to ``period`` entries when one is given.
 
-    The inner polynomial for shift k has support {k*n : n in S, n < N}; its
-    square puts the pair sums of ``pair_sums`` at exponents k*s; shift 0
-    puts all |S|**2 of them on the constant term.  Degree is at most
-    2*(N-1)^2, and exactly 2*(N-1)*max(S cap [1, N-1]) when nonempty, so
-    the last entry is nonzero; an empty S gives an empty array.
-    Coefficients are at most N*|S|**2, so int64 holds them.
+    For ``pair_sums(N, .)`` that is F_N, and for its even entries
+    ``pair_sums(N, .)[0::2]`` it is g_N with F_N(z) = g_N(z**2).  Shift
+    k = 0 puts sum(pairs) on exponent 0; the shifts k = 1..N-1 meet the
+    nonzero s in one outer product of exponents and one weighted
+    ``bincount``.  Unreduced, the last entry is at (N-1)*max s, nonzero,
+    and empty pairs give an empty array.  bincount sums its weights in
+    float64, which is exact while every sum is below 2**53; the entries
+    sum to N*sum(pairs), and a larger total raises ValueError.
     """
-    pairs = pair_sums(N, source)
-    if not len(pairs):
-        return pairs
-    acc = np.zeros((N - 1) * (len(pairs) - 1) + 1, dtype=np.int64)
-    acc[0] = pairs.sum()
-    for k in range(1, N):
-        acc[: k * len(pairs): k] += pairs
-    return acc
-
-
-def goldbach_fold(N: int, pairs: np.ndarray) -> np.ndarray:
-    """F_N mod z**(2N) - 1 as 2N int64 entries, from ``pair_sums(N, .)``.
-
-    F_N = |S|**2 + sum over k = 1..N-1 and s of pairs[s] * z**(k*s), so
-    entry 0 gets |S|**2 and entry (k*s) mod 2N gets pairs[s]: one outer
-    product of exponents and one weighted ``bincount``, without F_N's
-    O(N**2) coefficients.  bincount sums its weights in float64, which is
-    exact while every sum is below 2**53; the entries sum to
-    F_N(1) = N*|S|**2, and a larger total raises ValueError.
-    """
-    period = 2 * N
-    squared = int(pairs.sum())
-    if N * squared >= 2 ** 53:
-        raise ValueError(f"F_{N}(1) = {N * squared} is past 2^53, beyond "
-                         f"which the float64 fold is not exact")
-    s = np.nonzero(pairs)[0]
-    exps = np.outer(np.arange(1, N, dtype=np.int64), s)
-    exps %= period
-    weights = np.broadcast_to(pairs[s], exps.shape)
-    fold = np.bincount(exps.ravel(), weights.ravel(),
-                       minlength=period).astype(np.int64)
-    fold[0] += squared
-    return fold
+    total = int(pairs.sum())
+    if N * total >= 2 ** 53:
+        raise ValueError(f"F_{N}(1) = {N * total} is past 2^53, beyond "
+                         f"which the float64 spread is not exact")
+    if not len(pairs) and period is None:
+        return np.zeros(0, dtype=np.int64)
+    s = np.flatnonzero(pairs)
+    exps = s[:, None] * np.arange(1, N)
+    if period is not None:
+        exps %= period
+    out = np.bincount(exps.ravel(), np.repeat(pairs[s], N - 1),
+                      minlength=period or 1).astype(np.int64)
+    out[0] += total
+    return out
 
 
 def goldbach_polynomial(N: int, source) -> IntPolynomial:
-    """F_N as an exact polynomial, from ``goldbach_coefficients``."""
-    return IntPolynomial(goldbach_coefficients(N, source).tolist())
+    """F_N as an exact polynomial: the ``exponent_spread`` of its pair
+    sums."""
+    return IntPolynomial(exponent_spread(N, pair_sums(N, source)).tolist())
 
 
 def goldbach_cofactor(N: int, table: PrimeTable) -> IntPolynomial:
@@ -179,14 +164,16 @@ def goldbach_cofactor(N: int, table: PrimeTable) -> IntPolynomial:
 
     Phi_N(z^2) is the forced cyclotomic part of F_N (Phi_2N for even N,
     Phi_N * Phi_2N for odd N), so this is F_N with that part divided out,
-    in the plane w = z^2: one exact division at half the degree.  It is
-    what ``factor.certify_goldbach_quotient`` certifies and what
+    in the plane w = z^2: one exact division at half the degree.  Every
+    odd-prime pair sum is even, so g_N is the ``exponent_spread`` of the
+    even pair sums alone, built without F_N.  It is what
+    ``factor.certify_goldbach_quotient`` certifies and what
     ``roots.classify_roots`` solves.  A nonzero remainder would falsify
     the divisibility theorems and raises TheoremViolation.
     """
     if N <= 5:
         raise ValueError("the Goldbach cofactor is defined for N > 5")
-    g = goldbach_polynomial(N, table).even_part()
+    g = IntPolynomial(exponent_spread(N, pair_sums(N, table)[0::2]).tolist())
     quotient, rem = divrem_exact(g, cyclotomic(N))
     if not rem.is_zero:
         raise TheoremViolation(f"Phi_{N} does not divide g_{N}")
@@ -197,9 +184,9 @@ def goldbach_cofactor(N: int, table: PrimeTable) -> IntPolynomial:
 # Stabilized coefficients
 # ---------------------------------------------------------------------------
 
-def stable_coefficient_table(limit: int, table: PrimeTable,
-                             counts: np.ndarray | None = None) -> np.ndarray:
-    """a(m) for all m <= limit by a divisor-sum sieve over the pair counts.
+def stable_coefficient_table(limit: int, counts: np.ndarray) -> np.ndarray:
+    """a(m) for all m <= limit by a divisor-sum sieve over a pair-count
+    table reaching limit.
 
     The sieve is split at T = isqrt(limit).  A divisor d <= T adds R(d) to
     its multiples with one slice-add.  A divisor d > T has cofactor
@@ -209,8 +196,6 @@ def stable_coefficient_table(limit: int, table: PrimeTable,
     2*sqrt(limit) numpy calls in place of limit/2, with the same int64
     sums.  Only even d >= 6 carry pair counts.
     """
-    if counts is None:
-        counts = arith.goldbach_count_table(limit, table)
     out = np.zeros(limit + 1, dtype=np.int64)
     T = math.isqrt(limit)
     for d in range(6, T + 1, 2):
@@ -232,10 +217,10 @@ def cyclotomic_remainders(N: int, coeffs: np.ndarray) -> dict[int, IntPolynomial
     """F mod Phi_M for every M | N (ascending) and for M = 2N, computed once
     for both the divisibility and the root-of-unity reports.
 
-    ``coeffs`` are F's int64 coefficients (``goldbach_coefficients``), or
-    their fold mod z**(2N) - 1 (``goldbach_fold``): every Phi_M here
-    divides z**M - 1, which divides z**(2N) - 1, so the fold leaves each
-    remainder unchanged.
+    ``coeffs`` are F's int64 coefficients, or their fold mod z**(2N) - 1
+    (both by ``exponent_spread``): every Phi_M here divides z**M - 1,
+    which divides z**(2N) - 1, so the fold leaves each remainder
+    unchanged.
     """
     rems = {M: remainder_mod_cyclotomic(coeffs, M) for M in arith.divisors(N)}
     rems[2 * N] = remainder_mod_cyclotomic(coeffs, 2 * N)
@@ -345,7 +330,7 @@ def theorem_reports(N: int, table: PrimeTable) -> list[TheoremReport]:
     entries are the pair counts R(n), n <= N (every pair summing to at
     most N lies in [1, N-1])."""
     pairs = pair_sums(N, table)
-    remainders = cyclotomic_remainders(N, goldbach_fold(N, pairs))
+    remainders = cyclotomic_remainders(N, exponent_spread(N, pairs, 2 * N))
     counts = np.zeros(N + 1, dtype=np.int64)
     head = pairs[: N + 1]
     counts[: len(head)] = head
@@ -360,10 +345,10 @@ def theorem_reports(N: int, table: PrimeTable) -> list[TheoremReport]:
 # Summatory function and asymptotics
 # ---------------------------------------------------------------------------
 
-def summatory(M: int, table: PrimeTable, counts: np.ndarray) -> int:
+def summatory(M: int, counts: np.ndarray) -> int:
     """A(M): sum of stabilized coefficients a(m) for m <= 2M, from a
     pair-count table reaching 2M."""
-    return int(stable_coefficient_table(2 * M, table, counts).sum())
+    return int(stable_coefficient_table(2 * M, counts).sum())
 
 
 def summatory_via_pairs(M: int, counts: np.ndarray) -> int:
@@ -382,7 +367,7 @@ def summatory_report(M: int, table: PrimeTable) -> dict:
     if M < 16:
         raise ValueError("M must be >= 16 for the asymptotic report")
     counts = arith.goldbach_count_table(2 * M, table)
-    a_direct = summatory(M, table, counts)
+    a_direct = summatory(M, counts)
     a_pairs = summatory_via_pairs(M, counts)
     main = math.pi ** 2 * M ** 2 / (3 * math.log(M) ** 2)
     return {
@@ -468,7 +453,7 @@ def hl_summary(m_lo: int, m_hi: int, table: PrimeTable) -> dict:
     """
     check_hl_range(m_lo, m_hi)
     counts = arith.goldbach_count_table(2 * m_hi, table)
-    coeff = stable_coefficient_table(2 * m_hi, table, counts)
+    coeff = stable_coefficient_table(2 * m_hi, counts)
     c2, c2_err = arith.twin_prime_constant(min(table.limit, 10 ** 6), table)
     spf = arith.spf_sieve(m_hi)
     ratios = np.empty(m_hi - m_lo + 1, dtype=np.float64)

@@ -1,8 +1,8 @@
 """Exact integer convolution, and dense polynomial arithmetic over F_p.
 
 ``convolve`` is the one place where goldpoly multiplies integer sequences
-exactly: the pair-count table (``arith``), the pair sums of
-``goldbach.goldbach_polynomial``, ``IntPolynomial`` products (``poly``) and
+exactly: the pair-count table (``arith``), ``goldbach.pair_sums``,
+``IntPolynomial`` products and the cyclotomic remainders (``poly``) and
 the F_p products below all go through it.  It has three branches.  When a
 rounding bound computed from the operands' lengths and largest magnitudes
 does not certify a float product, it packs each operand into one Python

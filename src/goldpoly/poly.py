@@ -8,10 +8,10 @@ schoolbook long-division loop: ``divrem_exact`` (monic divisor) and
 ``exact_quotient_or_none`` (any divisor, None unless exact) are checks
 around it.  Cyclotomic polynomials Phi_n and their cofactors
 (z**n - 1) / Phi_n are Moebius products of the binomials z**d - 1, built
-in Python ints; Phi_n is memoized.  ``remainder_mod_cyclotomic`` takes
+in Python ints as truncated power series, once per radical; Phi_n is
+memoized.  ``remainder_mod_cyclotomic`` takes
 no long division: it folds mod z**M - 1 and divides by Phi_M with two
-convolutions through the power-series inverse of Phi_M, in int64 numpy
-when an exact bound allows and in Python ints otherwise.
+``modp.convolve`` products through the power-series inverse of Phi_M.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -21,6 +21,7 @@ at every degree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -151,18 +152,8 @@ class IntPolynomial:
             g = -g
         return IntPolynomial(tuple(c // g for c in self.coeffs))
 
-    def is_even(self) -> bool:
-        """True when only even exponents carry nonzero coefficients."""
-        return not any(self.coeffs[1::2])
-
-    def even_part(self) -> "IntPolynomial":
-        """g with g(z**2) == self; raises if an odd exponent is present."""
-        if not self.is_even():
-            raise ValueError("polynomial has odd-exponent terms")
-        return IntPolynomial(self.coeffs[0::2])
-
     def compose_square(self) -> "IntPolynomial":
-        """self(z**2), the inverse of even_part."""
+        """self(z**2)."""
         cs = [0] * (2 * len(self.coeffs))
         cs[0::2] = self.coeffs
         return IntPolynomial(cs)
@@ -245,36 +236,51 @@ def _moebius_binomials(n: int, cofactor: bool) -> list[int]:
     Phi_r = prod_{d | r} (z**d - 1)**mu(r/d) and
     Psi_r = prod_{d | r, d < r} (z**d - 1)**(-mu(r/d))
     (Arnold & Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
-    2011).  The binomials with exponent +1 are multiplied in first, so each
-    division by one of the others is exact; dividing by z**d - 1 is a
-    running sum within each residue class mod d.  Coefficients are Python
-    ints throughout.
+    2011).  The product for r is built once per r (``_radical_product``)
+    and spread by n/r.
     """
-    primes = [p for p, _ in arith.factorize(n)]
+    primes = tuple(p for p, _ in arith.factorize(n))
+    cs = _radical_product(primes, cofactor)
+    step = n // math.prod(primes)
+    spread = [0] * (step * (len(cs) - 1) + 1)
+    spread[::step] = cs
+    return spread
+
+
+@functools.cache
+def _radical_product(primes: tuple[int, ...], cofactor: bool) -> tuple[int, ...]:
+    """Phi_r, or with ``cofactor`` Psi_r, for r the product of ``primes``.
+
+    Each z**d - 1 has constant term -1, so the product is taken as a power
+    series mod z**L, L the degree plus one (phi(r) + 1, or r - phi(r) + 1
+    for Psi_r), in any order: multiplying by z**d - 1 subtracts the series
+    from its shift by d, dividing is a running sum within each residue
+    class mod d, and a binomial with d >= L is -1.  Coefficients are
+    Python ints throughout.
+    """
     rad = math.prod(primes)
-    up, down = [], []
+    phi = math.prod(p - 1 for p in primes)
+    length = (rad - phi if cofactor else phi) + 1
+    cs = [1] + [0] * (length - 1)
     for k in range(len(primes) + 1):
         for subset in itertools.combinations(primes, k):
             d = math.prod(subset)
             # mu(r/d) = (-1)**(number of primes of r missing from d)
             mu_plus = (len(primes) - k) % 2 == 0
-            if not cofactor:
-                (up if mu_plus else down).append(d)
-            elif d < rad:
-                (down if mu_plus else up).append(d)
-    cs = [1]
-    for d in up:
-        # a * (z**d - 1) = a shifted up by d, minus a
-        cs = [hi - lo for hi, lo in zip([0] * d + cs, cs + [0] * d)]
-    for d in down:
-        # a / (z**d - 1) = q, where q[i] = q[i - d] - a[i]
-        cs = [-c for c in cs[:len(cs) - d]]
-        for r in range(d):
-            cs[r::d] = itertools.accumulate(cs[r::d])
-    step = n // rad
-    spread = [0] * (step * (len(cs) - 1) + 1)
-    spread[::step] = cs
-    return spread
+            if cofactor and d == rad:
+                continue
+            if d >= length:
+                # z**d - 1 = -1 mod z**L, whatever its exponent
+                cs = [-c for c in cs]
+            elif mu_plus != cofactor:
+                # exponent +1: a * (z**d - 1) = a shifted up by d, minus a
+                cs = [hi - lo for hi, lo in zip([0] * d + cs, cs)]
+            else:
+                # exponent -1: a / (z**d - 1) = q, q[i] = q[i - d] - a[i]
+                cs = [-c for c in cs]
+                for r in range(d):
+                    cs[r::d] = itertools.accumulate(cs[r::d])
+    return tuple(cs)
 
 
 def cyclotomic(n: int) -> IntPolynomial:
@@ -287,29 +293,21 @@ def cyclotomic(n: int) -> IntPolynomial:
     return got
 
 
-_INT64_MAX = 2 ** 63 - 1
-
-# M -> (phi(M), growth, {dtype: (Phi_M, -Psi_M mod z**(M - phi(M)))})
+# M -> (phi(M), Phi_M, -Psi_M mod z**(M - phi(M)))
 _division_memo: dict[int, tuple] = {}
 
 
 def _division_data(M: int) -> tuple:
-    """phi(M), the growth factor 1 + sum|Psi_M[:k]| * sum|Phi_M| of
-    ``remainder_mod_cyclotomic`` (k = M - phi(M)), and Phi_M with
-    -Psi_M[:k] as object arrays and as int64 arrays (None when the growth
-    factor is past int64)."""
+    """phi(M), and Phi_M and -Psi_M[:k] (k = M - phi(M)) as int64 arrays,
+    for ``remainder_mod_cyclotomic``; a coefficient past int64 would raise
+    OverflowError here rather than wrap."""
     got = _division_memo.get(M)
     if got is None:
         phi = cyclotomic(M).coeffs
         m = len(phi) - 1
         neg_psi = [-c for c in _moebius_binomials(M, True)[:M - m]]
-        growth = 1 + sum(map(abs, neg_psi)) * sum(map(abs, phi))
-        arrays = (np.array(phi, dtype=object), np.array(neg_psi, dtype=object))
-        fits = growth <= _INT64_MAX
-        got = _division_memo[M] = (
-            m, growth, {object: arrays,
-                        np.int64: tuple(x.astype(np.int64) for x in arrays)
-                        if fits else None})
+        got = _division_memo[M] = (m, np.array(phi, dtype=np.int64),
+                                   np.array(neg_psi, dtype=np.int64))
     return got
 
 
@@ -324,9 +322,8 @@ def remainder_mod_cyclotomic(a, M: int) -> IntPolynomial:
     With m = phi(M), k = M - m and Psi_M = (z**M - 1) / Phi_M: Phi_M is
     palindromic and Phi_M * (-Psi_M) = 1 mod z**k, so the reversed
     quotient is rev(f)[:k] * (-Psi_M) mod z**k, and the remainder is
-    f[:m] - (q * Phi_M)[:m].  The two products are ``np.convolve`` calls
-    on int64 arrays when the bound below keeps every partial sum under
-    2**63, and the same calls on arrays of Python ints otherwise.
+    f[:m] - (q * Phi_M)[:m].  The two products are ``modp.convolve``
+    calls, exact whatever the size of the fold's entries.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -335,21 +332,19 @@ def remainder_mod_cyclotomic(a, M: int) -> IntPolynomial:
     top = max(int(cs.max()), -int(cs.min())) if len(cs) else 0
     if not top:
         return IntPolynomial.zero()
-    m, growth, arrays = _division_data(M)
+    m, phi, neg_psi = _division_data(M)
     rows = -(-len(cs) // M)
-    # fold entries are at most T = rows * max|a|; partial sums of the
-    # quotient at most T * sum|Psi_M[:k]|, of q * Phi_M that times
-    # sum|Phi_M|, and the remainder adds a fold entry: T * growth in all
-    dtype = np.int64 if rows * top * growth <= _INT64_MAX else object
+    # fold entries are at most rows * max|a| < 2**62 in int64, and an int64
+    # product from convolve is below 2**53, so the difference cannot wrap
+    dtype = np.int64 if rows * top < 2 ** 62 else object
     fold = np.zeros(rows * M, dtype=dtype)
     fold[:len(cs)] = cs
     fold = fold.reshape(rows, M).sum(axis=0)
     if M == 1:
         return IntPolynomial(fold.tolist())
-    phi, neg_psi = arrays[dtype]
     k = M - m
-    q = np.convolve(fold[m:][::-1], neg_psi)[k - 1::-1]
-    return IntPolynomial((fold[:m] - np.convolve(q, phi)[:m]).tolist())
+    q = modp.convolve(fold[m:][::-1], neg_psi)[k - 1::-1]
+    return IntPolynomial((fold[:m] - modp.convolve(q, phi)[:m]).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,26 @@ def solved_cofactor(N: int, table, seed: int = 0):
     return roots.aberth_solve(goldbach_cofactor(N, table), seed=seed)
 
 
+def even_part(F: IntPolynomial) -> IntPolynomial:
+    """g with g(z**2) == F: F's even coefficients, asserting that its odd
+    ones vanish."""
+    assert not any(F.coeffs[1::2]), F
+    return IntPolynomial(F.coeffs[0::2])
+
+
 def break_divisibility(monkeypatch):
-    """Patch ``goldbach.goldbach_polynomial`` to return F_N + 1: Phi_N
-    divides g_N, so it cannot divide g_N + 1, and ``goldbach_cofactor``
-    has to raise TheoremViolation."""
-    build = goldbach.goldbach_polynomial
+    """Patch ``goldbach.pair_sums`` to count one more pair at s = 0, so
+    that every spread of it gains 1 per exponent step k < N: g_N becomes
+    g_N + N, Phi_N cannot divide it (Phi_N divides g_N and is no
+    constant), and ``goldbach_cofactor`` has to raise TheoremViolation."""
+    build = goldbach.pair_sums
 
     def shifted(N, source):
-        F = build(N, source)
-        return IntPolynomial((F[0] + 1,) + F.coeffs[1:])
+        pairs = build(N, source).copy()
+        pairs[0] += 1
+        return pairs
 
-    monkeypatch.setattr(goldbach, "goldbach_polynomial", shifted)
+    monkeypatch.setattr(goldbach, "pair_sums", shifted)
 
 
 def numeric_roots(N: int, table, seed: int = 0) -> np.ndarray:

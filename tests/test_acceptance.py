@@ -20,6 +20,7 @@ from goldpoly.poly import (
 )
 
 from conftest import (
+    even_part,
     multiset_distance,
     numeric_roots,
     requires_long,
@@ -104,7 +105,7 @@ def test_c3_theorem_suite(table):
     start = time.perf_counter()
     failures = []
     for N in range(2, 121):
-        coeffs = goldbach.goldbach_coefficients(N, table)
+        coeffs = goldbach.exponent_spread(N, goldbach.pair_sums(N, table))
         F = IntPolynomial(coeffs.tolist())
         remainders = goldbach.cyclotomic_remainders(N, coeffs)
         counts = arith.goldbach_count_table(N, table)
@@ -149,7 +150,7 @@ def test_c4_coefficient_oracle(table):
 def test_c5_lower_bounds(table, pair_counts):
     start = time.perf_counter()
     limit = 10 ** 5
-    coeff = goldbach.stable_coefficient_table(2 * limit, table, pair_counts)
+    coeff = goldbach.stable_coefficient_table(2 * limit, pair_counts)
     ms = np.arange(2, limit + 1)
     a2m = coeff[2 * ms]
     om = omega_sieve(limit, table)[ms]
@@ -175,7 +176,7 @@ def test_c6_identity_suite(table, pair_counts):
         lhs = weighted_divisor_sum(m)
         if lhs != m * series_weight(m) or lhs < m:
             bad_weight += 1
-    coeff = goldbach.stable_coefficient_table(2 * 10 ** 4, table,
+    coeff = goldbach.stable_coefficient_table(2 * 10 ** 4,
                                               pair_counts[: 2 * 10 ** 4 + 1])
     partial = np.cumsum(coeff, dtype=np.int64)
     prefix = np.cumsum(pair_counts[: 2 * 10 ** 4 + 1], dtype=np.int64)
@@ -276,7 +277,7 @@ def test_c8_soundness_products(table):
         if even_done % 2 == 0:
             q = multiply(a, substitute_negate(a)).primitive_part()
             if factor.certify_irreducible(
-                    q.even_part(), max_primes=3).verdict == "Irreducible":
+                    even_part(q), max_primes=3).verdict == "Irreducible":
                 halves_irreducible += 1
         else:
             b = IntPolynomial(rng.integers(-9, 10, int(rng.integers(2, 6))).tolist())
@@ -285,7 +286,7 @@ def test_c8_soundness_products(table):
             g = multiply(a, b).primitive_part()
             q = IntPolynomial(tuple(c for x in g.coeffs for c in (x, 0))[:-1])
         even_done += 1
-        if factor.certify_even(q.even_part(),
+        if factor.certify_even(even_part(q),
                                max_primes=3).verdict == "Irreducible":
             falsely_certified += 1
     elapsed = time.perf_counter() - start

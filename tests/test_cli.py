@@ -16,7 +16,7 @@ import pytest
 import numpy as np
 
 from goldpoly import arith, cli, factor, goldbach, modp, poly, roots
-from goldpoly.poly import cyclotomic, multiply
+from goldpoly.poly import IntPolynomial, cyclotomic, multiply
 
 from oracles import (
     coefficient_csv_by_join,
@@ -77,6 +77,20 @@ class TestConstruct:
             assert (code, out) == (0, poly.to_text(cofactor.compose_square())
                                    + "\n"), N
 
+    def test_inexact_phi_2n_quotient_is_a_theorem_violation(self, capsys,
+                                                            monkeypatch):
+        # F_6 + 1 leaves remainder 1 mod Phi_12: the one error format, exit 1
+        build = goldbach.goldbach_polynomial
+
+        def shifted(N, source):
+            F = build(N, source)
+            return IntPolynomial((F[0] + 1,) + F.coeffs[1:])
+
+        monkeypatch.setattr(goldbach, "goldbach_polynomial", shifted)
+        code, out, err = run(capsys, "construct", "6", "--quotient", "2N")
+        assert (code, out) == (1, "")
+        assert err == "error: TheoremViolation: Phi_12 does not divide F_6\n"
+
     def test_phi_n_quotient_of_a_goldbach_n_is_usage_error(self, capsys):
         # 10 = 3 + 7, so Phi_10 does not divide F_10 (theorem (b)): asking
         # for that quotient is a usage error, not a failed theorem
@@ -130,11 +144,15 @@ class TestVerify:
             calls[N] += 1
             return pair_sums(N, source)
 
-        def forbidden(N, source):
-            raise AssertionError("verify builds F_N's coefficients")
+        spread = goldbach.exponent_spread
+
+        def folded_only(N, pairs, period=None):
+            if period != 2 * N:
+                raise AssertionError("verify builds F_N's coefficients")
+            return spread(N, pairs, period)
 
         monkeypatch.setattr(goldbach, "pair_sums", counted)
-        monkeypatch.setattr(goldbach, "goldbach_coefficients", forbidden)
+        monkeypatch.setattr(goldbach, "exponent_spread", folded_only)
         code, _, _ = run(capsys, "verify", "--n-max", "12")
         assert code == 0
         assert calls == Counter(range(2, 13))

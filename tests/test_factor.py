@@ -17,6 +17,7 @@ from goldpoly.factor import (
 from goldpoly.goldbach import goldbach_cofactor, goldbach_polynomial
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
+from conftest import even_part
 from oracles import ddf_by_powmod
 from reference_fixtures import quotient_polynomial
 
@@ -28,7 +29,7 @@ def half_degree_polynomial(N, table):
         divisor = multiply(divisor, cyclotomic(N))
     q, rem = divrem_exact(goldbach_polynomial(N, table), divisor)
     assert rem.is_zero
-    return q.even_part()
+    return even_part(q)
 
 
 def oracle_pattern(fp, p):
@@ -357,7 +358,7 @@ class TestQuotientCertificates:
             assert (goldbach_cofactor(N, small_table)
                     == half_degree_polynomial(N, small_table)), N
         for N in range(6, 41):
-            g = goldbach_polynomial(N, small_table).even_part()
+            g = even_part(goldbach_polynomial(N, small_table))
             strip = roots.strip_unit_circle_part(g)
             assert strip.cyclotomic_factors == [(N, 1)], N
             assert strip.cofactor == goldbach_cofactor(N, small_table), N
@@ -383,20 +384,20 @@ class TestEvenLift:
         norm = (-1) ** g.degree * g[0] * g.lead
         assert norm in (1, 4)
         q = IntPolynomial(tuple(c for a in g.coeffs for c in (a, 0))[:-1])
-        assert q.even_part() == g
-        cert = certify_even(q.even_part())
+        assert even_part(q) == g
+        cert = certify_even(even_part(q))
         assert cert.verdict != "Irreducible"
         assert cert.degree == q.degree
 
     def test_nonsquare_norm_lifts_without_split_test(self):
         # z^2 + 3: g = z + 3 has norm -3
-        cert = certify_even(IntPolynomial((3, 0, 1)).even_part())
+        cert = certify_even(even_part(IntPolynomial((3, 0, 1))))
         assert cert.verdict == "Irreducible"
         assert cert.degree == 2
 
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
-            certify_even(IntPolynomial((2, 0, 4)).even_part())
+            certify_even(even_part(IntPolynomial((2, 0, 4))))
 
     def test_split_test_fires_for_odd_quotients(self, small_table,
                                                 monkeypatch):

@@ -73,14 +73,14 @@ class TestConstruction:
             IndicatorSet.liouville_negative(small_table.limit, small_table)
         for N in range(2, 81):
             expected = goldbach_polynomial_by_pairs(N, source)
-            coeffs = goldbach.goldbach_coefficients(N, source)
+            coeffs = goldbach.exponent_spread(N, goldbach.pair_sums(N, source))
             assert coeffs.dtype == np.int64
             assert coeffs.tolist() == list(expected.coeffs), N
             assert goldbach_polynomial(N, source) == expected
 
     def test_even_exponents_only(self, small_table):
         for N in range(2, 51):
-            assert goldbach_polynomial(N, small_table).is_even()
+            assert not any(goldbach_polynomial(N, small_table).coeffs[1::2])
 
 
 class TestCoefficientFormula:
@@ -120,22 +120,28 @@ class TestCoefficientFormula:
                 stable_coefficient_by_scalar_counts(m, small_table)
 
 
+def coefficient_table(limit, table):
+    """a(m) for m <= limit by the sieve, over the pair counts to limit."""
+    return goldbach.stable_coefficient_table(
+        limit, arith.goldbach_count_table(limit, table))
+
+
 class TestStableCoefficients:
     def test_odd_values_vanish(self, small_table):
-        tab = goldbach.stable_coefficient_table(200, small_table)
+        tab = coefficient_table(200, small_table)
         for m in range(1, 200, 2):
             assert tab[m] == stable_coefficient_by_scalar_counts(
                 m, small_table) == 0
 
     def test_small_values(self, small_table):
-        tab = goldbach.stable_coefficient_table(30, small_table)
+        tab = coefficient_table(30, small_table)
         assert tab[6] == stable_coefficient_by_scalar_counts(
             6, small_table) == 1  # R(2)+R(6)
         assert tab[30] == stable_coefficient_by_scalar_counts(
             30, small_table) == 10  # 0+1+3+6
 
     def test_table_matches_scalar(self, small_table):
-        tab = goldbach.stable_coefficient_table(300, small_table)
+        tab = coefficient_table(300, small_table)
         for m in range(1, 301):
             assert tab[m] == stable_coefficient_by_scalar_counts(m, small_table)
 
@@ -143,7 +149,7 @@ class TestStableCoefficients:
         counts = arith.goldbach_count_table(400, small_table)
         for limit in range(401):
             assert np.array_equal(
-                goldbach.stable_coefficient_table(limit, small_table, counts),
+                goldbach.stable_coefficient_table(limit, counts),
                 stable_coefficient_table_by_divisor_sweep(limit, small_table,
                                                           counts)), limit
 
@@ -152,7 +158,7 @@ class TestStableCoefficients:
     def test_table_matches_divisor_sweep_near_squares(self, table, limit):
         # the sieve splits at isqrt(limit): squares and their neighbours
         assert np.array_equal(
-            goldbach.stable_coefficient_table(limit, table),
+            coefficient_table(limit, table),
             stable_coefficient_table_by_divisor_sweep(limit, table))
 
 
@@ -195,8 +201,9 @@ class TestDivisibility:
         verdicts = set()
         for source in (small_table, liouville_set):
             for N in range(2, 61):
-                rep = goldbach.symmetry_report(N, goldbach.pair_sums(N, source))
-                coeffs = goldbach.goldbach_coefficients(N, source)
+                pairs = goldbach.pair_sums(N, source)
+                rep = goldbach.symmetry_report(N, pairs)
+                coeffs = goldbach.exponent_spread(N, pairs)
                 assert rep.holds == (not coeffs[1::2].any()), N
                 verdicts.add(rep.holds)
         assert verdicts == {True, False}
@@ -208,11 +215,12 @@ class TestPairSums:
         source = small_table if indicator == "odd_primes" else \
             IndicatorSet.liouville_negative(small_table.limit, small_table)
         for N in range(2, 121):
-            coeffs = goldbach.goldbach_coefficients(N, source)
+            pairs = goldbach.pair_sums(N, source)
+            coeffs = goldbach.exponent_spread(N, pairs)
             period = 2 * N
             padded = np.zeros(-(-len(coeffs) // period) * period, dtype=np.int64)
             padded[: len(coeffs)] = coeffs
-            fold = goldbach.goldbach_fold(N, goldbach.pair_sums(N, source))
+            fold = goldbach.exponent_spread(N, pairs, period)
             assert fold.dtype == np.int64
             assert fold.tolist() == \
                 padded.reshape(-1, period).sum(axis=0).tolist(), N
@@ -229,16 +237,27 @@ class TestPairSums:
         for N in (2, 3):
             pairs = goldbach.pair_sums(N, small_table)
             assert len(pairs) == 0
-            assert goldbach.goldbach_fold(N, pairs).tolist() == [0] * (2 * N)
+            assert goldbach.exponent_spread(N, pairs).tolist() == []
+            assert goldbach.exponent_spread(N, pairs, 2 * N).tolist() == \
+                [0] * (2 * N)
 
     def test_rejects_n_below_two(self, small_table):
         with pytest.raises(ValueError):
             goldbach.pair_sums(1, small_table)
 
     def test_fold_guards_float64_exactness(self):
-        # F_N(1) = N * |S|**2 = 2**53: bincount's float64 sums could round
-        with pytest.raises(ValueError, match="2\\^53"):
-            goldbach.goldbach_fold(2 ** 51, np.array([0, 0, 4]))
+        # F_N(1) = N * |S|**2 = 2**53: bincount's float64 sums could round,
+        # whole or folded
+        for N, pairs in ((2 ** 51, [0, 0, 4]), (4, [0, 0, 2 ** 51])):
+            for period in (None, 2 * N):
+                with pytest.raises(ValueError, match="2\\^53"):
+                    goldbach.exponent_spread(N, np.array(pairs), period)
+        # just below it: F_4(1) = 2**53 - 4
+        t = 2 ** 51 - 1
+        assert goldbach.exponent_spread(4, np.array([0, 0, t])).tolist() == \
+            [t, 0, t, 0, t, 0, t]
+        assert goldbach.exponent_spread(4, np.array([0, 0, t]), 8).tolist() \
+            == [t, 0, t, 0, t, 0, t, 0]
 
 
 class TestRootOfUnityValues:
@@ -262,7 +281,7 @@ class TestRootOfUnityValues:
     def test_bounds_match_scalar_sums(self, small_table):
         for N in range(2, 81):
             remainders = goldbach.cyclotomic_remainders(
-                N, goldbach.goldbach_coefficients(N, small_table))
+                N, goldbach.exponent_spread(N, goldbach.pair_sums(N, small_table)))
             counts = arith.goldbach_count_table(N, small_table)
             rep = goldbach.root_bounds_report(N, counts, remainders)
             assert rep == theorem_reports(N, small_table)[2]
@@ -278,7 +297,7 @@ class TestRootOfUnityValues:
         # R(n) for n > N must not reach any bound
         for N in range(2, 61):
             remainders = goldbach.cyclotomic_remainders(
-                N, goldbach.goldbach_coefficients(N, small_table))
+                N, goldbach.exponent_spread(N, goldbach.pair_sums(N, small_table)))
             exact = arith.goldbach_count_table(N, small_table)
             longer = arith.goldbach_count_table(2 * N, small_table)
             for report in (goldbach.verify_divisibility,
@@ -289,10 +308,11 @@ class TestRootOfUnityValues:
 
 class TestGoldbachCofactor:
     def test_times_phi_n_gives_the_even_part(self, small_table):
-        for N in range(6, 25):
-            g = goldbach_polynomial(N, small_table).even_part()
+        # built from the even pair sums alone, without F_N
+        for N in range(6, 61):
+            F = goldbach_polynomial(N, small_table)
             assert multiply(goldbach_cofactor(N, small_table),
-                            cyclotomic(N)) == g, N
+                            cyclotomic(N)).coeffs == F.coeffs[0::2], N
 
     def test_inexact_division_raises(self, small_table, monkeypatch):
         break_divisibility(monkeypatch)
@@ -309,24 +329,24 @@ class TestLowerBounds:
     else 1) once every divisor d of m outside {1, 2} has R(2d) > 0."""
 
     def test_m15(self, small_table):
-        tab = goldbach.stable_coefficient_table(30, small_table)
+        tab = coefficient_table(30, small_table)
         assert tab[30] == 10
         assert omega(15) == 2
         assert tau(15) - 1 == 3
 
     def test_m2_boundary(self, small_table):
-        tab = goldbach.stable_coefficient_table(4, small_table)
+        tab = coefficient_table(4, small_table)
         assert tab[4] == 0
         assert omega(2) - 1 == 0
 
     def test_prime_m_bounds_coincide(self, small_table):
-        tab = goldbach.stable_coefficient_table(62, small_table)
+        tab = coefficient_table(62, small_table)
         for m in (3, 5, 11, 31):
             assert omega(m) == tau(m) - 1 == 1 <= tab[2 * m]
 
     def test_matches_scalar_counts(self, small_table):
-        tab = goldbach.stable_coefficient_table(600, small_table)
         counts = arith.goldbach_count_table(600, small_table)
+        tab = goldbach.stable_coefficient_table(600, counts)
         for m in range(2, 301):
             assert tab[2 * m] == \
                 stable_coefficient_by_scalar_counts(2 * m, small_table)
@@ -340,12 +360,12 @@ class TestSummatory:
     def test_A3_by_hand(self, small_table):
         # a(2)=a(4)=0, a(6)=1
         counts = arith.goldbach_count_table(6, small_table)
-        assert goldbach.summatory(3, small_table, counts) == 1
+        assert goldbach.summatory(3, counts) == 1
         assert goldbach.summatory_via_pairs(3, counts) == 1
 
     def test_identity_small_range(self, small_table):
         counts = arith.goldbach_count_table(1200, small_table)
-        coeff = goldbach.stable_coefficient_table(1200, small_table, counts)
+        coeff = goldbach.stable_coefficient_table(1200, counts)
         for M in range(1, 601):
             assert int(coeff[: 2 * M + 1].sum()) == \
                 goldbach.summatory_via_pairs(M, counts)
@@ -426,7 +446,7 @@ class TestIndicators:
         # 2 is in the Liouville-negative set, so odd exponents appear
         ind = IndicatorSet.liouville_negative(100, small_table)
         F = goldbach_polynomial(8, ind)
-        assert not F.is_even()
+        assert any(F.coeffs[1::2])
 
     def test_liouville_pair_existence(self, table):
         lam = arith.liouville_sieve(10_000, table)

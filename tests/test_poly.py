@@ -298,28 +298,37 @@ class TestRemainderModCyclotomic:
     @staticmethod
     def _convolve_dtypes(monkeypatch) -> list:
         seen = []
-        convolve = np.convolve
+        convolve = modp.convolve
 
-        def spy(a, v, *args, **kwargs):
-            seen.append((a.dtype, v.dtype))
-            return convolve(a, v, *args, **kwargs)
+        def spy(a, b):
+            out = convolve(a, b)
+            seen.append((a.dtype, out.dtype))
+            return out
 
-        monkeypatch.setattr(np, "convolve", spy)
+        monkeypatch.setattr(modp, "convolve", spy)
         return seen
 
     @pytest.mark.parametrize("M", [2, 3, 12, 30, 105, 165, 210, 240])
     def test_int64_path_up_to_its_guard(self, monkeypatch, M):
+        # (fold, product) dtypes of the two convolve calls: small entries
+        # stay int64; a fold entry of 2**53 is past convolve's exact gate,
+        # so the products are packed Python ints; the fold itself stays
+        # int64 below 2**62 = rows * max|a|
+        i8, obj = np.dtype(np.int64), np.dtype(object)
         rng = np.random.default_rng(M)
-        top = poly._INT64_MAX // (2 * poly._division_data(M)[1])
-        for peak, dtype in ((top, np.int64), (top + 1, object)):
+        for peak, fold_dtype, product_dtype in (
+                (2 ** 20, i8, i8), (2 ** 52, i8, obj),
+                (2 ** 61 - 1, i8, obj), (2 ** 61, obj, obj)):
             # two rows folded onto each other, extremes of both signs
             a = rng.integers(-peak, peak + 1, size=2 * M)
             a[rng.integers(0, 2 * M, size=M)] = peak
+            a[[M - 1, 2 * M - 1]] = peak
             a[0] = -peak
             seen = self._convolve_dtypes(monkeypatch)
             got = remainder_mod_cyclotomic(a, M)
             monkeypatch.undo()
-            assert seen == [(dtype, dtype)] * 2, (M, peak)
+            assert seen == [(fold_dtype, product_dtype),
+                            (product_dtype, product_dtype)], (M, peak)
             assert got == divrem_exact(IntPolynomial(a.tolist()), cyclotomic(M))[1]
 
     def test_remainder_past_int64_is_exact(self):
@@ -443,12 +452,9 @@ class TestEvaluationAndSymmetry:
         assert substitute_negate(IntPolynomial((0, 1, 1))) == IntPolynomial((0, -1, 1))
 
     def test_even_part(self):
+        # g(z**2) == a for g the even coefficients of an even a
         a = IntPolynomial((1, 0, -2, 0, 5))
-        assert a.is_even()
-        assert a.even_part() == IntPolynomial((1, -2, 5))
-        with pytest.raises(ValueError):
-            IntPolynomial((1, 1)).even_part()
-        assert a.even_part().compose_square() == a
+        assert IntPolynomial(a.coeffs[0::2]).compose_square() == a
         assert IntPolynomial((7,)).compose_square() == IntPolynomial((7,))
         assert IntPolynomial.zero().compose_square().is_zero
 
