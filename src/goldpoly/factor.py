@@ -13,16 +13,21 @@ DDF iterates the Frobenius map h -> h^p mod f.  Over F_p it is linear,
 (sum h_i z^i)^p = sum h_i z^(p i), so its matrix is Berlekamp's Q, with
 row i equal to z^(p i) mod f.  ``modp.FrobeniusMap`` builds Q once per
 prime (one ``powmod``, then log2(deg f) doublings by row-batched
-products), and each DDF step is then one int64 matrix-vector product
-instead of a ``powmod``.
-That product sums deg f terms below (p - 1)^2, so it is exact while
-deg f * (p - 1)^2 < 2**63; DDF raises ValueError beyond that.  The primes
-used here start at 101, where the bound allows degrees up to about 9e14.
+products, each of whose last row is the next doubling's multiplier), and
+each DDF step is then one matrix-vector product instead of a ``powmod``.
+That product sums deg f terms below (p - 1)^2: Q is int32 while
+deg f * (p - 1)^2 < 2**31 (degrees up to about 214 000 at p = 101) and
+int64 beyond, and DDF raises ValueError once the sum may reach 2**63.
 The steps run in blocks whose product of the h - z is built as a product
-tree, one batched multiplication and reduction per level.  A block that
-holds factors is unpacked by reducing all of its rows modulo the block
-gcd G at once (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1),
-so that the per-degree gcds run at the degree of G, not of f.
+tree, one batched multiplication and reduction per level.  The gcd G of
+that product with the cofactor collects the factors whose degrees the
+block spans, and the cofactor is divided by G once.  G is unpacked by
+per-degree gcds that run at the degree of G, not of f, after all of the
+block's rows are reduced modulo G at once (von zur Gathen & Gerhard,
+Modern Computer Algebra, 9.1).  They stop as soon as the rest of G has
+degree below twice the least degree it can still hold: that rest is one
+irreducible factor, taken without a gcd, and a G of degree below twice
+the block's first degree skips the reduction of the rows as well.
 
 Every F_N is even, F_N(z) = g_N(z^2), and Phi_N(z^2) is exactly the
 forced cyclotomic part of F_N (Phi_2N for even N, Phi_N * Phi_2N for odd
@@ -132,18 +137,21 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
     remaining cofactor with h - z after d steps collects all factors of
     degree d, kept as the component of degree d.  Each step is one
     product with the Frobenius matrix of fp (``modp.FrobeniusMap``), built
-    once per call, and all steps run mod fp.  That product is exact in
-    int64 while deg fp * (p - 1)^2 < 2**63; beyond that this raises
-    ValueError.
+    once per call, and all steps run mod fp.  That product is exact while
+    deg fp * (p - 1)^2 < 2**63; beyond that this raises ValueError.
 
     The steps run in blocks of ``_DDF_BLOCK``, kept as the rows h_d - z
     of one array.  Their product mod fp is a product tree: each level
     multiplies the rows pairwise in one batched ``modp.mul`` and
     ``ModulusContext.reduce``, padding an odd level with a row equal to 1.
-    One gcd G of the cofactor with that product tells whether the block
-    holds any factor.  When it does, every row is reduced mod G in one
-    batched ``reduce``, and the per-d gcds then run at the degree of G,
-    until G is used up.  Raises BadPrimeError when fp is not squarefree.
+    One gcd G of the cofactor with that product holds exactly the factors
+    of degree d0 + 1 .. d0 + steps, and the cofactor is divided by G
+    once.  While the rest of G has degree at least 2 dd, the per-degree
+    gcd at dd splits off the component of degree dd, against the rows
+    reduced mod G in one batched ``reduce`` (done only when
+    deg G >= 2 (d0 + 1)).  Below that the rest of G is one irreducible
+    factor, recorded without a gcd; an assertion checks that every G is
+    used up this way.  Raises BadPrimeError when fp is not squarefree.
     """
     fp = modp.monic(modp.trim(fp), p)
     n = len(fp) - 1
@@ -178,20 +186,28 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
             level = ctx.reduce(modp.mul(level[0::2], level[1::2], p))
         g = modp.gcd(rem, level[0], p)
         if len(g) - 1 > 0:
-            small = modp.ModulusContext(g, p).reduce(rows)
-            for dd, row in enumerate(small, start=d + 1):
-                gd = modp.gcd(g, row, p)
-                deg_gd = len(gd) - 1
-                if deg_gd > 0:
-                    if deg_gd % dd:
+            rem, r_rem = modp.divmod_poly(rem, g, p)
+            if len(r_rem):
+                raise AssertionError("inexact split in pattern")
+            # g holds the factors of degree d + 1 .. d + steps; once its
+            # degree is below twice the least degree left, it is one factor
+            dd = d + 1
+            if len(g) - 1 >= 2 * dd:
+                small = modp.ModulusContext(g, p).reduce(rows)
+            while dd <= d + steps and len(g) - 1 >= 2 * dd:
+                gd = modp.gcd(g, small[dd - d - 1], p)
+                if len(gd) > 1:
+                    if (len(gd) - 1) % dd:
                         raise AssertionError("degree pattern inconsistency")
                     components[dd] = gd
                     g, g_rem = modp.divmod_poly(g, gd, p)
-                    rem, r_rem = modp.divmod_poly(rem, gd, p)
-                    if len(g_rem) or len(r_rem):
+                    if len(g_rem):
                         raise AssertionError("inexact split in pattern")
-                    if len(g) == 1:
-                        break
+                dd += 1
+            if len(g) > 1:
+                if not dd <= len(g) - 1 <= d + steps:
+                    raise AssertionError("block gcd not used up")
+                components[len(g) - 1] = g
         d += steps
     pattern = DegreePattern(components)
     if sum(pattern) != n:

@@ -16,12 +16,13 @@ x86_64 for la = lb: 7 against 14 us at 128, 25 against 17 us at 256).
 operand or both; the batches broadcast, so one row can meet many.
 
 F_p coefficient arrays are little-endian (index = exponent), trimmed (empty
-array = zero polynomial), all entries in [0, p).  ``divmod_poly`` and
-``gcd`` share one long-division loop that works in place on copies of
-their inputs.  A ``ModulusContext`` reduces a batch of rows, or one
-polynomial as a batch of one, of any degree, with a Newton inverse of the
-reversed modulus that it extends as wider inputs need it; each reduction
-then costs two multiplications.
+array = zero polynomial), all entries in [0, p); ``mul`` takes p - 1 as
+its operands' bound from that contract instead of scanning them.
+``divmod_poly`` and ``gcd`` share one long-division loop that works in
+place on copies of their inputs.  A ``ModulusContext`` reduces a batch of
+rows, or one polynomial as a batch of one, of any degree, with a Newton
+inverse of the reversed modulus that it extends as wider inputs need it;
+each reduction then costs two multiplications.
 """
 
 from __future__ import annotations
@@ -49,13 +50,16 @@ def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> floa
     return _EPS * terms * math.sqrt(la * lb) * float(amax) * float(bmax)
 
 
-def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def convolve(a: np.ndarray, b: np.ndarray,
+             bound: int | None = None) -> np.ndarray:
     """Exact linear convolution of integer arrays, 1-D or 2-D on either side.
 
     Entries are machine integers, or Python ints of any size and sign in an
     object array.  A 2-D operand is a batch of rows; the batches broadcast
     together (equal row counts, or one row against many) and each pair of
-    rows is convolved.  The bound below is taken over the whole batch.
+    rows is convolved.  The bound below is taken over the whole batch, from
+    the operands' largest magnitudes, or from ``bound`` when the caller
+    knows one for every entry of both (then neither operand is scanned).
     Three branches:
 
     - **Kronecker**, when some entry may reach 2**53 or
@@ -75,9 +79,12 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if la == 0 or lb == 0:
         return np.zeros(batch + (0,), dtype=np.int64)
     n = la + lb - 1
-    amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
-    if amax == 0 or bmax == 0:
-        return np.zeros(batch + (n,), dtype=np.int64)
+    if bound is None:
+        amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
+        if amax == 0 or bmax == 0:
+            return np.zeros(batch + (n,), dtype=np.int64)
+    else:
+        amax = bmax = bound
     length = 1 << (n - 1).bit_length()
     # every entry is at most min(la, lb) * amax * bmax: below 2**53 the
     # float64 copies and the rounded result are exact integers
@@ -161,8 +168,9 @@ def scale(a: np.ndarray, c: int, p: int) -> np.ndarray:
 
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a * b over F_p.  With a 2-D operand the rows broadcast as in
-    ``convolve`` and each product row comes back untrimmed."""
-    out = (convolve(a, b) % p).astype(np.int64, copy=False)
+    ``convolve`` and each product row comes back untrimmed.  The operands'
+    entries lie in [0, p), so p - 1 bounds them without a scan."""
+    out = (convolve(a, b, p - 1) % p).astype(np.int64, copy=False)
     return trim(out) if out.ndim == 1 else out
 
 
@@ -313,16 +321,20 @@ class FrobeniusMap:
     """h -> h^p mod f over F_p as one matrix-vector product.
 
     Over F_p, (sum h_i z^i)^p = sum h_i z^(p i), so the map is linear and
-    its matrix is Berlekamp's Q, whose row i is z^(p i) mod f (von zur
-    Gathen & Shoup, Comput. Complexity 2, 1992).  The build takes one
-    ``powmod`` for x = z^p mod f and then doubles: rows [k, 2k) are rows
-    [0, k) times x^k mod f, by row-batched ``mul`` and ``reduce``.  Each
-    batch has at most 2**18 coefficients, so up to degree 724 a doubling
-    is one batch, and above it the build's memory stays near that of Q.  The
-    matrix is kept as ``qt`` = Q^T, C-contiguous int64.  A step is an
-    int64 einsum, which numpy runs without BLAS and so without threads;
-    it is exact while n (p - 1)^2 < 2**63, and a larger modulus is
-    rejected with ValueError.
+    its matrix is Berlekamp's Q, whose row i is z^(p i) = x^i mod f with
+    x = z^p mod f (von zur Gathen & Shoup, Comput. Complexity 2, 1992).
+    The build takes one ``powmod`` for x = row 1 and then doubles: with
+    rows [0, k] known, rows [k + 1, k + m] are rows [1, m] times row k =
+    x^k, by row-batched ``mul`` and ``reduce``, for m = min(k, n - 1 - k).
+    The last row of a full level, x^(2k), is the next level's multiplier,
+    so no level squares x^k on its own.  Each batch has at most 2**18
+    coefficients, so up to degree 724 a level is one batch, and above it
+    a batch's transform temporaries stay near 20-25 MB whatever the
+    degree.  The matrix is kept as ``qt``
+    = Q^T, C-contiguous, int32 while n (p - 1)^2 < 2**31 and int64
+    otherwise.  A step is an einsum in that dtype, which numpy runs
+    without BLAS and so without threads; it is exact while
+    n (p - 1)^2 < 2**63, and a larger modulus is rejected with ValueError.
     """
 
     def __init__(self, ctx: ModulusContext):
@@ -330,27 +342,30 @@ class FrobeniusMap:
         if n * (p - 1) ** 2 >= 2 ** 63:
             raise ValueError(f"n (p-1)^2 >= 2^63 at n={n}, p={p}: "
                              "the int64 Frobenius step would overflow")
-        q = np.zeros((n, n), dtype=np.int64)
+        # a step sums n products below (p - 1)^2 in the matrix's dtype
+        dtype = np.int32 if n * (p - 1) ** 2 < 2 ** 31 else np.int64
+        q = np.zeros((n, n), dtype=dtype)
         q[0, 0] = 1
-        xk = ctx.powmod(np.array([0, 1], dtype=np.int64), p)
+        x = ctx.powmod(np.array([0, 1], dtype=np.int64), p)
+        if n > 1:
+            q[1, : len(x)] = x
         # rows per batched product: transform temporaries stay near
         # _BATCH_COEFFS entries whatever the degree
         rows = max(1, _BATCH_COEFFS // n)
         k = 1
-        while k < n:
-            m = min(k, n - k)
-            for lo in range(0, m, rows):
-                hi = min(lo + rows, m)
-                q[k + lo:k + hi] = ctx.reduce(mul(q[lo:hi], xk, p))
+        while k < n - 1:
+            m = min(k, n - 1 - k)
+            for lo in range(1, m + 1, rows):
+                hi = min(lo + rows, m + 1)
+                q[k + lo:k + hi] = ctx.reduce(mul(q[lo:hi], q[k], p))
             k += m
-            if k < n:
-                xk = ctx.mulmod(xk, xk)
         self.p = p
         self.n = n
         self.qt = np.ascontiguousarray(q.T)
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
         """h^p mod f for h of degree < deg f."""
-        v = np.zeros(self.n, dtype=np.int64)
+        v = np.zeros(self.n, dtype=self.qt.dtype)
         v[: len(h)] = h
-        return trim(np.einsum("ji,i->j", self.qt, v) % self.p)
+        out = np.einsum("ji,i->j", self.qt, v) % self.p
+        return trim(out.astype(np.int64, copy=False))

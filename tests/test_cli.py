@@ -653,6 +653,23 @@ class TestIrreducible:
         assert calls["ddf"] > 0
         assert calls["powmod"] == calls["ddf"]
 
+    def test_mul_operands_lie_in_the_field(self, capsys, monkeypatch):
+        # modp.mul bounds its operands by p - 1 without scanning them, so
+        # every caller must hand it entries in [0, p)
+        mul = modp.mul
+        seen = Counter()
+
+        def checked(a, b, p):
+            for x in (a, b):
+                assert x.size == 0 or (x.min() >= 0 and x.max() < p)
+            seen[p] += 1
+            return mul(a, b, p)
+
+        monkeypatch.setattr(modp, "mul", checked)
+        code, _, _ = run(capsys, "irreducible", "--n-max", "12")
+        assert code == 0
+        assert sum(seen.values()) > 1000 and min(seen) >= 101
+
 
 class TestIndicatorFlag:
     def test_liouville_construct(self, capsys):

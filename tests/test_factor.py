@@ -18,7 +18,7 @@ from goldpoly.goldbach import goldbach_cofactor, goldbach_polynomial
 from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
 
 from conftest import even_part
-from oracles import ddf_by_powmod
+from oracles import ddf_by_powmod, gcd_by_trimming
 from reference_fixtures import quotient_polynomial
 
 
@@ -249,6 +249,57 @@ class TestFrobeniusMatrixDDF:
         pattern = distinct_degree_pattern(fp, p)
         assert list(pattern) == sorted(degrees)
         assert_same_ddf(pattern, ddf_by_powmod(fp, p))
+
+
+def random_irreducible(rng, p, k):
+    """A random monic irreducible of degree k over F_p.
+
+    Ben-Or's test with the oracle gcd: u is irreducible iff
+    gcd(u, z^(p^i) - z) = 1 for i <= k / 2; most candidates fail at i = 1.
+    """
+    z = np.array([0, 1], dtype=np.int64)
+    while True:
+        u = rng.integers(0, p, k + 1).astype(np.int64)
+        u[-1] = 1
+        ctx = modp.ModulusContext(u, p)
+        h = z
+        for _ in range(k // 2):
+            h = ctx.powmod(h, p)
+            if len(gcd_by_trimming(u, modp.sub(h, z, p), p)) > 1:
+                break
+        else:
+            return u
+
+
+class TestDDFShortcuts:
+    """A block's gcd G divides the cofactor once; its per-degree gcds stop
+    once the rest of G is below twice the least degree it can hold, and
+    that rest is recorded as one factor without a gcd."""
+
+    # [8, 8]: deg G = 16 = 2 * 8 at dd = 8, where G is still two factors
+    CASES = [[16], [3, 11], [1, 1, 9], [8, 8], [5, 5, 5], [17, 40]]
+
+    @pytest.mark.parametrize("p", [3, 101, 65_521])
+    @pytest.mark.parametrize("degrees", CASES, ids=str)
+    def test_known_factor_degrees(self, p, degrees):
+        rng = np.random.default_rng(p + 100 * sum(degrees) + len(degrees))
+        factors = []
+        while len(factors) < len(degrees):
+            u = random_irreducible(rng, p, degrees[len(factors)])
+            if u.tolist() not in [f.tolist() for f in factors]:
+                factors.append(u)
+        fp = np.array([1], dtype=np.int64)
+        for u in factors:
+            fp = modp.mul(fp, u, p)
+        pattern = distinct_degree_pattern(fp, p)
+        assert list(pattern) == sorted(degrees)
+        assert_same_ddf(pattern, ddf_by_powmod(fp, p))
+        if len(factors) > 1:
+            lifted = IntPolynomial((1,))
+            for u in factors:
+                lifted = multiply(lifted, IntPolynomial(u.tolist()))
+            cert = certify_irreducible(lifted, max_primes=4)
+            assert cert.verdict != "Irreducible"
 
 
 class TestScreen:

@@ -82,6 +82,50 @@ class TestMul:
             assert np.array_equal(modp.mul(a, b, p), school(a, b, p))
 
 
+class TestMulContract:
+    """mul bounds its operands by p - 1, the module's contract, unscanned."""
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 65_521, 2_147_483_647])
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((37,), (20,)), ((5, 30), (30,)), ((30,), (4, 25)), ((6, 33), (6, 12)),
+        ((1, 40), (3, 40)), ((4, 9), (1, 9)),
+    ])
+    def test_matches_reduced_convolution(self, monkeypatch, p,
+                                         shape_a, shape_b):
+        rng = np.random.default_rng(p % 1009 + len(shape_a) + 3 * shape_b[-1])
+        a = rng.integers(0, p, shape_a).astype(np.int64)
+        b = rng.integers(0, p, shape_b).astype(np.int64)
+        if a.ndim == 2:
+            a[-1] = 0  # a zero row
+        a.flat[-1] = b.flat[-1] = p - 1
+        packed = []
+        kronecker = modp._kronecker
+
+        def counted(x, y):
+            packed.append(1)
+            return kronecker(x, y)
+
+        monkeypatch.setattr(modp, "_kronecker", counted)
+        got = modp.mul(a, b, p)
+        taken = len(packed)
+        expected = (modp.convolve(a, b) % p).astype(np.int64)
+        if expected.ndim == 1:
+            expected = modp.trim(expected)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected.tolist()
+        # beyond the float bound the exact packer runs, operands unscanned
+        assert (taken > 0) == (p == 2_147_483_647)
+
+    @pytest.mark.parametrize("p", [2, 101, 2_147_483_647])
+    def test_zero_operands(self, p):
+        zero, one = np.zeros(0, dtype=np.int64), np.array([1], dtype=np.int64)
+        assert modp.mul(zero, one, p).tolist() == []
+        assert modp.mul(np.zeros(4, dtype=np.int64), one, p).tolist() == []
+        rows = np.zeros((3, 5), dtype=np.int64)
+        got = modp.mul(rows, np.array([0, 1, p - 1], dtype=np.int64), p)
+        assert got.tolist() == [[0] * 7] * 3
+
+
 class TestConvolve:
     def test_largest_admitted_magnitudes_are_exact(self):
         # signed operands at the largest magnitude the bound still admits,
@@ -461,6 +505,19 @@ class TestRowBatchedConvolve:
                 assert modp.trim(out).tolist() == expected.tolist()
 
 
+def frobenius_dtype(n, p):
+    """The Frobenius matrix's dtype: a step sums n products below (p-1)^2."""
+    return np.int32 if n * (p - 1) ** 2 < 2 ** 31 else np.int64
+
+
+def assert_rows_are_powers(frob, ctx, n, p):
+    for i in range(n):
+        zi = np.zeros(i + 1, dtype=np.int64)
+        zi[i] = 1
+        row = modp.trim(frob.qt[:, i].astype(np.int64))
+        assert row.tolist() == ctx.powmod(zi, p).tolist(), i
+
+
 class TestFrobeniusMap:
     @pytest.mark.parametrize("p, n", [(3, 1), (3, 17), (101, 64), (10007, 45)])
     def test_rows_are_powers_of_z(self, p, n):
@@ -469,12 +526,61 @@ class TestFrobeniusMap:
         f[-1] = 1
         ctx = modp.ModulusContext(f, p)
         frob = modp.FrobeniusMap(ctx)
-        assert frob.qt.shape == (n, n) and frob.qt.dtype == np.int64
+        assert frob.qt.shape == (n, n) and frob.qt.dtype == frobenius_dtype(n, p)
         assert frob.qt.flags.c_contiguous
-        for i in range(n):
-            zi = np.zeros(i + 1, dtype=np.int64)
-            zi[i] = 1
-            assert modp.trim(frob.qt[:, i]).tolist() == ctx.powmod(zi, p).tolist()
+        assert_rows_are_powers(frob, ctx, n, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
+    @pytest.mark.parametrize("p", [3, 101])
+    def test_last_row_of_each_level(self, p, n):
+        # the last row of a full level is the next level's multiplier; at
+        # these sizes a level ends on row n - 1 or stops short of a full one
+        rng = np.random.default_rng(7 * n + p)
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        assert_rows_are_powers(modp.FrobeniusMap(ctx), ctx, n, p)
+
+    @pytest.mark.parametrize("n, rows, k", [(9, 3, 4), (17, 3, 4),
+                                            (33, 7, 8), (33, 5, 16)])
+    def test_batch_boundary_on_the_multiplier_row(self, monkeypatch,
+                                                  n, rows, k):
+        # level k computes rows [k + 1, 2k] in batches of `rows` rows from
+        # k + 1 on; here the last batch holds row 2k = x^(2k) alone, which
+        # the next level multiplies by (n = 17, 33) or which ends Q
+        assert (k - 1) % rows == 0 and 2 * k <= n - 1
+        rng = np.random.default_rng(n)
+        p = 101
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        whole = modp.FrobeniusMap(ctx).qt
+        monkeypatch.setattr(modp, "_BATCH_COEFFS", rows * n)
+        split = modp.FrobeniusMap(ctx)
+        assert np.array_equal(split.qt, whole)
+        assert_rows_are_powers(split, ctx, n, p)
+
+    @pytest.mark.parametrize("p, n, dtype", [
+        (46_337, 1, np.int32),   # 46336^2 < 2^31
+        (46_337, 2, np.int64),   # 2 * 46336^2 >= 2^31
+        (46_349, 1, np.int64),   # 46348^2 >= 2^31
+        (32_749, 2, np.int32),   # 2 * 32748^2 < 2^31
+        (32_749, 3, np.int64),   # 3 * 32748^2 >= 2^31
+    ])
+    def test_dtype_rule_at_its_edge(self, p, n, dtype):
+        assert frobenius_dtype(n, p) == dtype
+        rng = np.random.default_rng(p + n)
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        frob = modp.FrobeniusMap(ctx)
+        assert frob.qt.dtype == dtype
+        assert_rows_are_powers(frob, ctx, n, p)
+        for h in ([p - 1] * n, rng.integers(0, p, n).tolist()):
+            h = modp.trim(np.array(h, dtype=np.int64))
+            step = frob(h)
+            assert step.dtype == np.int64
+            assert step.tolist() == ctx.powmod(h, p).tolist()
 
     def test_split_batches_give_the_same_matrix(self, monkeypatch):
         # above 2**18 coefficients a doubling is split into row batches;
