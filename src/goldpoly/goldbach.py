@@ -109,7 +109,8 @@ def pair_sums(N: int, source) -> np.ndarray:
     """Ordered pair sums of the indicator support S on [1, N-1]: entry s
     counts the pairs (n1, n2) in S x S with n1 + n2 = s.
 
-    One autocorrelation of the 0/1 indicator of S by ``modp.convolve``.
+    One autocorrelation of the 0/1 indicator of S by ``modp.convolve``,
+    with 1 as its hint.
     Its length is 2*max(S) + 1, so the last entry is nonzero, and its
     entries sum to |S|**2; an empty S gives an empty array.
     """
@@ -120,7 +121,7 @@ def pair_sums(N: int, source) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     ind = np.zeros(int(supp[-1]) + 1, dtype=np.uint8)
     ind[supp] = 1
-    return modp.convolve(ind, ind)
+    return modp.convolve(ind, ind, 1)
 
 
 def exponent_spread(N: int, pairs: np.ndarray,
@@ -220,10 +221,13 @@ def cyclotomic_remainders(N: int, coeffs: np.ndarray) -> dict[int, IntPolynomial
     ``coeffs`` are F's int64 coefficients, or their fold mod z**(2N) - 1
     (both by ``exponent_spread``): every Phi_M here divides z**M - 1,
     which divides z**(2N) - 1, so the fold leaves each remainder
-    unchanged.
+    unchanged.  ``coeffs`` is scanned once, for the largest magnitude that
+    every remainder takes as its bound.
     """
-    rems = {M: remainder_mod_cyclotomic(coeffs, M) for M in arith.divisors(N)}
-    rems[2 * N] = remainder_mod_cyclotomic(coeffs, 2 * N)
+    top = max(int(coeffs.max()), -int(coeffs.min())) if len(coeffs) else 0
+    rems = {M: remainder_mod_cyclotomic(coeffs, M, top)
+            for M in arith.divisors(N)}
+    rems[2 * N] = remainder_mod_cyclotomic(coeffs, 2 * N, top)
     return rems
 
 

@@ -11,18 +11,23 @@ holds, one pair of rows with la * lb <= 2**15 is multiplied directly in
 int64 (``np.convolve``), and anything larger by a real FFT: the direct
 product is the cheaper one below that crossover (measured on a 2-core
 x86_64 for la = lb: 7 against 14 us at 128, 25 against 17 us at 256).
+A caller that knows bounds on its operands' magnitudes passes them as a
+hint.  A hint that certifies a float branch spares the scan of the
+operands (for the direct branch that takes only the 2**53 test, all its
+int64 product needs); one that does not gives way to the scanned maxima,
+so a loose hint never sends a product to the packer.
 
 ``convolve`` and ``mul`` take a batch of rows (a 2-D array) on either
 operand or both; the batches broadcast, so one row can meet many.
 
 F_p coefficient arrays are little-endian (index = exponent), trimmed (empty
-array = zero polynomial), all entries in [0, p); ``mul`` takes p - 1 as
-its operands' bound from that contract instead of scanning them.
-``divmod_poly`` and ``gcd`` share one long-division loop that works in
-place on copies of their inputs.  A ``ModulusContext`` reduces a batch of
-rows, or one polynomial as a batch of one, of any degree, with a Newton
-inverse of the reversed modulus that it extends as wider inputs need it;
-each reduction then costs two multiplications.
+array = zero polynomial), all entries in [0, p); ``mul`` passes p - 1 as
+its operands' hint from that contract.  ``divmod_poly`` and ``gcd`` share
+one long-division loop that works in place on copies of their inputs.  A
+``ModulusContext`` reduces a batch of rows, or one polynomial as a batch
+of one, of any degree, with a Newton inverse of the reversed modulus that
+it extends as wider inputs need it; each reduction then costs two
+multiplications.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 import numpy as np
 
 _EPS = 2.0 ** -52  # twice the unit roundoff of float64
-_BATCH_COEFFS = 2 ** 18  # operand size of one row-batched product
+_BATCH_COEFFS = 2 ** 18  # transform points of one row-batched product
 _DIRECT_COEFFS = 2 ** 15  # largest la * lb of a direct product
 
 
@@ -51,27 +56,35 @@ def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> floa
 
 
 def convolve(a: np.ndarray, b: np.ndarray,
-             bound: int | None = None) -> np.ndarray:
+             bound: int | tuple[int, int] | None = None) -> np.ndarray:
     """Exact linear convolution of integer arrays, 1-D or 2-D on either side.
 
     Entries are machine integers, or Python ints of any size and sign in an
     object array.  A 2-D operand is a batch of rows; the batches broadcast
     together (equal row counts, or one row against many) and each pair of
-    rows is convolved.  The bound below is taken over the whole batch, from
-    the operands' largest magnitudes, or from ``bound`` when the caller
-    knows one for every entry of both (then neither operand is scanned).
-    Three branches:
+    rows is convolved.  ``bound`` is the caller's hint: an upper bound on
+    every |entry|, one int for both operands or a pair (a's, b's).  Three
+    branches:
 
-    - **Kronecker**, when some entry may reach 2**53 or
-      ``fft_error_bound`` is not below 1/4: the exact packer runs, row pair
-      by row pair, and the result is an object array of Python ints.
-    - **Direct**, otherwise, for one row pair with la * lb <= 2**15
-      (``_DIRECT_COEFFS``, the measured crossover): ``np.convolve`` of the
-      int64 operands, exact as every entry is below 2**53.
-    - **FFT**, otherwise: rounding the rFFT product recovers every entry.
-      ``convolve(a, a)`` transforms ``a`` once.
+    - **Direct**, for one row pair with la * lb <= 2**15 (``_DIRECT_COEFFS``,
+      the measured crossover) when the hint gives min(la, lb) * amax * bmax
+      < 2**53: ``np.convolve`` of the int64 operands, exact as no entry or
+      partial sum reaches 2**53.  Neither operand is scanned.
+    - **FFT**, for any other shape when the hint passes the same 2**53 test
+      and ``fft_error_bound`` is below 1/4: rounding the rFFT product
+      recovers every entry.  ``convolve(a, a)`` transforms ``a`` once.
+    - **Kronecker**, the exact packer, row pair by row pair; the result is
+      an object array of Python ints.
 
-    The direct and FFT results are int64 and equal entry for entry.
+    Without a hint, or with one that certifies neither float branch, the
+    operands' largest magnitudes are scanned over the whole batch, and
+    the branch is chosen from them: Kronecker when they fail the 2**53
+    test or ``fft_error_bound``, else direct or FFT by shape.  So a loose
+    hint never sends a product to the packer.  The scanned choice asks
+    the float bound of a direct-sized product too, and packs one that
+    fails it; under a hint that passes the 2**53 test the same product
+    runs direct, exact all the same.  The direct and FFT results are
+    int64 and equal entry for entry.
     """
     la, lb = a.shape[-1], b.shape[-1]
     batch = (np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) if b.ndim > 1
@@ -79,25 +92,42 @@ def convolve(a: np.ndarray, b: np.ndarray,
     if la == 0 or lb == 0:
         return np.zeros(batch + (0,), dtype=np.int64)
     n = la + lb - 1
-    if bound is None:
-        amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
-        if amax == 0 or bmax == 0:
-            return np.zeros(batch + (n,), dtype=np.int64)
-    else:
-        amax = bmax = bound
     length = 1 << (n - 1).bit_length()
-    # every entry is at most min(la, lb) * amax * bmax: below 2**53 the
-    # float64 copies and the rounded result are exact integers
-    if (min(la, lb) * amax * bmax >= 2 ** 53
-            or fft_error_bound(la, lb, amax, bmax, length) >= 0.25):
+    direct = la * lb <= _DIRECT_COEFFS and math.prod(batch) == 1
+    if bound is not None:
+        amax, bmax = bound if isinstance(bound, tuple) else (bound, bound)
+        if direct and min(la, lb) * amax * bmax < 2 ** 53:
+            return _direct(a, b, batch, n)
+        if not direct and not _packs(la, lb, amax, bmax, length):
+            return _fft(a, b, length, n)
+    amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
+    if amax == 0 or bmax == 0:
+        return np.zeros(batch + (n,), dtype=np.int64)
+    if _packs(la, lb, amax, bmax, length):
         rows_a = np.broadcast_to(a, batch + (la,)).reshape(-1, la).tolist()
         rows_b = np.broadcast_to(b, batch + (lb,)).reshape(-1, lb).tolist()
         rows = [_kronecker(ra, rb) for ra, rb in zip(rows_a, rows_b)]
         return np.array(rows, dtype=object).reshape(batch + (n,))
-    if math.prod(batch) == 1 and la * lb <= _DIRECT_COEFFS:
-        out = np.convolve(np.asarray(a, dtype=np.int64).reshape(la),
-                          np.asarray(b, dtype=np.int64).reshape(lb))
-        return out.reshape(batch + (n,))
+    if direct:
+        return _direct(a, b, batch, n)
+    return _fft(a, b, length, n)
+
+
+def _packs(la: int, lb: int, amax: int, bmax: int, length: int) -> bool:
+    """Whether maxima amax, bmax leave the float product uncertified."""
+    # every entry is at most min(la, lb) * amax * bmax: below 2**53 the
+    # float64 copies and the rounded result are exact integers
+    return (min(la, lb) * amax * bmax >= 2 ** 53
+            or fft_error_bound(la, lb, amax, bmax, length) >= 0.25)
+
+
+def _direct(a: np.ndarray, b: np.ndarray, batch: tuple, n: int) -> np.ndarray:
+    out = np.convolve(np.asarray(a, dtype=np.int64).reshape(-1),
+                      np.asarray(b, dtype=np.int64).reshape(-1))
+    return out.reshape(batch + (n,))
+
+
+def _fft(a: np.ndarray, b: np.ndarray, length: int, n: int) -> np.ndarray:
     spec = np.fft.rfft(np.asarray(a, dtype=np.float64), length)
     if b is a:
         spec *= spec
@@ -169,7 +199,8 @@ def scale(a: np.ndarray, c: int, p: int) -> np.ndarray:
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a * b over F_p.  With a 2-D operand the rows broadcast as in
     ``convolve`` and each product row comes back untrimmed.  The operands'
-    entries lie in [0, p), so p - 1 bounds them without a scan."""
+    entries lie in [0, p), so p - 1 is their hint: they are scanned only
+    where it certifies no float product (p near 2**31)."""
     out = (convolve(a, b, p - 1) % p).astype(np.int64, copy=False)
     return trim(out) if out.ndim == 1 else out
 
@@ -327,14 +358,15 @@ class FrobeniusMap:
     rows [0, k] known, rows [k + 1, k + m] are rows [1, m] times row k =
     x^k, by row-batched ``mul`` and ``reduce``, for m = min(k, n - 1 - k).
     The last row of a full level, x^(2k), is the next level's multiplier,
-    so no level squares x^k on its own.  Each batch has at most 2**18
-    coefficients, so up to degree 724 a level is one batch, and above it
-    a batch's transform temporaries stay near 20-25 MB whatever the
-    degree.  The matrix is kept as ``qt``
-    = Q^T, C-contiguous, int32 while n (p - 1)^2 < 2**31 and int64
-    otherwise.  A step is an einsum in that dtype, which numpy runs
-    without BLAS and so without threads; it is exact while
-    n (p - 1)^2 < 2**63, and a larger modulus is rejected with ValueError.
+    so no level squares x^k on its own.  A batch holds as many rows as
+    fit 2**18 points of the products' transform length (2n to 4n), so up
+    to degree 512 a level is one batch, and above it a batch's
+    temporaries stay near 8 MiB whatever the degree.  The matrix is
+    transposed in place and kept as ``qt`` = Q^T, C-contiguous, int32
+    while n (p - 1)^2 < 2**31 and int64 otherwise.  A step is an einsum
+    in that dtype, which numpy runs without BLAS and so without threads;
+    it is exact while n (p - 1)^2 < 2**63, and a larger modulus is
+    rejected with ValueError.
     """
 
     def __init__(self, ctx: ModulusContext):
@@ -349,9 +381,10 @@ class FrobeniusMap:
         x = ctx.powmod(np.array([0, 1], dtype=np.int64), p)
         if n > 1:
             q[1, : len(x)] = x
-        # rows per batched product: transform temporaries stay near
-        # _BATCH_COEFFS entries whatever the degree
-        rows = max(1, _BATCH_COEFFS // n)
+        # rows per batched product: a row's product with x^k, and each
+        # product of its reduction, is transformed at this length, so the
+        # transform temporaries stay near _BATCH_COEFFS entries
+        rows = max(1, _BATCH_COEFFS >> (2 * n - 2).bit_length())
         k = 1
         while k < n - 1:
             m = min(k, n - 1 - k)
@@ -361,7 +394,7 @@ class FrobeniusMap:
             k += m
         self.p = p
         self.n = n
-        self.qt = np.ascontiguousarray(q.T)
+        self.qt = _transpose_in_place(q)
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
         """h^p mod f for h of degree < deg f."""
@@ -369,3 +402,19 @@ class FrobeniusMap:
         v[: len(h)] = h
         out = np.einsum("ji,i->j", self.qt, v) % self.p
         return trim(out.astype(np.int64, copy=False))
+
+
+def _transpose_in_place(q: np.ndarray) -> np.ndarray:
+    """q^T in q's own memory, for square C-contiguous q: block pairs swap
+    through one block-sized copy, so no second n x n array is allocated."""
+    n, block = len(q), 256
+    for i in range(0, n, block):
+        diag = q[i:i + block, i:i + block]
+        diag[...] = diag.T.copy()
+        for j in range(i + block, n, block):
+            upper = q[i:i + block, j:j + block]
+            lower = q[j:j + block, i:i + block]
+            held = upper.copy()
+            upper[...] = lower.T
+            lower[...] = held.T
+    return q

@@ -9,9 +9,13 @@ schoolbook long-division loop: ``divrem_exact`` (monic divisor) and
 around it.  Cyclotomic polynomials Phi_n and their cofactors
 (z**n - 1) / Phi_n are Moebius products of the binomials z**d - 1, built
 in Python ints as truncated power series, once per radical; Phi_n is
-memoized.  ``remainder_mod_cyclotomic`` takes
-no long division: it folds mod z**M - 1 and divides by Phi_M with two
-``modp.convolve`` products through the power-series inverse of Phi_M.
+memoized.  ``remainder_mod_cyclotomic`` takes no long division: it folds
+mod z**M - 1 and divides by Phi_M with two ``modp.convolve`` products
+through the power-series inverse of Phi_M.  Its Phi_M and Psi_M are the
+radical's int64 arrays spread by M / rad(M), cached per M with their
+largest magnitudes, and each product passes the bounds they give as
+``convolve``'s hint; a caller that knows max|a| passes it too, and the
+input is then not scanned.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -293,58 +297,88 @@ def cyclotomic(n: int) -> IntPolynomial:
     return got
 
 
-# M -> (phi(M), Phi_M, -Psi_M mod z**(M - phi(M)))
+@functools.cache
+def _radical_arrays(primes: tuple[int, ...]) -> tuple:
+    """Phi_r and -Psi_r less its top coefficient (``_radical_product``) as
+    int64 arrays, and the largest magnitude of each; a coefficient past
+    int64 would raise OverflowError here rather than wrap."""
+    phi = np.array(_radical_product(primes, False), dtype=np.int64)
+    neg_psi = -np.array(_radical_product(primes, True)[:-1], dtype=np.int64)
+    phi.flags.writeable = neg_psi.flags.writeable = False
+    return phi, neg_psi, int(np.abs(phi).max()), int(np.abs(neg_psi).max())
+
+
+# M -> (phi(M), Phi_M, -Psi_M mod z**(M - phi(M)), max|Phi_M|, max|Psi_M|)
 _division_memo: dict[int, tuple] = {}
 
 
 def _division_data(M: int) -> tuple:
-    """phi(M), and Phi_M and -Psi_M[:k] (k = M - phi(M)) as int64 arrays,
-    for ``remainder_mod_cyclotomic``; a coefficient past int64 would raise
-    OverflowError here rather than wrap."""
+    """phi(M), Phi_M and -Psi_M[:k] (k = M - phi(M)) as int64 arrays, and
+    the largest magnitudes of the two, for ``remainder_mod_cyclotomic``
+    and M >= 2: the radical's ``_radical_arrays`` spread by M / rad(M),
+    as in ``_moebius_binomials``."""
     got = _division_memo.get(M)
     if got is None:
-        phi = cyclotomic(M).coeffs
-        m = len(phi) - 1
-        neg_psi = [-c for c in _moebius_binomials(M, True)[:M - m]]
-        got = _division_memo[M] = (m, np.array(phi, dtype=np.int64),
-                                   np.array(neg_psi, dtype=np.int64))
+        primes = tuple(p for p, _ in arith.factorize(M))
+        phi_r, neg_psi_r, phi_max, psi_max = _radical_arrays(primes)
+        step = M // math.prod(primes)
+        m = step * (len(phi_r) - 1)
+        phi = np.zeros(m + 1, dtype=np.int64)
+        phi[::step] = phi_r
+        # Psi_M has degree k = M - m; its top coefficient is left out
+        neg_psi = np.zeros(M - m, dtype=np.int64)
+        neg_psi[::step] = neg_psi_r
+        phi.flags.writeable = neg_psi.flags.writeable = False
+        got = _division_memo[M] = (m, phi, neg_psi, phi_max, psi_max)
     return got
 
 
-def remainder_mod_cyclotomic(a, M: int) -> IntPolynomial:
+def remainder_mod_cyclotomic(a, M: int, bound: int | None = None
+                             ) -> IntPolynomial:
     """a mod Phi_M, exact; degree < phi(M).
 
     ``a`` is an IntPolynomial or a 1-D array of int64 or Python-int
-    coefficients.  It is first folded mod z**M - 1 (a multiple of Phi_M)
-    by one reshape-sum, which keeps the cost linear in deg a.  For M >= 2
-    the fold f, of degree < M, is divided by the reversed-power-series
-    quotient (von zur Gathen & Gerhard, Modern Computer Algebra, 9.1).
-    With m = phi(M), k = M - m and Psi_M = (z**M - 1) / Phi_M: Phi_M is
-    palindromic and Phi_M * (-Psi_M) = 1 mod z**k, so the reversed
-    quotient is rev(f)[:k] * (-Psi_M) mod z**k, and the remainder is
+    coefficients, and ``bound``, when the caller knows one, is an upper
+    bound on |a| (then ``a`` is not scanned).  It is first folded mod
+    z**M - 1 (a multiple of Phi_M) by one reshape-sum, with no padded copy
+    when M divides its length, which keeps the cost linear in deg a.  For
+    M >= 2 the fold f, of degree < M, is divided by the
+    reversed-power-series quotient (von zur Gathen & Gerhard, Modern
+    Computer Algebra, 9.1).  With m = phi(M), k = M - m and
+    Psi_M = (z**M - 1) / Phi_M: Phi_M is palindromic and
+    Phi_M * (-Psi_M) = 1 mod z**k, so the reversed quotient is
+    rev(f)[:k] * (-Psi_M) mod z**k, and the remainder is
     f[:m] - (q * Phi_M)[:m].  The two products are ``modp.convolve``
-    calls, exact whatever the size of the fold's entries.
+    calls, exact whatever the size of the fold's entries; each gets the
+    bounds known here as its hint: |f| <= rows * max|a|, max|Psi_M| and
+    max|Phi_M| from ``_division_data``, and |q| <= k * |f| * max|Psi_M|.
     """
     if M < 1:
         raise ValueError("M must be positive")
     cs = (np.array(a.coeffs, dtype=object) if isinstance(a, IntPolynomial)
           else np.asarray(a))
-    top = max(int(cs.max()), -int(cs.min())) if len(cs) else 0
-    if not top:
+    if bound is None:
+        bound = max(int(cs.max()), -int(cs.min())) if len(cs) else 0
+    if not bound:
         return IntPolynomial.zero()
-    m, phi, neg_psi = _division_data(M)
     rows = -(-len(cs) // M)
+    top = rows * bound
     # fold entries are at most rows * max|a| < 2**62 in int64, and an int64
     # product from convolve is below 2**53, so the difference cannot wrap
-    dtype = np.int64 if rows * top < 2 ** 62 else object
-    fold = np.zeros(rows * M, dtype=dtype)
-    fold[:len(cs)] = cs
+    dtype = np.int64 if top < 2 ** 62 else object
+    if len(cs) == rows * M:
+        fold = cs.astype(dtype, copy=False)
+    else:
+        fold = np.zeros(rows * M, dtype=dtype)
+        fold[:len(cs)] = cs
     fold = fold.reshape(rows, M).sum(axis=0)
     if M == 1:
         return IntPolynomial(fold.tolist())
+    m, phi, neg_psi, phi_max, psi_max = _division_data(M)
     k = M - m
-    q = modp.convolve(fold[m:][::-1], neg_psi)[k - 1::-1]
-    return IntPolynomial((fold[:m] - modp.convolve(q, phi)[:m]).tolist())
+    q = modp.convolve(fold[m:][::-1], neg_psi, (top, psi_max))[k - 1::-1]
+    prod = modp.convolve(q, phi, (k * top * psi_max, phi_max))
+    return IntPolynomial((fold[:m] - prod[:m]).tolist())
 
 
 # ---------------------------------------------------------------------------

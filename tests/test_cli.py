@@ -162,9 +162,9 @@ class TestVerify:
         calls = Counter()
         fold, count = goldbach.remainder_mod_cyclotomic, arith.goldbach_count_table
 
-        def counted_fold(a, M):
+        def counted_fold(a, M, bound=None):
             calls["fold"] += 1
-            return fold(a, M)
+            return fold(a, M, bound)
 
         def counted_count(limit, table):
             calls["count"] += 1

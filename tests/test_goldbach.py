@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goldpoly import arith, goldbach
+from goldpoly import arith, goldbach, modp
 from goldpoly.goldbach import (
     IndicatorSet,
     NonConstantRemainderError,
@@ -187,6 +187,22 @@ class TestDivisibility:
         for N in range(2, 121):
             assert theorem_reports(N, small_table) == \
                 theorem_reports_from_polynomial(N, small_table), N
+
+    def test_large_n_reports_never_pack(self, monkeypatch):
+        # the remainders' hints loosen with N (|q| <= k |fold| max|Psi_M|);
+        # convolve must scan rather than hand such products to the packer
+        packed = []
+        kronecker = modp._kronecker
+
+        def counted(a, b):
+            packed.append((len(a), len(b)))
+            return kronecker(a, b)
+
+        monkeypatch.setattr(modp, "_kronecker", counted)
+        table = arith.PrimeTable(2310)
+        for N in (1000, 1260, 1500, 2000, 2310):
+            assert all(rep.holds for rep in theorem_reports(N, table)), N
+        assert packed == []
 
     def test_symmetry_reports(self, small_table):
         for N in (2, 6, 13, 30):

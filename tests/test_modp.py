@@ -232,6 +232,92 @@ class TestDirectConvolve:
         assert got.tolist() == [2 ** 53, -3 * 2 ** 27]
 
 
+class TestConvolveHint:
+    """A caller's bound is a hint: it may spare the scan, and a loose one
+    never sends a product to another branch or changes its result."""
+
+    # both sides of la * lb = 2**15
+    SHAPES = [(5, 7), (64, 512), (181, 181), (64, 513), (182, 181), (300, 280)]
+
+    @staticmethod
+    def _branches(monkeypatch):
+        """Record 'kronecker' per packed row pair and 'fft' per rfft."""
+        seen = []
+        rfft, kronecker = np.fft.rfft, modp._kronecker
+
+        def counted_rfft(*args, **kwargs):
+            seen.append("fft")
+            return rfft(*args, **kwargs)
+
+        def counted_kronecker(a, b):
+            seen.append("kronecker")
+            return kronecker(a, b)
+
+        monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+        monkeypatch.setattr(modp, "_kronecker", counted_kronecker)
+        return seen
+
+    @pytest.mark.parametrize("la, lb", SHAPES)
+    @pytest.mark.parametrize("peak_a, peak_b",
+                             [(100, 100), (2 ** 26, 2 ** 26)])
+    def test_loose_hint_keeps_values_dtype_and_branch(self, monkeypatch,
+                                                      la, lb, peak_a, peak_b):
+        # small entries take the direct or FFT branch; large ones reach
+        # 2**53 in every shape here, so they take the packer
+        rng = np.random.default_rng(la * 1000 + lb)
+        a = rng.integers(-peak_a, peak_a + 1, la).astype(np.int64)
+        b = rng.integers(-peak_b, peak_b + 1, lb).astype(np.int64)
+        a[-1], b[0] = peak_a, -peak_b
+        seen = self._branches(monkeypatch)
+        plain = modp.convolve(a, b)
+        branch = sorted(set(seen)) or ["direct"]
+        for hint in (2 * peak_a, (peak_a + 1, 3 * peak_b), (2 ** 40, peak_b),
+                     2 ** 40):
+            seen.clear()
+            got = modp.convolve(a, b, hint)
+            assert (sorted(set(seen)) or ["direct"]) == branch, hint
+            assert got.dtype == plain.dtype
+            assert got.tolist() == plain.tolist()
+        assert branch == (["kronecker"] if peak_a > 100 else
+                          ["direct"] if la * lb <= 2 ** 15 else ["fft"])
+        assert plain.tolist() == school_exact(a, b)
+
+    def test_certifying_hint_takes_no_float_bound(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fft_error_bound on the direct branch")
+
+        monkeypatch.setattr(modp, "fft_error_bound", refuse)
+        rng = np.random.default_rng(21)
+        for la, lb in [(1, 1), (40, 27), (64, 512), (1, 2 ** 15)]:
+            a = rng.integers(-1000, 1001, la).astype(np.int64)
+            b = rng.integers(-1000, 1001, lb).astype(np.int64)
+            for x in (a, a[None]):
+                got = modp.convolve(x, b, (1000, 1000))
+                assert got.dtype == np.int64
+                assert got.reshape(-1).tolist() == school_exact(a, b)
+        # below 2**53 the int64 product is exact whatever the float bound,
+        # which a scan alone would consult (and pack these)
+        a = np.array([2 ** 27], dtype=np.int64)
+        b = np.array([2 ** 25, -3], dtype=np.int64)
+        got = modp.convolve(a, b, (2 ** 27, 2 ** 25))
+        assert got.dtype == np.int64
+        assert got.tolist() == [2 ** 52, -3 * 2 ** 27]
+
+    def test_loose_hint_on_fft_sized_bits(self, monkeypatch):
+        # 0/1 operands whose hint fails the float bound: the scan finds 1
+        rng = np.random.default_rng(22)
+        a = rng.integers(0, 2, 3000).astype(np.uint8)
+        b = rng.integers(0, 2, 2000).astype(np.uint8)
+        a[-1] = b[-1] = 1
+        seen = self._branches(monkeypatch)
+        got = modp.convolve(a, b, 2 ** 40)
+        assert "kronecker" not in seen and "fft" in seen
+        assert got.dtype == np.int64
+        assert got.tolist() == modp.convolve(a, b).tolist()
+        assert got.tolist() == np.convolve(a.astype(np.int64),
+                                           b.astype(np.int64)).tolist()
+
+
 class TestDivmod:
     def test_roundtrip(self):
         rng = np.random.default_rng(3)
@@ -593,6 +679,46 @@ class TestFrobeniusMap:
         whole = modp.FrobeniusMap(ctx).qt
         monkeypatch.setattr(modp, "_BATCH_COEFFS", 3 * n)
         assert np.array_equal(modp.FrobeniusMap(ctx).qt, whole)
+
+    def test_batches_are_sized_by_transform_length(self, monkeypatch):
+        # at n = 600 a row's product is transformed at 2048 points, so a
+        # batch holds 128 rows and the levels from k = 128 on are split
+        rng = np.random.default_rng(12)
+        p, n = 101, 600
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        ctx.powmod(np.array([0, 1], dtype=np.int64), p)  # Newton inverse
+        batches = []
+        mul = modp.mul
+
+        def spy(a, b, prime):
+            if a.ndim == 2:
+                length = 1 << (a.shape[-1] + b.shape[-1] - 2).bit_length()
+                batches.append((len(a), length))
+            return mul(a, b, prime)
+
+        monkeypatch.setattr(modp, "mul", spy)
+        frob = modp.FrobeniusMap(ctx)
+        monkeypatch.undo()
+        assert max(rows * length for rows, length in batches) <= 2 ** 18
+        assert max(rows for rows, _ in batches) == 128
+        monkeypatch.setattr(modp, "_BATCH_COEFFS", 2 ** 40)
+        assert np.array_equal(modp.FrobeniusMap(ctx).qt, frob.qt)
+        assert frob.qt.flags.c_contiguous
+        for i in (0, 1, 255, 256, 511, 512, 599):
+            zi = np.zeros(i + 1, dtype=np.int64)
+            zi[i] = 1
+            row = modp.trim(frob.qt[:, i].astype(np.int64))
+            assert row.tolist() == ctx.powmod(zi, p).tolist(), i
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_transpose_in_place(self, n):
+        q = np.arange(n * n, dtype=np.int32).reshape(n, n)
+        expected = q.T.copy()
+        got = modp._transpose_in_place(q)
+        assert got is q
+        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("p", [5, 101, 65_521])
     def test_step_is_powmod(self, p):

@@ -300,8 +300,8 @@ class TestRemainderModCyclotomic:
         seen = []
         convolve = modp.convolve
 
-        def spy(a, b):
-            out = convolve(a, b)
+        def spy(a, b, bound=None):
+            out = convolve(a, b, bound)
             seen.append((a.dtype, out.dtype))
             return out
 
