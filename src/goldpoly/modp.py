@@ -361,12 +361,12 @@ class FrobeniusMap:
     so no level squares x^k on its own.  A batch holds as many rows as
     fit 2**18 points of the products' transform length (2n to 4n), so up
     to degree 512 a level is one batch, and above it a batch's
-    temporaries stay near 8 MiB whatever the degree.  The matrix is
-    transposed in place and kept as ``qt`` = Q^T, C-contiguous, int32
-    while n (p - 1)^2 < 2**31 and int64 otherwise.  A step is an einsum
-    in that dtype, which numpy runs without BLAS and so without threads;
-    it is exact while n (p - 1)^2 < 2**63, and a larger modulus is
-    rejected with ValueError.
+    temporaries stay near 8 MiB whatever the degree.  The matrix is kept
+    as built, ``q`` = Q, int32 while n (p - 1)^2 < 2**31 and int64
+    otherwise.  A step is h Q, an einsum over Q's rows in that dtype,
+    which numpy runs without BLAS and so without threads; it is exact
+    while n (p - 1)^2 < 2**63, and a larger modulus is rejected with
+    ValueError.
     """
 
     def __init__(self, ctx: ModulusContext):
@@ -394,27 +394,12 @@ class FrobeniusMap:
             k += m
         self.p = p
         self.n = n
-        self.qt = _transpose_in_place(q)
+        self.q = q
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
         """h^p mod f for h of degree < deg f."""
-        v = np.zeros(self.n, dtype=self.qt.dtype)
+        v = np.zeros(self.n, dtype=self.q.dtype)
         v[: len(h)] = h
-        out = np.einsum("ji,i->j", self.qt, v) % self.p
+        out = np.einsum("ij,i->j", self.q, v) % self.p
         return trim(out.astype(np.int64, copy=False))
 
-
-def _transpose_in_place(q: np.ndarray) -> np.ndarray:
-    """q^T in q's own memory, for square C-contiguous q: block pairs swap
-    through one block-sized copy, so no second n x n array is allocated."""
-    n, block = len(q), 256
-    for i in range(0, n, block):
-        diag = q[i:i + block, i:i + block]
-        diag[...] = diag.T.copy()
-        for j in range(i + block, n, block):
-            upper = q[i:i + block, j:j + block]
-            lower = q[j:j + block, i:i + block]
-            held = upper.copy()
-            upper[...] = lower.T
-            lower[...] = held.T
-    return q

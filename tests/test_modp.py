@@ -83,7 +83,9 @@ class TestMul:
 
 
 class TestMulContract:
-    """mul bounds its operands by p - 1, the module's contract, unscanned."""
+    """mul hints p - 1, the module's bound on its operands' entries, to
+    convolve.  Where that hint certifies no float product (p near 2**31)
+    the operands are scanned; these hold p - 1, so they still pack."""
 
     @pytest.mark.parametrize("p", [2, 3, 101, 65_521, 2_147_483_647])
     @pytest.mark.parametrize("shape_a, shape_b", [
@@ -113,7 +115,7 @@ class TestMulContract:
             expected = modp.trim(expected)
         assert got.dtype == np.int64
         assert got.tolist() == expected.tolist()
-        # beyond the float bound the exact packer runs, operands unscanned
+        # beyond the float bound the exact packer runs on scanned operands
         assert (taken > 0) == (p == 2_147_483_647)
 
     @pytest.mark.parametrize("p", [2, 101, 2_147_483_647])
@@ -596,11 +598,26 @@ def frobenius_dtype(n, p):
     return np.int32 if n * (p - 1) ** 2 < 2 ** 31 else np.int64
 
 
+def build_with_batches(monkeypatch, ctx):
+    """ctx's Frobenius map and the row count of each doubling's batch."""
+    seen, mul = [], modp.mul
+
+    def spy(a, b, p):
+        if a.ndim == 2 and b.shape == (ctx.n,):  # rows [lo, hi) times x^k
+            seen.append(len(a))
+        return mul(a, b, p)
+
+    monkeypatch.setattr(modp, "mul", spy)
+    frob = modp.FrobeniusMap(ctx)
+    monkeypatch.setattr(modp, "mul", mul)
+    return frob, seen
+
+
 def assert_rows_are_powers(frob, ctx, n, p):
     for i in range(n):
         zi = np.zeros(i + 1, dtype=np.int64)
         zi[i] = 1
-        row = modp.trim(frob.qt[:, i].astype(np.int64))
+        row = modp.trim(frob.q[i].astype(np.int64))
         assert row.tolist() == ctx.powmod(zi, p).tolist(), i
 
 
@@ -612,8 +629,8 @@ class TestFrobeniusMap:
         f[-1] = 1
         ctx = modp.ModulusContext(f, p)
         frob = modp.FrobeniusMap(ctx)
-        assert frob.qt.shape == (n, n) and frob.qt.dtype == frobenius_dtype(n, p)
-        assert frob.qt.flags.c_contiguous
+        assert frob.q.shape == (n, n) and frob.q.dtype == frobenius_dtype(n, p)
+        assert frob.q.flags.c_contiguous
         assert_rows_are_powers(frob, ctx, n, p)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 33])
@@ -627,10 +644,14 @@ class TestFrobeniusMap:
         ctx = modp.ModulusContext(f, p)
         assert_rows_are_powers(modp.FrobeniusMap(ctx), ctx, n, p)
 
-    @pytest.mark.parametrize("n, rows, k", [(9, 3, 4), (17, 3, 4),
-                                            (33, 7, 8), (33, 5, 16)])
+    @pytest.mark.parametrize("n, rows, k, batches", [
+        pytest.param(9, 3, 4, [1, 2, 3, 1], id="9-3-4"),
+        pytest.param(17, 3, 4, [1, 2, 3, 1, 3, 3, 2], id="17-3-4"),
+        pytest.param(33, 7, 8, [1, 2, 4, 7, 1, 7, 7, 2], id="33-7-8"),
+        pytest.param(33, 5, 16, [1, 2, 4, 5, 3, 5, 5, 5, 1], id="33-5-16"),
+    ])
     def test_batch_boundary_on_the_multiplier_row(self, monkeypatch,
-                                                  n, rows, k):
+                                                  n, rows, k, batches):
         # level k computes rows [k + 1, 2k] in batches of `rows` rows from
         # k + 1 on; here the last batch holds row 2k = x^(2k) alone, which
         # the next level multiplies by (n = 17, 33) or which ends Q
@@ -640,10 +661,13 @@ class TestFrobeniusMap:
         f = rng.integers(0, p, n + 1).astype(np.int64)
         f[-1] = 1
         ctx = modp.ModulusContext(f, p)
-        whole = modp.FrobeniusMap(ctx).qt
-        monkeypatch.setattr(modp, "_BATCH_COEFFS", rows * n)
-        split = modp.FrobeniusMap(ctx)
-        assert np.array_equal(split.qt, whole)
+        whole = modp.FrobeniusMap(ctx).q
+        # a batch holds _BATCH_COEFFS >> bit_length(2n - 2) rows
+        monkeypatch.setattr(modp, "_BATCH_COEFFS",
+                            rows << (2 * n - 2).bit_length())
+        split, seen = build_with_batches(monkeypatch, ctx)
+        assert seen == batches
+        assert np.array_equal(split.q, whole)
         assert_rows_are_powers(split, ctx, n, p)
 
     @pytest.mark.parametrize("p, n, dtype", [
@@ -660,7 +684,7 @@ class TestFrobeniusMap:
         f[-1] = 1
         ctx = modp.ModulusContext(f, p)
         frob = modp.FrobeniusMap(ctx)
-        assert frob.qt.dtype == dtype
+        assert frob.q.dtype == dtype
         assert_rows_are_powers(frob, ctx, n, p)
         for h in ([p - 1] * n, rng.integers(0, p, n).tolist()):
             h = modp.trim(np.array(h, dtype=np.int64))
@@ -676,9 +700,12 @@ class TestFrobeniusMap:
         f = rng.integers(0, p, n + 1).astype(np.int64)
         f[-1] = 1
         ctx = modp.ModulusContext(f, p)
-        whole = modp.FrobeniusMap(ctx).qt
-        monkeypatch.setattr(modp, "_BATCH_COEFFS", 3 * n)
-        assert np.array_equal(modp.FrobeniusMap(ctx).qt, whole)
+        whole = modp.FrobeniusMap(ctx).q
+        monkeypatch.setattr(modp, "_BATCH_COEFFS",
+                            3 << (2 * n - 2).bit_length())
+        split, seen = build_with_batches(monkeypatch, ctx)
+        assert max(seen) == 3 and seen.count(3) > 1
+        assert np.array_equal(split.q, whole)
 
     def test_batches_are_sized_by_transform_length(self, monkeypatch):
         # at n = 600 a row's product is transformed at 2048 points, so a
@@ -704,21 +731,12 @@ class TestFrobeniusMap:
         assert max(rows * length for rows, length in batches) <= 2 ** 18
         assert max(rows for rows, _ in batches) == 128
         monkeypatch.setattr(modp, "_BATCH_COEFFS", 2 ** 40)
-        assert np.array_equal(modp.FrobeniusMap(ctx).qt, frob.qt)
-        assert frob.qt.flags.c_contiguous
+        assert np.array_equal(modp.FrobeniusMap(ctx).q, frob.q)
         for i in (0, 1, 255, 256, 511, 512, 599):
             zi = np.zeros(i + 1, dtype=np.int64)
             zi[i] = 1
-            row = modp.trim(frob.qt[:, i].astype(np.int64))
+            row = modp.trim(frob.q[i].astype(np.int64))
             assert row.tolist() == ctx.powmod(zi, p).tolist(), i
-
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
-    def test_transpose_in_place(self, n):
-        q = np.arange(n * n, dtype=np.int32).reshape(n, n)
-        expected = q.T.copy()
-        got = modp._transpose_in_place(q)
-        assert got is q
-        assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("p", [5, 101, 65_521])
     def test_step_is_powmod(self, p):
