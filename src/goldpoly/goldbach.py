@@ -454,6 +454,13 @@ def hl_summary(m_lo: int, m_hi: int, table: PrimeTable) -> dict:
     as the exact rational J(m) converted.  The ratio keeps that scalar
     formula's operation order and ``math.log(m) ** 2`` per m, so every
     ratio is bit-identical to evaluating it one m at a time.
+
+    The median is the middle order statistic of one ``np.partition``, or
+    for an even count (x + y) / 2 of the two middle ones: the float that
+    ``np.median`` returns, as its mean of two values is that sum halved.
+    ``np.median`` itself is not called, because its NaN check imports
+    ``numpy.ma``, which costs about as much as the rest of this function
+    at m-max 30000.
     """
     check_hl_range(m_lo, m_hi)
     counts = arith.goldbach_count_table(2 * m_hi, table)
@@ -471,7 +478,12 @@ def hl_summary(m_lo: int, m_hi: int, table: PrimeTable) -> dict:
                              dtype=np.float64, count=hi - lo)
         ratios[lo - m_lo: hi - m_lo] = (coeff[2 * lo: 2 * hi: 2] * log_sq
                                         / (2 * c2 * weight * ms))
-    med = float(np.median(ratios))
+    h = len(ratios) // 2
+    if len(ratios) % 2:
+        med = float(np.partition(ratios, h)[h])
+    else:
+        part = np.partition(ratios, (h - 1, h))
+        med = float((part[h - 1] + part[h]) / 2)
     rel = c2_err / c2
     return {
         "m_lo": m_lo,

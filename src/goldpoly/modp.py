@@ -3,19 +3,19 @@
 ``convolve`` is the one place where goldpoly multiplies integer sequences
 exactly: the pair-count table (``arith``), ``goldbach.pair_sums``,
 ``IntPolynomial`` products and the cyclotomic remainders (``poly``) and
-the F_p products below all go through it.  It has three branches.  When a
-rounding bound computed from the operands' lengths and largest magnitudes
-does not certify a float product, it packs each operand into one Python
-int (signed Kronecker substitution) and multiplies exactly.  When the bound
-holds, one pair of rows with la * lb <= 2**15 is multiplied directly in
-int64 (``np.convolve``), and anything larger by a real FFT: the direct
-product is the cheaper one below that crossover (measured on a 2-core
-x86_64 for la = lb: 7 against 14 us at 128, 25 against 17 us at 256).
-A caller that knows bounds on its operands' magnitudes passes them as a
-hint.  A hint that certifies a float branch spares the scan of the
-operands (for the direct branch that takes only the 2**53 test, all its
-int64 product needs); one that does not gives way to the scanned maxima,
-so a loose hint never sends a product to the packer.
+the F_p products below all go through it.  It has three branches.  One
+pair of rows with la * lb <= 2**15 whose entries stay below 2**53 is
+multiplied directly in int64 (``np.convolve``).  Anything larger runs as a
+real FFT when a rounding bound computed from the operands' lengths and
+largest magnitudes certifies it; the direct product is the cheaper one
+below that crossover (measured on a 2-core x86_64 for la = lb: 7 against
+14 us at 128, 25 against 17 us at 256).  A product that neither test
+certifies packs each operand into one Python int (signed Kronecker
+substitution) and multiplies exactly.  A caller that knows bounds on its
+operands' magnitudes passes them as a hint.  A hint that certifies the
+branch of the product's shape spares the scan of the operands; one that
+does not gives way to the scanned maxima, so a loose hint never sends a
+product to the packer.
 
 ``convolve`` and ``mul`` take a batch of rows (a 2-D array) on either
 operand or both; the batches broadcast, so one row can meet many.
@@ -64,27 +64,26 @@ def convolve(a: np.ndarray, b: np.ndarray,
     together (equal row counts, or one row against many) and each pair of
     rows is convolved.  ``bound`` is the caller's hint: an upper bound on
     every |entry|, one int for both operands or a pair (a's, b's).  Three
-    branches:
+    branches, chosen from the maxima amax, bmax of |entry|:
 
     - **Direct**, for one row pair with la * lb <= 2**15 (``_DIRECT_COEFFS``,
-      the measured crossover) when the hint gives min(la, lb) * amax * bmax
+      the measured crossover) when the maxima give min(la, lb) * amax * bmax
       < 2**53: ``np.convolve`` of the int64 operands, exact as no entry or
-      partial sum reaches 2**53.  Neither operand is scanned.
-    - **FFT**, for any other shape when the hint passes the same 2**53 test
+      partial sum reaches 2**53.
+    - **FFT**, for any other shape when the maxima pass the same 2**53 test
       and ``fft_error_bound`` is below 1/4: rounding the rFFT product
       recovers every entry.  ``convolve(a, a)`` transforms ``a`` once.
     - **Kronecker**, the exact packer, row pair by row pair; the result is
       an object array of Python ints.
 
-    Without a hint, or with one that certifies neither float branch, the
-    operands' largest magnitudes are scanned over the whole batch, and
-    the branch is chosen from them: Kronecker when they fail the 2**53
-    test or ``fft_error_bound``, else direct or FFT by shape.  So a loose
-    hint never sends a product to the packer.  The scanned choice asks
-    the float bound of a direct-sized product too, and packs one that
-    fails it; under a hint that passes the 2**53 test the same product
-    runs direct, exact all the same.  The direct and FFT results are
-    int64 and equal entry for entry.
+    The hint's maxima are tried first; when they certify the float branch
+    of the product's shape, neither operand is scanned.  Otherwise, or
+    without a hint, the operands' largest magnitudes are scanned over the
+    whole batch and the same rule is applied to them.  So a loose hint
+    never sends a product to the packer, and a product takes the same
+    branch whether its maxima come from a hint or from the scan; a
+    direct-sized product is never asked ``fft_error_bound``.  The direct
+    and FFT results are int64 and equal entry for entry.
     """
     la, lb = a.shape[-1], b.shape[-1]
     batch = (np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) if b.ndim > 1
@@ -96,29 +95,29 @@ def convolve(a: np.ndarray, b: np.ndarray,
     direct = la * lb <= _DIRECT_COEFFS and math.prod(batch) == 1
     if bound is not None:
         amax, bmax = bound if isinstance(bound, tuple) else (bound, bound)
-        if direct and min(la, lb) * amax * bmax < 2 ** 53:
-            return _direct(a, b, batch, n)
-        if not direct and not _packs(la, lb, amax, bmax, length):
-            return _fft(a, b, length, n)
-    amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
-    if amax == 0 or bmax == 0:
-        return np.zeros(batch + (n,), dtype=np.int64)
-    if _packs(la, lb, amax, bmax, length):
-        rows_a = np.broadcast_to(a, batch + (la,)).reshape(-1, la).tolist()
-        rows_b = np.broadcast_to(b, batch + (lb,)).reshape(-1, lb).tolist()
-        rows = [_kronecker(ra, rb) for ra, rb in zip(rows_a, rows_b)]
-        return np.array(rows, dtype=object).reshape(batch + (n,))
+    if bound is None or not _certified(direct, la, lb, amax, bmax, length):
+        amax, bmax = int(np.abs(a).max()), int(np.abs(b).max())
+        if amax == 0 or bmax == 0:
+            return np.zeros(batch + (n,), dtype=np.int64)
+        if not _certified(direct, la, lb, amax, bmax, length):
+            rows_a = np.broadcast_to(a, batch + (la,)).reshape(-1, la).tolist()
+            rows_b = np.broadcast_to(b, batch + (lb,)).reshape(-1, lb).tolist()
+            rows = [_kronecker(ra, rb) for ra, rb in zip(rows_a, rows_b)]
+            return np.array(rows, dtype=object).reshape(batch + (n,))
     if direct:
         return _direct(a, b, batch, n)
     return _fft(a, b, length, n)
 
 
-def _packs(la: int, lb: int, amax: int, bmax: int, length: int) -> bool:
-    """Whether maxima amax, bmax leave the float product uncertified."""
+def _certified(direct: bool, la: int, lb: int, amax: int, bmax: int,
+               length: int) -> bool:
+    """Whether maxima amax, bmax certify the int64 branch of this shape."""
     # every entry is at most min(la, lb) * amax * bmax: below 2**53 the
-    # float64 copies and the rounded result are exact integers
-    return (min(la, lb) * amax * bmax >= 2 ** 53
-            or fft_error_bound(la, lb, amax, bmax, length) >= 0.25)
+    # int64 sums are exact, and so are the float64 copies and the rounded
+    # FFT result once its rounding bound holds too
+    if min(la, lb) * amax * bmax >= 2 ** 53:
+        return False
+    return direct or fft_error_bound(la, lb, amax, bmax, length) < 0.25
 
 
 def _direct(a: np.ndarray, b: np.ndarray, batch: tuple, n: int) -> np.ndarray:

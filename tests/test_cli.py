@@ -779,6 +779,33 @@ class TestImports:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
 
+    def test_benchmark_commands_load_no_numpy_ma(self):
+        # numpy.ma costs about as much as hl's arithmetic at m-max 30000;
+        # compared against the modules after the import, since numpy 1.x
+        # loads numpy.ma with numpy itself
+        probe = """if True:
+            import contextlib, io, sys
+            from goldpoly import cli
+            before = set(sys.modules)
+            for argv in (["irreducible", "--n-max", "8"],
+                         ["table1", "--n-max", "8"],
+                         ["verify", "--n-max", "10"],
+                         ["coeffs", "--m-max", "1000"],
+                         ["summatory", "--M", "100"],
+                         ["hl", "--m-max", "1000"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+                added = set(sys.modules) - before
+                print(argv[0], sorted(m for m in added if m == "numpy.ma"
+                                      or m.startswith("numpy.ma.")))
+            """
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env={"PYTHONPATH": str(self.ROOT / "src")},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == [
+            f"{command} []" for command in
+            ("irreducible", "table1", "verify", "coeffs", "summatory", "hl")]
+
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                         reason="counts threads in /proc/self/task (Linux)")
     @pytest.mark.parametrize("given, kept", [(None, "1"), ("2", "2")])

@@ -432,7 +432,8 @@ class TestHardyLittlewood:
         for m, a, b in zip(ms.tolist(), num.tolist(), den.tolist()):
             assert Fraction(a, b) == series_weight(m), m
 
-    @pytest.mark.parametrize("m_lo, m_hi", [(3, 500), (100, 400), (3000, 30000)])
+    @pytest.mark.parametrize("m_lo, m_hi", [(3, 500), (100, 400), (3000, 30000),
+                                            (10, 10), (3, 4)])
     def test_summary_matches_fraction_loop(self, table, m_lo, m_hi):
         # equal floats, not approximately equal ones
         assert goldbach.hl_summary(m_lo, m_hi, table) == \

@@ -57,13 +57,18 @@ class TestMul:
 
     def test_large_prime_falls_back_to_exact_packing(self):
         # at p ~ 2^20 the FFT rounding bound fails, forcing the exact path
+        # for an FFT-sized product; a direct-sized one needs only its
+        # entries below 2**53 and stays int64
         rng = np.random.default_rng(3)
         p = 1_048_573
-        a = rng.integers(0, p, 64).astype(np.int64)
-        b = rng.integers(0, p, 64).astype(np.int64)
-        a[-1] = b[-1] = 1
-        assert modp.convolve(a, b).dtype == object
-        assert np.array_equal(modp.mul(a, b, p), school(a, b, p))
+        for lb, dtype in [(64, np.int64), (1024, object)]:
+            a = rng.integers(0, p, 64).astype(np.int64)
+            b = rng.integers(0, p, lb).astype(np.int64)
+            a[-1] = b[-1] = 1
+            length = 1 << (64 + lb - 2).bit_length()
+            assert modp.fft_error_bound(64, lb, p - 1, p - 1, length) >= 0.25
+            assert modp.convolve(a, b).dtype == dtype
+            assert np.array_equal(modp.mul(a, b, p), school(a, b, p))
 
     def test_wide_limb_packing(self):
         # limb width above 8 bytes: word prime, (2**31 - 2)**2 per term, so
@@ -298,12 +303,13 @@ class TestConvolveHint:
                 assert got.dtype == np.int64
                 assert got.reshape(-1).tolist() == school_exact(a, b)
         # below 2**53 the int64 product is exact whatever the float bound,
-        # which a scan alone would consult (and pack these)
+        # so neither the hint nor the scanned maxima consult it
         a = np.array([2 ** 27], dtype=np.int64)
         b = np.array([2 ** 25, -3], dtype=np.int64)
-        got = modp.convolve(a, b, (2 ** 27, 2 ** 25))
-        assert got.dtype == np.int64
-        assert got.tolist() == [2 ** 52, -3 * 2 ** 27]
+        for hint in ((2 ** 27, 2 ** 25), None):
+            got = modp.convolve(a, b, hint)
+            assert got.dtype == np.int64
+            assert got.tolist() == [2 ** 52, -3 * 2 ** 27]
 
     def test_loose_hint_on_fft_sized_bits(self, monkeypatch):
         # 0/1 operands whose hint fails the float bound: the scan finds 1
