@@ -9,6 +9,16 @@ certify.  Patterns come from distinct-degree factorization (DDF: degrees
 only, no equal-degree splitting needed), which also yields each
 component G_d, the product of the degree-d factors.
 
+Each prime costs one DDF, and a random Frobenius has a fixed point with
+probability about 1 - 1/e, so degree 1 (and with it deg - 1) is often the
+last degree to survive.  ``small_degree_screen`` rules out degrees 1 and 2
+exactly before any prime.  When g is monic, g(0) != 0 and Cauchy's bound
+2^n > sum_{k<n} |c_k| 2^k holds, every root has |z| < 2, and by Gauss's
+lemma a factor of degree d may be taken monic in Z[z].  For d = 1 it is
+z - r with r in {-1, 0, 1}, so g(-1) g(0) g(1) != 0 excludes it; for d = 2
+it is z^2 + a z + b with |a|, |b| <= 3 and b != 0, 42 candidates, each
+excluded by a nonzero remainder of g modulo it and a prime.
+
 DDF iterates the Frobenius map h -> h^p mod f.  Over F_p it is linear,
 (sum h_i z^i)^p = sum h_i z^(p i), so its matrix is Berlekamp's Q, with
 row i equal to z^(p i) mod f.  ``modp.FrobeniusMap`` builds Q once per
@@ -71,6 +81,11 @@ from .goldbach import goldbach_cofactor
 from .poly import IntPolynomial, exact_quotient_or_none, gcd_rational
 
 _DDF_BLOCK = 16
+# prime modulo which the degree-2 screen takes its remainders
+_SCREEN_PRIME = 2 ** 31 - 1
+# a and b of the degree-2 candidates z^2 + a z + b: |a|, |b| <= 3, b != 0
+_QUAD_A, _QUAD_B = (np.array(v, dtype=np.int64) for v in zip(
+    *((a, b) for a in range(-3, 4) for b in range(-3, 4) if b)))
 # first prime tried by the pattern intersection
 _PRIME_START = 101
 # surviving degrees listed in a certificate's JSON
@@ -253,6 +268,41 @@ def linear_root_screen(f: IntPolynomial) -> IntPolynomial | None:
     return None
 
 
+def small_degree_screen(g: IntPolynomial) -> int:
+    """Bit mask of the degrees 0..deg g that a factor of g may have, less
+    d and deg g - d for each d in {1, 2}, 0 < d < deg g, at which g
+    provably has no factor over Q.
+
+    Needs g monic with g(0) != 0 and 2^n > sum_{k<n} |c_k| 2^k (Cauchy's
+    bound, in integers), so that every root has |z| < 2; otherwise every
+    degree is kept.  A monic factor over Q of a monic integer polynomial
+    lies in Z[z] (Gauss).  One of degree 1 is z - r with r an integer root,
+    |r| < 2, so g(-1), g(0), g(1) != 0 rule it out.  One of degree 2 is
+    z^2 + a z + b with |a| = |r1 + r2| < 4 and 0 < |b| = |r1 r2| < 4, and
+    each of those 42 candidates is ruled out by a nonzero remainder of g
+    modulo it and ``_SCREEN_PRIME``.  A zero remainder keeps the degree.
+    """
+    n = g.degree
+    mask = (1 << (n + 1)) - 1
+    cs = g.coeffs
+    if (g.lead != 1 or cs[0] == 0
+            or sum(abs(c) << k for k, c in enumerate(cs[:-1])) >= 1 << n):
+        return mask
+    if n > 1 and sum(cs) != 0 and sum(cs[0::2]) != sum(cs[1::2]):
+        mask &= ~(1 << 1 | 1 << (n - 1))
+    if n > 2:
+        # Horner's rule modulo each candidate: r1 z + r0 is the remainder
+        # of the leading part of g, and z^2 = -a z - b
+        a, b, P = _QUAD_A, _QUAD_B, _SCREEN_PRIME
+        r1 = np.zeros_like(a)
+        r0 = np.zeros_like(a)
+        for c in modp.from_coeffs(cs, P)[::-1]:
+            r1, r0 = (r0 - a * r1) % P, (c - b * r1) % P
+        if np.count_nonzero(r1 | r0) == len(a):
+            mask &= ~(1 << 2 | 1 << (n - 2))
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Certification
 # ---------------------------------------------------------------------------
@@ -264,18 +314,19 @@ def _subset_sum_mask(pattern: list[int]) -> int:
     return mask
 
 
-def _intersect_patterns(f: IntPolynomial, max_primes: int,
+def _intersect_patterns(f: IntPolynomial, surviving: int, max_primes: int,
                         accept=None) -> FactorCertificate:
     """Pattern intersection for f over its first usable primes >= 101.
 
-    Bad primes are skipped and not counted.  Irreducible once no proper
-    factor degree survives and, when ``accept`` is given, accept(p, pattern)
-    has held at some used prime; Unresolved with the surviving degree set
-    when ``max_primes`` primes do not get there, or at once when f is not
-    squarefree, since then every prime is bad.
+    ``surviving`` is the bit mask of the factor degrees not yet ruled out,
+    with bits 0 and deg f set.  Bad primes are skipped and not counted.
+    Irreducible once no proper factor degree survives and, when ``accept``
+    is given, accept(p, pattern) has held at some used prime; Unresolved
+    with the surviving degree set when ``max_primes`` primes do not get
+    there, or at once when f is not squarefree, since then every prime is
+    bad.
     """
     n = f.degree
-    surviving = (1 << (n + 1)) - 1
     proper_mask = surviving & ~(1 | (1 << n))
     accepted = accept is None
     squarefree = None
@@ -326,7 +377,7 @@ def certify_irreducible(f: IntPolynomial,
             raise AssertionError("screen witness does not divide")
         return FactorCertificate("Reducible", n, [], tuple(range(1, n)),
                                  witness_factor=wit)
-    return _intersect_patterns(f, max_primes)
+    return _intersect_patterns(f, (1 << (n + 1)) - 1, max_primes)
 
 
 def excludes_mirror_split(g: IntPolynomial, p: int,
@@ -347,7 +398,8 @@ def excludes_mirror_split(g: IntPolynomial, p: int,
 def certify_even(g: IntPolynomial, max_primes: int = 12) -> FactorCertificate:
     """Certificate for q(z) = g(z^2), g primitive, from the DDF of g.
 
-    Certifies g by pattern intersection and lifts the verdict to q: at
+    Certifies g by pattern intersection, starting from the degrees that
+    ``small_degree_screen`` leaves, and lifts the verdict to q: at
     once when the norm class (-1)^deg g * g(0) * lc(g) is not a square,
     otherwise only after ``excludes_mirror_split`` held at a used prime.
     If neither happens within ``max_primes`` primes, q is built and the
@@ -362,7 +414,7 @@ def certify_even(g: IntPolynomial, max_primes: int = 12) -> FactorCertificate:
     accept = None
     if norm >= 0 and math.isqrt(norm) ** 2 == norm:
         accept = functools.partial(excludes_mirror_split, g)
-    cert = _intersect_patterns(g, max_primes, accept)
+    cert = _intersect_patterns(g, small_degree_screen(g), max_primes, accept)
     if cert.verdict != "Irreducible":
         return certify_irreducible(g.compose_square(), max_primes)
     return FactorCertificate("Irreducible", 2 * g.degree, cert.primes_used, ())

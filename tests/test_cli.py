@@ -577,11 +577,12 @@ class TestIrreducible:
         # the benchmark's recorded `irreducible --n-max 12` output, read
         # only.  The reference predates the half-degree certificates, so
         # its primes differ; the primes below are the first usable ones
-        # at which the degree patterns of g mod p prove irreducibility,
-        # facts about g that no change of algorithm may move.
-        primes_used = {6: [101, 103, 107], 7: [101, 103, 107, 109],
+        # at which the degree patterns of g mod p, together with the exact
+        # screen that rules out factor degrees 1 and 2 of g, prove
+        # irreducibility: facts about g that no change of algorithm may move.
+        primes_used = {6: [101, 103, 107], 7: [101, 103],
                        8: [101, 103, 107, 109, 113], 9: [101, 103, 107, 109],
-                       10: [101, 103, 107], 11: [101, 103, 107],
+                       10: [101], 11: [101, 103],
                        12: [101, 103, 107, 109]}
         reference = json.loads((Path(__file__).resolve().parents[1]
                                 / "perfbench" / "reference.json").read_text())

@@ -13,9 +13,16 @@ from goldpoly.factor import (
     excludes_mirror_split,
     linear_root_screen,
     reduce_mod_p,
+    small_degree_screen,
 )
 from goldpoly.goldbach import goldbach_cofactor, goldbach_polynomial
-from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
+from goldpoly.poly import (
+    IntPolynomial,
+    cyclotomic,
+    divrem_exact,
+    exact_quotient_or_none,
+    multiply,
+)
 
 from conftest import even_part
 from oracles import ddf_by_powmod, gcd_by_trimming
@@ -321,6 +328,95 @@ class TestScreen:
         assert linear_root_screen(f) == IntPolynomial((-1, 2))
 
 
+def has_monic_factor(g, d):
+    """Whether monic g has a monic integer factor of degree d in {1, 2}, by
+    exact trial division by every candidate the root bound
+    |z| < 1 + max_{k<n} |c_k| leaves."""
+    bound = 1 + max(map(abs, g.coeffs[:-1]))
+    if d == 1:
+        candidates = ((-r, 1) for r in range(-bound, bound + 1))
+    else:
+        candidates = ((b, a, 1) for a in range(-2 * bound, 2 * bound + 1)
+                      for b in range(-bound ** 2, bound ** 2 + 1))
+    return any(exact_quotient_or_none(g, IntPolynomial(h)) is not None
+               for h in candidates)
+
+
+def kept_degrees(g):
+    mask = small_degree_screen(g)
+    return [d for d in range(g.degree + 1) if mask >> d & 1]
+
+
+class TestSmallDegreeScreen:
+    """Degrees 1 and 2 (and their complements) are ruled out exactly, and
+    only when g has no factor of that degree."""
+
+    def test_exact_oracle_on_random_monic_polynomials(self):
+        rng = np.random.default_rng(31)
+        cleared = kept_with_factor = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            low = rng.choice([-2, -1, 0, 0, 0, 1, 2], n).tolist()
+            g = IntPolynomial(low + [1])
+            kept = kept_degrees(g)
+            assert 0 in kept and n in kept
+            assert set(range(n + 1)) - set(kept) <= {1, 2, n - 2, n - 1}
+            for d in (1, 2):
+                if not 0 < d < n:
+                    continue
+                factor_exists = has_monic_factor(g, d)
+                if d not in kept or n - d not in kept:
+                    assert not factor_exists, (g, d)
+                    cleared += 1
+                elif factor_exists:
+                    kept_with_factor += 1
+        assert cleared >= 150 and kept_with_factor >= 300
+
+    @pytest.mark.parametrize("g, h", [
+        ((-3, 1, -3, 1), (-3, 1)),                  # (z - 3)(z^2 + 1)
+        ((-1, 0, 0, 0, 0, 1), (-1, 1)),             # (z - 1) Phi_5
+        ((1, 0, 0, 0, 0, 1), (1, 1)),               # (z + 1) Phi_10
+        ((0, 1, 0, 0, 0, 1), (0, 1)),               # z (z^4 + 1)
+        # (z^2 + z - 1)(z^2 - z + 2), all four roots in |z| < 2
+        ((-2, 3, 0, 0, 1), (-1, 1, 1)),
+        # the candidates at |a| = 3 and at |b| = 3: z^10 - 243z - 486 and
+        # z^8 - 81, whose roots have |z| = sqrt(3)
+        ((-486, -243) + (0,) * 8 + (1,), (3, 3, 1)),
+        ((-81,) + (0,) * 7 + (1,), (-3, 0, 1)),
+    ])
+    def test_products_keep_their_factor_degree(self, g, h):
+        g, h = IntPolynomial(g), IntPolynomial(h)
+        assert exact_quotient_or_none(g, h) is not None
+        kept = kept_degrees(g)
+        assert h.degree in kept and g.degree - h.degree in kept
+        assert certify_even(g, max_primes=4).verdict != "Irreducible"
+
+    def test_non_monic_keeps_every_degree(self):
+        # (2z - 1)(z^2 + z + 1): g(0), g(1), g(-1) != 0, and Cauchy's bound
+        # would hold if the leading 2 were read as 1
+        g = multiply(IntPolynomial((-1, 2)), IntPolynomial((1, 1, 1)))
+        assert kept_degrees(g) == [0, 1, 2, 3]
+        assert certify_even(g, max_primes=4).verdict != "Irreducible"
+
+    @pytest.mark.parametrize("g, kept", [
+        (IntPolynomial((1, 1)), [0, 1]),            # z + 1
+        (IntPolynomial((1, 0, 1)), [0, 2]),         # z^2 + 1
+        (IntPolynomial((-1, 1, 1)), [0, 2]),        # roots 0.618, -1.618
+        (IntPolynomial((1, 1, 0, 1)), [0, 3]),      # z^3 + z + 1
+        (IntPolynomial((1, 1, 1, 1)), [0, 1, 2, 3]),  # (z + 1)(z^2 + 1)
+        (IntPolynomial((-2, 0, 0, 1)), [0, 3]),     # z^3 - 2
+    ])
+    def test_low_degrees_clear_only_proper_bits(self, g, kept):
+        assert kept_degrees(g) == kept
+
+    def test_goldbach_cofactors_lose_degrees_one_and_two(self, small_table):
+        for N in range(6, 51):
+            g = goldbach_cofactor(N, small_table)
+            n = g.degree
+            assert set(kept_degrees(g)) == set(range(n + 1)) - {1, 2, n - 2,
+                                                                 n - 1}, N
+
+
 class TestCertify:
     def test_irreducible_quadratic(self):
         cert = certify_irreducible(IntPolynomial((1, 0, 1)))
@@ -449,6 +545,16 @@ class TestEvenLift:
     def test_rejects_imprimitive(self):
         with pytest.raises(ValueError):
             certify_even(even_part(IntPolynomial((2, 0, 4))))
+
+    def test_split_test_needs_p_not_dividing_g0(self):
+        # g = z^3 + 2z + 101 = z (z^2 + 2) mod 101, and 2 is a non-square
+        # mod 101, so the component z^2 + 2 has Legendre symbol -1; but
+        # 101 | g(0), where g(z^2) is not squarefree mod 101
+        g = IntPolynomial((101, 2, 0, 1))
+        pattern = distinct_degree_pattern(reduce_mod_p(g, 101), 101)
+        assert pattern.components[2].tolist() == [2, 0, 1]
+        assert pow(2, 50, 101) == 100
+        assert not excludes_mirror_split(g, 101, pattern)
 
     def test_split_test_fires_for_odd_quotients(self, small_table,
                                                 monkeypatch):
