@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, arith, factor, goldbach, roots
 from .arith import PrimeTable, SieveRangeError
 from .goldbach import IndicatorSet
-from .poly import cyclotomic, divrem_exact, to_text
+from .poly import cyclotomic_quotient_or_none, to_text
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -124,14 +124,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
         if args.indicator != "odd_primes":
             raise UsageError("--quotient applies to the odd-prime indicator only")
         # theorem (a): Phi_2N | F_N for every N
-        out, rem = divrem_exact(F, cyclotomic(2 * N))
+        out = cyclotomic_quotient_or_none(F, 2 * N)
         obj_name = f"F_{N}/Phi_{2 * N}"
-        if not rem.is_zero:
+        if out is None:
             raise goldbach.TheoremViolation(f"Phi_{2 * N} does not divide F_{N}")
         if args.quotient == "N,2N":
             # theorem (b): Phi_N | F_N exactly when N has no odd-prime pair
-            out, rem = divrem_exact(out, cyclotomic(N))
-            if not rem.is_zero:
+            out = cyclotomic_quotient_or_none(out, N)
+            if out is None:
                 raise UsageError(
                     f"Phi_{N} does not divide F_{N}: {N} is a sum of two odd "
                     f"primes (R({N}) > 0); use --quotient 2N")

@@ -7,8 +7,8 @@ indicator's autocorrelation, one ``modp.convolve`` per N.
 ``exponent_spread`` spreads pair sums over the exponent steps k, the one
 place that does: spread whole they give F_N (``goldbach_polynomial``),
 spread mod z^(2N) - 1 they give F_N's fold, and their even half spread
-gives g_N with F_N(z) = g_N(z^2), from which ``goldbach_cofactor``
-divides the forced cyclotomic part Phi_N off at half the degree.
+gives g_N with F_N(z) = g_N(z^2), which ``goldbach_cofactor`` divides
+by Phi_N at half the degree (``poly.cyclotomic_quotient_or_none``).
 ``theorem_reports`` checks the cyclotomic divisibility statements, the
 even symmetry and the root-of-unity lower bounds for the odd-prime F_N
 from the pair sums alone, without F_N's O(N**2) coefficients: they give
@@ -29,12 +29,8 @@ import numpy as np
 
 from . import arith, modp
 from .arith import PrimeTable
-from .poly import (
-    IntPolynomial,
-    cyclotomic,
-    divrem_exact,
-    remainder_mod_cyclotomic,
-)
+from .poly import (IntPolynomial, cyclotomic_quotient_or_none,
+                   remainder_mod_cyclotomic)
 
 
 class TheoremViolation(ArithmeticError):
@@ -167,16 +163,16 @@ def goldbach_cofactor(N: int, table: PrimeTable) -> IntPolynomial:
     Phi_N * Phi_2N for odd N), so this is F_N with that part divided out,
     in the plane w = z^2: one exact division at half the degree.  Every
     odd-prime pair sum is even, so g_N is the ``exponent_spread`` of the
-    even pair sums alone, built without F_N.  It is what
-    ``factor.certify_goldbach_quotient`` certifies and what
-    ``roots.classify_roots`` solves.  A nonzero remainder would falsify
-    the divisibility theorems and raises TheoremViolation.
+    even pair sums alone, built without F_N, and divided as an array.  It
+    is what ``factor.certify_goldbach_quotient`` certifies and what
+    ``roots.classify_roots`` counts the roots of.  An inexact division
+    would falsify the divisibility theorems and raises TheoremViolation.
     """
     if N <= 5:
         raise ValueError("the Goldbach cofactor is defined for N > 5")
-    g = IntPolynomial(exponent_spread(N, pair_sums(N, table)[0::2]).tolist())
-    quotient, rem = divrem_exact(g, cyclotomic(N))
-    if not rem.is_zero:
+    g = exponent_spread(N, pair_sums(N, table)[0::2])
+    quotient = cyclotomic_quotient_or_none(g, N)
+    if quotient is None:
         raise TheoremViolation(f"Phi_{N} does not divide g_{N}")
     return quotient
 

@@ -6,16 +6,14 @@ nonzero.  All ring operations are exact; products go through the shared
 integer convolution ``modp.convolve``.  General division is one
 schoolbook long-division loop: ``divrem_exact`` (monic divisor) and
 ``exact_quotient_or_none`` (any divisor, None unless exact) are checks
-around it.  Cyclotomic polynomials Phi_n and their cofactors
-(z**n - 1) / Phi_n are Moebius products of the binomials z**d - 1, built
-in Python ints as truncated power series, once per radical; Phi_n is
-memoized.  ``remainder_mod_cyclotomic`` takes no long division: it folds
-mod z**M - 1 and divides by Phi_M with two ``modp.convolve`` products
-through the power-series inverse of Phi_M.  Its Phi_M and Psi_M are the
-radical's int64 arrays spread by M / rad(M), cached per M with their
-largest magnitudes, and each product passes the bounds they give as
-``convolve``'s hint; a caller that knows max|a| passes it too, and the
-input is then not scanned.
+around it.  Phi_M and Psi_M = (z**M - 1) / Phi_M are Moebius products
+of binomials, built once per radical and cached per M as int64 arrays
+with their largest magnitudes (``_division_data``), where ``cyclotomic``
+reads Phi_M.  Two routines divide by Phi_M without the long division:
+``cyclotomic_quotient_or_none``, the exact quotient, is
+a * Psi_M / (z**M - 1), one ``convolve`` and a running sum over rows, and
+``remainder_mod_cyclotomic`` folds mod z**M - 1 and takes two
+``convolve`` products through the power-series inverse of Phi_M.
 
 gcd_rational returns the primitive integer generator of the gcd ideal over
 the rationals: a modular gcd over word primes whose candidate is verified
@@ -228,32 +226,11 @@ def exact_quotient_or_none(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial 
 # Cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-_cyclo_memo: dict[int, IntPolynomial] = {}
-
-
-def _moebius_binomials(n: int, cofactor: bool) -> list[int]:
-    """Coefficients of Phi_n, or with ``cofactor`` of
-    Psi_n = (z**n - 1) / Phi_n, as Moebius products of binomials.
-
-    With r = rad(n), the product of the distinct primes of n,
-    Phi_n(z) = Phi_r(z**(n/r)) and Psi_n(z) = Psi_r(z**(n/r)), where
-    Phi_r = prod_{d | r} (z**d - 1)**mu(r/d) and
-    Psi_r = prod_{d | r, d < r} (z**d - 1)**(-mu(r/d))
-    (Arnold & Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
-    2011).  The product for r is built once per r (``_radical_product``)
-    and spread by n/r.
-    """
-    primes = tuple(p for p, _ in arith.factorize(n))
-    cs = _radical_product(primes, cofactor)
-    step = n // math.prod(primes)
-    spread = [0] * (step * (len(cs) - 1) + 1)
-    spread[::step] = cs
-    return spread
-
-
-@functools.cache
 def _radical_product(primes: tuple[int, ...], cofactor: bool) -> tuple[int, ...]:
-    """Phi_r, or with ``cofactor`` Psi_r, for r the product of ``primes``.
+    """Phi_r = prod_{d | r} (z**d - 1)**mu(r/d), or with ``cofactor``
+    Psi_r = (z**r - 1) / Phi_r, the same product over d < r with exponents
+    -mu(r/d), for r the product of ``primes`` (Arnold & Monagan, Math.
+    Comp. 80, 2011).
 
     Each z**d - 1 has constant term -1, so the product is taken as a power
     series mod z**L, L the degree plus one (phi(r) + 1, or r - phi(r) + 1
@@ -287,25 +264,16 @@ def _radical_product(primes: tuple[int, ...], cofactor: bool) -> tuple[int, ...]
     return tuple(cs)
 
 
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by ``_moebius_binomials``; memoized."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be positive")
-    got = _cyclo_memo.get(n)
-    if got is None:
-        got = _cyclo_memo[n] = IntPolynomial(_moebius_binomials(n, False))
-    return got
-
-
 @functools.cache
 def _radical_arrays(primes: tuple[int, ...]) -> tuple:
     """Phi_r and -Psi_r less its top coefficient (``_radical_product``) as
-    int64 arrays, and the largest magnitude of each; a coefficient past
-    int64 would raise OverflowError here rather than wrap."""
+    int64 arrays, and the largest magnitude of each (0 for Psi_1's empty
+    one); a coefficient past int64 raises OverflowError here, not wraps."""
     phi = np.array(_radical_product(primes, False), dtype=np.int64)
     neg_psi = -np.array(_radical_product(primes, True)[:-1], dtype=np.int64)
     phi.flags.writeable = neg_psi.flags.writeable = False
-    return phi, neg_psi, int(np.abs(phi).max()), int(np.abs(neg_psi).max())
+    return (phi, neg_psi, int(np.abs(phi).max()),
+            int(np.abs(neg_psi).max(initial=0)))
 
 
 # M -> (phi(M), Phi_M, -Psi_M mod z**(M - phi(M)), max|Phi_M|, max|Psi_M|)
@@ -314,9 +282,9 @@ _division_memo: dict[int, tuple] = {}
 
 def _division_data(M: int) -> tuple:
     """phi(M), Phi_M and -Psi_M[:k] (k = M - phi(M)) as int64 arrays, and
-    the largest magnitudes of the two, for ``remainder_mod_cyclotomic``
-    and M >= 2: the radical's ``_radical_arrays`` spread by M / rad(M),
-    as in ``_moebius_binomials``."""
+    the largest magnitudes of the two, for M >= 1: the radical's
+    ``_radical_arrays`` spread by M / rad(M), since Phi_M(z) =
+    Phi_r(z**(M/r)) and Psi_M(z) = Psi_r(z**(M/r)) for r = rad(M)."""
     got = _division_memo.get(M)
     if got is None:
         primes = tuple(p for p, _ in arith.factorize(M))
@@ -331,6 +299,42 @@ def _division_data(M: int) -> tuple:
         phi.flags.writeable = neg_psi.flags.writeable = False
         got = _division_memo[M] = (m, phi, neg_psi, phi_max, psi_max)
     return got
+
+
+def cyclotomic(n: int) -> IntPolynomial:
+    """The n-th cyclotomic polynomial (n >= 1), from ``_division_data``."""
+    return IntPolynomial(_division_data(n)[1].tolist())
+
+
+def cyclotomic_quotient_or_none(a, M: int) -> IntPolynomial | None:
+    """a / Phi_M when Phi_M divides a exactly, else None; M >= 2.
+
+    ``a`` is as for ``remainder_mod_cyclotomic``.  Phi_M divides a iff
+    z**M - 1 divides p = a * Psi_M, and then a / Phi_M = p / (z**M - 1)
+    (von zur Gathen & Gerhard, 9.1): one ``modp.convolve``, then the
+    running sums down the rows of p cut into M columns, which are -q row
+    by row and end in p mod z**M - 1, zero iff the division is exact.
+    They stay in int64 while rows * min(len a, len Psi_M) * max|a| *
+    max|Psi_M|, which bounds them all, is below 2**62.
+    """
+    if M < 2:
+        raise ValueError("M must be at least 2")
+    cs = (np.array(a.coeffs, dtype=object) if isinstance(a, IntPolynomial)
+          else np.asarray(a))
+    amax = max(int(cs.max()), -int(cs.min())) if len(cs) else 0
+    if not amax:
+        return IntPolynomial.zero()
+    m, _, neg_psi, _, psi_max = _division_data(M)
+    psi = np.append(-neg_psi, 1)
+    prod = modp.convolve(cs, psi, (amax, psi_max))
+    rows = -(-len(prod) // M)
+    top = rows * min(len(cs), len(psi)) * amax * psi_max
+    sums = np.zeros(rows * M, dtype=np.int64 if top < 2 ** 62 else object)
+    sums[:len(prod)] = prod
+    sums = sums.reshape(rows, M).cumsum(axis=0)
+    if sums[-1].any():
+        return None
+    return IntPolynomial((-sums.ravel()[:len(cs) - m]).tolist())
 
 
 def remainder_mod_cyclotomic(a, M: int, bound: int | None = None

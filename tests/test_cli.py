@@ -20,6 +20,9 @@ from goldpoly.poly import IntPolynomial, cyclotomic, multiply
 
 from oracles import (
     coefficient_csv_by_join,
+    cyclotomic_by_division,
+    goldbach_count,
+    goldbach_polynomial_by_pairs,
     stable_coefficient_table_by_divisor_sweep,
 )
 from reference_fixtures import from_text, quotient_polynomial
@@ -67,8 +70,9 @@ class TestConstruct:
     def test_quotient_is_the_goldbach_cofactor(self, capsys, small_table):
         # F_N / Phi_2N for even N and F_N / (Phi_N Phi_2N) for odd N are
         # both g_N / Phi_N composed with z**2, the cofactor of the table1
-        # and irreducible sweeps; the command keeps its own divisions for
-        # the messages of N <= 5 and of R(N) > 0
+        # and irreducible sweeps; the command divides the full-degree F_N
+        # by the same routine as the cofactor, which also covers N <= 5
+        # and gives R(N) > 0 its usage error
         for N in range(6, 21):
             quotient = "2N" if N % 2 == 0 else "N,2N"
             code, out, _ = run(capsys, "construct", str(N), "--quotient",
@@ -76,6 +80,64 @@ class TestConstruct:
             cofactor = goldbach.goldbach_cofactor(N, small_table)
             assert (code, out) == (0, poly.to_text(cofactor.compose_square())
                                    + "\n"), N
+
+    def test_quotients_match_full_degree_long_division(self, capsys):
+        # both shapes for N = 2..60 against F_N divided by the divisor-chain
+        # Phi_2N and Phi_N with divrem_exact; where Phi_N leaves a
+        # remainder (R(N) > 0), N,2N is a usage error with this message
+        for N in range(2, 61):
+            F = goldbach_polynomial_by_pairs(N, arith.PrimeTable(max(16, N)))
+            warn = self._zero_warning(N, F)
+            half, rem = poly.divrem_exact(F, cyclotomic_by_division(2 * N))
+            assert rem.is_zero, N
+            assert run(capsys, "construct", str(N), "--quotient", "2N") == \
+                (0, poly.to_text(half) + "\n", warn), N
+            quotient, rem = poly.divrem_exact(half, cyclotomic_by_division(N))
+            got = run(capsys, "construct", str(N), "--quotient", "N,2N")
+            if rem.is_zero:
+                assert got == (0, poly.to_text(quotient) + "\n", warn), N
+            else:
+                assert got == (2, "", warn + (
+                    f"usage error: Phi_{N} does not divide F_{N}: {N} is a "
+                    f"sum of two odd primes (R({N}) > 0); use --quotient "
+                    f"2N\n")), N
+
+    def test_liouville_output_and_quotient_usage_error(self, capsys):
+        for N in range(2, 61):
+            table = arith.PrimeTable(max(16, N))
+            F = goldbach_polynomial_by_pairs(
+                N, goldbach.IndicatorSet.liouville_negative(table.limit, table))
+            warn = self._zero_warning(N, F)
+            assert run(capsys, "construct", str(N), "--indicator",
+                       "liouville") == (0, poly.to_text(F) + "\n", warn), N
+            for quotient in ("2N", "N,2N"):
+                assert run(capsys, "construct", str(N), "--indicator",
+                           "liouville", "--quotient", quotient) == (
+                    2, "", warn + "usage error: --quotient applies to the "
+                    "odd-prime indicator only\n"), (N, quotient)
+
+    @staticmethod
+    def _zero_warning(N: int, F: IntPolynomial) -> str:
+        return (f"warning: F_{N} is the zero polynomial (indicator support "
+                f"below {N} is empty)\n" if F.is_zero else "")
+
+    def test_command_path_runs_no_long_division(self, capsys, small_table,
+                                                monkeypatch):
+        # the cofactor and both quotient shapes divide by Phi_M through
+        # poly.cyclotomic_quotient_or_none alone
+        def refuse(a, b):
+            raise AssertionError("long division on the command path")
+
+        monkeypatch.setattr(poly, "_long_divide", refuse)
+        for N in range(6, 41):
+            assert not goldbach.goldbach_cofactor(N, small_table).is_zero
+        for N in range(2, 31):
+            code, out, _ = run(capsys, "construct", str(N), "--quotient", "2N")
+            assert code == 0 and out, N
+            exact = goldbach_count(N, small_table) == 0
+            code, out, _ = run(capsys, "construct", str(N), "--quotient",
+                               "N,2N")
+            assert (code, bool(out)) == ((0, True) if exact else (2, False)), N
 
     def test_inexact_phi_2n_quotient_is_a_theorem_violation(self, capsys,
                                                             monkeypatch):

@@ -9,6 +9,7 @@ from goldpoly.poly import (
     IntPolynomial,
     NonMonicDivisorError,
     cyclotomic,
+    cyclotomic_quotient_or_none,
     divrem_exact,
     exact_quotient_or_none,
     gcd_rational,
@@ -217,7 +218,8 @@ class TestCyclotomic:
             assert cyclotomic(n) == mobius_cyclotomic(n)
 
     def test_matches_divisor_chain_oracle(self):
-        poly._cyclo_memo.clear()
+        poly._division_memo.clear()
+        poly._radical_arrays.cache_clear()
         for n in range(1, 1001):
             assert cyclotomic(n) == cyclotomic_by_division(n), n
 
@@ -366,10 +368,116 @@ class TestRemainderModCyclotomic:
             remainder_mod_cyclotomic(ONE, 0)
 
     def test_cofactor_times_cyclotomic_is_binomial(self):
+        # Psi_n is -neg_psi of _division_data with its top 1 restored; the
+        # empty -Psi_1 leaves Psi_1 = 1
         for n in range(1, 241):
-            psi = IntPolynomial(poly._moebius_binomials(n, True))
+            neg_psi = poly._division_data(n)[2]
+            psi = IntPolynomial((-neg_psi).tolist() + [1])
+            if n == 1:
+                assert psi == ONE
             assert multiply(psi, cyclotomic(n)) == \
                 IntPolynomial((-1,) + (0,) * (n - 1) + (1,)), n
+
+
+class TestCyclotomicQuotient:
+    """``cyclotomic_quotient_or_none`` against the long division
+    ``divrem_exact`` by ``cyclotomic(M)``."""
+
+    # primes, prime powers, squarefree and non-squarefree composites
+    INDICES = [2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 25, 27, 30, 32, 36,
+               42, 45, 49, 53, 59, 60]
+
+    @staticmethod
+    def _oracle(a: IntPolynomial, M: int) -> IntPolynomial | None:
+        q, r = divrem_exact(a, cyclotomic(M))
+        return q if r.is_zero else None
+
+    def test_exact_multiples_give_the_cofactor(self):
+        rng = np.random.default_rng(11)
+        for M in range(2, 61):
+            for _ in range(4):
+                b = random_poly(rng, max_deg=int(rng.integers(0, 3 * M)),
+                                allow_zero=False)
+                a = multiply(b, cyclotomic(M))
+                assert self._oracle(a, M) == b
+                assert cyclotomic_quotient_or_none(a, M) == b, M
+                assert cyclotomic_quotient_or_none(
+                    np.array(a.coeffs, dtype=np.int64), M) == b, M
+
+    def test_one_coefficient_moved_gives_none(self):
+        rng = np.random.default_rng(12)
+        for M in range(2, 61):
+            for _ in range(4):
+                b = random_poly(rng, max_deg=2 * M, allow_zero=False)
+                cs = list(multiply(b, cyclotomic(M)).coeffs)
+                k = int(rng.integers(0, len(cs)))
+                cs[k] += int(rng.choice([-3, -1, 1, 2]))
+                a = IntPolynomial(cs)
+                assert self._oracle(a, M) is None
+                assert cyclotomic_quotient_or_none(a, M) is None, (M, k)
+                assert cyclotomic_quotient_or_none(
+                    np.array(cs, dtype=np.int64), M) is None, (M, k)
+
+    def test_below_totient_degree_and_zero(self):
+        rng = np.random.default_rng(13)
+        for M in self.INDICES:
+            m = cyclotomic(M).degree
+            for deg in range(m):
+                a = IntPolynomial(rng.integers(-9, 10, size=deg).tolist() + [1])
+                assert cyclotomic_quotient_or_none(a, M) is None, (M, deg)
+            for zero in (IntPolynomial.zero(), np.zeros(0, dtype=np.int64),
+                         np.zeros(3 * M, dtype=np.int64)):
+                assert cyclotomic_quotient_or_none(zero, M) == \
+                    IntPolynomial.zero()
+
+    def test_trailing_zeros_in_an_array(self):
+        b = IntPolynomial((3, -1, 4))
+        for M in self.INDICES:
+            cs = list(multiply(b, cyclotomic(M)).coeffs) + [0] * M
+            assert cyclotomic_quotient_or_none(
+                np.array(cs, dtype=np.int64), M) == b
+
+    def test_entries_past_2_53_take_the_packed_product(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        for M in self.INDICES:
+            b = IntPolynomial([int(c) * 2 ** 60 + int(c) for c in
+                               rng.integers(-2 ** 20, 2 ** 20, size=2 * M)])
+            a = multiply(b, cyclotomic(M))
+            moved = a + IntPolynomial((0,) * M + (1,))
+            seen = TestRemainderModCyclotomic._convolve_dtypes(monkeypatch)
+            got = [cyclotomic_quotient_or_none(a, M),
+                   cyclotomic_quotient_or_none(
+                       np.array(a.coeffs, dtype=object), M),
+                   cyclotomic_quotient_or_none(moved, M)]
+            monkeypatch.undo()
+            assert [out for _, out in seen] == [np.dtype(object)] * 3, M
+            assert got == [b, b, None], M
+            assert self._oracle(a, M) == b and self._oracle(moved, M) is None
+
+    def test_running_sum_past_int64_is_exact(self, monkeypatch):
+        # b alternates in sign and its magnitudes rise as a tent to
+        # 8191 * 2**51: a = b * Phi_2 has entries of 2**51 and a direct
+        # int64 product, but the running sums down its 8192 rows reach -b,
+        # past int64
+        n, c = 2 ** 13 - 1, 2 ** 51
+        b = IntPolynomial([(-1) ** k * min(k + 1, 2 * n - k) * c
+                           for k in range(2 * n)])
+        a = multiply(b, cyclotomic(2))
+        assert max(map(abs, a.coeffs)) == c
+        assert max(map(abs, b.coeffs)) >= 2 ** 63
+        seen = TestRemainderModCyclotomic._convolve_dtypes(monkeypatch)
+        got = cyclotomic_quotient_or_none(np.array(a.coeffs, dtype=np.int64), 2)
+        monkeypatch.undo()
+        assert seen == [(np.dtype(np.int64), np.dtype(np.int64))]
+        assert got == b
+        moved = np.array(a.coeffs, dtype=np.int64)
+        moved[n] += 1
+        assert cyclotomic_quotient_or_none(moved, 2) is None
+
+    @pytest.mark.parametrize("M", [1, 0, -3])
+    def test_rejects_index_below_two(self, M):
+        with pytest.raises(ValueError):
+            cyclotomic_quotient_or_none(IntPolynomial((1, 1)), M)
 
 
 class TestGcd:
