@@ -1,9 +1,9 @@
 """Exact integer convolution, and dense polynomial arithmetic over F_p.
 
 ``convolve`` is the one place where goldpoly multiplies integer sequences
-exactly: the pair-count table (``arith``), ``goldbach.pair_sums``,
-``IntPolynomial`` products and the cyclotomic remainders (``poly``) and
-the F_p products below all go through it.  It has three branches.  One
+exactly: the pair-count table (``arith``), ``goldbach.pair_sums``, the
+exact quotients and remainders by Phi_M (``poly``) and the F_p products
+below all go through it.  It has three branches.  One
 pair of rows with la * lb <= 2**15 whose entries stay below 2**53 is
 multiplied directly in int64 (``np.convolve``).  Anything larger runs as a
 real FFT when a rounding bound computed from the operands' lengths and

@@ -2,8 +2,8 @@
 
 IntPolynomial stores an immutable tuple of Python ints (index = exponent),
 canonical: empty tuple is the zero polynomial, otherwise the last entry is
-nonzero.  All ring operations are exact; products go through the shared
-integer convolution ``modp.convolve``.  General division is one
+nonzero.  It is a value with no ring operators: products are taken on
+coefficient arrays by ``modp.convolve``.  General division is one
 schoolbook long-division loop: ``divrem_exact`` (monic divisor) and
 ``exact_quotient_or_none`` (any divisor, None unless exact) are checks
 around it.  Phi_M and Psi_M = (z**M - 1) / Phi_M are Moebius products
@@ -99,40 +99,6 @@ class IntPolynomial:
             body += f" + ... ({len(terms)} terms)"
         return f"IntPolynomial({body})"
 
-    # -- ring operations ----------------------------------------------------
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs)
-        b = other.coeffs
-        if len(b) > len(out):
-            out.extend([0] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return IntPolynomial(out)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
     # -- structure ----------------------------------------------------------
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
@@ -159,18 +125,6 @@ class IntPolynomial:
         cs = [0] * (2 * len(self.coeffs))
         cs[0::2] = self.coeffs
         return IntPolynomial(cs)
-
-
-# ---------------------------------------------------------------------------
-# Multiplication
-# ---------------------------------------------------------------------------
-
-def multiply(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.is_zero or b.is_zero:
-        return IntPolynomial.zero()
-    ca = np.array(a.coeffs, dtype=object)
-    cb = ca if b is a else np.array(b.coeffs, dtype=object)
-    return IntPolynomial(modp.convolve(ca, cb).tolist())
 
 
 # ---------------------------------------------------------------------------

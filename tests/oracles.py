@@ -1,8 +1,9 @@
 """Slow, independent reference algorithms that the library is checked against.
 
 Except ``ddf_by_powmod``, none of them goes through ``modp.convolve``:
-products are schoolbook loops, pair counts the square of one packed big
-number or scalar loops over primes, F_N a dict of pair sums spread over
+products are schoolbook loops (``school_mul``, and ``product``, which
+builds the tests' IntPolynomial inputs), pair counts the square of one
+packed big number or scalar loops over primes, F_N a dict of pair sums spread over
 the exponent steps, and Phi_n the divisor chain of exact divisions of
 z**n - 1 (``cyclotomic_by_division``).  ``theorem_reports_from_polynomial``
 takes the theorem reports' remainders from that full F_N and that Phi_n.
@@ -57,19 +58,33 @@ def school_mul(a, b) -> list:
     return out
 
 
+def product(*polys) -> IntPolynomial:
+    """Product of IntPolynomials by ``school_mul``; 1 for no factors."""
+    out = [1]
+    for p in polys:
+        if p.is_zero:
+            return IntPolynomial.zero()
+        out = school_mul(out, p.coeffs)
+    return IntPolynomial(out)
+
+
 def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """lc(b)**(deg a - deg b + 1) * a  reduced mod b (integer arithmetic)."""
     db, lcb = b.degree, b.lead
-    r = a
+    r = list(a.coeffs)
     k = a.degree - db + 1
-    while not r.is_zero and r.degree >= db:
-        shift = r.degree - db
-        lead = r.lead
-        r = r * lcb - IntPolynomial((0,) * shift + tuple(lead * c for c in b.coeffs))
+    while len(r) > db:
+        # r * lc(b) - lc(r) z**shift b cancels the top coefficient
+        shift, lead = len(r) - 1 - db, r[-1]
+        r = [c * lcb for c in r]
+        for j, c in enumerate(b.coeffs):
+            r[shift + j] -= lead * c
+        while r and r[-1] == 0:
+            r.pop()
         k -= 1
     if k > 0:
-        r = r * (lcb ** k)
-    return r
+        r = [c * lcb ** k for c in r]
+    return IntPolynomial(r)
 
 
 def subresultant_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

@@ -15,7 +15,6 @@ from goldpoly.poly import (
     IntPolynomial,
     cyclotomic,
     divrem_exact,
-    multiply,
     substitute_negate,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     coefficient_table_by_formula,
     omega_sieve,
     pair_count_trend,
+    product,
     series_weight,
     stable_coefficient_by_scalar_counts,
     tau_sieve,
@@ -59,7 +59,7 @@ def test_c1_reference_quotients(table):
         ok = ok and r.is_zero and q == quotient_polynomial((N, "2N"))
     for N in (7, 9, 11):
         F = goldbach_polynomial(N, table)
-        q, r = divrem_exact(F, multiply(cyclotomic(N), cyclotomic(2 * N)))
+        q, r = divrem_exact(F, product(cyclotomic(N), cyclotomic(2 * N)))
         ok = ok and r.is_zero and q == quotient_polynomial((N, "N,2N"))
     elapsed = time.perf_counter() - start
     _report("1", "reference quotients", ok and elapsed < 1.0,
@@ -189,10 +189,7 @@ def test_c6_identity_suite(table, pair_counts):
             bad_summatory += 1
     bad_cyclo = 0
     for n in range(1, 201):
-        prod = IntPolynomial.one()
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = multiply(prod, cyclotomic(d))
+        prod = product(*(cyclotomic(d) for d in arith.divisors(n)))
         if prod != IntPolynomial((-1,) + (0,) * (n - 1) + (1,)):
             bad_cyclo += 1
     elapsed = time.perf_counter() - start
@@ -258,7 +255,7 @@ def test_c8_soundness_products(table):
         b = IntPolynomial(rng.integers(-9, 10, int(rng.integers(2, 9))).tolist())
         if a.degree < 1 or b.degree < 1:
             continue
-        prod = multiply(a, b).primitive_part()
+        prod = product(a, b).primitive_part()
         if prod.degree < 2:
             continue
         done += 1
@@ -275,7 +272,7 @@ def test_c8_soundness_products(table):
         if a.degree < 1 or a[0] == 0:
             continue
         if even_done % 2 == 0:
-            q = multiply(a, substitute_negate(a)).primitive_part()
+            q = product(a, substitute_negate(a)).primitive_part()
             if factor.certify_irreducible(
                     even_part(q), max_primes=3).verdict == "Irreducible":
                 halves_irreducible += 1
@@ -283,7 +280,7 @@ def test_c8_soundness_products(table):
             b = IntPolynomial(rng.integers(-9, 10, int(rng.integers(2, 6))).tolist())
             if b.degree < 1:
                 continue
-            g = multiply(a, b).primitive_part()
+            g = product(a, b).primitive_part()
             q = IntPolynomial(tuple(c for x in g.coeffs for c in (x, 0))[:-1])
         even_done += 1
         if factor.certify_even(even_part(q),

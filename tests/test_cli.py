@@ -16,13 +16,14 @@ import pytest
 import numpy as np
 
 from goldpoly import arith, cli, factor, goldbach, modp, poly, roots
-from goldpoly.poly import IntPolynomial, cyclotomic, multiply
+from goldpoly.poly import IntPolynomial, cyclotomic
 
 from oracles import (
     coefficient_csv_by_join,
     cyclotomic_by_division,
     goldbach_count,
     goldbach_polynomial_by_pairs,
+    product,
     stable_coefficient_table_by_divisor_sweep,
 )
 from reference_fixtures import from_text, quotient_polynomial
@@ -64,8 +65,8 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "4", "--quotient", "N,2N")
         assert code == 0
         F4 = goldbach.goldbach_polynomial(4, small_table)
-        assert multiply(from_text(out.strip()),
-                        multiply(cyclotomic(4), cyclotomic(8))) == F4
+        assert product(from_text(out.strip()), cyclotomic(4),
+                       cyclotomic(8)) == F4
 
     def test_quotient_is_the_goldbach_cofactor(self, capsys, small_table):
         # F_N / Phi_2N for even N and F_N / (Phi_N Phi_2N) for odd N are

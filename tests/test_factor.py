@@ -21,11 +21,10 @@ from goldpoly.poly import (
     cyclotomic,
     divrem_exact,
     exact_quotient_or_none,
-    multiply,
 )
 
 from conftest import even_part
-from oracles import ddf_by_powmod, gcd_by_trimming
+from oracles import ddf_by_powmod, gcd_by_trimming, product
 from reference_fixtures import quotient_polynomial
 
 
@@ -33,7 +32,7 @@ def half_degree_polynomial(N, table):
     """g with g(z^2) = F_N / Phi_2N (even N) or F_N / (Phi_N Phi_2N) (odd N)."""
     divisor = cyclotomic(2 * N)
     if N % 2:
-        divisor = multiply(divisor, cyclotomic(N))
+        divisor = product(divisor, cyclotomic(N))
     q, rem = divrem_exact(goldbach_polynomial(N, table), divisor)
     assert rem.is_zero
     return even_part(q)
@@ -302,9 +301,7 @@ class TestDDFShortcuts:
         assert list(pattern) == sorted(degrees)
         assert_same_ddf(pattern, ddf_by_powmod(fp, p))
         if len(factors) > 1:
-            lifted = IntPolynomial((1,))
-            for u in factors:
-                lifted = multiply(lifted, IntPolynomial(u.tolist()))
+            lifted = product(*(IntPolynomial(u.tolist()) for u in factors))
             cert = certify_irreducible(lifted, max_primes=4)
             assert cert.verdict != "Irreducible"
 
@@ -324,7 +321,7 @@ class TestScreen:
 
     def test_non_monic_rational_root(self):
         # (2z-1)(z^2+z+1)
-        f = multiply(IntPolynomial((-1, 2)), IntPolynomial((1, 1, 1)))
+        f = product(IntPolynomial((-1, 2)), IntPolynomial((1, 1, 1)))
         assert linear_root_screen(f) == IntPolynomial((-1, 2))
 
 
@@ -394,7 +391,7 @@ class TestSmallDegreeScreen:
     def test_non_monic_keeps_every_degree(self):
         # (2z - 1)(z^2 + z + 1): g(0), g(1), g(-1) != 0, and Cauchy's bound
         # would hold if the leading 2 were read as 1
-        g = multiply(IntPolynomial((-1, 2)), IntPolynomial((1, 1, 1)))
+        g = product(IntPolynomial((-1, 2)), IntPolynomial((1, 1, 1)))
         assert kept_degrees(g) == [0, 1, 2, 3]
         assert certify_even(g, max_primes=4).verdict != "Irreducible"
 
@@ -442,7 +439,7 @@ class TestCertify:
             b = IntPolynomial(rng.integers(-5, 6, int(rng.integers(3, 7))).tolist())
             if a.degree < 1 or b.degree < 1:
                 continue
-            prod = multiply(a, b).primitive_part()
+            prod = product(a, b).primitive_part()
             if prod.degree < 2:
                 continue
             done += 1
@@ -466,7 +463,7 @@ class TestCertify:
 
     def test_not_squarefree_is_unresolved(self):
         # every prime is bad for (z^2 + 1)^2; the search must stop
-        f = multiply(IntPolynomial((1, 0, 1)), IntPolynomial((1, 0, 1)))
+        f = product(IntPolynomial((1, 0, 1)), IntPolynomial((1, 0, 1)))
         cert = certify_irreducible(f)
         assert cert.verdict == "Unresolved"
         assert cert.primes_used == []

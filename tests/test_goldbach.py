@@ -13,7 +13,7 @@ from goldpoly.goldbach import (
     goldbach_polynomial,
     theorem_reports,
 )
-from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact, multiply
+from goldpoly.poly import IntPolynomial, cyclotomic, divrem_exact
 
 from conftest import break_divisibility
 from oracles import (
@@ -26,6 +26,7 @@ from oracles import (
     omega,
     pair_count_trend,
     prime_pair_count,
+    product,
     root_bound_by_scalar_counts,
     series_weight,
     stable_coefficient_by_scalar_counts,
@@ -105,7 +106,7 @@ class TestCoefficientFormula:
 
     def test_specific_zero_coefficient(self, small_table):
         # reconstruct F_6 from the reference quotient and read off z^4
-        F6 = multiply(quotient_polynomial((6, "2N")), cyclotomic(12))
+        F6 = product(quotient_polynomial((6, "2N")), cyclotomic(12))
         assert F6[4] == 0
         assert coefficient_by_formula(6, 4, small_table) == 0
 
@@ -327,8 +328,8 @@ class TestGoldbachCofactor:
         # built from the even pair sums alone, without F_N
         for N in range(6, 61):
             F = goldbach_polynomial(N, small_table)
-            assert multiply(goldbach_cofactor(N, small_table),
-                            cyclotomic(N)).coeffs == F.coeffs[0::2], N
+            assert product(goldbach_cofactor(N, small_table),
+                           cyclotomic(N)).coeffs == F.coeffs[0::2], N
 
     def test_inexact_division_raises(self, small_table, monkeypatch):
         break_divisibility(monkeypatch)

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,6 @@ from goldpoly.poly import (
     IntPolynomial,
     cyclotomic,
     gcd_rational,
-    multiply,
     reciprocal,
 )
 from goldpoly.roots import (
@@ -31,6 +32,7 @@ from oracles import (
     aberth_all_points,
     horner_ratio_and_residual,
     horner_triple,
+    product,
     schur_cohn_inside,
 )
 from reference_fixtures import ROOT_TABLE
@@ -253,11 +255,9 @@ class TestEvaluator:
 
 def _strip_product(sr):
     """cofactor * prod Phi_e^m, which must give back F."""
-    P = sr.cofactor
-    for e, mult in sr.cyclotomic_factors:
-        for _ in range(mult):
-            P = multiply(P, cyclotomic(e))
-    return P
+    return product(sr.cofactor, *(cyclotomic(e)
+                                  for e, mult in sr.cyclotomic_factors
+                                  for _ in range(mult)))
 
 
 class TestStrip:
@@ -277,7 +277,7 @@ class TestStrip:
         assert sr.cyclotomic_factors == []
 
     def test_cyclotomic_times_linear(self):
-        F = multiply(cyclotomic(7), IntPolynomial((-3, 1)))
+        F = product(cyclotomic(7), IntPolynomial((-3, 1)))
         sr = strip_unit_circle_part(F)
         assert sr.cofactor == IntPolynomial((-3, 1))
         assert sr.cyclotomic_factors == [(7, 1)]
@@ -288,8 +288,8 @@ class TestStrip:
         # Phi_5 (w^2 - 3w + 1), whose pair (3 +- sqrt5)/2 is off the circle;
         # the one cofactor holds it beside w - 3, and one solve places all
         # three roots
-        rest = multiply(IntPolynomial((1, -3, 1)), IntPolynomial((-3, 1)))
-        sr = strip_unit_circle_part(multiply(cyclotomic(5), rest))
+        rest = product(IntPolynomial((1, -3, 1)), IntPolynomial((-3, 1)))
+        sr = strip_unit_circle_part(product(cyclotomic(5), rest))
         assert sr.cyclotomic_factors == [(5, 1)]
         assert sr.cofactor == rest
         for seed in range(3):
@@ -303,13 +303,12 @@ class TestStrip:
         # classify_roots strips g, not F = g(z^2): the cofactor of F is
         # that of g composed with z^2, and the on-circle count
         # sum phi(d) m of F is twice that of g, whose factors are Phi_e(w)
-        phi4_sq = multiply(cyclotomic(4), cyclotomic(4))
+        phi4_sq = product(cyclotomic(4), cyclotomic(4))
         polys = [goldbach_polynomial(N, small_table) for N in range(6, 19)]
         polys += [
-            multiply(phi4_sq, IntPolynomial((2, 0, -5, 0, 2))),
-            multiply(multiply(phi4_sq, cyclotomic(12)),
-                     IntPolynomial((-3, 0, 1))),
-            multiply(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
+            product(phi4_sq, IntPolynomial((2, 0, -5, 0, 2))),
+            product(phi4_sq, cyclotomic(12), IntPolynomial((-3, 0, 1))),
+            product(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
             IntPolynomial((5, 0, 0, 0, 1)),
         ]
         for F in polys:
@@ -327,13 +326,12 @@ class TestStrip:
     def test_half_degree_gcd_matches_full_degree(self, small_table, partner):
         # the gcds taken on g map to those of F = g(z^2) by z -> z^2:
         # reciprocal(F) = reciprocal(g)(z^2) and F' = 2z g'(z^2) with F(0) != 0
-        phi4_sq = multiply(cyclotomic(4), cyclotomic(4))
+        phi4_sq = product(cyclotomic(4), cyclotomic(4))
         polys = [goldbach_polynomial(N, small_table) for N in range(6, 19)]
         polys += [
-            multiply(phi4_sq, IntPolynomial((2, 0, -5, 0, 2))),
-            multiply(multiply(phi4_sq, cyclotomic(12)),
-                     IntPolynomial((-3, 0, 1))),
-            multiply(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
+            product(phi4_sq, IntPolynomial((2, 0, -5, 0, 2))),
+            product(phi4_sq, cyclotomic(12), IntPolynomial((-3, 0, 1))),
+            product(IntPolynomial((1, 0, 3)), IntPolynomial((1, 0, 3))),
             IntPolynomial((5, 0, 0, 0, 1)),
         ]
         for F in polys:
@@ -343,7 +341,7 @@ class TestStrip:
                     == gcd_rational(F, partner(F))), F
 
     def test_repeated_cyclotomic_multiplicity(self):
-        F = multiply(multiply(cyclotomic(4), cyclotomic(4)), IntPolynomial((-2, 1)))
+        F = product(cyclotomic(4), cyclotomic(4), IntPolynomial((-2, 1)))
         sr = strip_unit_circle_part(F)
         assert sr.cyclotomic_factors == [(4, 2)]
         assert _strip_product(sr) == F
@@ -387,8 +385,7 @@ class TestClassification:
         # classify a polynomial with a squared cyclotomic factor through the
         # same pipeline pieces: F = Phi_4^2 * (z-2) * (2z-1) has 4 circle
         # roots (multiplicity 2), one inside, one outside
-        F = multiply(multiply(cyclotomic(4), cyclotomic(4)),
-                     IntPolynomial((2, -5, 2)))
+        F = product(cyclotomic(4), cyclotomic(4), IntPolynomial((2, -5, 2)))
         # the double roots +-i lie on the circle, so the count declines and
         # the strip divides Phi_4^2 off: the circle roots are counted
         # exactly, never numerically, and the other two by the count
@@ -408,15 +405,15 @@ class TestExactFallback:
         # Phi_5 (w^2 - 3w + 1)(w - 3): the four roots of Phi_5 lie on the
         # circle, so the count declines and the strip divides Phi_5 off;
         # the pair (3 +- sqrt5)/2 and 3 are then counted
-        rest = multiply(IntPolynomial((1, -3, 1)), IntPolynomial((-3, 1)))
-        P = multiply(cyclotomic(5), rest)
+        rest = product(IntPolynomial((1, -3, 1)), IntPolynomial((-3, 1)))
+        P = product(cyclotomic(5), rest)
         for seed in range(3):
             assert roots._solve_counts(P, seed=seed) == (4, 1, 2, 0)
 
     @pytest.mark.parametrize("P, counts", [
-        (multiply(multiply(IntPolynomial((4, 3, 5)), IntPolynomial((4, 3, 5))),
-                  IntPolynomial((-7, 2))), (0, 4, 1, 0)),
-        (multiply(IntPolynomial((2, -5, 2)), IntPolynomial((2, -5, 2))),
+        (product(IntPolynomial((4, 3, 5)), IntPolynomial((4, 3, 5)),
+                 IntPolynomial((-7, 2))), (0, 4, 1, 0)),
+        (product(IntPolynomial((2, -5, 2)), IntPolynomial((2, -5, 2))),
          (0, 2, 2, 0)),
     ], ids=["double-pair-inside", "self-reciprocal-square"])
     def test_repeated_root_off_the_circle(self, P, counts):
@@ -435,8 +432,8 @@ class TestExactFallback:
         plain = classify_roots(N, small_table)
         cofactor = roots.goldbach_cofactor
         monkeypatch.setattr(roots, "goldbach_cofactor",
-                            lambda N, table: multiply(cofactor(N, table),
-                                                      cyclotomic(3)))
+                            lambda N, table: product(cofactor(N, table),
+                                                     cyclotomic(3)))
         rc = classify_roots(N, small_table)
         assert rc.on_circle == 2 * (arith.euler_phi(N) + 2)
         assert rc.undetermined == 0
@@ -460,15 +457,15 @@ def _linear_product(factors):
     """The integer polynomial prod (b w - a) for pairs (a, b), times the
     quadratics b**2 w**2 - 2 a b w + (a**2 + c**2), with roots (a +- ic)/b,
     for triples (a, b, c)."""
-    P = IntPolynomial.one()
+    polys = []
     for f in factors:
         if len(f) == 2:
             a, b = f
-            P = multiply(P, IntPolynomial((-a, b)))
+            polys.append(IntPolynomial((-a, b)))
         else:
             a, b, c = f
-            P = multiply(P, IntPolynomial((a * a + c * c, -2 * a * b, b * b)))
-    return P
+            polys.append(IntPolynomial((a * a + c * c, -2 * a * b, b * b)))
+    return product(*polys)
 
 
 def _known_roots(factors):
@@ -606,8 +603,8 @@ def _solve_counts_sound(P, on, inside, outside, seed=0):
 
 # a fixed cofactor: 1/3 and the roots of 5w^2 + 3w + 4 (|w|^2 = 4/5) inside,
 # -7/2 outside
-_FILLER = multiply(multiply(IntPolynomial((-1, 3)), IntPolynomial((7, 2))),
-                   IntPolynomial((4, 3, 5)))
+_FILLER = product(IntPolynomial((-1, 3)), IntPolynomial((7, 2)),
+                  IntPolynomial((4, 3, 5)))
 
 
 class TestSoundness:
@@ -624,7 +621,7 @@ class TestSoundness:
         # count places it at 1e-12, and below that, where the count
         # declines and the root's disc meets the circle, it alone is left
         # undetermined
-        P = multiply(IntPolynomial((-a, b)), _FILLER)
+        P = product(IntPolynomial((-a, b)), _FILLER)
         inside, outside = 3 + (side < 0), 1 + (side > 0)
         for seed in range(3):
             got = _solve_counts_sound(P, 0, inside, outside, seed)
@@ -641,10 +638,10 @@ class TestSoundness:
         # a = b - 2 both, (b - 2)/b and (b - 1)/b, lie inside it
         b = 10 ** 9 + 7
         a = b + offset
-        P = multiply(IntPolynomial((-a, b)), IntPolynomial((-a - 1, b)))
+        P = product(IntPolynomial((-a, b)), IntPolynomial((-a - 1, b)))
         for seed in range(3):
             _solve_counts_sound(P, on, inside, outside, seed)
-            _solve_counts_sound(multiply(P, _FILLER), on, inside + 3,
+            _solve_counts_sound(product(P, _FILLER), on, inside + 3,
                                 outside + 1, seed)
 
     def test_self_reciprocal_factor_on_the_circle(self):
@@ -658,7 +655,7 @@ class TestSoundness:
             assert _solve_counts_sound(lehmer, 8, 1, 1, seed)[3] == 8
             assert _solve_counts_sound(IntPolynomial((2, -1, 2)), 2, 0, 0,
                                        seed) == (0, 0, 0, 2)
-            assert _solve_counts_sound(multiply(lehmer, _FILLER), 8, 4, 2,
+            assert _solve_counts_sound(product(lehmer, _FILLER), 8, 4, 2,
                                        seed)[3] == 8
 
     @pytest.mark.parametrize("paired_sweeps", [
@@ -767,6 +764,60 @@ def _level_arcs(tests, centres):
         yield (*test[:-1], x, np.pi / L / 2 ** depth)
 
 
+# pi to 50 digits; the circle points below are taken at 50 digits, so a
+# float bound compared with them errs by nothing a test can see
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _decimal_cis(turns):
+    """(cos, sin) of the angle pi * turns, turns a Fraction in [0, 1], by
+    their Taylor series in 50-digit ``decimal``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        theta = _PI * turns.numerator / turns.denominator
+        c = s = Decimal(0)
+        term, k = Decimal(1), 0
+        while abs(term) > Decimal(10) ** -55:
+            if k % 2:
+                s += term if k % 4 == 1 else -term
+            else:
+                c += term if k % 4 == 0 else -term
+            k += 1
+            term = term * theta / k
+        return c, s
+
+
+def _level_points(level, x):
+    """A level's evaluation centres as pairs of Decimals: the exact
+    upper-half L-th roots of unity on the first level, the float centres
+    below it."""
+    if level == 0:
+        L = 2 * (len(x) - 1)
+        return [_decimal_cis(Fraction(2 * j, L)) for j in range(len(x))]
+    return [(Decimal(w.real), Decimal(w.imag)) for w in x]
+
+
+def _decimal_taylor(coeffs, point, orders):
+    """q^(m)(w)/m! = sum_k C(k, m) c_k w^(k - m) at w = point for each m
+    in orders, as pairs of Decimals, in 50-digit ``decimal``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        wr, wi = point
+        powers = [(Decimal(1), Decimal(0))]
+        for _ in range(len(coeffs) - 1):
+            pr, pi = powers[-1]
+            powers.append((pr * wr - pi * wi, pr * wi + pi * wr))
+        out = []
+        for m in orders:
+            tr = ti = Decimal(0)
+            for k in range(m, len(coeffs)):
+                c = math.comb(k, m) * Decimal(coeffs[k])
+                tr += c * powers[k - m][0]
+                ti += c * powers[k - m][1]
+            out.append((tr, ti))
+        return out
+
+
 # 1000 (w - 1)^5 + 3, whose Taylor terms of orders 1..4 vanish at w = 1,
 # so only the tail bounds its spread there; 1000 w^20 - 1001, whose 20
 # zeros lie 5e-5 outside the circle, so every one takes bisection; and
@@ -812,21 +863,78 @@ class TestWindingCount:
     @pytest.mark.parametrize("P", _BOUND_CASES, ids=["tail", "bisected"])
     def test_value_bounds_hold_exactly(self, monkeypatch, P):
         # each level's values of the Taylor rows lie within E of their
-        # exact values, compared in rationals: on the first level at
-        # w = 1, i and -1, below it at the first centres of each level
+        # exact values: on the first level at every upper-half L-th root of
+        # unity, against q^(m)(w)/m! at 50 digits; below it at the first
+        # centres of each level, against the float rows in rationals
         tests, centres = _record_levels(monkeypatch)
         roots._winding_count(P)
         X = roots._taylor_rows(P.coeffs)
-        for level, (Y, E, _, _, _, x, _) in enumerate(
-                _level_arcs(tests, centres)):
-            L = 2 * (len(x) - 1)
-            points = ({0: 1, L // 4: 1j, L // 2: -1} if level == 0
-                      else {j: x[j] for j in range(min(3, len(x)))})
-            for j, point in points.items():
+        levels = _level_arcs(tests, centres)
+        Y, E, *_, x, _ = next(levels)
+        bound2 = [Decimal(float(e)) ** 2 for e in E]
+        for j, point in enumerate(_level_points(0, x)):
+            want = _decimal_taylor(P.coeffs, point, range(roots._ORDERS))
+            for m, (wr, wi) in enumerate(want):
+                gap2 = ((Decimal(Y[m, j].real) - wr) ** 2
+                        + (Decimal(Y[m, j].imag) - wi) ** 2)
+                assert gap2 <= bound2[m], (j, m)
+        for level, (Y, E, *_, x, _) in enumerate(levels, start=1):
+            for j in range(min(3, len(x))):
                 for m in range(roots._ORDERS):
-                    want = _exact_values(X[m], complex(point))[0]
+                    want = _exact_values(X[m], complex(x[j]))[0]
                     assert _exact_gap2(Y[m, j], want, 1) <= \
                         Fraction(float(E[m])) ** 2, (level, j, m)
+
+    @pytest.mark.parametrize("P", _BOUND_CASES, ids=["tail", "bisected"])
+    def test_tail_bounds_the_exact_taylor_tail(self, monkeypatch, P):
+        # at every centre x of every level, tail >= sum_(m >= 5)
+        # |q^(m)(x)/m!| rho^m, the part of q(w) - q(x) the rows leave out
+        tests, centres = _record_levels(monkeypatch)
+        roots._winding_count(P)
+        orders = range(roots._ORDERS, P.degree + 1)
+        for level, (_, _, rho, tail, _, x, _) in enumerate(
+                _level_arcs(tests, centres)):
+            powers = [Decimal(rho) ** m for m in orders]
+            for point in _level_points(level, x):
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 50
+                    exact = sum((tr * tr + ti * ti).sqrt() * power
+                                for (tr, ti), power in zip(
+                                    _decimal_taylor(P.coeffs, point, orders),
+                                    powers))
+                assert exact <= Decimal(tail), (level, point)
+
+    @pytest.mark.parametrize("P", [
+        _BOUND_CASES[1], IntPolynomial((100001, 100000)),
+    ], ids=["bisected", "near-minus-one"])
+    def test_bisected_arc_ends_lie_within_rho(self, monkeypatch, P):
+        # at depth t an arc's key k is an odd multiple of s = 2**(40 - t),
+        # in units of pi / (L 2**40), and its ends are at k -+ s; both,
+        # at 50 digits, lie within rho of the float centre the evaluator
+        # was given, which errs from the circle point by up to 14u.  The
+        # zero of 100000 w + 100001, 1e-5 outside the circle at w = -1,
+        # takes the bisection 14 levels deep, where the arc's chord falls
+        # short of r by less than that error: without _OFF, rho = r would
+        # miss an end there by 3e-16
+        tests, centres = _record_levels(monkeypatch)
+        roots._winding_count(P)
+        levels = [(rho, x) for _, _, rho, _, _, x, _ in
+                  _level_arcs(tests, centres)]
+        L = 2 * (len(levels[0][1]) - 1)
+        unit = math.pi / L / (1 << roots._MAX_DEPTH)
+        for depth, (rho, x) in enumerate(levels[1:], start=1):
+            step = 1 << (roots._MAX_DEPTH - depth)
+            keys = (2 * np.floor(np.angle(x) / unit / (2 * step))
+                    .astype(np.int64) + 1) * step
+            theta = keys * unit
+            assert np.array_equal(np.cos(theta) + 1j * np.sin(theta), x)
+            rho2 = Decimal(rho) ** 2
+            for key, w in zip(keys.tolist(), x):
+                for end in (key - step, key + step):
+                    c, s = _decimal_cis(Fraction(end, L << roots._MAX_DEPTH))
+                    gap2 = ((c - Decimal(w.real)) ** 2
+                            + (s - Decimal(w.imag)) ** 2)
+                    assert gap2 <= rho2, (depth, key, end)
 
     @pytest.mark.parametrize("factors", list(_known_root_cases()))
     def test_matches_schur_cohn_on_known_roots(self, factors):
@@ -844,12 +952,12 @@ class TestWindingCount:
 
     @pytest.mark.parametrize("P", [
         IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)),
-        multiply(IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)),
-                 _FILLER),
+        product(IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)),
+                _FILLER),
         IntPolynomial((2, -1, 2)),
-        multiply(IntPolynomial((-(10 ** 9 + 6), 10 ** 9 + 7)),
-                 IntPolynomial((-(10 ** 9 + 7), 10 ** 9 + 7))),
-        multiply(cyclotomic(5), _FILLER),
+        product(IntPolynomial((-(10 ** 9 + 6), 10 ** 9 + 7)),
+                IntPolynomial((-(10 ** 9 + 7), 10 ** 9 + 7))),
+        product(cyclotomic(5), _FILLER),
         IntPolynomial((-(2 ** 53) - 1, 2 ** 53)),
     ], ids=["lehmer", "lehmer-filler", "2w2-w+2", "near-double-on",
             "phi5-filler", "coefficient-2^53"])
@@ -871,8 +979,8 @@ class TestWindingCount:
         # b w - a alone beside the filler, or the near-double pair
         # (b w - a)(b w - a - 1), roots 1e-9 apart within 3e-9 of the
         # circle; a lone root 1e-12 or more from the circle is counted
-        single = multiply(IntPolynomial((-a, b)), _FILLER)
-        double = multiply(single, IntPolynomial((-a - 1, b)))
+        single = product(IntPolynomial((-a, b)), _FILLER)
+        double = product(single, IntPolynomial((-a - 1, b)))
         got = {P: roots._winding_count(P) for P in (single, double)}
         for P, count in got.items():
             assert count is None or count == schur_cohn_inside(P), (b, a)
@@ -925,8 +1033,22 @@ class TestWindingCount:
                 widest = np.arcsin(np.minimum(1.0, E[0] / np.abs(Y[0, ok])))
                 assert np.all(widest <= err[ok]), P.degree
 
-    @pytest.mark.parametrize("turn, want", [(math.pi, None), (0.5, 3)],
-                             ids=["pi", "half"])
+    def test_arc_passes_only_within_half_its_lower_bound(self):
+        # synthetic rows Y_0 = 1, Y_1 = s, no other row, no error, rho = 1
+        # and no tail: B = s against A = 1, so the arc passes iff s <= 1/2,
+        # and q(w) / q(x) stays within pi/6 of 1; a rule of B <= A would
+        # pass s = 0.75 and let the argument turn by pi/2
+        rows = np.zeros((roots._ORDERS, 2), dtype=np.complex128)
+        rows[0] = 1.0
+        rows[1] = [0.75, 0.49]
+        ok, values, err = roots._arc_test(rows, np.zeros(roots._ORDERS),
+                                          1.0, 0.0)
+        assert ok.tolist() == [False, True]
+        assert values.tolist() == [1.0, 1.0] and err[1] == 0.0
+
+    @pytest.mark.parametrize("turn, want",
+                             [(math.pi, None), (0.5, 3), (1.5, None)],
+                             ids=["pi", "half", "one-and-a-half"])
     def test_one_centre_turned_within_its_bound(self, monkeypatch, turn,
                                                 want):
         # (3w - 1)(5w^2 + 3w + 4) has its three zeros inside, so arg q
@@ -934,8 +1056,10 @@ class TestWindingCount:
         # turned by its own angle bound: by pi, the steps into and out of
         # it wrap the other way and the plain sum loses 2 pi, so the count
         # must decline rather than say 1; by 0.5, the two errors cancel in
-        # the sum and the count stays proved
-        P = multiply(IntPolynomial((-1, 3)), IntPolynomial((4, 3, 5)))
+        # the sum and the count stays proved; by 1.5 they would cancel
+        # too, but a bound above pi/3 leaves a step no room, so the count
+        # declines
+        P = product(IntPolynomial((-1, 3)), IntPolynomial((4, 3, 5)))
         assert roots._winding_count(P) == schur_cohn_inside(P) == 3
         arc_test = roots._arc_test
 
