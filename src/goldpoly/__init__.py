@@ -8,7 +8,7 @@ Library layout:
 - ``modp``: the exact integer convolution, and dense polynomials over F_p
 - ``goldbach``: the F_N family, theorem reports, stabilized coefficients,
   summatory and Hardy-Littlewood sweeps
-- ``roots``: unit-circle split and Aberth-Ehrlich classification
+- ``roots``: argument-principle root count, then strip and Aberth fallback
 - ``factor``: degree-pattern irreducibility certificates
 - ``cli``: the ``goldpoly`` command
 """

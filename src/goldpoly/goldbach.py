@@ -71,14 +71,14 @@ class IndicatorSet:
 
 def _support(source, N: int) -> np.ndarray:
     """Indicator support on [1, N-1] from a PrimeTable or IndicatorSet."""
+    if not isinstance(source, (PrimeTable, IndicatorSet)):
+        raise TypeError(f"expected PrimeTable or IndicatorSet, got {type(source)!r}")
+    if N - 1 > source.limit:
+        raise ValueError("indicator does not cover [1, N-1]")
     if isinstance(source, PrimeTable):
         return source.odd_primes_upto(N - 1)
-    if isinstance(source, IndicatorSet):
-        supp = source.support_upto(min(N - 1, source.limit))
-        if N - 1 > source.limit:
-            raise ValueError("indicator does not cover [1, N-1]")
-        return supp[supp >= 1]
-    raise TypeError(f"expected PrimeTable or IndicatorSet, got {type(source)!r}")
+    supp = source.support_upto(N - 1)
+    return supp[supp >= 1]
 
 
 # ---------------------------------------------------------------------------

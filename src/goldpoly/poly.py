@@ -230,29 +230,23 @@ def _radical_arrays(primes: tuple[int, ...]) -> tuple:
             int(np.abs(neg_psi).max(initial=0)))
 
 
-# M -> (phi(M), Phi_M, -Psi_M mod z**(M - phi(M)), max|Phi_M|, max|Psi_M|)
-_division_memo: dict[int, tuple] = {}
-
-
+@functools.cache
 def _division_data(M: int) -> tuple:
     """phi(M), Phi_M and -Psi_M[:k] (k = M - phi(M)) as int64 arrays, and
     the largest magnitudes of the two, for M >= 1: the radical's
     ``_radical_arrays`` spread by M / rad(M), since Phi_M(z) =
     Phi_r(z**(M/r)) and Psi_M(z) = Psi_r(z**(M/r)) for r = rad(M)."""
-    got = _division_memo.get(M)
-    if got is None:
-        primes = tuple(p for p, _ in arith.factorize(M))
-        phi_r, neg_psi_r, phi_max, psi_max = _radical_arrays(primes)
-        step = M // math.prod(primes)
-        m = step * (len(phi_r) - 1)
-        phi = np.zeros(m + 1, dtype=np.int64)
-        phi[::step] = phi_r
-        # Psi_M has degree k = M - m; its top coefficient is left out
-        neg_psi = np.zeros(M - m, dtype=np.int64)
-        neg_psi[::step] = neg_psi_r
-        phi.flags.writeable = neg_psi.flags.writeable = False
-        got = _division_memo[M] = (m, phi, neg_psi, phi_max, psi_max)
-    return got
+    primes = tuple(p for p, _ in arith.factorize(M))
+    phi_r, neg_psi_r, phi_max, psi_max = _radical_arrays(primes)
+    step = M // math.prod(primes)
+    m = step * (len(phi_r) - 1)
+    phi = np.zeros(m + 1, dtype=np.int64)
+    phi[::step] = phi_r
+    # Psi_M has degree k = M - m; its top coefficient is left out
+    neg_psi = np.zeros(M - m, dtype=np.int64)
+    neg_psi[::step] = neg_psi_r
+    phi.flags.writeable = neg_psi.flags.writeable = False
+    return m, phi, neg_psi, phi_max, psi_max
 
 
 def cyclotomic(n: int) -> IntPolynomial:

@@ -31,10 +31,11 @@ computed step is the true move plus the later error minus the earlier
 one, and the sum telescopes: Theta, up to rounding, since both ends are
 exact.  The count is proved when that leaves one multiple of pi; all of
 q's zeros then lie off the circle.  The count declines (None) when q(1)
-or q(-1) is 0, when a coefficient reaches 2**53 or the degree 2**16, when
-an arc still fails after 40 bisections or a level grows past 4 (d + 1)
-arcs, when two neighbours' angle bounds reach pi/3, and when the rounding
-bound is too wide.  Every g_N cofactor to N = 200 but N = 183 is counted.
+or q(-1) is 0, when a coefficient reaches 2**53 or the degree 2**16 (the
+int64 binomials' limit), when an arc still fails at the float floor of
+its centre or a level grows past 4 (d + 1) arcs, when two neighbours'
+angle bounds reach pi/3, and when the rounding bound is too wide.  Every
+g_N cofactor to N = 200 but N = 183 is counted.
 
 **The fallback.**  Where the count declines, ``strip_unit_circle_part``
 divides the cyclotomic factors off (their roots are on the circle,
@@ -430,9 +431,6 @@ def aberth_solve(p: IntPolynomial, seed: int = 0) -> SolveResult:
 _ORDERS = 5
 # The first level has L >= _ARCS_PER_ROOT (d + 1) arcs on the whole circle.
 _ARCS_PER_ROOT = 32
-# Bisection levels below the first; arc centres are integer keys in units
-# of h / 2**_MAX_DEPTH.
-_MAX_DEPTH = 40
 # A float sum or Euclidean norm of at most 2**30 nonnegative terms is at
 # most this factor below the exact one.
 _SUM_UP = 1.0 + 2.0 ** -20
@@ -525,7 +523,7 @@ def _winding_count(q: IntPolynomial) -> int | None:
 
     - **Decline** (None) if q(1) or q(-1) is 0, if some |c_k| >= 2**53 (the
       float copy of every smaller one is exact), or if d + 1 > 2**16 (the
-      keys and binomials below must fit in int64).
+      binomials of ``_taylor_rows`` must fit in int64).
     - **First level.** L is the power of two at least 32 (d + 1).  A real
       FFT of each of the _ORDERS rows of ``_taylor_rows`` in turn gives
       q^(m)/m! at the upper-half L-th roots of unity, each within
@@ -543,12 +541,12 @@ def _winding_count(q: IntPolynomial) -> int | None:
     - **Tail.** sum_(m >= 5) |q^(m)(x)/m!| rho^m is at most
       sum_k |c_k| C(k, 5) rho^5 (|x| + rho)^(k-5)
       <= e^(d (rho + _OFF)) rho^5 / 5! sum_k |c_k| k^5.
-    - **Stop.** An arc still failing at depth _MAX_DEPTH declines, and so
-      does a level of more than 4 (d + 1) arcs, which would cost more than
-      four solver sweeps: each zero near the circle fails two to four arcs
-      a level while the bisection closes in on it.  So does a level whose
-      half-width h / 2**depth is below _OFF: there rho = r + _OFF no
-      longer shrinks, and nearly every arc fails again.
+    - **Stop.** The levels run to D, the deepest whose half-width
+      h / 2**D is >= _OFF (below it rho = r + _OFF no longer shrinks),
+      and keys are integers in units of h / 2**D, below pi / _OFF < 2**51.
+      An arc still failing after level D declines, as does a level of
+      more than 4 (d + 1) arcs, which would cost more than four solver
+      sweeps: each zero near the circle fails two to four arcs a level.
     - **Sum.** The chain's points are P_0 = the exact q(1), the passing
       centres in key order, and the exact q(-1) last; point j's computed
       angle errs by delta_j, its ``_arc_test`` err, and 0 at both ends.
@@ -572,6 +570,10 @@ def _winding_count(q: IntPolynomial) -> int | None:
         return None
     L = 1 << (_ARCS_PER_ROOT * (d + 1) - 1).bit_length()
     h = math.pi / L
+    # D, the deepest level with h / 2**D >= _OFF, by exact halvings
+    D, unit = 0, h
+    while unit / 2 >= _OFF:
+        D, unit = D + 1, unit / 2
     X = _taylor_rows(coeffs)
     absX = np.abs(X)
     size = absX.sum(axis=1) * _SUM_UP
@@ -587,7 +589,7 @@ def _winding_count(q: IntPolynomial) -> int | None:
     rho = h * _UP
     ok, values, err = _arc_test((np.fft.rfft(row, L) for row in X), E, rho,
                                 tail(rho))
-    keys = np.arange(L // 2 + 1, dtype=np.int64) << (_MAX_DEPTH + 1)
+    keys = np.arange(L // 2 + 1, dtype=np.int64) << (D + 1)
     passed = [(keys[ok], -np.angle(values[ok]), err[ok])]
     failing = keys[~ok]
     del values
@@ -595,17 +597,15 @@ def _winding_count(q: IntPolynomial) -> int | None:
     E = ((_bsgs_error(d) + 4 * _U) * math.exp(d * _OFF) * _UP * size
          * _UP + _TINY)
     last = keys[-1]
-    for depth in range(1, _MAX_DEPTH + 1):
+    for depth in range(1, D + 1):
         if not failing.size:
             break
-        if h / (1 << depth) < _OFF:
-            return None
-        half = 1 << (_MAX_DEPTH - depth)
+        half = 1 << (D - depth)
         kids = np.concatenate([failing - half, failing + half])
         kids = kids[(kids >= 0) & (kids <= last)]
         if len(kids) > 4 * (d + 1):
             return None
-        theta = kids * (h / (1 << _MAX_DEPTH))
+        theta = kids * unit
         rho = (h / (1 << depth) * _UP + _OFF) * _UP
         ok, values, err = _arc_test(
             _bsgs_values(X, np.cos(theta) + 1j * np.sin(theta)), E, rho,

@@ -466,6 +466,26 @@ class TestIndicators:
         F = goldbach_polynomial(8, ind)
         assert any(F.coeffs[1::2])
 
+    def test_source_must_cover_n_minus_one(self, small_table):
+        # F_100 from the primes <= 13 alone would have no pair summing to
+        # 100, a false Goldbach failure; a table or set reaching 99 is
+        # enough, one stopping short of it raises
+        short, exact = arith.PrimeTable(16), arith.PrimeTable(99)
+        for build in (goldbach.pair_sums, goldbach_cofactor,
+                      theorem_reports):
+            with pytest.raises(ValueError, match="does not cover"):
+                build(100, short)
+        assert goldbach.pair_sums(100, exact).tolist() == \
+            goldbach.pair_sums(100, small_table).tolist()
+        assert theorem_reports(100, exact) == \
+            theorem_reports(100, small_table)
+        liouville_set = IndicatorSet.liouville_negative(98, small_table)
+        with pytest.raises(ValueError, match="does not cover"):
+            goldbach.pair_sums(100, liouville_set)
+        assert goldbach.pair_sums(99, liouville_set).tolist() == \
+            goldbach.pair_sums(99, IndicatorSet.liouville_negative(
+                small_table.limit, small_table)).tolist()
+
     def test_liouville_pair_existence(self, table):
         lam = arith.liouville_sieve(10_000, table)
         members = np.nonzero(lam == -1)[0]

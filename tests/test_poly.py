@@ -241,7 +241,7 @@ class TestCyclotomic:
             assert cyclotomic(n) == mobius_cyclotomic(n)
 
     def test_matches_divisor_chain_oracle(self):
-        poly._division_memo.clear()
+        poly._division_data.cache_clear()
         poly._radical_arrays.cache_clear()
         for n in range(1, 1001):
             assert cyclotomic(n) == cyclotomic_by_division(n), n

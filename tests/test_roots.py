@@ -908,22 +908,22 @@ class TestWindingCount:
         _BOUND_CASES[1], IntPolynomial((100001, 100000)),
     ], ids=["bisected", "near-minus-one"])
     def test_bisected_arc_ends_lie_within_rho(self, monkeypatch, P):
-        # at depth t an arc's key k is an odd multiple of s = 2**(40 - t),
-        # in units of pi / (L 2**40), and its ends are at k -+ s; both,
-        # at 50 digits, lie within rho of the float centre the evaluator
-        # was given, which errs from the circle point by up to 14u.  The
-        # zero of 100000 w + 100001, 1e-5 outside the circle at w = -1,
-        # takes the bisection 14 levels deep, where the arc's chord falls
-        # short of r by less than that error: without _OFF, rho = r would
-        # miss an end there by 3e-16
+        # with T bisected levels, at depth t an arc's key k is an odd
+        # multiple of s = 2**(T - t), in units of pi / (L 2**T), and its
+        # ends are at k -+ s; both, at 50 digits, lie within rho of the
+        # float centre the evaluator was given, which errs from the circle
+        # point by up to 14u.  The zero of 100000 w + 100001, 1e-5 outside
+        # the circle at w = -1, takes the bisection 14 levels deep, where
+        # the arc's chord falls short of r by less than that error:
+        # without _OFF, rho = r would miss an end there by 3e-16
         tests, centres = _record_levels(monkeypatch)
         roots._winding_count(P)
         levels = [(rho, x) for _, _, rho, _, _, x, _ in
                   _level_arcs(tests, centres)]
-        L = 2 * (len(levels[0][1]) - 1)
-        unit = math.pi / L / (1 << roots._MAX_DEPTH)
+        L, T = 2 * (len(levels[0][1]) - 1), len(levels) - 1
+        unit = math.pi / L / (1 << T)
         for depth, (rho, x) in enumerate(levels[1:], start=1):
-            step = 1 << (roots._MAX_DEPTH - depth)
+            step = 1 << (T - depth)
             keys = (2 * np.floor(np.angle(x) / unit / (2 * step))
                     .astype(np.int64) + 1) * step
             theta = keys * unit
@@ -931,7 +931,7 @@ class TestWindingCount:
             rho2 = Decimal(rho) ** 2
             for key, w in zip(keys.tolist(), x):
                 for end in (key - step, key + step):
-                    c, s = _decimal_cis(Fraction(end, L << roots._MAX_DEPTH))
+                    c, s = _decimal_cis(Fraction(end, L << T))
                     gap2 = ((c - Decimal(w.real)) ** 2
                             + (s - Decimal(w.imag)) ** 2)
                     assert gap2 <= rho2, (depth, key, end)
@@ -966,6 +966,25 @@ class TestWindingCount:
         # (b w - b + 1)(b w - b) one at w = 1 beside one 1e-9 inside, and
         # Phi_5 four; the last is declined for its coefficients
         assert roots._winding_count(P) is None
+
+    def test_bisection_runs_to_the_float_floor_and_no_further(
+            self, monkeypatch):
+        # (w^2 + w + 1)(w + 3) has a zero on the circle at e^(2 pi i / 3),
+        # whose arcs fail on every level.  d = 3, so L = 128, and D = 43 is
+        # the deepest level whose half-width pi / 128 / 2**D is still at
+        # least _OFF: the count runs the first level and levels 1..43,
+        # each within the cap of 4 (d + 1) arcs, and declines with arcs
+        # still failing on the last
+        P = product(IntPolynomial((1, 1, 1)), IntPolynomial((3, 1)))
+        h, D = math.pi / 128, 43
+        assert h / 2 ** D >= roots._OFF > h / 2 ** (D + 1)
+        tests, centres = _record_levels(monkeypatch)
+        assert roots._winding_count(P) is None
+        assert len(tests) == D + 1 and len(centres) == D
+        rhos = [rho for _, _, rho, _, _, _ in tests]
+        assert all(a > b for a, b in zip(rhos, rhos[1:]))
+        assert all(len(x) <= 4 * (P.degree + 1) for x in centres)
+        assert not tests[-1][4].all()
 
     @pytest.mark.parametrize("b, a", [
         (10 ** 12, 10 ** 12 + 1), (10 ** 12 + 1, 10 ** 12),
