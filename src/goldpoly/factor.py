@@ -19,6 +19,19 @@ z - r with r in {-1, 0, 1}, so g(-1) g(0) g(1) != 0 excludes it; for d = 2
 it is z^2 + a z + b with |a|, |b| <= 3 and b != 0, 42 candidates, each
 excluded by a nonzero remainder of g modulo it and a prime.
 
+A prime only has to decide the degrees still open (Musser, J. ACM 25,
+1978).  ``_intersect_patterns`` stops each DDF at D, the largest d <= n/2
+with d or n - d still surviving, or at n/2 while the mirror-split test
+(``excludes_mirror_split``, which reads every component) has not held.
+The cofactor R that the DDF leaves has all its factors above D, and its
+degree mask is taken as K | K << deg R | (D, n - D), K the subset sums of
+the degrees found.  That is a superset of the true mask, so the rule is
+sound.  A true sum s <= D takes no factor of R, so it lies in K, and
+n - s lies in K << deg R; so on [0, D] and [n - D, n], where every
+surviving degree lies, the two masks agree, and the intersection, the
+primes used and every certificate are those of the whole DDF.  At N = 18,
+for one, the third prime decides degree 6 and below, not 141.
+
 DDF iterates the Frobenius map h -> h^p mod f.  Over F_p it is linear,
 (sum h_i z^i)^p = sum h_i z^(p i), so its matrix is Berlekamp's Q, with
 row i equal to z^(p i) mod f.  ``modp.FrobeniusMap`` builds Q once per
@@ -122,14 +135,20 @@ class FactorCertificate:
 class DegreePattern(list):
     """Sorted irreducible factor degrees of a squarefree polynomial over F_p.
 
-    ``components[d]`` is the monic product of its degree-d factors, so the
-    components multiply to the monic polynomial.
+    ``components[d]`` is the monic product of its degree-d factors.  A DDF
+    stopped at degree ``stop`` leaves a cofactor of degree ``rest`` whose
+    factors all have degree above ``stop`` and are not listed; ``rest`` is 0
+    when the pattern is whole.  The components and that cofactor multiply
+    to the monic polynomial.
     """
 
-    def __init__(self, components: dict[int, np.ndarray]):
+    def __init__(self, components: dict[int, np.ndarray], rest: int = 0,
+                 stop: int = 0):
         super().__init__(sorted(d for d, gd in components.items()
                                 for _ in range((len(gd) - 1) // d)))
         self.components = components
+        self.rest = rest
+        self.stop = stop
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +164,15 @@ def reduce_mod_p(f: IntPolynomial, p: int) -> np.ndarray:
     return modp.from_coeffs(f.coeffs, p)
 
 
-def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
+def distinct_degree_pattern(fp: np.ndarray, p: int,
+                            stop: int | None = None) -> DegreePattern:
     """Multiset of irreducible factor degrees of squarefree fp over F_p.
+
+    With ``stop`` = D the steps end at degree D: every factor of degree up
+    to D is found, and the cofactor left, whose factors all lie above D,
+    is the pattern's ``rest`` (a cofactor below twice the next degree is
+    one factor and is listed).  A D of at least deg fp / 2 is the whole
+    pattern.
 
     Iterates h -> h^p mod fp starting from h = z; the gcd of the
     remaining cofactor with h - z after d steps collects all factors of
@@ -182,12 +208,17 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
     rem = fp
     h = np.array([0, 1], dtype=np.int64)
     d = 0
+    stop = n if stop is None else stop
+    rest = 0
     while len(rem) - 1 > 0:
         rdeg = len(rem) - 1
         if 2 * (d + 1) > rdeg:
             components[rdeg] = rem
             break
-        steps = min(_DDF_BLOCK, rdeg // 2 - d)
+        if d >= stop:
+            rest = rdeg
+            break
+        steps = min(_DDF_BLOCK, rdeg // 2 - d, stop - d)
         # rows h_d - z, d = d0 + 1 .. d0 + steps; 2 <= rdeg <= n here
         rows = np.zeros((steps, n), dtype=np.int64)
         for i in range(steps):
@@ -224,8 +255,8 @@ def distinct_degree_pattern(fp: np.ndarray, p: int) -> DegreePattern:
                     raise AssertionError("block gcd not used up")
                 components[len(g) - 1] = g
         d += steps
-    pattern = DegreePattern(components)
-    if sum(pattern) != n:
+    pattern = DegreePattern(components, rest, stop)
+    if sum(pattern) + pattern.rest != n:
         raise AssertionError("pattern degrees do not sum to the degree")
     return pattern
 
@@ -307,11 +338,30 @@ def small_degree_screen(g: IntPolynomial) -> int:
 # Certification
 # ---------------------------------------------------------------------------
 
-def _subset_sum_mask(pattern: list[int]) -> int:
+def _subset_sum_mask(pattern: DegreePattern) -> int:
+    """Bit mask of the degrees that a product of some of the pattern's
+    factors may have: exactly its subset sums K when the pattern is whole.
+
+    With a ``rest`` of degree r above D = ``stop``, and n the degree, the
+    mask is K | K << r | (D, n - D): it holds every true sum, and on
+    [0, D] and [n - D, n] no other (module docstring).
+    """
     mask = 1
     for d in pattern:
         mask |= mask << d
+    if pattern.rest:
+        n, lo = sum(pattern) + pattern.rest, pattern.stop
+        mask |= (mask << pattern.rest) | ((1 << (n - lo)) - (1 << (lo + 1)))
     return mask
+
+
+def _open_degree(surviving: int, n: int) -> int:
+    """The largest d in 1 .. n/2 still in ``surviving``, 0 if none is.
+
+    Surviving masks are symmetric, d with n - d: both starting masks are,
+    and so is every closure.  An asymmetric mask would only stop a DDF
+    too early, and a stopped mask keeps every degree above the stop."""
+    return max(0, (surviving & ((1 << (n // 2 + 1)) - 2)).bit_length() - 1)
 
 
 def _intersect_patterns(f: IntPolynomial, surviving: int, max_primes: int,
@@ -334,8 +384,11 @@ def _intersect_patterns(f: IntPolynomial, surviving: int, max_primes: int,
     schedule = filter(arith.is_prime, itertools.count(_PRIME_START, 2))
     while len(primes_used) < max_primes:
         p = next(schedule)
+        # the DDF decides the open degrees up to D, and all of them while
+        # accept, which reads every component, has not held
+        stop = _open_degree(surviving, n) if accepted else n // 2
         try:
-            pattern = distinct_degree_pattern(reduce_mod_p(f, p), p)
+            pattern = distinct_degree_pattern(reduce_mod_p(f, p), p, stop)
         except BadPrimeError:
             if squarefree is None:
                 squarefree = gcd_rational(f, f.derivative()).degree == 0

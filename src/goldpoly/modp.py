@@ -27,7 +27,11 @@ one long-division loop that works in place on copies of their inputs.  A
 ``ModulusContext`` reduces a batch of rows, or one polynomial as a batch
 of one, of any degree, with a Newton inverse of the reversed modulus that
 it extends as wider inputs need it; each reduction then costs two
-multiplications.
+multiplications.  Their fixed operands, f and the inverse's slice, are
+transformed once per transform length and kept, so a reduction on the
+FFT branch takes two forward transforms, of its rows and of their
+quotient, and two inverse ones.  Direct and packed products neither fill
+nor read that cache.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def fft_error_bound(la: int, lb: int, amax: int, bmax: int, length: int) -> floa
 
 
 def convolve(a: np.ndarray, b: np.ndarray,
-             bound: int | tuple[int, int] | None = None) -> np.ndarray:
+             bound: int | tuple[int, int] | None = None,
+             spectra: dict | None = None) -> np.ndarray:
     """Exact linear convolution of integer arrays, 1-D or 2-D on either side.
 
     Entries are machine integers, or Python ints of any size and sign in an
@@ -84,6 +89,11 @@ def convolve(a: np.ndarray, b: np.ndarray,
     branch whether its maxima come from a hint or from the scan; a
     direct-sized product is never asked ``fft_error_bound``.  The direct
     and FFT results are int64 and equal entry for entry.
+
+    ``spectra``, a dict the caller keeps, holds b's rFFT by (len(b),
+    transform length) for the FFT branch, which then transforms a alone.
+    Pass it only with a 1-D b whose entries depend on its length alone,
+    as the prefixes of one power series do; the branch rule ignores it.
     """
     la, lb = a.shape[-1], b.shape[-1]
     batch = (np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) if b.ndim > 1
@@ -106,7 +116,7 @@ def convolve(a: np.ndarray, b: np.ndarray,
             return np.array(rows, dtype=object).reshape(batch + (n,))
     if direct:
         return _direct(a, b, batch, n)
-    return _fft(a, b, length, n)
+    return _fft(a, b, length, n, spectra)
 
 
 def _certified(direct: bool, la: int, lb: int, amax: int, bmax: int,
@@ -126,12 +136,18 @@ def _direct(a: np.ndarray, b: np.ndarray, batch: tuple, n: int) -> np.ndarray:
     return out.reshape(batch + (n,))
 
 
-def _fft(a: np.ndarray, b: np.ndarray, length: int, n: int) -> np.ndarray:
+def _fft(a: np.ndarray, b: np.ndarray, length: int, n: int,
+         spectra: dict | None) -> np.ndarray:
     spec = np.fft.rfft(np.asarray(a, dtype=np.float64), length)
     if b is a:
         spec *= spec
-    else:
+    elif spectra is None:
         spec = spec * np.fft.rfft(np.asarray(b, dtype=np.float64), length)
+    else:
+        key = (len(b), length)
+        if key not in spectra:
+            spectra[key] = np.fft.rfft(np.asarray(b, dtype=np.float64), length)
+        spec *= spectra[key]
     # drop the spectrum and round in place: fewer full-length temporaries
     out = np.fft.irfft(spec, length)[..., :n]
     del spec
@@ -195,12 +211,14 @@ def scale(a: np.ndarray, c: int, p: int) -> np.ndarray:
     return (a * c) % p
 
 
-def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def mul(a: np.ndarray, b: np.ndarray, p: int,
+        spectra: dict | None = None) -> np.ndarray:
     """a * b over F_p.  With a 2-D operand the rows broadcast as in
     ``convolve`` and each product row comes back untrimmed.  The operands'
     entries lie in [0, p), so p - 1 is their hint: they are scanned only
-    where it certifies no float product (p near 2**31)."""
-    out = (convolve(a, b, p - 1) % p).astype(np.int64, copy=False)
+    where it certifies no float product (p near 2**31).  ``spectra`` is
+    passed to ``convolve``."""
+    out = (convolve(a, b, p - 1, spectra) % p).astype(np.int64, copy=False)
     return trim(out) if out.ndim == 1 else out
 
 
@@ -281,7 +299,12 @@ class ModulusContext:
     Keeps rev(f)^{-1} mod z^k, computed by Newton iteration when a
     reduction first needs it and extended by Newton doubling from the
     precision it has whenever a wider input needs more, so that each
-    reduction costs two multiplications.
+    reduction costs two multiplications.  Both have a fixed operand, the
+    inverse's slice mod z^k and f, whose transforms ``convolve`` keeps in
+    ``spectra`` by length: a reduction that takes the FFT branch then
+    transforms its rows and the quotient, and inverts both products.  The
+    slice mod z^k is the same however far the inverse has been extended,
+    so its spectra stay valid as it grows.
     """
 
     def __init__(self, f: np.ndarray, p: int):
@@ -294,6 +317,9 @@ class ModulusContext:
         # rev(f)^{-1} mod z^prec; rev(f)[0] = 1 since f is monic
         self._inv = np.array([1], dtype=np.int64)
         self._prec = 1
+        # rFFTs of the inverse's slices and of f, by (length, transform length)
+        self._inv_spectra: dict = {}
+        self._f_spectra: dict = {}
 
     def _inverse(self, k: int) -> np.ndarray:
         """rev(f)^{-1} mod z^k."""
@@ -326,8 +352,9 @@ class ModulusContext:
         dq = width - 1 - n
         # rev(q) = rev(a) rev(f)^{-1} mod z^(dq+1); row products come back
         # untrimmed: q keeps its low zeros, mul(q, f) has >= n columns
-        q = mul(a[:, ::-1][:, : dq + 1], self._inverse(dq + 1), p)[:, dq::-1]
-        out -= mul(q, self.f, p)[:, :n]
+        q = mul(a[:, ::-1][:, : dq + 1], self._inverse(dq + 1), p,
+                spectra=self._inv_spectra)[:, dq::-1]
+        out -= mul(q, self.f, p, spectra=self._f_spectra)[:, :n]
         out %= p
         return out
 

@@ -590,7 +590,8 @@ def _winding_count(q: IntPolynomial) -> int | None:
     ok, values, err = _arc_test((np.fft.rfft(row, L) for row in X), E, rho,
                                 tail(rho))
     keys = np.arange(L // 2 + 1, dtype=np.int64) << (D + 1)
-    passed = [(keys[ok], -np.angle(values[ok]), err[ok])]
+    first = (keys[ok], -np.angle(values[ok]), err[ok])
+    passed = [tuple(col[:0] for col in first)]
     failing = keys[~ok]
     del values
 
@@ -615,11 +616,17 @@ def _winding_count(q: IntPolynomial) -> int | None:
     if failing.size:
         return None
 
+    # the first level's keys are in order; the few bisected ones and the
+    # exact end points are merged into them, one copy of each column
     keys, phase, errs = (np.concatenate(col) for col in zip(*passed))
-    order = np.argsort(keys, kind="stable")
-    phase = np.concatenate([[0.0 if at_one > 0 else math.pi], phase[order],
-                            [0.0 if at_minus_one > 0 else math.pi]])
-    errs = np.concatenate([[0.0], errs[order], [0.0]])
+    order = np.argsort(keys)
+    at = np.concatenate([[0], np.searchsorted(first[0], keys[order]),
+                         [len(first[0])]])
+    phase = np.insert(first[1], at, np.concatenate([
+        [0.0 if at_one > 0 else math.pi], phase[order],
+        [0.0 if at_minus_one > 0 else math.pi]]))
+    errs = np.insert(first[2], at, np.concatenate([[0.0], errs[order],
+                                                   [0.0]]))
     if ((errs[:-1] + errs[1:]) * _UP >= math.pi / 3).any():
         return None
     steps = np.diff(phase)

@@ -685,9 +685,9 @@ class TestIrreducible:
         seen = Counter()
         ddf = factor.distinct_degree_pattern
 
-        def counted(fp, p):
+        def counted(fp, p, stop):
             seen[len(fp) - 1] += 1
-            return ddf(fp, p)
+            return ddf(fp, p, stop)
 
         monkeypatch.setattr(factor, "distinct_degree_pattern", counted)
         code, out, _ = run(capsys, "irreducible", "--n-max", "12")
@@ -702,9 +702,9 @@ class TestIrreducible:
         ddf = factor.distinct_degree_pattern
         powmod = modp.ModulusContext.powmod
 
-        def counted_ddf(fp, p):
+        def counted_ddf(fp, p, stop):
             calls["ddf"] += 1
-            return ddf(fp, p)
+            return ddf(fp, p, stop)
 
         def counted_powmod(self, h, e):
             calls["powmod"] += 1
@@ -723,11 +723,11 @@ class TestIrreducible:
         mul = modp.mul
         seen = Counter()
 
-        def checked(a, b, p):
+        def checked(a, b, p, **kw):
             for x in (a, b):
                 assert x.size == 0 or (x.min() >= 0 and x.max() < p)
             seen[p] += 1
-            return mul(a, b, p)
+            return mul(a, b, p, **kw)
 
         monkeypatch.setattr(modp, "mul", checked)
         code, _, _ = run(capsys, "irreducible", "--n-max", "12")

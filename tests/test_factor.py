@@ -306,6 +306,154 @@ class TestDDFShortcuts:
             assert cert.verdict != "Irreducible"
 
 
+def product_of_irreducibles(rng, p, degrees):
+    """f mod p, the product of distinct random monic irreducibles."""
+    factors = []
+    while len(factors) < len(degrees):
+        u = random_irreducible(rng, p, degrees[len(factors)])
+        if u.tolist() not in [f.tolist() for f in factors]:
+            factors.append(u)
+    fp = np.array([1], dtype=np.int64)
+    for u in factors:
+        fp = modp.mul(fp, u, p)
+    return fp
+
+
+def assert_stop_is_exact(fp, p, surviving, full=None):
+    """The DDF stopped at the largest open degree D of ``surviving`` against
+    the whole DDF: the same components up to D, a rest that holds the
+    factors above D, and a degree mask that contains the whole closure and
+    equals it on the surviving degrees."""
+    n = len(fp) - 1
+    full = distinct_degree_pattern(fp, p) if full is None else full
+    D = factor._open_degree(surviving, n)
+    stopped = distinct_degree_pattern(fp, p, D)
+    assert [d for d in stopped if d <= D] == [d for d in full if d <= D]
+    for d, gd in full.components.items():
+        if d <= D:
+            assert stopped.components[d].tolist() == gd.tolist()
+    for d in set(full) - set(stopped):
+        assert d > D
+    assert stopped.rest == sum(full) - sum(stopped)
+    assert stopped.rest == 0 or stopped.rest >= 2 * (D + 1)
+    exact = factor._subset_sum_mask(full)
+    bound = factor._subset_sum_mask(stopped)
+    assert exact & ~bound == 0
+    assert surviving & bound == surviving & exact
+    return stopped
+
+
+def symmetric_mask(n, degrees):
+    mask = 1 | 1 << n
+    for d in degrees:
+        mask |= 1 << d | 1 << (n - d)
+    return mask
+
+
+class TestStoppedDDF:
+    """A DDF stopped at the largest degree still open decides every
+    surviving degree as the whole DDF does."""
+
+    @pytest.mark.parametrize("p", [101, 103, 2 ** 28 - 57])
+    def test_random_squarefree_against_the_whole_ddf(self, p):
+        # 2**28 - 57: every product takes the exact packer; 2**31 - 1 is
+        # refused by the Frobenius step's int64 bound from degree 3 on
+        rng = np.random.default_rng(p % 1000)
+        for _ in range(12 if p < 1000 else 3):
+            n = int(rng.integers(10, 121))
+            while True:
+                fp = rng.integers(0, p, n + 1).astype(np.int64)
+                fp[-1] = 1
+                try:
+                    full = distinct_degree_pattern(fp, p)
+                except BadPrimeError:
+                    continue
+                break
+            for _ in range(6):
+                k = int(rng.integers(0, 4))
+                open_ = rng.integers(1, n // 2 + 1, k).tolist()
+                assert_stop_is_exact(fp, p, symmetric_mask(n, open_), full)
+
+    @pytest.mark.parametrize("degrees, D", [
+        ([3, 4, 7], 3),       # D is a component's degree; the rest holds D + 1
+        ([2, 5, 5, 9], 4),    # the rest holds two factors of degree D + 1
+        ([1, 6, 13], 5),      # one factor of degree D + 1 and one above
+        ([4, 4, 11], 4),      # D is a component's degree, rest one factor
+        ([2, 3, 7], 3),       # a rest below 2 (D + 1) is one factor, listed
+    ])
+    def test_edges_of_the_stop(self, degrees, D):
+        p = 101
+        rng = np.random.default_rng(sum(degrees) + D)
+        fp = product_of_irreducibles(rng, p, degrees)
+        n = sum(degrees)
+        for low in itertools.product((0, 1), repeat=D - 1):
+            kept = [d for d, bit in zip(range(1, D), low) if bit] + [D]
+            surviving = symmetric_mask(n, kept)
+            assert factor._open_degree(surviving, n) == D
+            stopped = assert_stop_is_exact(fp, p, surviving)
+            rest = sum(d for d in degrees if d > D)
+            if rest < 2 * (D + 1):
+                assert list(stopped) == sorted(degrees)
+                assert stopped.rest == 0
+            else:
+                assert list(stopped) == sorted(d for d in degrees if d <= D)
+                assert stopped.rest == rest
+
+    def test_open_degree_is_the_largest_below_half(self):
+        rng = np.random.default_rng(3)
+        for n in range(2, 40):
+            for _ in range(20):
+                open_ = [int(d) for d in rng.integers(1, n // 2 + 1,
+                                                      rng.integers(0, 4))]
+                mask = symmetric_mask(n, open_)
+                assert factor._open_degree(mask, n) == max(open_, default=0)
+
+    def test_pending_mirror_split_runs_the_whole_ddf(self, small_table,
+                                                     monkeypatch):
+        # until accept holds, the DDF decides every degree and accept sees
+        # every component; from then on it stops at the largest open degree
+        g = goldbach_cofactor(18, small_table)
+        n = g.degree
+        ddf, stops, seen = factor.distinct_degree_pattern, [], []
+
+        def spy(fp, p, stop):
+            stops.append(stop)
+            return ddf(fp, p, stop)
+
+        def accept(p, pattern):
+            seen.append((p, pattern.rest, sum(pattern)))
+            return p >= 103
+
+        monkeypatch.setattr(factor, "distinct_degree_pattern", spy)
+        cert = factor._intersect_patterns(g, small_degree_screen(g), 12,
+                                          accept)
+        assert cert.verdict == "Irreducible"
+        assert cert.primes_used == [101, 103, 107]
+        assert seen == [(101, 0, n), (103, 0, n)]
+        # degree 6 (and n - 6) alone survives 101 and 103
+        assert stops == [n // 2, n // 2, 6]
+
+    def test_certificates_equal_the_whole_ddf(self, small_table,
+                                              monkeypatch):
+        # verdict, primes and surviving degrees, with and without the stop
+        ddf = factor.distinct_degree_pattern
+        cases = [(f, "quotient") for f in range(6, 25)] + [
+            (IntPolynomial((1, 0, 0, 0, 1)), 8),
+            (product(IntPolynomial((1, 1, 0, 1)), IntPolynomial((-3, 0, 2, 0, 0, 1))), 6),
+        ]
+
+        def certify(case):
+            f, how = case
+            if how == "quotient":
+                return certify_goldbach_quotient(f, small_table)
+            return certify_irreducible(f, max_primes=how)
+
+        stopped = [certify(c).to_json_dict() for c in cases]
+        monkeypatch.setattr(factor, "distinct_degree_pattern",
+                            lambda fp, p, stop: ddf(fp, p))
+        assert stopped == [certify(c).to_json_dict() for c in cases]
+
+
 class TestScreen:
     # content is rejected before the screen: TestCertify.test_imprimitive_rejected
     def test_finds_unit_root(self):

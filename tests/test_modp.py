@@ -540,6 +540,79 @@ class TestModulusContext:
                               np.array([2, 6, 5], dtype=np.int64))
 
 
+class TestCachedSpectra:
+    """ModulusContext keeps the transforms of f and of its inverse's slices;
+    every reduction still equals the long division's remainder."""
+
+    @staticmethod
+    def check(ctx, a):
+        got = ctx.reduce(a)
+        rows = a if a.ndim == 2 else a[None]
+        outs = got if a.ndim == 2 else got[None]
+        for row, out in zip(rows, outs):
+            expected = modp.divmod_poly(row, ctx.f, ctx.p)[1]
+            assert modp.trim(out).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n, batch", [(30, (5,)), (200, ())])
+    def test_widths_around_the_modulus(self, n, batch):
+        # batched rows and 1-D polynomials from deg 200 on take the FFT
+        # branch; each width twice, the second time from the cache
+        rng = np.random.default_rng(n)
+        p = 101
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        for width in (n - 3, n, 2 * n - 1, 2 * n - 1, 3 * n, n + 7, 3 * n):
+            a = rng.integers(0, p, batch + (width,)).astype(np.int64)
+            self.check(ctx, a)
+            if width <= n:
+                assert not ctx._inv_spectra and not ctx._f_spectra
+        assert ctx._inv_spectra and ctx._f_spectra
+        assert {key[0] for key in ctx._f_spectra} == {n + 1}
+
+    def test_inverse_slices_keep_their_own_spectra(self):
+        # slices of 5 and 6 terms share a transform length (16), and the
+        # inverse grows in between: the 6-term product must not reuse the
+        # 5-term spectrum
+        rng = np.random.default_rng(4)
+        p, n = 103, 40
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        for k in (5, 3 * n, 6, 5, 6):
+            self.check(ctx, rng.integers(0, p, (4, n + k)).astype(np.int64))
+        assert ctx._prec == 3 * n
+        lengths = {}
+        for k, length in ctx._inv_spectra:
+            lengths.setdefault(length, []).append(k)
+        assert sorted(lengths[16]) == [5, 6]
+
+    def test_spectrum_is_the_transform_of_the_slice(self):
+        rng = np.random.default_rng(6)
+        p, n = 101, 25
+        f = rng.integers(0, p, n + 1).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        self.check(ctx, rng.integers(0, p, (3, 2 * n - 1)).astype(np.int64))
+        for (k, length), spec in ctx._inv_spectra.items():
+            expected = np.fft.rfft(ctx._inverse(k).astype(np.float64), length)
+            assert np.array_equal(spec, expected)
+        for (k, length), spec in ctx._f_spectra.items():
+            assert np.array_equal(spec, np.fft.rfft(f.astype(np.float64),
+                                                    length))
+
+    def test_exact_packer_neither_fills_nor_reads_the_cache(self):
+        p = 2_147_483_647
+        rng = np.random.default_rng(2)
+        f = rng.integers(0, p, 21).astype(np.int64)
+        f[-1] = 1
+        ctx = modp.ModulusContext(f, p)
+        for width in (39, 39, 60):
+            self.check(ctx, rng.integers(0, p, (4, width)).astype(np.int64))
+            self.check(ctx, rng.integers(0, p, width).astype(np.int64))
+        assert ctx._inv_spectra == {} and ctx._f_spectra == {}
+
+
 class TestRowBatchedConvolve:
     @pytest.mark.parametrize("p, fft", [(101, True), (2_147_483_647, False)])
     def test_rows_match_one_dimensional(self, p, fft):
@@ -608,10 +681,10 @@ def build_with_batches(monkeypatch, ctx):
     """ctx's Frobenius map and the row count of each doubling's batch."""
     seen, mul = [], modp.mul
 
-    def spy(a, b, p):
+    def spy(a, b, p, **kw):
         if a.ndim == 2 and b.shape == (ctx.n,):  # rows [lo, hi) times x^k
             seen.append(len(a))
-        return mul(a, b, p)
+        return mul(a, b, p, **kw)
 
     monkeypatch.setattr(modp, "mul", spy)
     frob = modp.FrobeniusMap(ctx)
@@ -725,11 +798,11 @@ class TestFrobeniusMap:
         batches = []
         mul = modp.mul
 
-        def spy(a, b, prime):
+        def spy(a, b, prime, **kw):
             if a.ndim == 2:
                 length = 1 << (a.shape[-1] + b.shape[-1] - 2).bit_length()
                 batches.append((len(a), length))
-            return mul(a, b, prime)
+            return mul(a, b, prime, **kw)
 
         monkeypatch.setattr(modp, "mul", spy)
         frob = modp.FrobeniusMap(ctx)
